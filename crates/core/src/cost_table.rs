@@ -114,8 +114,8 @@ impl CostTable {
     }
 
     /// The exchange message's size in overhead units, computed
-    /// arithmetically from the wire layout (1 tag + 4 owner + 2 length
-    /// + 8 bytes per entry, in [`QUERY_BASE_SIZE`] units) — identical
+    /// arithmetically from the wire layout (1 tag + 4 owner + 2 length +
+    /// 8 bytes per entry, in [`QUERY_BASE_SIZE`] units) — identical
     /// to `to_message().size_units()` without cloning the entries into
     /// a throwaway message. The hot path charges one table exchange per
     /// closure member per planning peer per round, so the clone showed

@@ -15,6 +15,14 @@
 //! The engine mutates only the [`Overlay`] and its own per-peer state; it
 //! never uses global knowledge — every decision is based on probed costs
 //! and exchanged tables, exactly as in the distributed protocol.
+//!
+//! Phases 2 and 3 each exist once, as a pair *plan* (read-only on the
+//! engine, charging a caller-supplied [`OverheadLedger`]) → *commit*:
+//! `plan_tree` → `commit_tree`, `plan_phase3` → `commit_proposal`. The
+//! two round schedules ([`AceConfig::parallel`]) only order those pairs.
+//! Schedule-specific on purpose: the serial watch sweep
+//! (`process_watches`) and the planned schedule's dirty-set replay
+//! (`plan_tree_cached`).
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -54,8 +62,8 @@ pub enum ReplacePolicy {
     Closest,
 }
 
-/// ACE configuration.
-#[derive(Clone, Copy, Debug, Default)]
+/// ACE configuration. [`Default`] is [`AceConfig::paper_default`].
+#[derive(Clone, Copy, Debug)]
 pub struct AceConfig {
     /// Closure depth `h` (>= 1); 0 is normalized to 1 by [`AceEngine::new`].
     pub depth: u8,
@@ -68,12 +76,14 @@ pub struct AceConfig {
     /// flooding links too. Guards the search scope against forwarding
     /// islands on sparse overlays (the paper's scope-retention claim).
     pub min_flooding: usize,
-    /// When true, [`AceEngine::round`] runs the two-stage plan/commit
-    /// pipeline: every alive peer *plans* its round concurrently against a
-    /// snapshot of the overlay, then the plans are *committed* serially in
-    /// peer-id order. The result is bit-identical for any worker count
-    /// (including 1) but differs from the serial schedule, which lets each
-    /// peer observe earlier peers' rewiring within the same round.
+    /// Selects the commit order of [`AceEngine::round`]; every phase has
+    /// one implementation. `false` is the paper's serial schedule: peers
+    /// run phases 2–3 one after another in shuffled order, each observing
+    /// earlier peers' rewiring within the same round. `true` is the
+    /// planned schedule: every due peer *plans* concurrently against a
+    /// snapshot of the overlay, then the plans are *committed* in
+    /// peer-id order — bit-identical for any worker count (including 1),
+    /// but a different outcome from the serial order.
     pub parallel: bool,
     /// Worker threads for the parallel pipeline; `0` means one per
     /// available core. Has no effect on results — only on wall time.
@@ -100,9 +110,7 @@ pub struct AceConfig {
     /// differential proptest pins it): digests, ledgers and overlay
     /// wiring are bit-identical with the flag off. Lifecycle events and
     /// autorate snap-to-floor invalidate the affected peers' caches.
-    /// Has no effect on the serial path, whose interleaved ledger
-    /// charges cannot be replayed from a cache without reordering
-    /// float sums.
+    /// No effect on the serial schedule (see [`AceEngine::build_tree`]).
     pub dirty_planning: bool,
     /// Byte budget for the pairwise-core probe cache
     /// ([`crate::core_cache`]); `0` selects the 256 MiB default. When
@@ -127,6 +135,14 @@ impl AceConfig {
             dirty_planning: true,
             core_cache_budget: 0,
         }
+    }
+}
+
+impl Default for AceConfig {
+    /// [`AceConfig::paper_default`] — a derived all-zero value would turn
+    /// the scope guard (`min_flooding`) and dirty planning off.
+    fn default() -> Self {
+        Self::paper_default()
     }
 }
 
@@ -167,7 +183,7 @@ pub struct RoundStats {
     /// Control-traffic overhead incurred during the round.
     pub overhead: OverheadLedger,
     /// Plans served from the dirty-set cache instead of replanned
-    /// ([`AceConfig::dirty_planning`]); always 0 on the serial path.
+    /// ([`AceConfig::dirty_planning`]); always 0 on the serial schedule.
     /// Each skipped plan still counts in `trees_built` — the peer's
     /// tree was refreshed, just without recomputing it.
     pub plans_skipped: usize,
@@ -182,6 +198,14 @@ impl RoundStats {
     /// converged.
     pub fn converged(&self) -> bool {
         self.replaced == 0 && self.added == 0
+    }
+
+    fn count_outcome(&mut self, outcome: AdaptOutcome) {
+        match outcome {
+            AdaptOutcome::Replaced { .. } => self.replaced += 1,
+            AdaptOutcome::Added { .. } => self.added += 1,
+            AdaptOutcome::KeptAll => {}
+        }
     }
 }
 
@@ -447,25 +471,12 @@ impl AceEngine {
         self.states[peer.index()].tree_built
     }
 
-    /// `peer`'s flooding neighbors: its own tree neighbors plus peers that
-    /// requested forwarding because their trees attach through `peer`.
-    /// May contain stale entries after topology changes; forwarding
-    /// filters against current neighbors.
-    ///
-    /// Hidden: allocates a fresh `Vec` per call. Use
-    /// [`AceEngine::flooding_neighbors_into`] with a reused buffer on any
-    /// path that runs per peer or per query.
-    #[doc(hidden)]
-    pub fn flooding_neighbors(&self, peer: PeerId) -> Vec<PeerId> {
-        let mut out = Vec::new();
-        self.flooding_neighbors_into(peer, &mut out);
-        out
-    }
-
-    /// Like [`AceEngine::flooding_neighbors`], but writes into a caller
-    /// buffer (cleared first) instead of allocating. Forwarding calls this
-    /// once per visited peer per query, so the reuse matters on the query
-    /// hot path.
+    /// `peer`'s flooding neighbors, written into a caller buffer (cleared
+    /// first): its own tree neighbors plus peers that requested
+    /// forwarding because their trees attach through `peer`. May contain
+    /// stale entries after topology changes; forwarding filters against
+    /// current neighbors. Forwarding calls this once per visited peer per
+    /// query, hence the reused buffer.
     pub fn flooding_neighbors_into(&self, peer: PeerId, out: &mut Vec<PeerId>) {
         out.clear();
         let s = &self.states[peer.index()];
@@ -599,7 +610,9 @@ impl AceEngine {
         sb.table.remove(a);
     }
 
-    /// Measures `a`↔`b`, charging `ledger`. Fault handling is delegated
+    /// Measures `a`↔`b`, charging `ledger`. Read-only on `self` and
+    /// pair-deterministic ([`ProbeModel::perturb`], the fault hashes), so
+    /// plan-stage workers call it concurrently. Fault handling is delegated
     /// to [`policy::probe_exchange_survives_faults`], the rule shared
     /// with the async simulator: each attempt can be lost (decided by a
     /// pure hash, so both endpoints and every worker schedule agree), a
@@ -632,20 +645,15 @@ impl AceEngine {
         Some(self.cfg.probe.perturb(a, b, true_cost))
     }
 
-    /// Measures `a`↔`b` with the probe model and charges probe overhead
-    /// (request + reply, each crossing the physical path). `None` when
-    /// fault injection lost every attempt.
-    fn probe_and_charge(
-        &mut self,
-        ov: &Overlay,
-        oracle: &dyn DistancePlane,
-        a: PeerId,
-        b: PeerId,
-    ) -> Option<Delay> {
-        let mut ledger = self.ledger;
-        let out = self.probe_with_faults(ov, oracle, &mut ledger, a, b);
-        self.ledger = ledger;
-        out
+    /// Per-peer state is indexed by peer id: name a size mismatch here
+    /// instead of an out-of-bounds index deep inside a phase.
+    fn assert_sized_for(&self, ov: &Overlay) {
+        assert!(
+            ov.peer_count() == self.states.len(),
+            "engine built for {} peers was handed an overlay of {} peers",
+            self.states.len(),
+            ov.peer_count()
+        );
     }
 
     /// Phase 1: probe all current neighbors of `peer` and refresh its
@@ -657,8 +665,10 @@ impl AceEngine {
     ///
     /// # Panics
     ///
-    /// Panics if `peer` is offline.
+    /// Panics if `peer` is offline or the engine was built for a
+    /// different peer count than `ov`.
     pub fn phase1_probe(&mut self, ov: &Overlay, oracle: &dyn DistancePlane, peer: PeerId) {
+        self.assert_sized_for(ov);
         assert!(ov.is_alive(peer), "cannot probe from an offline peer");
         let nbrs = ov.neighbors(peer);
         {
@@ -666,11 +676,12 @@ impl AceEngine {
             s.table.retain_neighbors(nbrs);
             s.requested.retain(|r| nbrs.contains(r));
         }
+        let mut ledger = self.ledger;
         for &n in nbrs {
             // Only the lower-id endpoint pays for the shared probe; both
             // ends learn the (symmetric) RTT from the same exchange.
             let measured = if peer < n || self.states[n.index()].table.get(peer).is_none() {
-                self.probe_and_charge(ov, oracle, peer, n)
+                self.probe_with_faults(ov, oracle, &mut ledger, peer, n)
             } else {
                 Some(
                     self.cfg
@@ -683,6 +694,7 @@ impl AceEngine {
                 None => self.states[peer.index()].table.remove(n),
             }
         }
+        self.ledger = ledger;
     }
 
     /// Charges the table-exchange/relay overhead for collecting the
@@ -712,72 +724,17 @@ impl AceEngine {
         }
     }
 
-    /// Phases 2+3 for one peer: build the closure spanning tree, classify
-    /// flooding/non-flooding neighbors, then make one adaptive-connection
-    /// attempt. Returns what phase 3 did.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `peer` is offline.
-    pub fn optimize_peer<R: Rng + ?Sized>(
-        &mut self,
-        ov: &mut Overlay,
-        oracle: &dyn DistancePlane,
-        peer: PeerId,
-        rng: &mut R,
-    ) -> AdaptOutcome {
-        self.build_tree(ov, oracle, peer);
+    // ----- phase 2, the tree stage: plan → commit -------------------------
 
-        // §3.3 follow-up of the keep-both case: once the watched far
-        // neighbor has dropped its link to the peer we adopted, cut the
-        // far link too. Safe: the link is non-flooding (not on our fresh
-        // MST), so the tree provides an alternate path to `far`.
-        self.process_watches(ov, oracle, peer);
-
-        // Phase 3: adaptive connection establishment.
-        self.phase3_adapt(ov, oracle, peer, rng)
-    }
-
-    /// Phase 2 only: collect the closure tables, build the spanning tree
-    /// and reclassify flooding/non-flooding neighbors — without any
-    /// phase-3 adaptation. Useful for the trees-only ablation and the
-    /// paper's Table 1/2 examples.
-    ///
-    /// The serial path charges probes and exchanges interleaved into the
-    /// engine ledger (fixing the float summation order the committed
-    /// digests pin), so it never replays from the dirty-set cache — it
-    /// only shares the dense closure arenas with the plan pipeline.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `peer` is offline.
-    pub fn build_tree(&mut self, ov: &Overlay, oracle: &dyn DistancePlane, peer: PeerId) {
-        assert!(ov.is_alive(peer), "cannot optimize an offline peer");
-        let mut scratch = self.scratch.take().unwrap_or_default();
-        scratch.collect_closure(ov, peer, self.cfg.depth);
-        let mut ledger = self.ledger;
-        self.charge_closure_exchange(ov, oracle, &scratch, &mut ledger);
-        self.ledger = ledger;
-
-        // Phase 2: Prim MST over the closure subgraph. Edge costs come
-        // from the members' exchanged tables, falling back to a charged
-        // probe when neither endpoint has reported the link yet (`None` —
-        // probe lost to fault injection — drops the edge and the MST
-        // routes around it).
-        scratch.collect_internal_edges(ov, |a, b| {
-            self.states[a.index()]
-                .table
-                .get(b)
-                .or_else(|| self.states[b.index()].table.get(a))
-                .or_else(|| self.probe_and_charge(ov, oracle, a, b))
-        });
-        // Besides the logical links, the peer knows the cost between *any
-        // pair* of its direct neighbors (§3.3 phase 1): it ships its
-        // neighbor list to each neighbor, which probes the others and
-        // reports back — the O(m²) pairwise core that lets the tree
-        // bypass expensive neighbors even when they share no logical
-        // link. Physical distances are stable, so measured pairs come
-        // from the bounded core cache.
+    /// Stages `peer`'s non-adjacent neighbor pairs into `scratch.pairs`
+    /// and their cached core costs into `scratch.core_costs`, consulting
+    /// the core cache exactly once per pair. Batched on purpose: each
+    /// pair is staged with a prefetch (the adjacency tests hit neighbor
+    /// lists the closure walk just pulled in), then all are resolved
+    /// against lines already in flight.
+    fn stage_core_pairs(&self, ov: &Overlay, peer: PeerId, scratch: &mut PlanScratch) {
+        scratch.core_costs.clear();
+        scratch.pairs.clear();
         let nbrs = ov.neighbors(peer);
         for i in 0..nbrs.len() {
             for j in (i + 1)..nbrs.len() {
@@ -785,71 +742,127 @@ impl AceEngine {
                 if ov.are_neighbors(a, b) {
                     continue; // already covered by its exchanged table cost
                 }
-                let cost = match self.core_cache.get(a, b) {
-                    Some(c) => Some(c), // stable measurement, refreshed via tables
-                    None => {
-                        let c = self.probe_and_charge(ov, oracle, a, b);
-                        if let Some(c) = c {
-                            self.core_cache.insert_if_absent(a, b, c);
-                        }
-                        c
-                    }
-                };
-                if let Some(cost) = cost {
-                    let sa = scratch.slot(a).expect("direct neighbor is a member");
-                    let sb = scratch.slot(b).expect("direct neighbor is a member");
-                    scratch.edges.push(SlotEdge { a: sa, b: sb, cost });
-                }
+                self.core_cache.prefetch(a, b);
+                scratch.pairs.push((a, b));
             }
         }
-        {
-            let PlanScratch {
-                members,
-                edges,
-                prim,
-                extras,
-                tree,
-                ..
-            } = &mut scratch;
-            let states = &self.states;
-            let cfg = &self.cfg;
-            policy::tree_with_scope_guard_scratch(
-                peer,
-                members,
-                edges,
-                nbrs,
-                cfg.min_flooding,
-                |n| {
-                    Some(states[peer.index()].table.get(n).unwrap_or_else(|| {
-                        cfg.probe.perturb(peer, n, ov.link_cost(oracle, peer, n))
-                    }))
-                },
-                prim,
-                extras,
-                tree,
-            );
+        for k in 0..scratch.pairs.len() {
+            let (a, b) = scratch.pairs[k];
+            scratch.core_costs.push(self.core_cache.get(a, b));
         }
-        self.apply_tree_diff(ov, oracle, peer, &scratch.tree);
-        // A serially built tree bypassed the digest bookkeeping, so the
-        // peer must not replay a stale cached plan in a later parallel
-        // round.
-        if let Some(c) = self.plan_caches.get_mut(peer.index()) {
-            c.valid = false;
-        }
-        self.scratch.put(scratch);
     }
 
-    /// Diffs `new_tree` against `peer`'s previous tree and (un)subscribes
-    /// forwarding with the affected partners; each notification is one
-    /// tiny control message on that logical link. Shared by the serial
-    /// path and the pipeline's tree commit, so both charge identically.
-    fn apply_tree_diff(
+    /// Plans `peer`'s phase 2 — the one tree body both schedules run.
+    /// Expects the closure collected and the core pairs staged in
+    /// `scratch`; charges the closure exchange and every probe to
+    /// `ledger`, and leaves the planned tree in `scratch.tree` and the
+    /// freshly measured core pairs in `scratch.core_probes` for
+    /// [`Self::commit_tree`]. Read-only on `self`.
+    fn plan_tree(
+        &self,
+        ov: &Overlay,
+        oracle: &dyn DistancePlane,
+        peer: PeerId,
+        scratch: &mut PlanScratch,
+        ledger: &mut OverheadLedger,
+    ) {
+        self.charge_closure_exchange(ov, oracle, scratch, ledger);
+        // Prim MST over the closure subgraph. Edge costs come from the
+        // members' exchanged tables, falling back to a charged probe when
+        // neither endpoint has reported the link yet (`None` — probe lost
+        // to fault injection — drops the edge and the MST routes around
+        // it).
+        scratch.collect_internal_edges(ov, |a, b| {
+            self.states[a.index()]
+                .table
+                .get(b)
+                .or_else(|| self.states[b.index()].table.get(a))
+                .or_else(|| self.probe_with_faults(ov, oracle, ledger, a, b))
+        });
+        // Besides the logical links, the peer knows the cost between *any
+        // pair* of its direct neighbors (§3.3 phase 1): it ships its
+        // neighbor list to each neighbor, which probes the others and
+        // reports back — the O(m²) pairwise core that lets the tree
+        // bypass expensive neighbors even when they share no logical
+        // link. Physical distances are stable, so measured pairs come
+        // from the bounded core cache; concurrent planners may both pay
+        // for a missing pair (as real concurrent peers would).
+        scratch.core_probes.clear();
+        for k in 0..scratch.pairs.len() {
+            let (a, b) = scratch.pairs[k];
+            let cost = scratch.core_costs[k].or_else(|| {
+                let c = self.probe_with_faults(ov, oracle, ledger, a, b)?;
+                scratch.core_probes.push((a, b, c));
+                Some(c)
+            });
+            if let Some(cost) = cost {
+                let sa = scratch.slot(a).expect("direct neighbor is a member");
+                let sb = scratch.slot(b).expect("direct neighbor is a member");
+                scratch.edges.push(SlotEdge { a: sa, b: sb, cost });
+            }
+        }
+        policy::tree_with_scope_guard_scratch(
+            peer,
+            &scratch.members,
+            &scratch.edges,
+            ov.neighbors(peer),
+            self.cfg.min_flooding,
+            |n| Some(self.link_cost_estimate(ov, oracle, peer, n)),
+            &mut scratch.prim,
+            &mut scratch.extras,
+            &mut scratch.tree,
+        );
+    }
+
+    /// The table of `w` that `peer`'s closure exchange delivered: from the
+    /// fault-time snapshot stage A took, else the live table of a current
+    /// neighbor — what the serial schedule reads, and the planned one too
+    /// when nothing can mutate tables between its stages (no clone).
+    fn known_table<'a>(
+        &'a self,
+        ov: &Overlay,
+        peer: PeerId,
+        snap: Option<&'a KnownSnap>,
+        w: PeerId,
+    ) -> Option<&'a CostTable> {
+        match snap {
+            Some(snap) => snap.get(w),
+            None => (w == peer || ov.are_neighbors(peer, w)).then(|| &self.states[w.index()].table),
+        }
+    }
+
+    /// `peer`'s recorded cost to its neighbor `n`, or — when the probe was
+    /// lost this round — what the probe model would have measured.
+    fn link_cost_estimate(
+        &self,
+        ov: &Overlay,
+        oracle: &dyn DistancePlane,
+        peer: PeerId,
+        n: PeerId,
+    ) -> Delay {
+        self.states[peer.index()].table.get(n).unwrap_or_else(|| {
+            self.cfg
+                .probe
+                .perturb(peer, n, ov.link_cost(oracle, peer, n))
+        })
+    }
+
+    /// Commits a planned tree: fills the pairwise-core cache (first value
+    /// wins, so the cache stays deterministic when two plans paid for the
+    /// same pair), then diffs `new_tree` against `peer`'s previous tree
+    /// and (un)subscribes forwarding with the affected partners; each
+    /// notification is one tiny control message on that logical link.
+    fn commit_tree(
         &mut self,
         ov: &Overlay,
         oracle: &dyn DistancePlane,
         peer: PeerId,
+        core_probes: &[(PeerId, PeerId, Delay)],
         new_tree: &[PeerId],
     ) {
+        for &(a, b, c) in core_probes {
+            self.core_cache.insert_if_absent(a, b, c);
+        }
         let mut old_tree = std::mem::take(&mut self.states[peer.index()].own_tree);
         for &f in new_tree.iter().filter(|f| !old_tree.contains(f)) {
             let req = &mut self.states[f.index()].requested;
@@ -878,22 +891,61 @@ impl AceEngine {
         s.tree_built = true;
     }
 
+    /// Phase 2 only, committed at once (the serial schedule's tree step):
+    /// collect the closure tables, build the spanning tree and reclassify
+    /// flooding/non-flooding neighbors — without any phase-3 adaptation.
+    /// Useful for the trees-only ablation and the paper's Table 1/2
+    /// examples.
+    ///
+    /// The plan charges a copy of the engine ledger, written back before
+    /// the commit charges, so float sums accumulate plan-then-commit,
+    /// peer by peer — an order no cached plan could be replayed into,
+    /// hence no dirty-set digest here.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `peer` is offline or the engine was built for a
+    /// different peer count than `ov`.
+    pub fn build_tree(&mut self, ov: &Overlay, oracle: &dyn DistancePlane, peer: PeerId) {
+        self.assert_sized_for(ov);
+        assert!(ov.is_alive(peer), "cannot optimize an offline peer");
+        let mut scratch = self.scratch.take().unwrap_or_default();
+        scratch.collect_closure(ov, peer, self.cfg.depth);
+        self.stage_core_pairs(ov, peer, &mut scratch);
+        let mut ledger = self.ledger;
+        self.plan_tree(ov, oracle, peer, &mut scratch, &mut ledger);
+        self.ledger = ledger;
+        self.commit_tree(ov, oracle, peer, &scratch.core_probes, &scratch.tree);
+        // This tree bypassed the digest bookkeeping, so the peer must not
+        // replay a stale cached plan in a later planned round.
+        self.plan_caches[peer.index()].valid = false;
+        self.scratch.put(scratch);
+    }
+
+    /// The serial schedule's watch sweep (§3.3 follow-up of the keep-both
+    /// case): once the watched far neighbor has dropped its link to the
+    /// peer we adopted, cut the far link too. Safe: the link is
+    /// non-flooding (not on our fresh MST), so the tree provides an
+    /// alternate path to `far`.
+    ///
+    /// Kept apart from the planned schedule's triage-all/commit-all
+    /// (`plan_adapt`), though both decide with [`policy::triage_watch`]:
+    /// this sweep re-triages each watch against the *current* overlay, so
+    /// one made moot by an earlier cut of the same sweep expires now; the
+    /// planned schedule keeps it one more round. Sharing the sweep would
+    /// move `watches` in the serial state digests.
     fn process_watches(&mut self, ov: &mut Overlay, oracle: &dyn DistancePlane, peer: PeerId) {
+        if self.states[peer.index()].watches.is_empty() {
+            return;
+        }
         let watches = std::mem::take(&mut self.states[peer.index()].watches);
         let own_tree = self.states[peer.index()].own_tree.clone();
         let mut keep = Vec::new();
         for (far, near) in watches {
-            // We only see `far`'s table when it is a current neighbor
-            // (its table arrived with the closure exchange); the triage
-            // keeps watching until fresh information arrives. Triage
-            // checks adjacency before reading the table, so the live
-            // lookup is equivalent to the historical cloned-table map.
-            let verdict = {
-                let far_table = (far == peer || ov.are_neighbors(peer, far))
-                    .then(|| &self.states[far.index()].table);
-                policy::triage_watch(ov, peer, far, near, &own_tree, far_table)
-            };
-            match verdict {
+            // `far`'s table is only visible while it is a neighbor (it
+            // arrived with the closure exchange); until then, keep watching.
+            let far_table = self.known_table(ov, peer, None, far);
+            match policy::triage_watch(ov, peer, far, near, &own_tree, far_table) {
                 WatchVerdict::Expire => {}
                 WatchVerdict::Keep => keep.push((far, near)),
                 WatchVerdict::Cut => {
@@ -907,25 +959,42 @@ impl AceEngine {
         self.states[peer.index()].watches = keep;
     }
 
-    fn phase3_adapt<R: Rng + ?Sized>(
-        &mut self,
-        ov: &mut Overlay,
+    // ----- phase 3, the adaptation stage: plan → commit -------------------
+
+    /// Plans `peer`'s phase-3 attempt — the one Figure-4 body both
+    /// schedules run. Probes charge `ledger`; the chosen action is
+    /// returned for [`Self::commit_proposal`]. Read-only on `self`. The
+    /// serial schedule passes the round's shared `rng`, the planned one
+    /// each peer's own seed-derived stream.
+    #[allow(clippy::too_many_arguments)]
+    fn plan_phase3<R: Rng + ?Sized>(
+        &self,
+        ov: &Overlay,
         oracle: &dyn DistancePlane,
         peer: PeerId,
+        known: Option<&KnownSnap>,
+        scratch: &mut PlanScratch,
+        ledger: &mut OverheadLedger,
         rng: &mut R,
-    ) -> AdaptOutcome {
+    ) -> Option<Proposal> {
+        let PlanScratch {
+            flooding,
+            non_flooding,
+            candidates,
+            ..
+        } = scratch;
         // Non-flooding neighbors = current neighbors not on the tree (and
         // not requested by a partner's tree).
-        let mut flooding = Vec::new();
-        self.flooding_neighbors_into(peer, &mut flooding);
-        let non_flooding: Vec<PeerId> = ov
-            .neighbors(peer)
-            .iter()
-            .copied()
-            .filter(|n| !flooding.contains(n))
-            .collect();
+        self.flooding_neighbors_into(peer, flooding);
+        non_flooding.clear();
+        non_flooding.extend(
+            ov.neighbors(peer)
+                .iter()
+                .copied()
+                .filter(|n| !flooding.contains(n)),
+        );
         if non_flooding.is_empty() {
-            return AdaptOutcome::KeptAll;
+            return None;
         }
 
         // Pick the non-flooding neighbor B to improve.
@@ -933,12 +1002,8 @@ impl AceEngine {
             ReplacePolicy::Random => non_flooding[rng.gen_range(0..non_flooding.len())],
             ReplacePolicy::Naive | ReplacePolicy::Closest => {
                 let mut best: Option<(Delay, PeerId)> = None;
-                for &b in &non_flooding {
-                    let c = self.states[peer.index()].table.get(b).unwrap_or_else(|| {
-                        self.cfg
-                            .probe
-                            .perturb(peer, b, ov.link_cost(oracle, peer, b))
-                    });
+                for &b in non_flooding.iter() {
+                    let c = self.link_cost_estimate(ov, oracle, peer, b);
                     if best.is_none_or(|(bc, bp)| (c, b) > (bc, bp)) {
                         best = Some((c, b));
                     }
@@ -947,72 +1012,88 @@ impl AceEngine {
             }
         };
 
-        // Candidates: B's neighbors (from its table) that we don't already
-        // know directly. `far` is a current neighbor, so its live table is
-        // exactly what the closure exchange delivered this round.
-        let candidates = policy::phase3_candidates(ov, peer, &self.states[far.index()].table);
+        // Candidates: B's neighbors (from the table it exchanged) that we
+        // don't already know directly.
+        let far_table = self.known_table(ov, peer, known, far)?;
+        policy::phase3_candidates_into(ov, peer, far_table, candidates);
         if candidates.is_empty() {
-            return AdaptOutcome::KeptAll;
+            return None;
         }
 
         // Probe the candidate(s): CH. Lost probes drop the candidate.
         let (near, near_cost, far_near_cost) = match self.cfg.policy {
             ReplacePolicy::Closest => {
                 let mut best: Option<(Delay, PeerId, Delay)> = None;
-                for &(h, bh) in &candidates {
-                    let Some(ch) = self.probe_and_charge(ov, oracle, peer, h) else {
+                for &(h, bh) in candidates.iter() {
+                    let Some(ch) = self.probe_with_faults(ov, oracle, ledger, peer, h) else {
                         continue;
                     };
                     if best.is_none_or(|(bc, bp, _)| (ch, h) < (bc, bp)) {
                         best = Some((ch, h, bh));
                     }
                 }
-                let Some((ch, h, bh)) = best else {
-                    return AdaptOutcome::KeptAll;
-                };
+                let (ch, h, bh) = best?;
                 (h, ch, bh)
             }
             _ => {
                 let (h, bh) = candidates[rng.gen_range(0..candidates.len())];
-                let Some(ch) = self.probe_and_charge(ov, oracle, peer, h) else {
-                    return AdaptOutcome::KeptAll;
-                };
-                (h, ch, bh)
+                (h, self.probe_with_faults(ov, oracle, ledger, peer, h)?, bh)
             }
         };
 
-        let far_cost = self.states[peer.index()].table.get(far).unwrap_or_else(|| {
-            self.cfg
-                .probe
-                .perturb(peer, far, ov.link_cost(oracle, peer, far))
-        });
-
-        match policy::figure4_decide(
+        let far_cost = self.link_cost_estimate(ov, oracle, peer, far);
+        let far_near_alive = ov.are_neighbors(far, near);
+        let action = policy::figure4_decide(near_cost, far_cost, far_near_cost, far_near_alive);
+        (action != Figure4Action::Keep).then_some(Proposal {
+            action,
+            far,
+            near,
             near_cost,
-            far_cost,
-            far_near_cost,
-            ov.are_neighbors(far, near),
-        ) {
-            Figure4Action::Replace => match self.replace_link(ov, oracle, peer, far, near) {
-                Ok(()) => {
+        })
+    }
+
+    /// Commits a phase-3 proposal — the one place a Figure-4 action
+    /// touches the overlay. Preconditions are revalidated against the
+    /// *current* overlay: under the planned schedule an earlier commit
+    /// may have consumed a link or degree slot the plan relied on, and
+    /// the plan degrades to keep-all, as a lost race would in a real
+    /// deployment. Under the serial schedule the checks always hold.
+    fn commit_proposal(
+        &mut self,
+        ov: &mut Overlay,
+        oracle: &dyn DistancePlane,
+        peer: PeerId,
+        proposal: Option<Proposal>,
+    ) -> AdaptOutcome {
+        let Some(p) = proposal else {
+            return AdaptOutcome::KeptAll;
+        };
+        let (far, near) = (p.far, p.near);
+        match p.action {
+            Figure4Action::Replace => {
+                let valid = ov.is_alive(near)
+                    && ov.are_neighbors(peer, far)
+                    && !ov.are_neighbors(peer, near)
+                    && ov.are_neighbors(far, near);
+                if valid && self.replace_link(ov, oracle, peer, far, near).is_ok() {
                     self.note_link_down(peer, far);
-                    self.states[peer.index()].table.set(near, near_cost);
-                    AdaptOutcome::Replaced { far, near }
+                    self.states[peer.index()].table.set(near, p.near_cost);
+                    return AdaptOutcome::Replaced { far, near };
                 }
-                Err(_) => AdaptOutcome::KeptAll,
-            },
-            Figure4Action::Add => match ov.connect(peer, near) {
-                Ok(()) => {
+            }
+            Figure4Action::Add => {
+                let valid = ov.is_alive(near) && !ov.are_neighbors(peer, near);
+                if valid && ov.connect(peer, near).is_ok() {
                     self.charge_connect(ov, oracle, peer, near);
                     let st = &mut self.states[peer.index()];
-                    st.table.set(near, near_cost);
+                    st.table.set(near, p.near_cost);
                     st.watches.push((far, near));
-                    AdaptOutcome::Added { near }
+                    return AdaptOutcome::Added { near };
                 }
-                Err(_) => AdaptOutcome::KeptAll,
-            },
-            Figure4Action::Keep => AdaptOutcome::KeptAll,
+            }
+            Figure4Action::Keep => {}
         }
+        AdaptOutcome::KeptAll
     }
 
     /// Atomically swap `peer–far` for `peer–near`, tolerating degree caps.
@@ -1072,59 +1153,66 @@ impl AceEngine {
         );
     }
 
-    /// One full optimization round: every alive peer probes (phase 1),
-    /// then — in random order — rebuilds its tree and makes one adaptive
-    /// attempt (phases 2–3).
+    /// Phases 2+3 for one peer, each committed at once — one step of the
+    /// serial schedule: [`Self::build_tree`], the watch sweep, then one
+    /// adaptive-connection attempt planned against the live tables and
+    /// committed. Returns what phase 3 did.
     ///
-    /// With [`AceConfig::parallel`] set, the round instead runs the
-    /// plan/commit pipeline (see [`AceConfig::parallel`]): one `u64` is
-    /// drawn from `rng` as the round seed and each peer plans with its own
-    /// seed-derived RNG stream, so the outcome is independent of thread
-    /// scheduling and worker count.
+    /// # Panics
+    ///
+    /// Panics if `peer` is offline or the engine was built for a
+    /// different peer count than `ov`.
+    pub fn optimize_peer<R: Rng + ?Sized>(
+        &mut self,
+        ov: &mut Overlay,
+        oracle: &dyn DistancePlane,
+        peer: PeerId,
+        rng: &mut R,
+    ) -> AdaptOutcome {
+        self.build_tree(ov, oracle, peer);
+        self.process_watches(ov, oracle, peer);
+        let mut scratch = self.scratch.take().unwrap_or_default();
+        let mut ledger = self.ledger;
+        let proposal = self.plan_phase3(ov, oracle, peer, None, &mut scratch, &mut ledger, rng);
+        self.ledger = ledger;
+        self.scratch.put(scratch);
+        self.commit_proposal(ov, oracle, peer, proposal)
+    }
+
+    // ----- rounds: two commit orders over the stages above ----------------
+
+    /// One full optimization round: every due peer probes (phase 1), then
+    /// runs phases 2–3 under the schedule [`AceConfig::parallel`]
+    /// selects. The serial schedule draws the peer order and every
+    /// phase-3 choice from `rng`; the planned one draws a single `u64`
+    /// round seed, so its outcome is independent of thread scheduling.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the engine was built for a different peer count than
+    /// `ov`.
     pub fn round<R: Rng + ?Sized>(
         &mut self,
         ov: &mut Overlay,
         oracle: &dyn DistancePlane,
         rng: &mut R,
     ) -> RoundStats {
-        if self.cfg.parallel {
-            let round_seed: u64 = rng.gen();
-            return self.round_planned(ov, oracle, round_seed);
-        }
+        self.assert_sized_for(ov);
         let before = self.ledger;
         let mut stats = RoundStats::default();
-        // The controller's due-gating: without one, every alive peer is
-        // due and the round is byte-identical to the static schedule.
-        let mut due: Vec<PeerId> = ov.alive_peers().filter(|&p| self.peer_due(p)).collect();
+        // The controller's due-gating, decided before any peer runs so
+        // every worker count sees the same work list; without a
+        // controller every alive peer is due.
+        let due: Vec<PeerId> = ov.alive_peers().filter(|&p| self.peer_due(p)).collect();
         let mut ran = vec![false; self.states.len()];
-        for p in &due {
+        for &p in &due {
             ran[p.index()] = true;
-            self.phase1_probe(ov, oracle, *p);
+            self.phase1_probe(ov, oracle, p);
         }
-        // Random execution order models asynchronous, independent peers.
-        for i in (1..due.len()).rev() {
-            due.swap(i, rng.gen_range(0..=i));
-        }
-        // Injected departures/rejoins strike once halfway through the
-        // optimization sweep — peers that already optimized saw the old
-        // population, the rest see the new one, like real churn would.
-        if due.is_empty() {
-            self.apply_mid_round_faults(ov, &mut stats);
-        }
-        let fault_point = due.len() / 2;
-        for (i, p) in due.into_iter().enumerate() {
-            if i == fault_point {
-                self.apply_mid_round_faults(ov, &mut stats);
-            }
-            if !ov.is_alive(p) {
-                continue; // departed mid-round
-            }
-            match self.optimize_peer(ov, oracle, p, rng) {
-                AdaptOutcome::Replaced { .. } => stats.replaced += 1,
-                AdaptOutcome::Added { .. } => stats.added += 1,
-                AdaptOutcome::KeptAll => {}
-            }
-            stats.trees_built += 1;
+        if self.cfg.parallel {
+            self.round_planned(ov, oracle, &due, rng.gen(), &mut stats);
+        } else {
+            self.round_serial(ov, oracle, due, rng, &mut stats);
         }
         stats.overhead = self.ledger.since(&before);
         stats.core_cache = self.core_cache.stats();
@@ -1133,6 +1221,40 @@ impl AceEngine {
         debug_assert!(ov.check_invariants().is_ok());
         debug_assert_eq!(self.check_invariants(ov), Ok(()));
         stats
+    }
+
+    /// The serial schedule — the paper's "random asynchronous order":
+    /// each due peer, in shuffled order, runs [`Self::optimize_peer`], so
+    /// it observes every earlier peer's rewiring within the same round.
+    fn round_serial<R: Rng + ?Sized>(
+        &mut self,
+        ov: &mut Overlay,
+        oracle: &dyn DistancePlane,
+        mut due: Vec<PeerId>,
+        rng: &mut R,
+        stats: &mut RoundStats,
+    ) {
+        for i in (1..due.len()).rev() {
+            due.swap(i, rng.gen_range(0..=i));
+        }
+        // Injected departures/rejoins strike once halfway through the
+        // optimization sweep — peers that already optimized saw the old
+        // population, the rest see the new one, like real churn would.
+        if due.is_empty() {
+            self.apply_mid_round_faults(ov, stats);
+        }
+        let fault_point = due.len() / 2;
+        for (i, p) in due.into_iter().enumerate() {
+            if i == fault_point {
+                self.apply_mid_round_faults(ov, stats);
+            }
+            if !ov.is_alive(p) {
+                continue; // departed mid-round
+            }
+            let outcome = self.optimize_peer(ov, oracle, p, rng);
+            stats.count_outcome(outcome);
+            stats.trees_built += 1;
+        }
     }
 
     /// A trees-only round: phase 1 probing and phase 2 tree building for
@@ -1156,34 +1278,70 @@ impl AceEngine {
         stats
     }
 
-    // ----- parallel plan/commit pipeline ---------------------------------
-
-    /// Worker-thread count for the pipeline (`cfg.workers`, or one per
-    /// available core when 0). Never affects results, only wall time.
-    fn effective_workers(&self) -> usize {
-        pool::effective_workers(self.cfg.workers)
-    }
-
-    /// Per-peer RNG stream seed: distinct per `(round_seed, peer)` and
-    /// independent of which worker thread runs the plan.
-    fn peer_stream_seed(round_seed: u64, peer: PeerId) -> u64 {
-        round_seed ^ (peer.index() as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-    }
-
-    /// Pure probe: charges `ledger` (a plan-local ledger, merged at commit
-    /// in peer-id order) and returns the perturbed measurement, or `None`
-    /// when fault injection lost every attempt. Safe to run concurrently —
-    /// [`ProbeModel::perturb`] and the fault hashes are pair-deterministic.
-    fn plan_probe(
-        &self,
-        ov: &Overlay,
+    /// The planned schedule: plan every due peer's tree in parallel
+    /// against the post-phase-1 snapshot, commit in peer-id order, then
+    /// the same for watch triage + phase 3. Each plan charges a fresh
+    /// ledger merged at commit, so sums are worker-count invariant.
+    fn round_planned(
+        &mut self,
+        ov: &mut Overlay,
         oracle: &dyn DistancePlane,
-        ledger: &mut OverheadLedger,
-        a: PeerId,
-        b: PeerId,
-    ) -> Option<Delay> {
-        self.probe_with_faults(ov, oracle, ledger, a, b)
+        due: &[PeerId],
+        round_seed: u64,
+        stats: &mut RoundStats,
+    ) {
+        self.refresh_state_hashes(ov);
+        let workers = pool::effective_workers(self.cfg.workers);
+
+        let outcomes: Vec<TreeOutcome> = {
+            let this = &*self;
+            let ov_ref = &*ov;
+            plan_parallel_scratch(
+                &this.scratch,
+                due.len(),
+                workers,
+                PlanScratch::default,
+                |scratch, i| {
+                    this.plan_tree_cached(ov_ref, oracle, due[i], Some(&this.state_hashes), scratch)
+                },
+            )
+        };
+        self.commit_trees(ov, oracle, &outcomes, stats);
+
+        // Injected departures/rejoins strike between the tree commit and
+        // the adaptation stage: stage B plans only the survivors, against
+        // the post-churn overlay — the planned analogue of the serial
+        // schedule's halfway fault point. Decisions are pure hashes of
+        // (fault seed, round, peer), so worker count stays irrelevant.
+        self.apply_mid_round_faults(ov, stats);
+        let survivors: Vec<usize> = (0..due.len()).filter(|&i| ov.is_alive(due[i])).collect();
+
+        let adapt_plans: Vec<AdaptPlan> = {
+            let this = &*self;
+            let ov_ref = &*ov;
+            plan_parallel_scratch(
+                &this.scratch,
+                survivors.len(),
+                workers,
+                PlanScratch::default,
+                |scratch, k| {
+                    let i = survivors[k];
+                    let peer = due[i];
+                    let known = outcomes[i].known.as_ref();
+                    // Per-peer stream: distinct per `(round_seed, peer)`
+                    // and independent of which worker runs the plan.
+                    let mut rng = StdRng::seed_from_u64(
+                        round_seed ^ (peer.index() as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                    );
+                    this.plan_adapt(ov_ref, oracle, peer, known, scratch, &mut rng)
+                },
+            )
+        };
+        drop(outcomes);
+        self.commit_adaptations(ov, oracle, adapt_plans, stats);
     }
+
+    // ----- planned schedule: dirty-set replay around the tree plan --------
 
     /// Hash of one peer's planner-visible state: its adjacency list
     /// (relay paths and internal edges are functions of it) and its
@@ -1227,19 +1385,19 @@ impl AceEngine {
         self.state_hashes = hashes;
     }
 
-    /// Digest of every input that determines `plan_tree_scratch`'s
-    /// output and plan-stage ledger for `peer`: the closure membership
-    /// with hop depths, every member's planner-visible state
+    /// Digest of every input that determines [`Self::plan_tree`]'s
+    /// output and ledger for `peer`: the closure membership with hop
+    /// depths, every member's planner-visible state
     /// ([`Self::peer_state_hash`], read from `hashes` when the caller
     /// refreshed the per-round memo table, recomputed inline
     /// otherwise), and the pairwise-core cache state for the peer's
-    /// non-adjacent neighbor pairs (filled into `scratch.core_costs`
-    /// as a side effect, so the plan pass consults the cache exactly
-    /// once per pair whether or not the plan is replayed). Config
-    /// knobs and the static distance oracle are engine constants and
-    /// need no hashing; `rounds_run` is deliberately absent — it only
-    /// feeds the fault hashes, which is why only probe-free plans are
-    /// replayable.
+    /// non-adjacent neighbor pairs (staged by
+    /// [`Self::stage_core_pairs`] as a side effect, so the cache is
+    /// consulted exactly once per pair whether or not the plan is
+    /// replayed). Config knobs and the static distance oracle are
+    /// engine constants and need no hashing; `rounds_run` is
+    /// deliberately absent — it only feeds the fault hashes, which is
+    /// why only probe-free plans are replayable.
     fn plan_digest(
         &self,
         ov: &Overlay,
@@ -1271,154 +1429,69 @@ impl AceEngine {
                 None => self.peer_state_hash(ov, m),
             });
         }
-        // Same batching for the pairwise-core probes: stage the
-        // non-adjacent pairs (the adjacency tests hit the neighbor
-        // lists the member walk just pulled in) with a prefetch each,
-        // then resolve them against lines already in flight.
-        scratch.core_costs.clear();
-        scratch.pairs.clear();
-        let nbrs = ov.neighbors(peer);
-        for i in 0..nbrs.len() {
-            for j in (i + 1)..nbrs.len() {
-                let (a, b) = (nbrs[i], nbrs[j]);
-                if ov.are_neighbors(a, b) {
-                    continue;
-                }
-                self.core_cache.prefetch(a, b);
-                scratch.pairs.push((a, b));
-            }
-        }
-        for k in 0..scratch.pairs.len() {
-            let (a, b) = scratch.pairs[k];
-            match self.core_cache.get(a, b) {
+        self.stage_core_pairs(ov, peer, scratch);
+        for cost in &scratch.core_costs {
+            match *cost {
                 Some(c) => {
                     h.write_u8(1);
                     h.write_u32(c);
-                    scratch.core_costs.push(Some(c));
                 }
-                None => {
-                    h.write_u8(0);
-                    scratch.core_costs.push(None);
-                }
+                None => h.write_u8(0),
             }
         }
         h.finish()
     }
 
-    /// Stage A: plan one peer's phase 2 against the round-start snapshot,
-    /// using the worker's reusable arenas. Read-only on `self`; every
-    /// side effect is recorded in the plan.
+    /// Stage A of the planned schedule: [`Self::plan_tree`] for one peer
+    /// against the round-start snapshot, wrapped in the dirty-set
+    /// digest/replay — which needs what only this schedule has: state
+    /// frozen for the whole stage (memoized `hashes`) and per-plan
+    /// ledgers merged at commit (a cached one can be replayed).
     ///
     /// With [`AceConfig::dirty_planning`], a peer whose input digest
     /// matches its cached committed plan — and whose cached plan needed
-    /// no probes, so no fault stream would be consumed — skips the whole
-    /// plan pass and replays the cached decision at commit.
-    /// `want_snap` (set when faults are configured) captures the closure
-    /// tables for stage B, which must read what stage A saw.
-    fn plan_tree_scratch(
+    /// no probes, so no fault stream would be consumed — skips the plan
+    /// pass and replays the cached decision at commit. With faults
+    /// configured the closure tables are snapshotted for stage B:
+    /// mid-round faults can mutate tables after the tree commit, and
+    /// stage B must read what stage A saw (faultless rounds read live).
+    fn plan_tree_cached(
         &self,
         ov: &Overlay,
         oracle: &dyn DistancePlane,
         peer: PeerId,
         hashes: Option<&[u64]>,
-        want_snap: bool,
         scratch: &mut PlanScratch,
     ) -> TreeOutcome {
         scratch.collect_closure(ov, peer, self.cfg.depth);
         let digest = self.plan_digest(ov, peer, hashes, scratch);
+        let snap = |w: PeerId| self.states[w.index()].table.clone();
+        let known = self.cfg.faults.map(|_| KnownSnap::capture(scratch, snap));
         let cache = &self.plan_caches[peer.index()];
-        if self.cfg.dirty_planning && cache.valid && cache.probe_free && cache.digest == digest {
-            let known =
-                want_snap.then(|| KnownSnap::capture(scratch, |w| self.states[w.index()].table.clone()));
-            return TreeOutcome::Replayed { peer, known };
-        }
-
-        let mut ledger = OverheadLedger::new();
-        self.charge_closure_exchange(ov, oracle, scratch, &mut ledger);
-        let known =
-            want_snap.then(|| KnownSnap::capture(scratch, |w| self.states[w.index()].table.clone()));
-
-        scratch.collect_internal_edges(ov, |a, b| {
-            self.states[a.index()]
-                .table
-                .get(b)
-                .or_else(|| self.states[b.index()].table.get(a))
-                .or_else(|| self.plan_probe(ov, oracle, &mut ledger, a, b))
-        });
-        let mut core_probes: Vec<((PeerId, PeerId), Delay)> = Vec::new();
-        let nbrs = ov.neighbors(peer);
-        // The digest pass already staged the non-adjacent neighbor
-        // pairs (same (i, j) loop order) in `scratch.pairs`, parallel
-        // to `core_costs` — walk that instead of re-running the
-        // adjacency scans.
-        for pair in 0..scratch.pairs.len() {
-            let (a, b) = scratch.pairs[pair];
-            let cost = match scratch.core_costs[pair] {
-                Some(c) => Some(c),
-                None => {
-                    // Concurrent planners may both pay for the same
-                    // missing pair (as real concurrent peers would);
-                    // commit keeps the first value so the cache stays
-                    // deterministic.
-                    let c = self.plan_probe(ov, oracle, &mut ledger, a, b);
-                    if let Some(c) = c {
-                        core_probes.push((if a <= b { (a, b) } else { (b, a) }, c));
-                    }
-                    c
-                }
+        let plan =
+            if self.cfg.dirty_planning && cache.valid && cache.probe_free && cache.digest == digest
+            {
+                None
+            } else {
+                let mut ledger = OverheadLedger::new();
+                self.plan_tree(ov, oracle, peer, scratch, &mut ledger);
+                Some(TreePlan {
+                    new_tree: scratch.tree.clone(),
+                    core_probes: scratch.core_probes.clone(),
+                    ledger,
+                    digest,
+                    probe_free: ledger.count_of(OverheadKind::Probe) == 0
+                        && ledger.count_of(OverheadKind::ProbeRetry) == 0,
+                })
             };
-            if let Some(cost) = cost {
-                let sa = scratch.slot(a).expect("direct neighbor is a member");
-                let sb = scratch.slot(b).expect("direct neighbor is a member");
-                scratch.edges.push(SlotEdge { a: sa, b: sb, cost });
-            }
-        }
-        {
-            let PlanScratch {
-                members,
-                edges,
-                prim,
-                extras,
-                tree,
-                ..
-            } = &mut *scratch;
-            policy::tree_with_scope_guard_scratch(
-                peer,
-                members,
-                edges,
-                nbrs,
-                self.cfg.min_flooding,
-                |n| {
-                    Some(self.states[peer.index()].table.get(n).unwrap_or_else(|| {
-                        self.cfg
-                            .probe
-                            .perturb(peer, n, ov.link_cost(oracle, peer, n))
-                    }))
-                },
-                prim,
-                extras,
-                tree,
-            );
-        }
-        let probe_free = ledger.count_of(OverheadKind::Probe) == 0
-            && ledger.count_of(OverheadKind::ProbeRetry) == 0;
-        TreeOutcome::Planned(TreePlan {
-            peer,
-            known,
-            new_tree: scratch.tree.clone(),
-            core_probes,
-            ledger,
-            digest,
-            probe_free,
-        })
+        TreeOutcome { peer, known, plan }
     }
 
-    /// Serial commit of stage A: merge plan ledgers, fill the pairwise
-    /// core cache (first value wins), and apply each tree diff — all in
-    /// plan (peer-id) order, which also fixes float summation order.
-    /// Replayed outcomes merge the cached ledger and re-apply the cached
-    /// tree; the diff always runs against the *current* own-tree, so a
-    /// partner's intervening rewiring is handled identically either way.
+    /// Commit of stage A, in plan (peer-id) order: merge each plan's
+    /// ledger, then [`Self::commit_tree`]. Replays merge the cached ledger
+    /// and re-apply the cached tree; the diff always runs against the
+    /// *current* own-tree, so a partner's intervening rewiring is handled
+    /// identically either way.
     fn commit_trees(
         &mut self,
         ov: &Overlay,
@@ -1427,23 +1500,20 @@ impl AceEngine {
         stats: &mut RoundStats,
     ) {
         for outcome in outcomes {
-            match outcome {
-                TreeOutcome::Replayed { peer, .. } => {
-                    let peer = *peer;
+            let peer = outcome.peer;
+            match &outcome.plan {
+                None => {
                     let cached_ledger = self.plan_caches[peer.index()].ledger;
                     self.ledger.merge(&cached_ledger);
                     let new_tree = std::mem::take(&mut self.plan_caches[peer.index()].tree);
-                    self.apply_tree_diff(ov, oracle, peer, &new_tree);
+                    self.commit_tree(ov, oracle, peer, &[], &new_tree);
                     self.plan_caches[peer.index()].tree = new_tree;
                     stats.plans_skipped += 1;
                 }
-                TreeOutcome::Planned(plan) => {
+                Some(plan) => {
                     self.ledger.merge(&plan.ledger);
-                    for &((a, b), c) in &plan.core_probes {
-                        self.core_cache.insert_if_absent(a, b, c);
-                    }
-                    self.apply_tree_diff(ov, oracle, plan.peer, &plan.new_tree);
-                    let cache = &mut self.plan_caches[plan.peer.index()];
+                    self.commit_tree(ov, oracle, peer, &plan.core_probes, &plan.new_tree);
+                    let cache = &mut self.plan_caches[peer.index()];
                     cache.valid = true;
                     cache.digest = plan.digest;
                     cache.probe_free = plan.probe_free;
@@ -1456,27 +1526,29 @@ impl AceEngine {
         }
     }
 
-    /// Stage B: plan one peer's watch expiry and phase-3 attempt. Reads
-    /// the committed trees (post stage A) and the round-start overlay;
+    /// Stage B of the planned schedule: triage one peer's watches and
+    /// plan its phase-3 attempt ([`Self::plan_phase3`]). Reads the
+    /// committed trees (post stage A) and the round-start overlay;
     /// randomness comes from the peer's own seed-derived stream.
     fn plan_adapt(
         &self,
         ov: &Overlay,
         oracle: &dyn DistancePlane,
         peer: PeerId,
-        known: &KnownView<'_>,
+        known: Option<&KnownSnap>,
         scratch: &mut PlanScratch,
         rng: &mut StdRng,
     ) -> AdaptPlan {
         let mut ledger = OverheadLedger::new();
         let state = &self.states[peer.index()];
 
-        // Watch triage (read-only twin of `process_watches`); cuts are
-        // revalidated at commit because earlier commits may rewire links.
+        // Watch triage against the snapshot; cuts are revalidated at
+        // commit because earlier commits may rewire links.
         let mut watch_cuts = Vec::new();
         let mut watch_keeps = Vec::new();
         for &(far, near) in &state.watches {
-            match policy::triage_watch(ov, peer, far, near, &state.own_tree, known.get(far)) {
+            let far_table = self.known_table(ov, peer, known, far);
+            match policy::triage_watch(ov, peer, far, near, &state.own_tree, far_table) {
                 WatchVerdict::Expire => {}
                 WatchVerdict::Keep => watch_keeps.push((far, near)),
                 WatchVerdict::Cut => watch_cuts.push((far, near)),
@@ -1493,122 +1565,10 @@ impl AceEngine {
         }
     }
 
-    /// Read-only twin of `phase3_adapt`: same Figure-4 decision rules, but
-    /// probes charge the plan ledger and the chosen action is returned as
-    /// a proposal instead of being applied. Selection buffers live in the
-    /// worker's reusable arenas.
-    #[allow(clippy::too_many_arguments)]
-    fn plan_phase3(
-        &self,
-        ov: &Overlay,
-        oracle: &dyn DistancePlane,
-        peer: PeerId,
-        known: &KnownView<'_>,
-        scratch: &mut PlanScratch,
-        ledger: &mut OverheadLedger,
-        rng: &mut StdRng,
-    ) -> Proposal {
-        let PlanScratch {
-            flooding,
-            non_flooding,
-            candidates,
-            ..
-        } = &mut *scratch;
-        self.flooding_neighbors_into(peer, flooding);
-        non_flooding.clear();
-        non_flooding.extend(
-            ov.neighbors(peer)
-                .iter()
-                .copied()
-                .filter(|n| !flooding.contains(n)),
-        );
-        if non_flooding.is_empty() {
-            return Proposal::Keep;
-        }
-
-        let far = match self.cfg.policy {
-            ReplacePolicy::Random => non_flooding[rng.gen_range(0..non_flooding.len())],
-            ReplacePolicy::Naive | ReplacePolicy::Closest => {
-                let mut best: Option<(Delay, PeerId)> = None;
-                for &b in non_flooding.iter() {
-                    let c = self.states[peer.index()].table.get(b).unwrap_or_else(|| {
-                        self.cfg
-                            .probe
-                            .perturb(peer, b, ov.link_cost(oracle, peer, b))
-                    });
-                    if best.is_none_or(|(bc, bp)| (c, b) > (bc, bp)) {
-                        best = Some((c, b));
-                    }
-                }
-                best.expect("non_flooding is non-empty").1
-            }
-        };
-
-        let Some(far_table) = known.get(far) else {
-            return Proposal::Keep;
-        };
-        policy::phase3_candidates_into(ov, peer, far_table, candidates);
-        if candidates.is_empty() {
-            return Proposal::Keep;
-        }
-
-        let (near, near_cost, far_near_cost) = match self.cfg.policy {
-            ReplacePolicy::Closest => {
-                let mut best: Option<(Delay, PeerId, Delay)> = None;
-                for &(h, bh) in candidates.iter() {
-                    let Some(ch) = self.plan_probe(ov, oracle, ledger, peer, h) else {
-                        continue;
-                    };
-                    if best.is_none_or(|(bc, bp, _)| (ch, h) < (bc, bp)) {
-                        best = Some((ch, h, bh));
-                    }
-                }
-                let Some((ch, h, bh)) = best else {
-                    return Proposal::Keep;
-                };
-                (h, ch, bh)
-            }
-            _ => {
-                let (h, bh) = candidates[rng.gen_range(0..candidates.len())];
-                let Some(ch) = self.plan_probe(ov, oracle, ledger, peer, h) else {
-                    return Proposal::Keep;
-                };
-                (h, ch, bh)
-            }
-        };
-
-        let far_cost = self.states[peer.index()].table.get(far).unwrap_or_else(|| {
-            self.cfg
-                .probe
-                .perturb(peer, far, ov.link_cost(oracle, peer, far))
-        });
-
-        match policy::figure4_decide(
-            near_cost,
-            far_cost,
-            far_near_cost,
-            ov.are_neighbors(far, near),
-        ) {
-            Figure4Action::Replace => Proposal::Replace {
-                far,
-                near,
-                near_cost,
-            },
-            Figure4Action::Add => Proposal::Add {
-                far,
-                near,
-                near_cost,
-            },
-            Figure4Action::Keep => Proposal::Keep,
-        }
-    }
-
-    /// Serial commit of stage B, in plan (peer-id) order: apply watch cuts
-    /// and phase-3 proposals, revalidating every Figure-4 precondition
-    /// against the *current* overlay — an earlier peer's commit may have
-    /// consumed a link or a degree slot a plan relied on; such plans
-    /// degrade to keep-all, exactly as a lost race would in a real
-    /// deployment.
+    /// Commit of stage B, in plan (peer-id) order: merge each plan's
+    /// ledger, apply its watch cuts (revalidated — the link may have
+    /// expired, or its detour vanished, since planning), then
+    /// [`Self::commit_proposal`].
     fn commit_adaptations(
         &mut self,
         ov: &mut Overlay,
@@ -1640,129 +1600,9 @@ impl AceEngine {
             }
             self.states[peer.index()].watches = keep;
 
-            match plan.proposal {
-                Proposal::Replace {
-                    far,
-                    near,
-                    near_cost,
-                } => {
-                    let valid = ov.is_alive(near)
-                        && ov.are_neighbors(peer, far)
-                        && !ov.are_neighbors(peer, near)
-                        && ov.are_neighbors(far, near);
-                    if valid && self.replace_link(ov, oracle, peer, far, near).is_ok() {
-                        self.note_link_down(peer, far);
-                        self.states[peer.index()].table.set(near, near_cost);
-                        stats.replaced += 1;
-                    }
-                }
-                Proposal::Add {
-                    far,
-                    near,
-                    near_cost,
-                } => {
-                    let valid = ov.is_alive(near) && !ov.are_neighbors(peer, near);
-                    if valid && ov.connect(peer, near).is_ok() {
-                        self.charge_connect(ov, oracle, peer, near);
-                        let st = &mut self.states[peer.index()];
-                        st.table.set(near, near_cost);
-                        st.watches.push((far, near));
-                        stats.added += 1;
-                    }
-                }
-                Proposal::Keep => {}
-            }
+            let outcome = self.commit_proposal(ov, oracle, peer, plan.proposal);
+            stats.count_outcome(outcome);
         }
-    }
-
-    /// The parallel round body: phase 1 serially, then plan trees in
-    /// parallel / commit serially, then plan adaptations in parallel /
-    /// commit serially. Bit-identical for any worker count.
-    fn round_planned(
-        &mut self,
-        ov: &mut Overlay,
-        oracle: &dyn DistancePlane,
-        round_seed: u64,
-    ) -> RoundStats {
-        let before = self.ledger;
-        let mut stats = RoundStats::default();
-        // Due-gating is decided serially before any plan runs, so the
-        // plan stages see an identical work list for every worker count.
-        let due: Vec<PeerId> = ov.alive_peers().filter(|&p| self.peer_due(p)).collect();
-        let mut ran = vec![false; self.states.len()];
-        for &p in &due {
-            ran[p.index()] = true;
-            self.phase1_probe(ov, oracle, p);
-        }
-        self.refresh_state_hashes(ov);
-        let workers = self.effective_workers();
-        // Table snapshots are only needed when mid-round faults can
-        // mutate tables between the tree commit and the adaptation
-        // stage; faultless rounds read live tables in stage B instead.
-        let want_snap = self.cfg.faults.is_some();
-
-        let outcomes: Vec<TreeOutcome> = {
-            let this = &*self;
-            let ov_ref = &*ov;
-            plan_parallel_scratch(
-                &this.scratch,
-                due.len(),
-                workers,
-                PlanScratch::default,
-                |scratch, i| {
-                    this.plan_tree_scratch(
-                        ov_ref,
-                        oracle,
-                        due[i],
-                        Some(&this.state_hashes),
-                        want_snap,
-                        scratch,
-                    )
-                },
-            )
-        };
-        self.commit_trees(ov, oracle, &outcomes, &mut stats);
-
-        // Injected departures/rejoins strike between the tree commit and
-        // the adaptation stage: stage B plans only the survivors, against
-        // the post-churn overlay — the pipeline's analogue of the serial
-        // round's halfway fault point. Decisions are pure hashes of
-        // (fault seed, round, peer), so worker count stays irrelevant.
-        self.apply_mid_round_faults(ov, &mut stats);
-        let survivors: Vec<usize> = (0..due.len()).filter(|&i| ov.is_alive(due[i])).collect();
-
-        let adapt_plans: Vec<AdaptPlan> = {
-            let this = &*self;
-            let ov_ref = &*ov;
-            plan_parallel_scratch(
-                &this.scratch,
-                survivors.len(),
-                workers,
-                PlanScratch::default,
-                |scratch, k| {
-                    let i = survivors[k];
-                    let peer = due[i];
-                    let known = if want_snap {
-                        KnownView::Snap(outcomes[i].snapshot())
-                    } else {
-                        KnownView::Live(this, ov_ref, peer)
-                    };
-                    let mut rng =
-                        StdRng::seed_from_u64(Self::peer_stream_seed(round_seed, peer));
-                    this.plan_adapt(ov_ref, oracle, peer, &known, scratch, &mut rng)
-                },
-            )
-        };
-        drop(outcomes);
-        self.commit_adaptations(ov, oracle, adapt_plans, &mut stats);
-
-        stats.overhead = self.ledger.since(&before);
-        stats.core_cache = self.core_cache.stats();
-        self.feed_controller(ov, &stats, &ran);
-        self.rounds_run += 1;
-        debug_assert!(ov.check_invariants().is_ok());
-        debug_assert_eq!(self.check_invariants(ov), Ok(()));
-        stats
     }
 
     /// Applies the configured mid-round departures and rejoins, in
@@ -2039,8 +1879,8 @@ impl AceEngine {
     #[doc(hidden)]
     pub fn dirty_plan_check(&self, ov: &Overlay, oracle: &dyn DistancePlane, peer: PeerId) -> bool {
         let mut scratch = self.scratch.take().unwrap_or_default();
-        let outcome = self.plan_tree_scratch(ov, oracle, peer, None, false, &mut scratch);
-        let replayed = matches!(outcome, TreeOutcome::Replayed { .. });
+        let outcome = self.plan_tree_cached(ov, oracle, peer, None, &mut scratch);
+        let replayed = outcome.plan.is_none();
         self.scratch.put(scratch);
         replayed
     }
@@ -2079,14 +1919,20 @@ impl AceEngine {
     }
 }
 
-/// One peer's planned phase 2: the tree it wants, the table snapshot it
-/// gathered (fault configs only), the core probes it had to pay for, and
-/// the overhead it incurred.
-struct TreePlan {
+/// Stage-A result for one due peer: a fresh plan, or (`plan: None`, a
+/// dirty-set hit) a replay of the peer's cached committed decision.
+struct TreeOutcome {
     peer: PeerId,
+    /// The closure tables as stage A saw them (fault configs only).
     known: Option<KnownSnap>,
+    plan: Option<TreePlan>,
+}
+
+/// One peer's planned phase 2: the tree it wants, the core probes it had
+/// to pay for, and the overhead it incurred.
+struct TreePlan {
     new_tree: Vec<PeerId>,
-    core_probes: Vec<((PeerId, PeerId), Delay)>,
+    core_probes: Vec<(PeerId, PeerId, Delay)>,
     ledger: OverheadLedger,
     /// Digest of every input the plan read; keyed into [`PlanCache`].
     digest: u64,
@@ -2097,32 +1943,11 @@ struct TreePlan {
     probe_free: bool,
 }
 
-/// Stage-A result per due peer: either a fresh plan or a replay of the
-/// peer's cached committed decision (dirty-set planning hit).
-enum TreeOutcome {
-    Replayed {
-        peer: PeerId,
-        known: Option<KnownSnap>,
-    },
-    Planned(TreePlan),
-}
-
-impl TreeOutcome {
-    fn snapshot(&self) -> &KnownSnap {
-        match self {
-            TreeOutcome::Replayed { known, .. } => known,
-            TreeOutcome::Planned(plan) => &plan.known,
-        }
-        .as_ref()
-        .expect("fault configs snapshot the closure tables")
-    }
-}
-
 /// Per-peer memo of the last committed tree plan, keyed by a digest of
 /// every input the planner read. While the digest is unchanged (and the
 /// plan was probe-free), stage A replays the cached decision instead of
 /// re-planning — the convergence-aware fast path.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 struct PlanCache {
     valid: bool,
     digest: u64,
@@ -2131,59 +1956,22 @@ struct PlanCache {
     tree: Vec<PeerId>,
 }
 
-impl Default for PlanCache {
-    fn default() -> Self {
-        PlanCache {
-            valid: false,
-            digest: 0,
-            probe_free: false,
-            ledger: OverheadLedger::new(),
-            tree: Vec::new(),
-        }
-    }
-}
-
-/// Stage B's view of the closure tables stage A gathered: a fault-time
-/// snapshot, or (faultless rounds) the live tables — nothing mutates
-/// them between the stages, so the live read is provably identical and
-/// skips the per-peer clone entirely.
-enum KnownView<'a> {
-    Live(&'a AceEngine, &'a Overlay, PeerId),
-    Snap(&'a KnownSnap),
-}
-
-impl KnownView<'_> {
-    fn get(&self, w: PeerId) -> Option<&CostTable> {
-        match self {
-            KnownView::Live(eng, ov, peer) => (w == *peer || ov.are_neighbors(*peer, w))
-                .then(|| &eng.states[w.index()].table),
-            KnownView::Snap(snap) => snap.get(w),
-        }
-    }
-}
-
 /// One peer's planned phase 3 plus watch triage.
 struct AdaptPlan {
     peer: PeerId,
     watch_cuts: Vec<(PeerId, PeerId)>,
     watch_keeps: Vec<(PeerId, PeerId)>,
-    proposal: Proposal,
+    proposal: Option<Proposal>,
     ledger: OverheadLedger,
 }
 
-/// A planned Figure-4 action, applied (after revalidation) at commit.
-enum Proposal {
-    Replace {
-        far: PeerId,
-        near: PeerId,
-        near_cost: Delay,
-    },
-    Add {
-        far: PeerId,
-        near: PeerId,
-        near_cost: Delay,
-    },
-    Keep,
+/// A planned Figure-4 `Replace` or `Add`, applied (after revalidation)
+/// at commit; a plan that keeps everything proposes nothing.
+struct Proposal {
+    action: Figure4Action,
+    far: PeerId,
+    near: PeerId,
+    near_cost: Delay,
 }
 
 #[cfg(test)]
@@ -2275,11 +2063,10 @@ mod tests {
         for p in ov.alive_peers() {
             assert!(ace.tree_built(p));
             ace.flooding_neighbors_into(p, &mut fl);
-            for f in &fl {
-                // Tree neighbors were real neighbors when the tree was built;
-                // a later phase-3 cut can invalidate them, which forwarding
-                // tolerates — but right after a round most should be live.
-                let _ = f;
+            // Every cut of the round went through `note_link_down`, so
+            // the tree⊆neighbors invariant holds entry by entry.
+            for &f in &fl {
+                assert!(ov.are_neighbors(p, f), "{p}: flooding entry {f}");
             }
         }
     }
@@ -2427,7 +2214,7 @@ mod tests {
     }
 
     #[test]
-    fn flooding_neighbors_into_matches_allocating_variant() {
+    fn flooding_neighbors_into_is_tree_then_new_requesters() {
         let (mut ov, oracle) = mismatch_env();
         let mut ace = AceEngine::new(4, AceConfig::paper_default());
         let mut rng = StdRng::seed_from_u64(6);
@@ -2435,8 +2222,33 @@ mod tests {
         let mut buf = vec![PeerId::new(99)]; // stale content must be cleared
         for p in ov.alive_peers() {
             ace.flooding_neighbors_into(p, &mut buf);
-            assert_eq!(buf, ace.flooding_neighbors(p));
+            let tree = ace.tree_neighbors_of(p);
+            assert_eq!(&buf[..tree.len()], tree);
+            let mut requesters = buf[tree.len()..].to_vec();
+            requesters.sort_unstable();
+            // `q` requested forwarding from `p` iff `p` is on `q`'s tree.
+            let want: Vec<PeerId> = ov
+                .alive_peers()
+                .filter(|&q| ace.tree_neighbors_of(q).contains(&p) && !tree.contains(&q))
+                .collect();
+            assert_eq!(requesters, want);
         }
+    }
+
+    #[test]
+    fn default_config_is_the_paper_default() {
+        let (d, p) = (AceConfig::default(), AceConfig::paper_default());
+        assert_eq!(format!("{d:?}"), format!("{p:?}"));
+        // What a derived `Default` would silently turn off.
+        assert_eq!((d.depth, d.min_flooding, d.dirty_planning), (1, 2, true));
+    }
+
+    #[test]
+    #[should_panic(expected = "engine built for 3 peers was handed an overlay of 4 peers")]
+    fn undersized_engine_is_rejected_by_name() {
+        let (mut ov, oracle) = mismatch_env();
+        let mut ace = AceEngine::new(3, AceConfig::paper_default());
+        ace.round(&mut ov, &oracle, &mut StdRng::seed_from_u64(1));
     }
 
     #[test]

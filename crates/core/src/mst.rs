@@ -151,8 +151,9 @@ pub fn prim(root: PeerId, members: &[PeerId], edges: &[ClosureEdge]) -> Spanning
     tree
 }
 
-/// Heap-based Prim — same tree semantics as [`prim`] but `O(E log V)`;
-/// the engine uses this for the large closures of `h >= 3`.
+/// Heap-based Prim — same tree semantics as [`prim`] but `O(E log V)`.
+/// No driver runs it: it is the reference whose tie-breaking the
+/// slot-space [`PrimScratch::root_tree_neighbors`] reproduces.
 ///
 /// The resulting tree weight always equals [`prim`]'s; the edge set may
 /// differ between the two only when distinct equal-weight trees exist.
@@ -483,6 +484,48 @@ mod tests {
         let heap = prim_heap(p(0), &members, &edges);
         assert_eq!(dense.weight(), heap.weight());
         assert_eq!(dense.len(), heap.len());
+    }
+
+    /// The drivers run only the slot-space Prim; `prim_heap` is its
+    /// reference. Few distinct costs force ties, and shuffled ids make
+    /// the `(cost, raw id, slot, from)` key orders disagree.
+    #[test]
+    fn slot_prim_root_neighbors_match_heap_prim() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut scratch = PrimScratch::default();
+        let mut out = Vec::new();
+        for _ in 0..400 {
+            let n = rng.gen_range(1..12u32);
+            let mut members: Vec<PeerId> = (0..n).map(|i| p(i * 3 + 1)).collect();
+            for i in (1..members.len()).rev() {
+                members.swap(i, rng.gen_range(0..=i));
+            }
+            let mut slot_edges = Vec::new();
+            for _ in 0..rng.gen_range(0..3 * n) {
+                let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                if a != b {
+                    let cost = rng.gen_range(1..4);
+                    slot_edges.push(SlotEdge { a, b, cost });
+                }
+            }
+            let edges: Vec<ClosureEdge> = slot_edges
+                .iter()
+                .map(|e| ClosureEdge {
+                    a: members[e.a as usize],
+                    b: members[e.b as usize],
+                    cost: e.cost,
+                })
+                .collect();
+            out.clear();
+            scratch.root_tree_neighbors(&members, &slot_edges, 0, &mut out);
+            let heap = prim_heap(members[0], &members, &edges);
+            assert_eq!(
+                out,
+                heap.tree_neighbors(members[0]),
+                "{members:?} {slot_edges:?}"
+            );
+        }
     }
 
     #[test]

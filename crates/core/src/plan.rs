@@ -1,14 +1,14 @@
 //! Reusable per-worker arenas for the round-plan hot path.
 //!
-//! `plan_tree`/`build_tree` used to allocate a fresh [`Closure`] (with
+//! Planning a peer's tree used to allocate a fresh [`Closure`] (with
 //! its internal `HashMap` index), a fresh `HashMap<PeerId, CostTable>`
 //! of cloned tables, and fresh edge/probe vectors for **every peer,
 //! every round**. At 100k peers that is hundreds of thousands of
 //! allocations per round for state that is structurally identical each
 //! time. A [`PlanScratch`] owns all of it as clear-and-reuse arenas:
 //! one lives in each worker's slot of the engine's
-//! [`ScratchPool`](ace_engine::pool::ScratchPool), and the serial path
-//! borrows from the same pool.
+//! [`ScratchPool`](ace_engine::pool::ScratchPool), and the serial
+//! schedule borrows from the same pool.
 //!
 //! The closure is re-keyed by dense `u32` *slots* (indices into the BFS
 //! `members` vector, source always slot 0). Membership tests use an
@@ -53,6 +53,9 @@ pub struct PlanScratch {
     /// `core_costs`; staged so the core-cache probes run as a batch
     /// behind hardware prefetches instead of serialized DRAM misses.
     pub pairs: Vec<(PeerId, PeerId)>,
+    /// The pairs of `pairs` the plan pass had to probe itself, with the
+    /// measured cost — what the commit inserts into the core cache.
+    pub core_probes: Vec<(PeerId, PeerId, Delay)>,
     /// Slot-space Prim state.
     pub prim: PrimScratch,
     /// Scope-guard padding candidates.
@@ -146,7 +149,11 @@ impl PlanScratch {
     /// enumerates them: members in discovery order, each member's
     /// neighbor list in order, keeping `a < b` pairs with both ends in
     /// the closure.
-    pub fn collect_internal_edges(&mut self, ov: &Overlay, mut cost_of: impl FnMut(PeerId, PeerId) -> Option<Delay>) {
+    pub fn collect_internal_edges(
+        &mut self,
+        ov: &Overlay,
+        mut cost_of: impl FnMut(PeerId, PeerId) -> Option<Delay>,
+    ) {
         self.edges.clear();
         for ai in 0..self.members.len() {
             let a = self.members[ai];
@@ -257,9 +264,11 @@ mod tests {
                     path.extend(scratch.relay_hops(i as u32).map(|(_, to)| to));
                     assert_eq!(path, reference.relay_path(m).unwrap());
                 }
-                assert!(!scratch.contains(p((s + 12) % 24)) || depth > 1 || {
-                    ov.are_neighbors(p(s), p((s + 12) % 24))
-                });
+                assert!(
+                    !scratch.contains(p((s + 12) % 24)) || depth > 1 || {
+                        ov.are_neighbors(p(s), p((s + 12) % 24))
+                    }
+                );
             }
         }
     }
@@ -274,12 +283,7 @@ mod tests {
         let got: Vec<(PeerId, PeerId)> = scratch
             .edges
             .iter()
-            .map(|e| {
-                (
-                    scratch.members[e.a as usize],
-                    scratch.members[e.b as usize],
-                )
-            })
+            .map(|e| (scratch.members[e.a as usize], scratch.members[e.b as usize]))
             .collect();
         assert_eq!(got, reference.internal_edges(&ov));
     }

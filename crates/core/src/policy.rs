@@ -24,7 +24,7 @@ use ace_topology::Delay;
 use crate::autorate::AutoRateConfig;
 use crate::cost_table::CostTable;
 use crate::fault::FaultConfig;
-use crate::mst::{prim_heap, ClosureEdge, PrimScratch, SlotEdge};
+use crate::mst::{PrimScratch, SlotEdge};
 use crate::overhead::{OverheadKind, OverheadLedger};
 
 /// What the paper's Figure-4 rules decided for a probed candidate `H`
@@ -73,20 +73,9 @@ pub fn figure4_decide(
 /// Phase-3 candidate filter: entries of the far neighbor's table that
 /// `peer` could adopt — alive, not `peer` itself, and not already a
 /// direct neighbor. Preserves the table's iteration order so both
-/// drivers pick from identical candidate lists.
-pub fn phase3_candidates(
-    ov: &Overlay,
-    peer: PeerId,
-    far_table: &CostTable,
-) -> Vec<(PeerId, Delay)> {
-    let mut out = Vec::new();
-    phase3_candidates_into(ov, peer, far_table, &mut out);
-    out
-}
-
-/// [`phase3_candidates`] into a caller buffer (cleared first) — the
-/// plan-stage hot path runs this once per due peer per round, so the
-/// reuse matters at scale.
+/// drivers pick from identical candidate lists. Writes into a caller
+/// buffer (cleared first): the engine runs this once per due peer per
+/// round, so the reuse matters at scale.
 pub fn phase3_candidates_into(
     ov: &Overlay,
     peer: PeerId,
@@ -108,40 +97,12 @@ pub fn phase3_candidates_into(
 /// identically everywhere). `cost_of` supplies a neighbor's link cost;
 /// returning `None` (a neighbor whose probe was lost) drops it from the
 /// padding candidates.
-pub fn tree_with_scope_guard(
-    peer: PeerId,
-    members: &[PeerId],
-    edges: &[ClosureEdge],
-    nbrs: &[PeerId],
-    min_flooding: usize,
-    mut cost_of: impl FnMut(PeerId) -> Option<Delay>,
-) -> Vec<PeerId> {
-    let tree = prim_heap(peer, members, edges);
-    let mut new_tree = tree.tree_neighbors(peer);
-    if new_tree.len() < min_flooding {
-        let mut extras: Vec<(Delay, PeerId)> = nbrs
-            .iter()
-            .filter(|n| !new_tree.contains(n))
-            .filter_map(|&n| cost_of(n).map(|c| (c, n)))
-            .collect();
-        extras.sort_unstable();
-        for (_, n) in extras {
-            if new_tree.len() >= min_flooding {
-                break;
-            }
-            new_tree.push(n);
-        }
-    }
-    new_tree
-}
-
-/// Slot-space twin of [`tree_with_scope_guard`]: same tree, same
-/// padding, same `(cost, peer id)` tie-breaking — but edges come in
-/// dense closure slots, Prim state lives in the caller's reusable
-/// [`PrimScratch`], and the result is appended to a reusable buffer.
-/// The source peer must be slot 0 (`members[0] == peer`), which the
-/// closure BFS guarantees. `extras` is a scratch buffer for the scope
-/// guard's padding candidates.
+///
+/// Edges come in dense closure slots (indices into `members`) and the
+/// source peer must be slot 0 (`members[0] == peer`). Prim state lives
+/// in the caller's [`PrimScratch`], `extras` is a scratch buffer for the
+/// padding candidates, and the result replaces the contents of `out` —
+/// all reusable across calls.
 #[allow(clippy::too_many_arguments)]
 pub fn tree_with_scope_guard_scratch(
     peer: PeerId,
@@ -476,7 +437,9 @@ mod tests {
         t.set(p(2), 5); // already a neighbor of 0
         t.set(p(3), 6); // dead
         t.set(p(4), 7); // the one real candidate
-        assert_eq!(phase3_candidates(&ov, p(0), &t), vec![(p(4), 7)]);
+        let mut out = vec![(p(9), 1)]; // stale content must be cleared
+        phase3_candidates_into(&ov, p(0), &t, &mut out);
+        assert_eq!(out, vec![(p(4), 7)]);
     }
 
     #[test]
@@ -485,33 +448,33 @@ mod tests {
         // the guard must pad with 3 (cost 2) before 2 (cost 9), and the
         // cost-unknown neighbor 4 is not padding material.
         let members = [p(0), p(1), p(2), p(3)];
-        let edges = [
-            ClosureEdge {
-                a: p(0),
-                b: p(1),
-                cost: 1,
-            },
-            ClosureEdge {
-                a: p(1),
-                b: p(2),
-                cost: 1,
-            },
-            ClosureEdge {
-                a: p(1),
-                b: p(3),
-                cost: 1,
-            },
-        ];
+        let edge = |a, b| SlotEdge { a, b, cost: 1 };
+        let edges = [edge(0, 1), edge(1, 2), edge(1, 3)];
         let nbrs = [p(1), p(2), p(3), p(4)];
         let costs = |n: PeerId| match n.index() {
             2 => Some(9),
             3 => Some(2),
             _ => None,
         };
-        let tree = tree_with_scope_guard(p(0), &members, &edges, &nbrs, 3, costs);
+        let (mut prim, mut extras) = (PrimScratch::default(), Vec::new());
+        let mut tree = vec![p(7)]; // stale content must be cleared
+        let mut guard = |min_flooding, tree: &mut Vec<PeerId>| {
+            tree_with_scope_guard_scratch(
+                p(0),
+                &members,
+                &edges,
+                &nbrs,
+                min_flooding,
+                costs,
+                &mut prim,
+                &mut extras,
+                tree,
+            )
+        };
+        guard(3, &mut tree);
         assert_eq!(tree, vec![p(1), p(3), p(2)]);
         // Guard off (min_flooding 1): plain MST neighbors.
-        let tree = tree_with_scope_guard(p(0), &members, &edges, &nbrs, 1, costs);
+        guard(1, &mut tree);
         assert_eq!(tree, vec![p(1)]);
     }
 

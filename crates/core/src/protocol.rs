@@ -82,7 +82,7 @@ use crate::audit::{ConfigError, InvariantViolation, ViolationKind};
 use crate::autorate::{AutoRateConfig, ControllerStats, RateController, RateSample};
 use crate::cost_table::CostTable;
 use crate::fault::FaultConfig;
-use crate::mst::ClosureEdge;
+use crate::mst::{PrimScratch, SlotEdge};
 use crate::netem::NetemConfig;
 use crate::overhead::{OverheadKind, OverheadLedger};
 use crate::policy::{self, Figure4Action, LifecycleEvent, WatchVerdict};
@@ -1690,39 +1690,43 @@ impl AsyncAceSim {
     /// Step 3: Prim over {peer} ∪ N(peer) with everything learned, then
     /// forward-set diffs and one phase-3 attempt. Tree construction and
     /// the `min_flooding` scope guard come from the shared core
-    /// ([`policy::tree_with_scope_guard`]) — identical to the engine's.
+    /// ([`policy::tree_with_scope_guard_scratch`]) — the engine's, over
+    /// the closure slots 0 = `peer`, 1 + i = its i-th neighbor.
     fn finish_cycle(&mut self, oracle: &dyn DistancePlane, peer: PeerId) {
         self.nodes[peer.index()].cycle_open = false;
-        let nbrs: Vec<PeerId> = self.overlay.neighbors(peer).to_vec();
         let mut members = vec![peer];
-        members.extend(nbrs.iter().copied());
-        let mut edges: Vec<ClosureEdge> = Vec::new();
-        for &n in &nbrs {
-            if let Some(c) = self.nodes[peer.index()].table.get(n) {
-                edges.push(ClosureEdge {
-                    a: peer,
-                    b: n,
-                    cost: c,
-                });
+        members.extend_from_slice(self.overlay.neighbors(peer));
+        let nbrs = &members[1..];
+        let node = &self.nodes[peer.index()];
+        let mut edges: Vec<SlotEdge> = Vec::new();
+        for (i, &n) in nbrs.iter().enumerate() {
+            if let Some(cost) = node.table.get(n) {
+                let (a, b) = (0, 1 + i as u32);
+                edges.push(SlotEdge { a, b, cost });
             }
         }
         // Pairwise costs among neighbors from their reports.
-        for &a in &nbrs {
-            if let Some(t) = self.nodes[peer.index()].neighbor_tables.get(&a) {
-                for (b, c) in t.iter() {
-                    if b != peer && nbrs.contains(&b) && a < b {
-                        edges.push(ClosureEdge { a, b, cost: c });
+        for (i, &a) in nbrs.iter().enumerate() {
+            if let Some(t) = node.neighbor_tables.get(&a) {
+                for (b, cost) in t.iter().filter(|&(b, _)| a < b) {
+                    if let Some(j) = nbrs.iter().position(|&n| n == b) {
+                        let (a, b) = (1 + i as u32, 1 + j as u32);
+                        edges.push(SlotEdge { a, b, cost });
                     }
                 }
             }
         }
-        let new_tree = policy::tree_with_scope_guard(
+        let mut new_tree = Vec::new();
+        policy::tree_with_scope_guard_scratch(
             peer,
             &members,
             &edges,
-            &nbrs,
+            nbrs,
             self.cfg.min_flooding,
-            |n| self.nodes[peer.index()].table.get(n),
+            |n| node.table.get(n),
+            &mut PrimScratch::default(),
+            &mut Vec::new(),
+            &mut new_tree,
         );
         let old_tree = std::mem::take(&mut self.nodes[peer.index()].own_tree);
         self.nodes[peer.index()].own_tree = new_tree.clone();
@@ -1846,10 +1850,11 @@ impl AsyncAceSim {
         let Some(far) = far else {
             return;
         };
-        let candidates = match self.nodes[peer.index()].neighbor_tables.get(&far) {
-            Some(t) => policy::phase3_candidates(&self.overlay, peer, t),
+        let mut candidates = Vec::new();
+        match self.nodes[peer.index()].neighbor_tables.get(&far) {
+            Some(t) => policy::phase3_candidates_into(&self.overlay, peer, t, &mut candidates),
             None => return,
-        };
+        }
         if candidates.is_empty() {
             return;
         }

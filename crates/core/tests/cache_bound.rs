@@ -29,13 +29,28 @@ fn churn_world() -> Scenario {
 
 #[test]
 fn churn_soak_respects_core_cache_budget() {
+    soak(true, true);
+}
+
+/// Both schedules share one tree plan/commit but order the cache
+/// traffic differently: the serial schedule fills the cache peer by
+/// peer, so a FIFO eviction can remove a pair the next peer would have
+/// hit. Any outcome is a valid re-probe — budget and auditor hold with
+/// and without churn, and without churn ACE never disconnects.
+#[test]
+fn serial_schedule_holds_budget_and_auditor_under_eviction() {
+    soak(false, true);
+    soak(false, false);
+}
+
+fn soak(parallel: bool, churn: bool) {
     let mut w = churn_world();
     let peers = w.overlay.peer_count();
     let mut ace = AceEngine::new(
         peers,
         AceConfig {
-            parallel: true,
-            faults: Some(FaultConfig {
+            parallel,
+            faults: churn.then_some(FaultConfig {
                 probe_loss: 0.05,
                 max_retries: 2,
                 backoff: 1.5,
@@ -54,10 +69,12 @@ fn churn_soak_respects_core_cache_budget() {
         let s = ace.round(&mut w.overlay, &w.oracle, &mut w.rng);
         assert!(
             s.core_cache.bytes <= BUDGET,
-            "round {round}: cache footprint {} exceeds budget {BUDGET}",
+            "parallel={parallel} churn={churn} round {round}: cache footprint {} exceeds budget {BUDGET}",
             s.core_cache.bytes
         );
         high_water = high_water.max(s.core_cache.entries);
+        ace.check_invariants(&w.overlay).unwrap();
+        assert!(churn || w.overlay.is_connected(), "round {round}");
     }
     let end = ace.round(&mut w.overlay, &w.oracle, &mut w.rng).core_cache;
     assert!(
@@ -66,7 +83,7 @@ fn churn_soak_respects_core_cache_budget() {
     );
     assert!(
         (end.inserts as usize) > 2 * high_water,
-        "churn soak should insert far more pairs than the cache can hold \
+        "the soak should insert far more pairs than the cache can hold \
          (inserts {}, peak entries {high_water})",
         end.inserts
     );

@@ -70,7 +70,11 @@ fn assert_equivalent(
     let mut skipped = 0usize;
     for round in 0..rounds {
         let s_on: RoundStats = on.round(&mut on_world.overlay, &on_world.oracle, &mut on_world.rng);
-        let s_off = off.round(&mut off_world.overlay, &off_world.oracle, &mut off_world.rng);
+        let s_off = off.round(
+            &mut off_world.overlay,
+            &off_world.oracle,
+            &mut off_world.rng,
+        );
         skipped += s_on.plans_skipped;
         assert_eq!(s_off.plans_skipped, 0, "off engine must never skip");
         assert_eq!(

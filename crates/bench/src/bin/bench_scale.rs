@@ -10,17 +10,14 @@
 //!   `--json` prints the point as JSON on stdout (the parent↔child wire).
 //! * `--point N [--workers W] --check BENCH_scale.json` — CI smoke:
 //!   measure `N` (at `W` worker threads; default one per core) and fail
-//!   (exit 1) if its mean round wall time regressed more than
-//!   [`REGRESSION_TOLERANCE`] over the committed baseline's same point,
-//!   **or** if its engine state digest drifted from the baseline's —
-//!   rounds are seeded and worker-count invariant, so any drift is a
-//!   behavior change, not noise.
+//!   (exit 1) if its engine state digest drifted from the committed
+//!   baseline's — rounds are seeded and worker-count invariant, so any
+//!   drift is a behavior change, not noise. Mean round wall time is
+//!   printed next to the baseline's but not gated: the baseline was
+//!   written on another host, and wall-clock regressions are the repo
+//!   benchmark's job (best-of-5 replay against declared bounds).
 
 use ace_bench::scale::{self, ScaleBench, ScalePoint, SCALE_POINTS};
-
-/// Allowed wall-time growth over the committed baseline before the CI
-/// smoke job fails (shared runners are noisy; 20% is the contract).
-const REGRESSION_TOLERANCE: f64 = 0.20;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -41,7 +38,7 @@ fn main() {
         // plus the dirty-planning differential suite).
         let point = run_one(peers, workers, check.is_none());
         if let Some(baseline_path) = check {
-            check_regression(&point, &baseline_path);
+            check_digest(&point, &baseline_path);
         }
         if args.iter().any(|a| a == "--json") {
             println!(
@@ -126,32 +123,24 @@ fn run_one(peers: usize, workers: usize, sweep: bool) -> ScalePoint {
     point
 }
 
-fn check_regression(point: &ScalePoint, baseline_path: &str) {
+fn check_digest(point: &ScalePoint, baseline_path: &str) {
     let text = std::fs::read_to_string(baseline_path)
         .unwrap_or_else(|e| panic!("read baseline {baseline_path}: {e}"));
     let baseline: ScaleBench = serde_json::from_str(&text).expect("parse baseline JSON");
     let base = baseline
         .point(point.peers)
         .unwrap_or_else(|| panic!("baseline has no {}-peer point", point.peers));
-    // Compare like with like: a --workers run measures against the
-    // baseline's matching sweep leg when one exists.
+    // Informational only — like with like: a --workers run is printed
+    // against the baseline's matching sweep leg when one exists.
     let base_mean = base
         .workers_sweep
         .iter()
         .find(|leg| leg.workers == point.workers)
         .map_or(base.mean_round_ms, |leg| leg.mean_round_ms);
-    let limit = base_mean * (1.0 + REGRESSION_TOLERANCE);
     eprintln!(
-        "[bench_scale: {} peers — measured {:.1} ms vs baseline {:.1} ms (limit {:.1} ms)]",
-        point.peers, point.mean_round_ms, base_mean, limit
+        "[bench_scale: {} peers — measured {:.1} ms vs baseline {:.1} ms (not gated)]",
+        point.peers, point.mean_round_ms, base_mean
     );
-    if point.mean_round_ms > limit {
-        eprintln!(
-            "[bench_scale: REGRESSION — round wall time grew more than {:.0}%]",
-            REGRESSION_TOLERANCE * 100.0
-        );
-        std::process::exit(1);
-    }
     // Digest drift: the rounds are fully seeded and worker-count
     // invariant, so the measured digest must equal the committed one
     // bit for bit. Baselines predating the field carry 0 — skip those.
@@ -163,5 +152,5 @@ fn check_regression(point: &ScalePoint, baseline_path: &str) {
         );
         std::process::exit(1);
     }
-    eprintln!("[bench_scale: within tolerance]");
+    eprintln!("[bench_scale: digest matches the baseline]");
 }

@@ -55,12 +55,5 @@ fn main() {
     let (rec, tables) = figures::ablation_load(scale);
     emit(&rec, &tables);
 
-    let bench = figures::bench_rounds(scale, scale.steps());
-    eprintln!(
-        "[bench_rounds: {} rounds, serial {:.1} ms, parallel {:.1} ms, {:.2}x on {} worker(s)]",
-        bench.rounds, bench.serial_total_ms, bench.parallel_total_ms, bench.speedup, bench.workers
-    );
-    let json = serde_json::to_string_pretty(&bench).expect("serialize round bench");
-    std::fs::write("BENCH_rounds.json", json).expect("write BENCH_rounds.json");
     eprintln!("[repro_all complete]");
 }

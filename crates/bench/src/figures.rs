@@ -22,16 +22,15 @@ use ace_core::protocol::{AsyncAceSim, AsyncForward, ProtoConfig};
 use ace_core::{AceConfig, AceEngine, AceForward, OverheadKind, ProbeModel, ReplacePolicy};
 use ace_metrics::{f1, f3, pct, ExperimentRecord, NamedSeries, Table};
 use ace_overlay::{
-    assign_capacities, random_overlay, random_walk_query, run_query, FloodAll, ForwardPolicy,
-    GiaAdaptation, GiaConfig, HpfWeight, Overlay, PartialFlood, PeerId, QueryConfig, TwoTierConfig,
-    TwoTierNetwork, WalkConfig, GNUTELLA_CAPACITY_MIX,
+    assign_capacities, random_overlay, random_walk_query, run_query, run_query_traced, FloodAll,
+    ForwardPolicy, GiaAdaptation, GiaConfig, HpfWeight, Overlay, PartialFlood, PeerId, QueryConfig,
+    TwoTierConfig, TwoTierNetwork, WalkConfig, GNUTELLA_CAPACITY_MIX,
 };
 use ace_topology::{
     DistanceOracle, DistancePlane, Graph, LandmarkOracle, NodeId, VivaldiConfig, VivaldiCoords,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::Serialize;
 
 use crate::Scale;
 
@@ -76,41 +75,18 @@ fn record_transmissions<P: ForwardPolicy + ?Sized>(
     src: PeerId,
     policy: &P,
 ) -> (Vec<(PeerId, PeerId, u32)>, f64, u64) {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
     let mut sends = Vec::new();
-    let mut total = 0.0;
-    let mut dups = 0u64;
-    let mut arrived = vec![false; ov.peer_count()];
-    let mut heap: BinaryHeap<Reverse<(u64, u64, u32, u32)>> = BinaryHeap::new();
-    let mut seq = 0u64;
-    heap.push(Reverse((0, seq, src.raw(), src.raw())));
-    while let Some(Reverse((t, _, to, from))) = heap.pop() {
-        let peer = PeerId::new(to);
-        if arrived[peer.index()] {
-            dups += 1;
-            continue;
-        }
-        arrived[peer.index()] = true;
-        let from_peer = if to == from {
-            None
-        } else {
-            Some(PeerId::new(from))
-        };
-        for target in policy.forward_targets(ov, peer, from_peer) {
-            let cost = ov.link_cost(oracle, peer, target);
-            sends.push((peer, target, cost));
-            total += f64::from(cost);
-            seq += 1;
-            heap.push(Reverse((
-                t + u64::from(cost),
-                seq,
-                target.raw(),
-                peer.raw(),
-            )));
-        }
-    }
-    (sends, total, dups)
+    // The default TTL of 7 never expires on the six-peer example.
+    let out = run_query_traced(
+        ov,
+        oracle,
+        src,
+        &QueryConfig::default(),
+        policy,
+        |_| false,
+        |from, to, cost| sends.push((from, to, cost)),
+    );
+    (sends, out.traffic_cost, out.duplicates)
 }
 
 /// The 6-peer two-site example of §3.4: query paths and costs under blind
@@ -1731,87 +1707,6 @@ pub fn ablation_min_flooding(scale: Scale) -> (ExperimentRecord, Vec<Table>) {
     }
     rec.add_series(s_red).add_series(s_scope);
     (rec, vec![t])
-}
-
-// ---------------------------------------------------------------------
-// Round-level wall-clock bench — BENCH_rounds.json
-// ---------------------------------------------------------------------
-
-/// One optimization round's wall time and oracle traffic.
-#[derive(Clone, Debug, Serialize)]
-pub struct RoundTiming {
-    pub round: usize,
-    pub wall_ms: f64,
-    pub oracle_hits: u64,
-    pub oracle_misses: u64,
-    pub oracle_evictions: u64,
-}
-
-/// Serial-vs-parallel wall-clock comparison of the ACE round pipeline on
-/// one scenario, written to `BENCH_rounds.json` by `repro_all`.
-#[derive(Clone, Debug, Serialize)]
-pub struct RoundBench {
-    pub scale: String,
-    pub peers: usize,
-    pub phys_nodes: usize,
-    pub rounds: usize,
-    pub workers: usize,
-    pub serial: Vec<RoundTiming>,
-    pub parallel: Vec<RoundTiming>,
-    pub serial_total_ms: f64,
-    pub parallel_total_ms: f64,
-    pub speedup: f64,
-}
-
-/// Times `rounds` ACE steps on identical worlds, once with the classic
-/// serial round and once through the plan/commit pipeline. Oracle cache
-/// counters are read as per-round deltas, so `oracle_misses` shows the
-/// warm-up round paying the Dijkstra cost and later rounds hitting cache.
-pub fn bench_rounds(scale: Scale, rounds: usize) -> RoundBench {
-    let run = |parallel: bool| -> Vec<RoundTiming> {
-        let mut s = Scenario::build(&base_scenario(scale, 6, 97));
-        let mut ace = AceEngine::new(
-            s.overlay.peer_count(),
-            AceConfig {
-                parallel,
-                ..AceConfig::paper_default()
-            },
-        );
-        let mut timings = Vec::with_capacity(rounds);
-        let mut prev = s.oracle.cache_stats();
-        for round in 0..rounds {
-            let start = std::time::Instant::now();
-            ace.round(&mut s.overlay, &s.oracle, &mut s.rng);
-            let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-            let now = s.oracle.cache_stats();
-            timings.push(RoundTiming {
-                round,
-                wall_ms,
-                oracle_hits: now.hits - prev.hits,
-                oracle_misses: now.misses - prev.misses,
-                oracle_evictions: now.evictions - prev.evictions,
-            });
-            prev = now;
-        }
-        timings
-    };
-    let serial = run(false);
-    let parallel = run(true);
-    let serial_total_ms: f64 = serial.iter().map(|t| t.wall_ms).sum();
-    let parallel_total_ms: f64 = parallel.iter().map(|t| t.wall_ms).sum();
-    let (as_count, nodes_per_as) = scale.phys();
-    RoundBench {
-        scale: format!("{scale:?}"),
-        peers: scale.peers(),
-        phys_nodes: as_count * nodes_per_as,
-        rounds,
-        workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        serial,
-        parallel,
-        serial_total_ms,
-        parallel_total_ms,
-        speedup: serial_total_ms / parallel_total_ms.max(1e-9),
-    }
 }
 
 #[cfg(test)]

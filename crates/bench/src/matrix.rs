@@ -37,9 +37,9 @@ use ace_core::{purge_index_cache, AceConfig, AceEngine, AceForward, LifecycleEve
 use ace_engine::pool::{effective_workers, plan_parallel};
 use ace_engine::rng::sample_distinct;
 use ace_overlay::{
-    random_walk_query_traced, run_query, Catalog, FloodAll, ForwardPolicy, IndexCache,
-    LatencyHistogram, LinkLoad, LinkTally, ObjectId, Overlay, PeerId, Placement, QueryConfig,
-    QueryOutcome, TierRole, TwoTierConfig, TwoTierNetwork, WalkConfig,
+    random_walk_query_traced, run_query_traced, Catalog, FloodAll, ForwardPolicy, IndexCache,
+    LatencyHistogram, LinkLoad, ObjectId, Overlay, PeerId, Placement, QueryConfig, QueryOutcome,
+    TierRole, TwoTierConfig, TwoTierNetwork, WalkConfig,
 };
 use ace_topology::{DistancePlane, HybridConfig, HybridOracle, NodeId};
 use rand::rngs::StdRng;
@@ -687,8 +687,8 @@ fn run_flat_cell(world: &MatrixWorld, cell: &CellConfig) -> CellResult {
     trace.finish(cell, queries)
 }
 
-/// One `run_query` under a [`LinkTally`], merging its per-link record
-/// into the cell's load accumulator.
+/// One traced query, its transmissions recorded straight into the
+/// cell's load accumulator at the price the kernel charged.
 fn tallied_query<P: ForwardPolicy + ?Sized>(
     overlay: &Overlay,
     plane: &dyn DistancePlane,
@@ -698,10 +698,8 @@ fn tallied_query<P: ForwardPolicy + ?Sized>(
     load: &mut LinkLoad,
     is_responder: impl FnMut(PeerId) -> bool,
 ) -> QueryOutcome {
-    let tally = LinkTally::new(policy, plane);
-    let out = run_query(overlay, plane, src, qc, &tally, is_responder);
-    load.merge(&tally.into_load());
-    out
+    let on_send = |from, to, cost| load.record_peers(from, to, f64::from(cost));
+    run_query_traced(overlay, plane, src, qc, policy, is_responder, on_send)
 }
 
 /// One k-walker query: [`WALKERS`] single-walker searches, each on its
@@ -861,22 +859,15 @@ fn run_two_tier_cell(world: &MatrixWorld, cell: &CellConfig) -> CellResult {
         let sn = tt.supernode_of(leaf);
         let access = tt.access_cost(plane, leaf);
 
-        let (outcome, total) = {
+        let outcome = {
             let responder = |x: PeerId| answers(&tt, x, obj);
+            let load = &mut trace.load;
             match &ace {
                 Some(eng) => {
                     let policy = AceForward::new(eng);
-                    let tally = LinkTally::new(&policy, plane);
-                    let r = tt.query_from_leaf(plane, leaf, &qc, &tally, responder);
-                    trace.load.merge(&tally.into_load());
-                    r
+                    tallied_query(&tt.core, plane, &policy, sn, &qc, load, responder)
                 }
-                None => {
-                    let tally = LinkTally::new(&FloodAll, plane);
-                    let r = tt.query_from_leaf(plane, leaf, &qc, &tally, responder);
-                    trace.load.merge(&tally.into_load());
-                    r
-                }
+                None => tallied_query(&tt.core, plane, &FloodAll, sn, &qc, load, responder),
             }
         };
         // The access link carried the query up to the supernode: one
@@ -891,7 +882,7 @@ fn run_two_tier_cell(world: &MatrixWorld, cell: &CellConfig) -> CellResult {
             outcome
                 .first_response
                 .map(|t| t.as_ticks() + 2 * u64::from(access)),
-            total,
+            outcome.traffic_cost + f64::from(access),
             outcome.messages + 1,
             outcome.first_responder,
         );

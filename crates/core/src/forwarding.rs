@@ -54,17 +54,6 @@ impl<'a> AceForward<'a> {
 }
 
 impl ForwardPolicy for AceForward<'_> {
-    fn forward_targets(
-        &self,
-        overlay: &Overlay,
-        peer: PeerId,
-        from: Option<PeerId>,
-    ) -> Vec<PeerId> {
-        let mut out = Vec::new();
-        self.forward_targets_into(overlay, peer, from, &mut out);
-        out
-    }
-
     fn forward_targets_into(
         &self,
         overlay: &Overlay,

@@ -2258,17 +2258,6 @@ impl<'a> AsyncForward<'a> {
 }
 
 impl ForwardPolicy for AsyncForward<'_> {
-    fn forward_targets(
-        &self,
-        overlay: &Overlay,
-        peer: PeerId,
-        from: Option<PeerId>,
-    ) -> Vec<PeerId> {
-        let mut out = Vec::new();
-        self.forward_targets_into(overlay, peer, from, &mut out);
-        out
-    }
-
     fn forward_targets_into(
         &self,
         overlay: &Overlay,

@@ -76,34 +76,33 @@ impl<'a> PartialFlood<'a> {
 }
 
 impl ForwardPolicy for PartialFlood<'_> {
-    fn forward_targets(
+    fn forward_targets_into(
         &self,
         overlay: &Overlay,
         peer: PeerId,
         from: Option<PeerId>,
-    ) -> Vec<PeerId> {
-        let mut candidates: Vec<PeerId> = overlay
-            .neighbors(peer)
-            .iter()
-            .copied()
-            .filter(|&n| Some(n) != from)
-            .collect();
-        if candidates.is_empty() {
-            return candidates;
-        }
+        out: &mut Vec<PeerId>,
+    ) {
+        out.clear();
+        out.extend(
+            overlay
+                .neighbors(peer)
+                .iter()
+                .copied()
+                .filter(|&n| Some(n) != from),
+        );
         match self.weight {
             HpfWeight::Cheapest => {
-                candidates.sort_by_key(|&n| (overlay.link_cost(self.oracle, peer, n), n));
+                out.sort_by_key(|&n| (overlay.link_cost(self.oracle, peer, n), n));
             }
             HpfWeight::HighestDegree => {
-                candidates.sort_by_key(|&n| (std::cmp::Reverse(overlay.degree(n)), n));
+                out.sort_by_key(|&n| (std::cmp::Reverse(overlay.degree(n)), n));
             }
         }
-        let keep = ((candidates.len() as f64 * self.fraction).ceil() as usize)
+        let keep = ((out.len() as f64 * self.fraction).ceil() as usize)
             .max(self.min_targets)
-            .min(candidates.len());
-        candidates.truncate(keep);
-        candidates
+            .min(out.len());
+        out.truncate(keep);
     }
 }
 

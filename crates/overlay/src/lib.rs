@@ -10,14 +10,17 @@
 //!   paper's generated and measured (power-law) overlay shapes;
 //! * [`Message`] — Gnutella-style wire messages with real encoded sizes
 //!   (ACE's overhead accounting is size-aware);
-//! * [`run_query`] — time-ordered query propagation measuring search
-//!   scope, traffic cost, duplicates and response time, parameterized by a
-//!   [`ForwardPolicy`] (blind [`FloodAll`] here; ACE's tree policy lives
-//!   in `ace-core`);
-//! * [`serve_batch`] — the batched query-serving engine: SoA per-slot
-//!   state, bitset duplicate-drop, worker-sharded execution with
-//!   per-peer inbox accounting, bit-identical to a sequential
-//!   [`run_query_into`] sweep for any worker count;
+//! * one query-propagation kernel (`search.rs`) — time-ordered, generic
+//!   over a [`ForwardPolicy`] (blind [`FloodAll`] and [`PartialFlood`]
+//!   here; ACE's tree policy lives in `ace-core`) — and its two drivers:
+//!   [`run_query`] / [`run_query_into`] measure one query (scope, traffic
+//!   cost, duplicates, response time, per-peer arrivals), and
+//!   [`serve_batch`] serves a workload (SoA per-slot state, bitset
+//!   duplicate-drop, worker shards with per-peer inbox accounting),
+//!   bit-identical to a sequential single-query sweep for any worker
+//!   count;
+//! * [`run_query_traced`] — the kernel's per-transmission tracer, which
+//!   is how per-link load ([`LinkLoad`]) is accounted;
 //! * content ([`Catalog`], [`Placement`]), churn ([`LifetimeModel`]) and
 //!   workload ([`QueryRate`]) models with the paper's parameters;
 //! * [`IndexCache`] — the response index caching extension of §5.2.
@@ -67,14 +70,15 @@ pub use content::{Catalog, ObjectId, Placement};
 pub use discovery::{ping_pong_round, DiscoveryConfig, DiscoveryStats};
 pub use hpf::{HpfWeight, PartialFlood};
 pub use index_cache::IndexCache;
-pub use link_load::{LinkLoad, LinkTally};
+pub use link_load::LinkLoad;
 pub use message::{Message, QUERY_BASE_SIZE};
 pub use network::{
     clustered_overlay, pref_attach_overlay, random_overlay, Overlay, OverlayError, ADDR_CACHE_CAP,
 };
 pub use peer::PeerId;
 pub use search::{
-    run_query, run_query_into, FloodAll, ForwardPolicy, QueryConfig, QueryOutcome, QueryScratch,
+    run_query, run_query_into, run_query_traced, FloodAll, ForwardPolicy, QueryConfig,
+    QueryOutcome, QueryScratch,
 };
 pub use serve::{
     serve_batch, serve_sequential, zipf_workload, BatchOutcome, LatencyHistogram, QuerySpec,

@@ -7,20 +7,16 @@
 //! traffic on few links while flooding spreads it, so the two metrics
 //! move in opposite directions and both belong in the matrix artifact.
 //!
-//! [`LinkLoad`] is a plain accumulator keyed by undirected link;
-//! [`LinkTally`] adapts any [`ForwardPolicy`] so that every transmission
-//! the query loop sends through it is recorded — counts *and* carried
-//! cost, which must reconcile with the query outcomes' `traffic_cost`
-//! (a matrix property test).
+//! [`LinkLoad`] is a plain accumulator keyed by undirected link. It is
+//! fed from the query kernel's per-transmission tracer
+//! ([`crate::run_query_traced`], [`crate::random_walk_query_traced`]),
+//! which hands over each send already priced — so counts reconcile with
+//! the outcomes' `messages` and carried cost with their `traffic_cost`
+//! exactly (link costs are integer-valued; a matrix property test).
 
-use std::cell::RefCell;
 use std::collections::HashMap;
 
-use ace_topology::DistancePlane;
-
-use crate::network::Overlay;
 use crate::peer::PeerId;
-use crate::search::ForwardPolicy;
 
 /// Message counts and carried cost per undirected link.
 ///
@@ -94,75 +90,9 @@ impl LinkLoad {
     }
 }
 
-/// [`ForwardPolicy`] adapter recording every transmission the wrapped
-/// policy generates onto a [`LinkLoad`].
-///
-/// The query loop charges one message per forwarding target at send
-/// time; this wrapper sees exactly those targets, so its counts equal
-/// the outcome's `messages` and its cost equals `traffic_cost`. Interior
-/// mutability makes it single-threaded — use it with the sequential
-/// [`crate::run_query_into`] sweep (the matrix runs cells in parallel,
-/// each cell sequential inside), not with [`crate::serve_batch`].
-pub struct LinkTally<'a, P: ?Sized> {
-    inner: &'a P,
-    plane: &'a dyn DistancePlane,
-    load: RefCell<LinkLoad>,
-}
-
-impl<'a, P: ForwardPolicy + ?Sized> LinkTally<'a, P> {
-    /// Wraps `inner`, pricing each transmission via `plane`.
-    pub fn new(inner: &'a P, plane: &'a dyn DistancePlane) -> Self {
-        LinkTally {
-            inner,
-            plane,
-            load: RefCell::new(LinkLoad::new()),
-        }
-    }
-
-    /// The accumulated load so far, by clone.
-    pub fn load(&self) -> LinkLoad {
-        self.load.borrow().clone()
-    }
-
-    /// Consumes the tally, returning the accumulated load.
-    pub fn into_load(self) -> LinkLoad {
-        self.load.into_inner()
-    }
-}
-
-impl<P: ForwardPolicy + ?Sized> ForwardPolicy for LinkTally<'_, P> {
-    fn forward_targets(
-        &self,
-        overlay: &Overlay,
-        peer: PeerId,
-        from: Option<PeerId>,
-    ) -> Vec<PeerId> {
-        let mut out = Vec::new();
-        self.forward_targets_into(overlay, peer, from, &mut out);
-        out
-    }
-
-    fn forward_targets_into(
-        &self,
-        overlay: &Overlay,
-        peer: PeerId,
-        from: Option<PeerId>,
-        out: &mut Vec<PeerId>,
-    ) {
-        self.inner.forward_targets_into(overlay, peer, from, out);
-        let mut load = self.load.borrow_mut();
-        for &target in out.iter() {
-            let cost = f64::from(overlay.link_cost(self.plane, peer, target));
-            load.record_peers(peer, target, cost);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::search::{run_query, FloodAll, QueryConfig};
-    use ace_topology::{DistanceOracle, Graph, NodeId};
 
     #[test]
     fn accumulator_is_undirected_and_totals_add_up() {
@@ -181,40 +111,5 @@ mod tests {
         load.merge(&other);
         assert_eq!(load.max_messages(), 3);
         assert_eq!(load.messages(), 4);
-    }
-
-    /// The tally must agree with the query loop's own accounting: every
-    /// message on some link, counts summing to `messages`, cost summing
-    /// to `traffic_cost` — including the duplicate transmissions of a
-    /// cyclic overlay.
-    #[test]
-    fn tally_reconciles_with_query_outcome() {
-        let mut g = Graph::new(4);
-        g.add_edge(NodeId::new(0), NodeId::new(1), 5).unwrap();
-        g.add_edge(NodeId::new(1), NodeId::new(2), 7).unwrap();
-        g.add_edge(NodeId::new(2), NodeId::new(3), 3).unwrap();
-        g.add_edge(NodeId::new(3), NodeId::new(0), 2).unwrap();
-        let oracle = DistanceOracle::new(g);
-        let mut ov = Overlay::new((0..4).map(NodeId::new).collect(), None);
-        for (a, b) in [(0u32, 1u32), (1, 2), (2, 3), (3, 0)] {
-            ov.connect(PeerId::new(a), PeerId::new(b)).unwrap();
-        }
-        let tally = LinkTally::new(&FloodAll, &oracle);
-        let out = run_query(
-            &ov,
-            &oracle,
-            PeerId::new(0),
-            &QueryConfig {
-                ttl: 8,
-                stop_at_responder: false,
-            },
-            &tally,
-            |_| false,
-        );
-        let load = tally.into_load();
-        assert!(out.duplicates > 0, "ring flooding produces duplicates");
-        assert_eq!(load.messages(), out.messages);
-        assert!((load.total_cost() - out.traffic_cost).abs() < 1e-9);
-        assert!(load.links_used() <= ov.edge_count());
     }
 }

@@ -7,37 +7,55 @@
 //! its cost is charged at send time. Propagation is time-ordered, so the
 //! same run yields search scope, per-peer arrival times, total traffic
 //! cost and the first-responder response time.
+//!
+//! One kernel, two drivers, one tracer. [`propagate`] is the only
+//! propagation loop in the workspace: it owns the event heap and its
+//! order, TTL, responder handling and the per-query totals, and asks its
+//! caller two things — *was this arrival the first at that peer?* (the
+//! caller owns the visited set) and *here is a transmission and its
+//! cost*. [`run_query_into`] drives it with arrival times as the visited
+//! set, [`crate::serve_batch`] with a per-shard bitset; per-link load is
+//! what [`run_query_traced`]'s `on_send` sees, an output of the kernel
+//! rather than a policy wrapped around it.
+//!
+//! A source that is not alive (departed, or out of range) propagates
+//! nothing: the single-query entry points leave a freshly reset outcome
+//! (scope 0), the batch drivers record the slot as skipped.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use ace_engine::SimTime;
-use ace_topology::DistancePlane;
+use ace_topology::{Delay, DistancePlane};
 
 use crate::network::Overlay;
 use crate::peer::PeerId;
 
 /// Chooses which neighbors a peer relays a query to.
 pub trait ForwardPolicy {
-    /// Peers that `peer` forwards to, given the query arrived from `from`
-    /// (`None` when `peer` is the query source). Implementations must only
-    /// return current logical neighbors of `peer`.
-    fn forward_targets(&self, overlay: &Overlay, peer: PeerId, from: Option<PeerId>)
-        -> Vec<PeerId>;
-
-    /// Buffer-reusing variant: writes the targets into `out` (cleared
-    /// first). The query loop calls this once per visited peer, so
-    /// policies should override it to avoid the per-hop allocation; the
-    /// default delegates to [`ForwardPolicy::forward_targets`].
+    /// Writes the peers that `peer` forwards to into `out` (cleared
+    /// first), given the query arrived from `from` (`None` when `peer` is
+    /// the query source). Implementations must only produce current
+    /// logical neighbors of `peer`. The query kernel calls this once per
+    /// visited peer with one reused buffer.
     fn forward_targets_into(
         &self,
         overlay: &Overlay,
         peer: PeerId,
         from: Option<PeerId>,
         out: &mut Vec<PeerId>,
-    ) {
-        out.clear();
-        out.extend(self.forward_targets(overlay, peer, from));
+    );
+
+    /// Allocating convenience over [`ForwardPolicy::forward_targets_into`].
+    fn forward_targets(
+        &self,
+        overlay: &Overlay,
+        peer: PeerId,
+        from: Option<PeerId>,
+    ) -> Vec<PeerId> {
+        let mut out = Vec::new();
+        self.forward_targets_into(overlay, peer, from, &mut out);
+        out
     }
 }
 
@@ -58,17 +76,6 @@ pub trait ForwardPolicy {
 pub struct FloodAll;
 
 impl ForwardPolicy for FloodAll {
-    fn forward_targets(
-        &self,
-        overlay: &Overlay,
-        peer: PeerId,
-        from: Option<PeerId>,
-    ) -> Vec<PeerId> {
-        let mut out = Vec::new();
-        self.forward_targets_into(overlay, peer, from, &mut out);
-        out
-    }
-
     fn forward_targets_into(
         &self,
         overlay: &Overlay,
@@ -196,7 +203,7 @@ impl QueryOutcome {
 /// `(arrival, tie-break seq, to, from, remaining TTL)`.
 type QueryEvent = Reverse<(SimTime, u64, u32, u32, u8)>;
 
-/// Reusable buffers for [`run_query_into`]: the propagation heap and the
+/// Reusable buffers of the propagation kernel: the event heap and the
 /// per-hop forwarding-target list. One scratch amortizes all transient
 /// allocations across the thousands of queries a measurement sweep runs.
 #[derive(Clone, Debug, Default)]
@@ -212,70 +219,61 @@ impl QueryScratch {
     }
 }
 
-/// Runs one query from `source` and measures it.
-///
-/// `is_responder(peer)` reports whether a reached peer can answer the
-/// query (the source itself is never treated as a responder).
-///
-/// # Panics
-///
-/// Panics if `source` is offline or out of range.
-pub fn run_query<P, F>(
-    overlay: &Overlay,
-    oracle: &dyn DistancePlane,
-    source: PeerId,
-    config: &QueryConfig,
-    policy: &P,
-    is_responder: F,
-) -> QueryOutcome
-where
-    P: ForwardPolicy + ?Sized,
-    F: FnMut(PeerId) -> bool,
-{
-    let mut scratch = QueryScratch::new();
-    let mut out = QueryOutcome::default();
-    run_query_into(
-        overlay,
-        oracle,
-        source,
-        config,
-        policy,
-        is_responder,
-        &mut scratch,
-        &mut out,
-    );
-    out
+/// The per-query totals the kernel accumulates (the scalar fields of
+/// [`QueryOutcome`]).
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct QueryTotals {
+    pub scope: usize,
+    pub traffic_cost: f64,
+    pub messages: u64,
+    pub duplicates: u64,
+    pub first_response: Option<SimTime>,
+    pub first_responder: Option<PeerId>,
+    pub responders_hit: usize,
 }
 
-/// Allocation-reusing form of [`run_query`]: writes the measurements into
-/// `out` (reset first) and draws all transient storage from `scratch`.
+/// The propagation kernel: spreads one query from `source` under `policy`
+/// in arrival-time order and returns its totals, or `None` — nothing
+/// propagated, neither callback called — when `source` is not alive.
 ///
-/// # Panics
+/// `first_arrival(to, from, t)` reports every receipt (`from` is `None`
+/// for the source's own t = 0 event) and answers whether it was the first
+/// at `to`; the caller owns the visited set. `on_send(from, to, cost)`
+/// reports every transmission — duplicates-to-be included — in send
+/// order, after the kernel has charged it.
 ///
-/// Panics if `source` is offline or out of range. This makes a single
-/// query from a dead source a *caller* bug — but a batch driver sweeping
-/// thousands of pre-drawn sources over a churning overlay must not die
-/// because one source crashed mid-sweep. Batch callers should check
-/// [`Overlay::is_alive`] per query (or use [`crate::serve_batch`], which
-/// skips dead sources and reports them in its `skipped` counter).
+/// Totals live in locals and the kernel is inlined into each driver so
+/// the callbacks compile down to the field updates they are: flooding is
+/// three-quarters duplicate receipts, so this loop is the serving cost.
+#[inline]
 #[allow(clippy::too_many_arguments)]
-pub fn run_query_into<P, F>(
+pub(crate) fn propagate<P, F, A, S>(
     overlay: &Overlay,
-    oracle: &dyn DistancePlane,
+    plane: &dyn DistancePlane,
     source: PeerId,
     config: &QueryConfig,
     policy: &P,
     mut is_responder: F,
     scratch: &mut QueryScratch,
-    out: &mut QueryOutcome,
-) where
+    mut first_arrival: A,
+    mut on_send: S,
+) -> Option<QueryTotals>
+where
     P: ForwardPolicy + ?Sized,
     F: FnMut(PeerId) -> bool,
+    A: FnMut(PeerId, Option<PeerId>, SimTime) -> bool,
+    S: FnMut(PeerId, PeerId, Delay),
 {
-    assert!(overlay.is_alive(source), "query source must be online");
-    out.reset(overlay.peer_count());
+    if !overlay.is_alive(source) {
+        return None;
+    }
     let QueryScratch { heap, targets } = scratch;
     heap.clear();
+    let (mut scope, mut responders_hit) = (0usize, 0usize);
+    let (mut messages, mut duplicates) = (0u64, 0u64);
+    let mut traffic_cost = 0.0f64;
+    let mut first_response: Option<SimTime> = None;
+    let mut first_responder = None;
     let mut seq = 0u64;
     // Source "receives" its own query at t=0 with the full TTL.
     heap.push(Reverse((
@@ -288,27 +286,21 @@ pub fn run_query_into<P, F>(
 
     while let Some(Reverse((t, _, to, from, ttl))) = heap.pop() {
         let peer = PeerId::new(to);
-        if out.arrivals[peer.index()].is_some() {
-            out.duplicates += 1;
+        let from_peer = (to != from).then(|| PeerId::new(from));
+        if !first_arrival(peer, from_peer, t) {
+            duplicates += 1;
             continue;
         }
-        out.arrivals[peer.index()] = Some(t);
-        out.scope += 1;
-        let from_peer = if to == from {
-            None
-        } else {
-            Some(PeerId::new(from))
-        };
-        out.parents[peer.index()] = from_peer;
+        scope += 1;
 
         let mut stop_here = false;
         if peer != source && is_responder(peer) {
-            out.responders_hit += 1;
+            responders_hit += 1;
             // Hit travels back along the inverse path with symmetric delay.
             let rtt = SimTime::from_ticks(2 * t.as_ticks());
-            if out.first_response.is_none_or(|cur| rtt < cur) {
-                out.first_response = Some(rtt);
-                out.first_responder = Some(peer);
+            if first_response.is_none_or(|cur| rtt < cur) {
+                first_response = Some(rtt);
+                first_responder = Some(peer);
             }
             stop_here = config.stop_at_responder;
         }
@@ -318,10 +310,10 @@ pub fn run_query_into<P, F>(
         policy.forward_targets_into(overlay, peer, from_peer, targets);
         for &target in targets.iter() {
             debug_assert!(overlay.are_neighbors(peer, target));
-            let cost = overlay.link_cost(oracle, peer, target);
-            out.traffic_cost += f64::from(cost); // query = 1.0 size units
-            out.messages += 1;
-            out.sent_by[peer.index()] += 1;
+            let cost = overlay.link_cost(plane, peer, target);
+            traffic_cost += f64::from(cost); // query = 1.0 size units
+            messages += 1;
+            on_send(peer, target, cost);
             seq += 1;
             heap.push(Reverse((
                 t + u64::from(cost),
@@ -332,6 +324,160 @@ pub fn run_query_into<P, F>(
             )));
         }
     }
+    Some(QueryTotals {
+        scope,
+        traffic_cost,
+        messages,
+        duplicates,
+        first_response,
+        first_responder,
+        responders_hit,
+    })
+}
+
+/// Runs one query from `source` and measures it.
+///
+/// `is_responder(peer)` reports whether a reached peer can answer the
+/// query (the source itself is never treated as a responder). A source
+/// that is not alive yields an outcome of scope 0 (see the module docs).
+pub fn run_query<P, F>(
+    overlay: &Overlay,
+    oracle: &dyn DistancePlane,
+    source: PeerId,
+    config: &QueryConfig,
+    policy: &P,
+    is_responder: F,
+) -> QueryOutcome
+where
+    P: ForwardPolicy + ?Sized,
+    F: FnMut(PeerId) -> bool,
+{
+    run_query_traced(
+        overlay,
+        oracle,
+        source,
+        config,
+        policy,
+        is_responder,
+        |_, _, _| {},
+    )
+}
+
+/// [`run_query`] with a per-transmission tracer: `on_send(from, to, cost)`
+/// fires for every query transmission, duplicates included, in send
+/// order — the flooding counterpart of
+/// [`crate::random_walk_query_traced`]. The calls number the outcome's
+/// `messages`, their costs sum to its `traffic_cost` and their per-sender
+/// counts are its `sent_by`, so a caller accounting per-link load (see
+/// [`crate::LinkLoad`]) prices nothing itself.
+pub fn run_query_traced<P, F, S>(
+    overlay: &Overlay,
+    oracle: &dyn DistancePlane,
+    source: PeerId,
+    config: &QueryConfig,
+    policy: &P,
+    is_responder: F,
+    on_send: S,
+) -> QueryOutcome
+where
+    P: ForwardPolicy + ?Sized,
+    F: FnMut(PeerId) -> bool,
+    S: FnMut(PeerId, PeerId, Delay),
+{
+    let mut out = QueryOutcome::default();
+    query_into(
+        overlay,
+        oracle,
+        source,
+        config,
+        policy,
+        is_responder,
+        &mut QueryScratch::new(),
+        &mut out,
+        on_send,
+    );
+    out
+}
+
+/// Allocation-reusing form of [`run_query`]: writes the measurements into
+/// `out` (reset first) and draws all transient storage from `scratch`.
+#[allow(clippy::too_many_arguments)]
+pub fn run_query_into<P, F>(
+    overlay: &Overlay,
+    oracle: &dyn DistancePlane,
+    source: PeerId,
+    config: &QueryConfig,
+    policy: &P,
+    is_responder: F,
+    scratch: &mut QueryScratch,
+    out: &mut QueryOutcome,
+) where
+    P: ForwardPolicy + ?Sized,
+    F: FnMut(PeerId) -> bool,
+{
+    query_into(
+        overlay,
+        oracle,
+        source,
+        config,
+        policy,
+        is_responder,
+        scratch,
+        out,
+        |_, _, _| {},
+    );
+}
+
+/// The single-query driver behind every `run_query*` entry point: the
+/// kernel with `out.arrivals` as the visited set. Returns the totals it
+/// wrote into `out`, `None` (and `out` freshly reset) for a dead source.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn query_into<P, F, S>(
+    overlay: &Overlay,
+    oracle: &dyn DistancePlane,
+    source: PeerId,
+    config: &QueryConfig,
+    policy: &P,
+    is_responder: F,
+    scratch: &mut QueryScratch,
+    out: &mut QueryOutcome,
+    mut on_send: S,
+) -> Option<QueryTotals>
+where
+    P: ForwardPolicy + ?Sized,
+    F: FnMut(PeerId) -> bool,
+    S: FnMut(PeerId, PeerId, Delay),
+{
+    out.reset(overlay.peer_count());
+    let totals = propagate(
+        overlay,
+        oracle,
+        source,
+        config,
+        policy,
+        is_responder,
+        scratch,
+        |to, from, t| {
+            let first = out.arrivals[to.index()].is_none();
+            if first {
+                out.arrivals[to.index()] = Some(t);
+                out.parents[to.index()] = from;
+            }
+            first
+        },
+        |from, to, cost| {
+            out.sent_by[from.index()] += 1;
+            on_send(from, to, cost);
+        },
+    )?;
+    out.scope = totals.scope;
+    out.traffic_cost = totals.traffic_cost;
+    out.messages = totals.messages;
+    out.duplicates = totals.duplicates;
+    out.first_response = totals.first_response;
+    out.first_responder = totals.first_responder;
+    out.responders_hit = totals.responders_hit;
+    Some(totals)
 }
 
 #[cfg(test)]
@@ -633,5 +779,95 @@ mod tests {
         assert_eq!(out.scope, 2);
         assert_eq!(out.arrivals[2], None);
         assert_eq!(out.reverse_path(PeerId::new(0), PeerId::new(3)), None);
+    }
+
+    /// The tracer sees exactly the transmissions the outcome accounts for —
+    /// duplicates of a cyclic overlay included — in send order.
+    #[test]
+    fn tracer_reconciles_with_query_outcome() {
+        let mut g = Graph::new(4);
+        for (a, b, w) in [(0, 1, 5), (1, 2, 7), (2, 3, 3), (3, 0, 2)] {
+            g.add_edge(NodeId::new(a), NodeId::new(b), w).unwrap();
+        }
+        let oracle = DistanceOracle::new(g);
+        let mut ov = Overlay::new((0..4).map(NodeId::new).collect(), None);
+        for (a, b) in [(0u32, 1u32), (1, 2), (2, 3), (3, 0)] {
+            ov.connect(PeerId::new(a), PeerId::new(b)).unwrap();
+        }
+        let qc = QueryConfig {
+            ttl: 8,
+            stop_at_responder: false,
+        };
+        let mut sends = Vec::new();
+        let out = run_query_traced(
+            &ov,
+            &oracle,
+            PeerId::new(0),
+            &qc,
+            &FloodAll,
+            |_| false,
+            |from, to, cost| sends.push((from, to, cost)),
+        );
+        assert!(out.duplicates > 0, "ring flooding produces duplicates");
+        assert_eq!(sends.len() as u64, out.messages);
+        let cost: u64 = sends.iter().map(|&(_, _, c)| u64::from(c)).sum();
+        assert_eq!(cost as f64, out.traffic_cost);
+        let mut sent_by = vec![0u32; ov.peer_count()];
+        for &(from, to, c) in &sends {
+            assert_eq!(c, ov.link_cost(&oracle, from, to));
+            sent_by[from.index()] += 1;
+        }
+        assert_eq!(sent_by, out.sent_by);
+        // Send order: the source's two sends first, then each relay's in
+        // arrival order (3 hears at t=2, 1 at t=5, 2 at t=5 via 3).
+        let p = PeerId::new;
+        assert_eq!(
+            sends.iter().map(|&(f, t, _)| (f, t)).collect::<Vec<_>>(),
+            [
+                (p(0), p(1)),
+                (p(0), p(3)),
+                (p(3), p(2)),
+                (p(1), p(2)),
+                (p(2), p(1))
+            ]
+        );
+        // The untraced entry point is the same run.
+        let plain = run_query(&ov, &oracle, PeerId::new(0), &qc, &FloodAll, |_| false);
+        assert_eq!(plain.arrivals, out.arrivals);
+        assert_eq!(plain.traffic_cost, out.traffic_cost);
+    }
+
+    /// Skip-and-count: a departed or out-of-range source propagates
+    /// nothing and leaves a freshly reset outcome on every entry point.
+    #[test]
+    fn dead_source_yields_an_empty_outcome() {
+        let (mut ov, oracle) = line_env();
+        ov.leave(PeerId::new(1)).unwrap();
+        let cfg = QueryConfig::default();
+        let mut scratch = QueryScratch::new();
+        let mut reused = run_query(&ov, &oracle, PeerId::new(0), &cfg, &FloodAll, |_| true);
+        assert_eq!(reused.scope, 1);
+        for source in [PeerId::new(1), PeerId::new(40)] {
+            let fresh = run_query(&ov, &oracle, source, &cfg, &FloodAll, |_| true);
+            let traced = run_query_traced(&ov, &oracle, source, &cfg, &FloodAll, |_| true, {
+                |_, _, _| panic!("a dead source sends nothing")
+            });
+            run_query_into(
+                &ov,
+                &oracle,
+                source,
+                &cfg,
+                &FloodAll,
+                |_| true,
+                &mut scratch,
+                &mut reused,
+            );
+            for out in [&fresh, &traced, &reused] {
+                assert_eq!((out.scope, out.messages, out.duplicates), (0, 0, 0));
+                assert_eq!(out.arrivals, vec![None; ov.peer_count()]);
+                assert_eq!(out.sent_by, vec![0; ov.peer_count()]);
+                assert_eq!(out.first_response, None);
+            }
+        }
     }
 }

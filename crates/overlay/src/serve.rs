@@ -1,16 +1,18 @@
 //! Batched query serving: thousands of concurrent queries at rate.
 //!
-//! [`run_query_into`] measures *one* query cheaply; this module turns it
-//! into a serving engine that drives a whole workload through the overlay
-//! and reports sustained throughput. The design:
+//! [`crate::run_query_into`] measures *one* query; this module drives a whole
+//! workload through the overlay and reports sustained throughput. Both
+//! are drivers over the one propagation kernel in `search.rs` — same
+//! loop, same event order, same totals — and differ only in the visited
+//! set they hand it. The design:
 //!
 //! * **SoA batch state** — per-query measurements live in flat arrays of
 //!   [`BatchOutcome`], indexed by query slot, instead of one
 //!   [`QueryOutcome`] struct per query;
-//! * **bitset duplicate-drop** — a slot's visited set is one bit per
-//!   peer, replacing the `Vec<Option<SimTime>>` scan of the single-query
-//!   path (the arrival *time* is only ever needed at first receipt, when
-//!   it is on the popped event anyway);
+//! * **bitset duplicate-drop** — a shard's visited set is one bit per
+//!   peer instead of the single-query driver's `Vec<Option<SimTime>>`
+//!   (the arrival *time* is only ever needed at first receipt, when the
+//!   kernel hands it over anyway);
 //! * **worker-sharded forwarding** — the workload is cut into
 //!   fixed-size shards of [`ServeConfig::chunk`] query slots, and shards
 //!   are distributed over the PR 1 worker pool
@@ -21,17 +23,15 @@
 //!   the worker count, each slot is a pure function of the (read-only)
 //!   overlay, and shards are merged in index order. The batch digest is
 //!   therefore bit-identical for any worker count *and* to a sequential
-//!   sweep of [`run_query_into`] ([`serve_sequential`]), extending the
-//!   PR 1/PR 2 determinism guarantee to the serving plane.
+//!   sweep of the single-query driver ([`serve_sequential`]), extending
+//!   the PR 1/PR 2 determinism guarantee to the serving plane.
 //!
 //! Sources are drawn when the workload is generated; on a churning
-//! overlay they may be dead by the time their slot is served. The engine
-//! skips such slots and counts them in [`ServeReport::skipped`] instead
-//! of tripping [`run_query_into`]'s liveness assert — one crashed peer
-//! must not abort a million-query measurement sweep.
+//! overlay they may be dead by the time their slot is served. The kernel
+//! propagates nothing from a dead source, and both batch drivers record
+//! such a slot as skipped and count it in [`ServeReport::skipped`] — one
+//! crashed peer must not abort a million-query measurement sweep.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::time::{Duration, Instant};
 
 use rand::Rng;
@@ -43,7 +43,9 @@ use ace_topology::DistancePlane;
 use crate::content::{Catalog, ObjectId};
 use crate::network::Overlay;
 use crate::peer::PeerId;
-use crate::search::{run_query_into, ForwardPolicy, QueryConfig, QueryOutcome, QueryScratch};
+use crate::search::{
+    propagate, query_into, ForwardPolicy, QueryConfig, QueryOutcome, QueryScratch, QueryTotals,
+};
 
 /// One query of a serving workload: who asks for what.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -102,45 +104,6 @@ impl Default for ServeConfig {
     }
 }
 
-/// Heap entry of a slot's propagation:
-/// `(arrival, tie-break seq, to, from, remaining TTL)` — identical to the
-/// single-query path so pop order (and thus every measurement) matches.
-type SlotEvent = Reverse<(SimTime, u64, u32, u32, u8)>;
-
-/// Per-worker reusable propagation state: the event heap, the forwarding
-/// target buffer, and the visited bitset (one bit per peer) that replaces
-/// the single-query path's `Vec<Option<SimTime>>` dedup scan.
-struct SlotScratch {
-    heap: BinaryHeap<SlotEvent>,
-    targets: Vec<PeerId>,
-    /// `⌈peer_count / 64⌉` words; bit `p` set once peer `p` saw the query.
-    visited: Vec<u64>,
-}
-
-impl SlotScratch {
-    fn new(peers: usize) -> Self {
-        SlotScratch {
-            heap: BinaryHeap::new(),
-            targets: Vec::new(),
-            visited: vec![0u64; peers.div_ceil(64)],
-        }
-    }
-
-    /// True if `peer` was already visited; marks it either way.
-    fn test_and_set(&mut self, peer: u32) -> bool {
-        let word = &mut self.visited[(peer / 64) as usize];
-        let bit = 1u64 << (peer % 64);
-        let seen = *word & bit != 0;
-        *word |= bit;
-        seen
-    }
-
-    fn clear(&mut self) {
-        self.heap.clear();
-        self.visited.iter_mut().for_each(|w| *w = 0);
-    }
-}
-
 /// Per-query measurements of a batch, struct-of-arrays: field `i` of
 /// every vector describes query slot `i`. Skipped slots (dead source at
 /// serve time) hold zeros and `skipped[i] == true`.
@@ -189,8 +152,11 @@ impl BatchOutcome {
         self.scope.is_empty()
     }
 
-    /// Appends one slot measured by the single-query path.
-    fn push_outcome(&mut self, q: &QueryOutcome) {
+    /// Appends one slot: the kernel's totals, or a skipped (dead-source)
+    /// slot of zeros for `None`.
+    fn push(&mut self, slot: Option<QueryTotals>) {
+        self.skipped.push(slot.is_none());
+        let q = slot.unwrap_or_default();
         self.scope.push(q.scope as u32);
         self.messages.push(q.messages);
         self.duplicates.push(q.duplicates);
@@ -198,19 +164,6 @@ impl BatchOutcome {
         self.first_response.push(q.first_response);
         self.first_responder.push(q.first_responder);
         self.responders_hit.push(q.responders_hit as u32);
-        self.skipped.push(false);
-    }
-
-    /// Appends one skipped (dead-source) slot.
-    fn push_skipped(&mut self) {
-        self.scope.push(0);
-        self.messages.push(0);
-        self.duplicates.push(0);
-        self.traffic_cost.push(0.0);
-        self.first_response.push(None);
-        self.first_responder.push(None);
-        self.responders_hit.push(0);
-        self.skipped.push(true);
     }
 
     /// Appends every slot of `other` (shard merge, index order).
@@ -422,10 +375,10 @@ struct ShardOut {
 
 /// Serves `specs` through the overlay in parallel and measures the run.
 ///
-/// Semantics per slot are exactly those of [`run_query_into`] — same
-/// event ordering, same measurements — proven by the digest equivalence
-/// with [`serve_sequential`]. Slots whose source is dead are skipped and
-/// counted, never panicked on.
+/// Every slot runs the same kernel as [`crate::run_query_into`] — one
+/// loop, so the same event ordering and measurements — checked by the
+/// digest equivalence with [`serve_sequential`]. Slots whose source is
+/// dead are skipped and counted.
 ///
 /// # Panics
 ///
@@ -507,7 +460,10 @@ where
     report
 }
 
-/// Runs one shard of slots on the calling worker thread.
+/// Runs one shard of slots on the calling worker thread: the kernel with
+/// a visited bitset (one bit per peer, cleared per slot), counting every
+/// receipt into the shard's inbox and every first receipt's delay into
+/// its hop histogram.
 fn run_shard<P, R>(
     overlay: &Overlay,
     plane: &dyn DistancePlane,
@@ -521,7 +477,8 @@ where
     R: Fn(ObjectId, PeerId) -> bool + Sync,
 {
     let peers = overlay.peer_count();
-    let mut scratch = SlotScratch::new(peers);
+    let mut scratch = QueryScratch::new();
+    let mut visited = vec![0u64; peers.div_ceil(64)];
     let mut out = ShardOut {
         outcome: BatchOutcome::with_capacity(specs.len()),
         inbox: vec![0u64; peers],
@@ -529,124 +486,44 @@ where
         response: LatencyHistogram::new(),
     };
     for spec in specs {
-        if !overlay.is_alive(spec.source) {
-            out.outcome.push_skipped();
-            continue;
-        }
-        run_slot(
+        visited.fill(0);
+        let totals = propagate(
             overlay,
             plane,
+            spec.source,
+            &cfg.query,
             policy,
-            spec,
-            is_responder,
-            cfg,
+            |p| is_responder(spec.object, p),
             &mut scratch,
-            &mut out,
+            |to, from, t| {
+                let word = &mut visited[to.index() / 64];
+                let bit = 1u64 << (to.index() % 64);
+                let first = *word & bit == 0;
+                *word |= bit;
+                if from.is_some() {
+                    out.inbox[to.index()] += 1;
+                    if first {
+                        out.hop.record(t.as_ticks());
+                    }
+                }
+                first
+            },
+            |_, _, _| {},
         );
+        if let Some(rtt) = totals.and_then(|q| q.first_response) {
+            out.response.record(rtt.as_ticks());
+        }
+        out.outcome.push(totals);
     }
     out
 }
 
-/// Propagates one slot — the [`run_query_into`] algorithm with the
-/// visited bitset standing in for the arrival-time scan.
-#[allow(clippy::too_many_arguments)]
-fn run_slot<P, R>(
-    overlay: &Overlay,
-    plane: &dyn DistancePlane,
-    policy: &P,
-    spec: &QuerySpec,
-    is_responder: &R,
-    cfg: &ServeConfig,
-    scratch: &mut SlotScratch,
-    out: &mut ShardOut,
-) where
-    P: ForwardPolicy + Sync + ?Sized,
-    R: Fn(ObjectId, PeerId) -> bool + Sync,
-{
-    let source = spec.source;
-    scratch.clear();
-    let mut seq = 0u64;
-    scratch.heap.push(Reverse((
-        SimTime::ZERO,
-        seq,
-        source.raw(),
-        source.raw(),
-        cfg.query.ttl,
-    )));
-
-    let mut scope = 0u32;
-    let mut messages = 0u64;
-    let mut duplicates = 0u64;
-    let mut traffic = 0.0f64;
-    let mut responders = 0u32;
-    let mut first_response: Option<SimTime> = None;
-    let mut first_responder: Option<PeerId> = None;
-
-    while let Some(Reverse((t, _, to, from, ttl))) = scratch.heap.pop() {
-        let peer = PeerId::new(to);
-        if to != from {
-            out.inbox[peer.index()] += 1;
-        }
-        if scratch.test_and_set(to) {
-            duplicates += 1;
-            continue;
-        }
-        scope += 1;
-        let from_peer = if to == from {
-            None
-        } else {
-            out.hop.record(t.as_ticks());
-            Some(PeerId::new(from))
-        };
-
-        let mut stop_here = false;
-        if peer != source && is_responder(spec.object, peer) {
-            responders += 1;
-            let rtt = SimTime::from_ticks(2 * t.as_ticks());
-            if first_response.is_none_or(|cur| rtt < cur) {
-                first_response = Some(rtt);
-                first_responder = Some(peer);
-            }
-            stop_here = cfg.query.stop_at_responder;
-        }
-        if ttl == 0 || stop_here {
-            continue;
-        }
-        policy.forward_targets_into(overlay, peer, from_peer, &mut scratch.targets);
-        for &target in scratch.targets.iter() {
-            debug_assert!(overlay.are_neighbors(peer, target));
-            let cost = overlay.link_cost(plane, peer, target);
-            traffic += f64::from(cost);
-            messages += 1;
-            seq += 1;
-            scratch.heap.push(Reverse((
-                t + u64::from(cost),
-                seq,
-                target.raw(),
-                peer.raw(),
-                ttl - 1,
-            )));
-        }
-    }
-
-    if let Some(rtt) = first_response {
-        out.response.record(rtt.as_ticks());
-    }
-    out.outcome.scope.push(scope);
-    out.outcome.messages.push(messages);
-    out.outcome.duplicates.push(duplicates);
-    out.outcome.traffic_cost.push(traffic);
-    out.outcome.first_response.push(first_response);
-    out.outcome.first_responder.push(first_responder);
-    out.outcome.responders_hit.push(responders);
-    out.outcome.skipped.push(false);
-}
-
 /// Sequential reference: the same workload swept with the single-query
-/// path ([`run_query_into`] + one reused [`QueryScratch`]), applying the
-/// identical dead-source skip rule. The batched engine must match this
-/// slot for slot — `serve_sequential(..).digest() == serve_batch(..)
-/// .digest()` is the equivalence the proptests pin.
+/// driver (the body of [`crate::run_query_into`], one reused
+/// [`QueryScratch`] and [`QueryOutcome`]) under the same dead-source rule.
+/// The batched engine must match this slot for slot —
+/// `serve_sequential(..).digest() == serve_batch(..).digest()` is the
+/// equivalence the proptests pin.
 pub fn serve_sequential<P, R>(
     overlay: &Overlay,
     plane: &dyn DistancePlane,
@@ -663,11 +540,7 @@ where
     let mut q = QueryOutcome::default();
     let mut out = BatchOutcome::with_capacity(specs.len());
     for spec in specs {
-        if !overlay.is_alive(spec.source) {
-            out.push_skipped();
-            continue;
-        }
-        run_query_into(
+        out.push(query_into(
             overlay,
             plane,
             spec.source,
@@ -676,8 +549,8 @@ where
             |p| is_responder(spec.object, p),
             &mut scratch,
             &mut q,
-        );
-        out.push_outcome(&q);
+            |_, _, _| {},
+        ));
     }
     out
 }
@@ -779,9 +652,14 @@ mod tests {
     #[test]
     fn dead_sources_are_skipped_and_counted() {
         let (mut ov, oracle, mut rng) = world(40, 5);
-        let (_cat, specs) = workload(&ov, &mut rng, 120);
-        // Kill some sources after the workload was drawn — the serving
-        // engine must skip their slots, not abort the sweep.
+        let (_cat, mut specs) = workload(&ov, &mut rng, 120);
+        // Kill some sources after the workload was drawn, and name one
+        // that never existed — the serving engine must skip their slots,
+        // not abort the sweep.
+        specs.push(QuerySpec {
+            source: PeerId::new(4_000),
+            ..specs[0]
+        });
         let mut dead = Vec::new();
         for spec in specs.iter().step_by(11) {
             if ov.is_alive(spec.source) {

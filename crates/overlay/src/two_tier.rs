@@ -219,7 +219,9 @@ impl TwoTierNetwork {
     /// whose *own index* (their leaves' content) matches respond.
     ///
     /// Returns `(core query outcome, total traffic including the access
-    /// link)`.
+    /// link)`. A leaf whose supernode has left and has not yet been
+    /// [re-attached](Self::reattach_leaves) pays the access link for a
+    /// core outcome of scope 0.
     pub fn query_from_leaf<P: crate::search::ForwardPolicy + ?Sized>(
         &self,
         oracle: &dyn DistancePlane,
@@ -355,6 +357,11 @@ mod tests {
             .count();
         assert!(orphans > 0);
         tt.core.leave(dead).unwrap();
+        // Until they do, their queries die at the departed supernode.
+        let qc = QueryConfig::default();
+        let (outcome, total) = tt.query_from_leaf(&oracle, 0, &qc, &FloodAll, |_| true);
+        assert_eq!((outcome.scope, outcome.messages), (0, 0));
+        assert_eq!(total, f64::from(tt.access_cost(&oracle, 0)));
         let moved = tt.reattach_leaves(dead, true, &oracle, &mut rng);
         assert_eq!(moved.len(), orphans);
         for l in 0..tt.leaf_count() {

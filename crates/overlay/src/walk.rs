@@ -89,9 +89,12 @@ impl WalkOutcome {
 /// assert!(out.found());
 /// ```
 ///
+/// A `source` that is not alive walks nowhere: the outcome is
+/// [`WalkOutcome::default`], as for the flooding entry points.
+///
 /// # Panics
 ///
-/// Panics if `source` is offline or `cfg.walkers == 0`.
+/// Panics if `cfg.walkers == 0`.
 pub fn random_walk_query<R, F>(
     overlay: &Overlay,
     oracle: &dyn DistancePlane,
@@ -146,7 +149,7 @@ fn choose_step<R: Rng + ?Sized>(nbrs: &[PeerId], prev: Option<PeerId>, rng: &mut
 ///
 /// # Panics
 ///
-/// Panics if `source` is offline or `cfg.walkers == 0`.
+/// Panics if `cfg.walkers == 0`.
 pub fn random_walk_query_traced<R, F, H>(
     overlay: &Overlay,
     oracle: &dyn DistancePlane,
@@ -161,9 +164,11 @@ where
     F: FnMut(PeerId) -> bool,
     H: FnMut(PeerId, PeerId, Delay),
 {
-    assert!(overlay.is_alive(source), "walk source must be online");
     assert!(cfg.walkers > 0, "need at least one walker");
     let mut out = WalkOutcome::default();
+    if !overlay.is_alive(source) {
+        return out;
+    }
     let mut visited = vec![false; overlay.peer_count()];
     visited[source.index()] = true;
     out.peers_visited = 1;
@@ -383,6 +388,27 @@ mod tests {
         );
         assert_eq!(hops, out.messages);
         assert_eq!(cost, out.traffic_cost);
+    }
+
+    /// A departed or out-of-range source walks nowhere.
+    #[test]
+    fn dead_source_yields_the_default_outcome() {
+        let (mut ov, oracle) = ring(4, 1);
+        ov.leave(PeerId::new(2)).unwrap();
+        for source in [PeerId::new(2), PeerId::new(9)] {
+            let mut rng = StdRng::seed_from_u64(7);
+            let out = random_walk_query_traced(
+                &ov,
+                &oracle,
+                source,
+                &WalkConfig::default(),
+                |_| true,
+                &mut rng,
+                |_, _, _| panic!("a dead source sends nothing"),
+            );
+            assert_eq!((out.messages, out.peers_visited), (0, 0));
+            assert!(!out.found());
+        }
     }
 
     #[test]

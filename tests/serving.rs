@@ -96,9 +96,8 @@ proptest! {
     }
 
     /// Churn interleaved with serving: sources that died after the
-    /// workload was drawn are skipped and counted — the sweep finishes
-    /// instead of panicking on `run_query_into`'s liveness assert — and
-    /// the surviving slots still match the sequential reference.
+    /// workload was drawn are skipped and counted — the sweep finishes —
+    /// and the surviving slots still match the sequential reference.
     #[test]
     fn churned_sources_skip_instead_of_aborting((cfg, ttl) in arb_world()) {
         let mut s = Scenario::build(&cfg);

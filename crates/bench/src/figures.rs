@@ -1,8 +1,10 @@
-//! One reproduction function per paper table/figure (plus ablations).
+//! One reproduction function per shared sweep, and the [`FIGURES`] table
+//! that `repro` runs them from.
 //!
-//! Each function builds its workloads through `ace_core::experiments`,
-//! returns an [`ExperimentRecord`] (persisted as JSON by the binaries) and
-//! human-readable [`Table`]s. Figure numbering follows the paper:
+//! Each function builds its workloads through `ace_core::experiments` and
+//! returns one [`ExperimentRecord`] (persisted as JSON by `repro`) with its
+//! human-readable [`Table`]s per record id. Figure numbering follows the
+//! paper:
 //!
 //! * Tables 1–2 — query paths/costs on 1- and 2-closure trees (§3.4);
 //! * Figures 7–8 — static traffic / response vs optimization steps (§5.1);
@@ -20,6 +22,8 @@ use ace_core::experiments::{
 use ace_core::ltm::{LtmConfig, LtmEngine};
 use ace_core::protocol::{AsyncAceSim, AsyncForward, ProtoConfig};
 use ace_core::{AceConfig, AceEngine, AceForward, OverheadKind, ProbeModel, ReplacePolicy};
+use ace_engine::pool::{effective_workers, plan_parallel};
+use ace_engine::rng::sample_distinct;
 use ace_metrics::{f1, f3, pct, ExperimentRecord, NamedSeries, Table};
 use ace_overlay::{
     assign_capacities, random_overlay, random_walk_query, run_query, run_query_traced, FloodAll,
@@ -42,6 +46,127 @@ pub const C_SWEEP: [usize; 4] = [4, 6, 8, 10];
 pub const R_CURVES: [f64; 6] = [1.0, 1.5, 2.0, 2.5, 3.0, 4.0];
 /// Frequency-ratio x-axis of Figures 15–16.
 pub const R_AXIS: [f64; 8] = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0];
+
+/// What a figure function returns: `(record, tables)` per record id.
+pub type Records = Vec<(ExperimentRecord, Vec<Table>)>;
+
+/// One row of the figure table. A figure is a selection of records from
+/// a shared sweep, not a program: `run` computes the sweep once however
+/// many of the row's `ids` were asked for.
+pub struct Figure {
+    /// Record ids the run emits, in order — the file names under
+    /// `target/experiments/`.
+    pub ids: &'static [&'static str],
+    /// What `repro list` says about the row.
+    pub about: &'static str,
+    /// Computes every record of the row at the given scale.
+    pub run: fn(Scale) -> Records,
+}
+
+/// The whole evaluation, in the order `repro all` walks it.
+pub const FIGURES: [Figure; 20] = [
+    Figure {
+        ids: &["table01_02"],
+        about: "Tables 1-2: query paths and costs on closure trees (§3.4)",
+        run: table01_02,
+    },
+    Figure {
+        ids: &["fig07", "fig08"],
+        about: "Figures 7-8: traffic and response time vs steps (§5.1)",
+        run: fig07_08,
+    },
+    Figure {
+        ids: &["fig09", "fig10"],
+        about: "Figures 9-10: traffic and response time under churn (§5.2)",
+        run: fig09_10,
+    },
+    Figure {
+        ids: &["fig11", "fig12", "fig13", "fig14", "fig15", "fig16"],
+        about:
+            "Figures 11-16: reduction, overhead and optimization rate vs closure depth and R (§5.3)",
+        run: depth_figures,
+    },
+    Figure {
+        ids: &["ext_cache"],
+        about: "§5.2 extension: ACE plus a 200-item response index cache",
+        run: ext_cache,
+    },
+    Figure {
+        ids: &["ext_async"],
+        about: "the message-level asynchronous protocol vs the round harness",
+        run: ext_async,
+    },
+    Figure {
+        ids: &["ext_async_churn"],
+        about: "the asynchronous protocol under churn, path stretch",
+        run: ext_async_churn,
+    },
+    Figure {
+        ids: &["ext_search_strategies"],
+        about: "flooding, HPF, k-walkers and ACE trees",
+        run: ext_search_strategies,
+    },
+    Figure {
+        ids: &["ext_supernode"],
+        about: "ACE applied to a KaZaA-style supernode core",
+        run: ext_supernode,
+    },
+    Figure {
+        ids: &["ext_random_walk"],
+        about: "k-walker random walks before and after matching",
+        run: ext_random_walk,
+    },
+    Figure {
+        ids: &["baseline_gia"],
+        about: "Gia capacity adaptation alongside ACE's physical matching",
+        run: baseline_gia,
+    },
+    Figure {
+        ids: &["baseline_ltm"],
+        about: "ACE vs LTM (detector-based matching) vs blind flooding",
+        run: baseline_ltm,
+    },
+    Figure {
+        ids: &["ablation_policies"],
+        about: "§6 replacement policies: Random, Naive, Closest",
+        run: ablation_policies,
+    },
+    Figure {
+        ids: &["ablation_landmark"],
+        about: "§2 landmark clustering vs random attachment vs ACE",
+        run: ablation_landmark,
+    },
+    Figure {
+        ids: &["ablation_phases"],
+        about: "phase 2 (trees) alone vs phases 2+3 (reconnection)",
+        run: ablation_phases,
+    },
+    Figure {
+        ids: &["ablation_ttl"],
+        about: "the TTL at which ACE's scope-retention claim holds",
+        run: ablation_ttl,
+    },
+    Figure {
+        ids: &["ablation_overlays"],
+        about: "clustered vs random vs preferential attachment",
+        run: ablation_overlays,
+    },
+    Figure {
+        ids: &["ablation_estimation"],
+        about: "ACE on noisy estimators (Vivaldi, landmarks)",
+        run: ablation_estimation,
+    },
+    Figure {
+        ids: &["ablation_min_flooding"],
+        about: "scope-guard sweep: links kept vs pruning",
+        run: ablation_min_flooding,
+    },
+    Figure {
+        ids: &["ablation_load"],
+        about: "forwarding-load concentration, ACE trees vs flooding",
+        run: ablation_load,
+    },
+];
 
 fn base_scenario(scale: Scale, avg_degree: usize, seed: u64) -> ScenarioConfig {
     let (as_count, nodes_per_as) = scale.phys();
@@ -94,7 +219,7 @@ fn record_transmissions<P: ForwardPolicy + ?Sized>(
 /// Tables 1 and 2). Exact published costs are not recoverable from the
 /// source text; the reproduced invariant is the *ordering*:
 /// `cost(flooding) > cost(h=1) > cost(h=2)` with duplicates shrinking.
-pub fn table01_02() -> (ExperimentRecord, Vec<Table>) {
+pub fn table01_02(_scale: Scale) -> Records {
     // Physical: two 3-router sites joined by one expensive link.
     let mut g = Graph::new(6);
     for (a, b, w) in [
@@ -170,80 +295,24 @@ pub fn table01_02() -> (ExperimentRecord, Vec<Table>) {
     }
     rec.param("peers", 6).param("source", "A");
     rec.add_series(totals).add_series(dup_series);
-    (rec, tables)
+    vec![(rec, tables)]
 }
 
 // ---------------------------------------------------------------------
 // Figures 7 & 8 — static environment
 // ---------------------------------------------------------------------
 
-/// Runs `f` over `items` on a pool of worker threads (work-stealing over
-/// the item list, sized by the host's parallelism) and returns results in
-/// input order. Unlike a thread-per-item spawn, the pool stays efficient
-/// when the item list is a full parameter grid rather than a handful of
-/// sweep values.
-pub fn parallel_map<T, U, F>(items: Vec<T>, f: F) -> Vec<U>
-where
-    T: Send,
-    U: Send,
-    F: Fn(T) -> U + Sync,
-{
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-
-    let n = items.len();
-    let workers = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .min(n.max(1));
-    if n <= 1 || workers <= 1 {
-        return items.into_iter().map(f).collect();
-    }
-    let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let results: Vec<Mutex<Option<U>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    return;
-                }
-                let item = slots[i]
-                    .lock()
-                    .expect("slot poisoned")
-                    .take()
-                    .expect("item taken once");
-                *results[i].lock().expect("result poisoned") = Some(f(item));
-            });
-        }
-    });
-    results
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("result poisoned")
-                .expect("worker filled slot")
-        })
-        .collect()
-}
-
-/// The `(C, seed)` grid behind the static sweep. One world per grid cell;
-/// `parallel_map` schedules the whole grid across the worker pool instead
-/// of one thread per C value.
-pub fn static_grid() -> Vec<(usize, u64)> {
-    C_SWEEP.iter().map(|&c| (c, 40 + c as u64)).collect()
-}
-
-/// Shared static sweep over the paper's average-connection values. Each
-/// grid cell is an independent world; inside each world the engine itself
-/// runs its rounds through the parallel plan/commit pipeline (results are
-/// bit-identical to the serial engine's planned mode regardless of the
-/// host's core count).
+/// Shared static sweep over the paper's average-connection values, one
+/// independent world (seed `40 + C`) per value, scheduled across the
+/// worker pool; inside each world the engine itself runs its rounds
+/// through the parallel plan/commit pipeline (results are bit-identical
+/// to the serial engine's planned mode regardless of the host's core
+/// count).
 pub fn compute_static(scale: Scale) -> Vec<(usize, StaticResult)> {
-    let runs = parallel_map(static_grid(), |(c, seed)| {
+    let runs = plan_parallel(C_SWEEP.len(), effective_workers(0), |i| {
+        let c = C_SWEEP[i];
         let cfg = StaticConfig {
-            scenario: base_scenario(scale, c, seed),
+            scenario: base_scenario(scale, c, 40 + c as u64),
             ace: AceConfig {
                 parallel: true,
                 ..AceConfig::paper_default()
@@ -259,7 +328,7 @@ pub fn compute_static(scale: Scale) -> Vec<(usize, StaticResult)> {
 
 /// Figures 7 and 8 from one shared sweep: traffic cost per query and
 /// average response time vs optimization steps, one curve per `C`.
-pub fn fig07_08(scale: Scale) -> Vec<(ExperimentRecord, Vec<Table>)> {
+pub fn fig07_08(scale: Scale) -> Records {
     let runs = compute_static(scale);
 
     let mut rec7 = ExperimentRecord::new("fig07", "Traffic cost per query vs optimization steps");
@@ -311,7 +380,7 @@ pub fn fig07_08(scale: Scale) -> Vec<(ExperimentRecord, Vec<Table>)> {
 /// Figures 9 and 10: per-query traffic (ACE overhead included) and
 /// response time over the query sequence, Gnutella-like flooding vs
 /// ACE-enabled, under the paper's churn/workload parameters.
-pub fn fig09_10(scale: Scale) -> Vec<(ExperimentRecord, Vec<Table>)> {
+pub fn fig09_10(scale: Scale) -> Records {
     let scenario = base_scenario(scale, 6, 91);
     let mk = |ace: Option<AceConfig>| {
         let mut cfg = DynamicConfig::paper_default(scenario, ace);
@@ -380,16 +449,16 @@ pub struct DepthData {
     pub by_c: Vec<(usize, Vec<DepthPoint>)>,
 }
 
-/// Runs the closure-depth sweeps shared by Figures 11–16, scheduling the
-/// full `(C, seed)` grid across the worker pool.
+/// Runs the closure-depth sweeps shared by Figures 11–16, one world
+/// (seed `70 + C`) per `C`, scheduled across the worker pool.
 pub fn compute_depth_data(scale: Scale) -> DepthData {
-    let grid: Vec<(usize, u64)> = C_SWEEP.iter().map(|&c| (c, 70 + c as u64)).collect();
-    let sweeps = parallel_map(grid, |(c, seed)| {
+    let sweeps = plan_parallel(C_SWEEP.len(), effective_workers(0), |i| {
+        let c = C_SWEEP[i];
         let max_depth = if c == 4 { 8 } else { 4 };
         let cfg = DepthSweepConfig {
             scenario: ScenarioConfig {
                 peers: scale.sweep_peers(),
-                ..base_scenario(scale, c, seed)
+                ..base_scenario(scale, c, 70 + c as u64)
             },
             max_depth,
             steps: scale.steps().min(12),
@@ -404,7 +473,7 @@ pub fn compute_depth_data(scale: Scale) -> DepthData {
 }
 
 /// Figures 11–16 from one shared sweep.
-pub fn depth_figures(scale: Scale) -> Vec<(ExperimentRecord, Vec<Table>)> {
+pub fn depth_figures(scale: Scale) -> Records {
     let data = compute_depth_data(scale);
     let mut out = Vec::new();
 
@@ -533,7 +602,7 @@ pub fn depth_figures(scale: Scale) -> Vec<(ExperimentRecord, Vec<Table>)> {
 
 /// The §5.2 claim: ACE plus a 200-item response index cache per peer cuts
 /// ~75% of traffic and ~70% of response time relative to plain flooding.
-pub fn ext_index_cache(scale: Scale) -> (ExperimentRecord, Vec<Table>) {
+pub fn ext_cache(scale: Scale) -> Records {
     let scenario = base_scenario(scale, 6, 123);
     let mk = |ace: Option<AceConfig>, cache: Option<usize>| {
         let mut cfg = DynamicConfig::paper_default(scenario, ace);
@@ -586,7 +655,7 @@ pub fn ext_index_cache(scale: Scale) -> (ExperimentRecord, Vec<Table>) {
     s.push(1.0, ace.steady_traffic());
     s.push(2.0, cached.steady_traffic());
     rec.add_series(s);
-    (rec, vec![t])
+    vec![(rec, vec![t])]
 }
 
 // ---------------------------------------------------------------------
@@ -594,7 +663,7 @@ pub fn ext_index_cache(scale: Scale) -> (ExperimentRecord, Vec<Table>) {
 // ---------------------------------------------------------------------
 
 /// §6 ablation: Random vs Naive vs Closest replacement policies.
-pub fn ablation_policies(scale: Scale) -> (ExperimentRecord, Vec<Table>) {
+pub fn ablation_policies(scale: Scale) -> Records {
     let mut rec = ExperimentRecord::new(
         "ablation_policies",
         "Phase-3 replacement policies: Random vs Naive vs Closest",
@@ -646,12 +715,12 @@ pub fn ablation_policies(scale: Scale) -> (ExperimentRecord, Vec<Table>) {
         }
         rec.add_series(s);
     }
-    (rec, vec![t])
+    vec![(rec, vec![t])]
 }
 
 /// Related-work ablation (§2): landmark-clustered neighbor selection vs
 /// random attachment vs ACE's measurement-based adaptation.
-pub fn ablation_landmark(scale: Scale) -> (ExperimentRecord, Vec<Table>) {
+pub fn ablation_landmark(scale: Scale) -> Records {
     use ace_topology::generate::{two_level, TwoLevelConfig};
     let (as_count, nodes_per_as) = scale.phys();
     let mut rng = StdRng::seed_from_u64(77);
@@ -666,8 +735,8 @@ pub fn ablation_landmark(scale: Scale) -> (ExperimentRecord, Vec<Table>) {
     let n = topo.graph.node_count();
     let oracle = DistanceOracle::new(topo.graph);
     let peers = scale.peers();
-    let hosts: Vec<NodeId> = ace_engine_sample(&mut rng, n, peers);
-    let landmarks: Vec<NodeId> = ace_engine_sample(&mut rng, n, 8);
+    let hosts: Vec<NodeId> = sample_nodes(&mut rng, n, peers);
+    let landmarks: Vec<NodeId> = sample_nodes(&mut rng, n, 8);
     let lm = LandmarkOracle::new(oracle.graph(), landmarks);
 
     // Three overlays on identical hosts.
@@ -742,15 +811,11 @@ pub fn ablation_landmark(scale: Scale) -> (ExperimentRecord, Vec<Table>) {
     s.push(1.0, t_lm);
     s.push(2.0, t_ace);
     rec.add_series(s);
-    (rec, vec![t])
+    vec![(rec, vec![t])]
 }
 
-fn ace_engine_sample(rng: &mut StdRng, n: usize, k: usize) -> Vec<NodeId> {
-    ace_engine_sample_impl(rng, n, k)
-}
-
-fn ace_engine_sample_impl(rng: &mut StdRng, n: usize, k: usize) -> Vec<NodeId> {
-    ace_engine::rng::sample_distinct(rng, n, k)
+fn sample_nodes(rng: &mut StdRng, n: usize, k: usize) -> Vec<NodeId> {
+    sample_distinct(rng, n, k)
         .into_iter()
         .map(|i| NodeId::new(i as u32))
         .collect()
@@ -758,7 +823,7 @@ fn ace_engine_sample_impl(rng: &mut StdRng, n: usize, k: usize) -> Vec<NodeId> {
 
 /// Phase-contribution ablation: flooding vs trees-only (phase 2) vs full
 /// ACE (phases 2+3).
-pub fn ablation_phases(scale: Scale) -> (ExperimentRecord, Vec<Table>) {
+pub fn ablation_phases(scale: Scale) -> Records {
     let scenario_cfg = base_scenario(scale, 8, 88);
     let mut s = Scenario::build(&scenario_cfg);
     let pairs = draw_query_pairs(&s.overlay, &s.catalog, scale.samples(), &mut s.rng);
@@ -822,13 +887,13 @@ pub fn ablation_phases(scale: Scale) -> (ExperimentRecord, Vec<Table>) {
     series.push(1.0, tree_sample.traffic);
     series.push(2.0, full_sample.traffic);
     rec.add_series(series);
-    (rec, vec![t])
+    vec![(rec, vec![t])]
 }
 
 /// TTL ablation: tree forwarding dilates hop paths, so small Gnutella TTLs
 /// truncate ACE's scope before flooding's — quantifies the TTL needed for
 /// the paper's "search scope retained" claim to hold.
-pub fn ablation_ttl(scale: Scale) -> (ExperimentRecord, Vec<Table>) {
+pub fn ablation_ttl(scale: Scale) -> Records {
     let scenario_cfg = base_scenario(scale, 6, 99);
     let mut s = Scenario::build(&scenario_cfg);
     let pairs = draw_query_pairs(&s.overlay, &s.catalog, scale.samples(), &mut s.rng);
@@ -869,13 +934,13 @@ pub fn ablation_ttl(scale: Scale) -> (ExperimentRecord, Vec<Table>) {
         sa.push(f64::from(ttl), a.scope);
     }
     rec.add_series(sf).add_series(sa);
-    (rec, vec![t])
+    vec![(rec, vec![t])]
 }
 
 /// Overlay-family ablation: ACE's gain depends on the overlay having
 /// local structure (the paper's small-world premise); random-attachment
 /// overlays leave phase 2 with star closures.
-pub fn ablation_overlays(scale: Scale) -> (ExperimentRecord, Vec<Table>) {
+pub fn ablation_overlays(scale: Scale) -> Records {
     let mut rec = ExperimentRecord::new(
         "ablation_overlays",
         "ACE traffic reduction by overlay family (clustering dependence)",
@@ -915,14 +980,14 @@ pub fn ablation_overlays(scale: Scale) -> (ExperimentRecord, Vec<Table>) {
         }
         rec.add_series(s);
     }
-    (rec, vec![t])
+    vec![(rec, vec![t])]
 }
 
 /// Baseline comparison against LTM (Location-aware Topology Matching,
 /// the authors' companion scheme the paper's §2 discusses): LTM keeps
 /// flooding but cuts redundant/slow links via TTL-2 detectors; ACE
 /// replaces flooding with spanning trees plus reconnection.
-pub fn baseline_ltm(scale: Scale) -> (ExperimentRecord, Vec<Table>) {
+pub fn baseline_ltm(scale: Scale) -> Records {
     let scenario_cfg = base_scenario(scale, 6, 133);
 
     // Arm 1: untouched flooding.
@@ -1017,14 +1082,14 @@ pub fn baseline_ltm(scale: Scale) -> (ExperimentRecord, Vec<Table>) {
     series.push(1.0, ltm_sample.traffic);
     series.push(2.0, ace_sample.traffic);
     rec.add_series(series);
-    (rec, vec![t])
+    vec![(rec, vec![t])]
 }
 
 /// Extension: ACE also helps non-flooding search — k-walker random walks
 /// (the paper's reference \[10\]) on the original vs the ACE-matched
 /// topology. Walks do not use spanning trees, so any improvement comes
 /// purely from phase 3's physical rewiring.
-pub fn ext_random_walk(scale: Scale) -> (ExperimentRecord, Vec<Table>) {
+pub fn ext_random_walk(scale: Scale) -> Records {
     let scenario_cfg = base_scenario(scale, 6, 141);
     let mut s = Scenario::build(&scenario_cfg);
     let pairs = draw_query_pairs(&s.overlay, &s.catalog, scale.samples(), &mut s.rng);
@@ -1092,14 +1157,14 @@ pub fn ext_random_walk(scale: Scale) -> (ExperimentRecord, Vec<Table>) {
     series.push(0.0, t_before);
     series.push(1.0, t_after);
     rec.add_series(series);
-    (rec, vec![t])
+    vec![(rec, vec![t])]
 }
 
 /// Extension: the asynchronous protocol under churn — peers crash and
 /// rejoin mid-cycle while the message-level implementation keeps
 /// optimizing. Reports the traffic trajectory and the path *stretch*
 /// (overlay route delay ÷ direct physical delay, 1.0 = perfectly matched).
-pub fn ext_async_churn(scale: Scale) -> (ExperimentRecord, Vec<Table>) {
+pub fn ext_async_churn(scale: Scale) -> Records {
     use ace_engine::SimTime;
     let scenario_cfg = base_scenario(scale, 6, 221);
     let s = Scenario::build(&scenario_cfg);
@@ -1185,14 +1250,14 @@ pub fn ext_async_churn(scale: Scale) -> (ExperimentRecord, Vec<Table>) {
     }
     rec.param("final_overhead", f1(sim.ledger().total_cost()));
     rec.add_series(s_traffic).add_series(s_stretch);
-    (rec, vec![t])
+    vec![(rec, vec![t])]
 }
 
 /// Baseline/composition with Gia-style capacity adaptation (the paper's
 /// reference \[4\]): Gia matches capacities, ACE matches physical
 /// distances; the experiment shows the two address orthogonal problems
 /// and compose.
-pub fn baseline_gia(scale: Scale) -> (ExperimentRecord, Vec<Table>) {
+pub fn baseline_gia(scale: Scale) -> Records {
     let scenario_cfg = base_scenario(scale, 6, 201);
     let mut s = Scenario::build(&scenario_cfg);
     let pairs = draw_query_pairs(&s.overlay, &s.catalog, scale.samples(), &mut s.rng);
@@ -1255,14 +1320,14 @@ pub fn baseline_gia(scale: Scale) -> (ExperimentRecord, Vec<Table>) {
         corr_series.push(i as f64, *corr);
     }
     rec.add_series(series).add_series(corr_series);
-    (rec, vec![t])
+    vec![(rec, vec![t])]
 }
 
 /// Extension: round-synchronous harness vs the message-level asynchronous
 /// protocol implementation — same world, same budget of optimization
 /// cycles. Validates that ACE's gains survive real message delays, stale
 /// state and unsynchronized peers.
-pub fn ext_async(scale: Scale) -> (ExperimentRecord, Vec<Table>) {
+pub fn ext_async(scale: Scale) -> Records {
     use ace_engine::SimTime;
     let scenario_cfg = base_scenario(scale, 6, 191);
 
@@ -1340,13 +1405,13 @@ pub fn ext_async(scale: Scale) -> (ExperimentRecord, Vec<Table>) {
     series.push(1.0, sync_sample.traffic);
     series.push(2.0, async_sample.traffic);
     rec.add_series(series);
-    (rec, vec![t])
+    vec![(rec, vec![t])]
 }
 
 /// Extension: head-to-head search strategies — blind flooding, HPF-style
 /// partial flooding (the authors' ICPP'03 scheme), k-walker random walks,
 /// and ACE tree forwarding — all on the same ACE-matched world.
-pub fn ext_search_strategies(scale: Scale) -> (ExperimentRecord, Vec<Table>) {
+pub fn ext_search_strategies(scale: Scale) -> Records {
     let scenario_cfg = base_scenario(scale, 6, 181);
     let mut s = Scenario::build(&scenario_cfg);
     let pairs = draw_query_pairs(&s.overlay, &s.catalog, scale.samples(), &mut s.rng);
@@ -1443,14 +1508,14 @@ pub fn ext_search_strategies(scale: Scale) -> (ExperimentRecord, Vec<Table>) {
         series.push(i as f64, v);
     }
     rec.add_series(series);
-    (rec, vec![t])
+    vec![(rec, vec![t])]
 }
 
 /// Extension: the KaZaA-style two-tier architecture from the paper's
 /// introduction — queries flood among supernodes only — and ACE applied
 /// to that supernode core. Shows the mismatch problem (and ACE's fix)
 /// lives at whichever tier does the flooding.
-pub fn ext_supernode(scale: Scale) -> (ExperimentRecord, Vec<Table>) {
+pub fn ext_supernode(scale: Scale) -> Records {
     let scenario_cfg = base_scenario(scale, 6, 171);
     let mut s = Scenario::build(&scenario_cfg);
     let hosts: Vec<NodeId> = s.overlay.peers().map(|p| s.overlay.host(p)).collect();
@@ -1522,7 +1587,7 @@ pub fn ext_supernode(scale: Scale) -> (ExperimentRecord, Vec<Table>) {
     series.push(1.0, tt_flood);
     series.push(2.0, tt_ace);
     rec.add_series(series);
-    (rec, vec![t])
+    vec![(rec, vec![t])]
 }
 
 /// Measurement-accuracy ablation: ACE driven by noisy delay measurements
@@ -1530,7 +1595,7 @@ pub fn ext_supernode(scale: Scale) -> (ExperimentRecord, Vec<Table>) {
 /// The first row reports the accuracy our own Vivaldi embedding reaches
 /// on the same physical topology, anchoring the noise sweep in a real
 /// estimator.
-pub fn ablation_estimation(scale: Scale) -> (ExperimentRecord, Vec<Table>) {
+pub fn ablation_estimation(scale: Scale) -> Records {
     // Measure Vivaldi's accuracy on this world's peer hosts.
     let scenario_cfg = base_scenario(scale, 6, 151);
     let probe_world = Scenario::build(&scenario_cfg);
@@ -1587,14 +1652,14 @@ pub fn ablation_estimation(scale: Scale) -> (ExperimentRecord, Vec<Table>) {
         series.push(noise * 100.0, r.traffic_reduction() * 100.0);
     }
     rec.add_series(series);
-    (rec, vec![t])
+    vec![(rec, vec![t])]
 }
 
 /// Fairness ablation: does tree-based forwarding concentrate the relay
 /// load on a few peers? Measures the per-peer forwarding-load
 /// distribution (mean, p95, max, Gini-style top-10% share) under blind
 /// flooding vs converged ACE.
-pub fn ablation_load(scale: Scale) -> (ExperimentRecord, Vec<Table>) {
+pub fn ablation_load(scale: Scale) -> Records {
     let scenario_cfg = base_scenario(scale, 6, 211);
     let mut s = Scenario::build(&scenario_cfg);
     let pairs = draw_query_pairs(&s.overlay, &s.catalog, scale.samples(), &mut s.rng);
@@ -1662,13 +1727,13 @@ pub fn ablation_load(scale: Scale) -> (ExperimentRecord, Vec<Table>) {
     series.push(0.0, flood.3);
     series.push(1.0, tree.3);
     rec.add_series(series);
-    (rec, vec![t])
+    vec![(rec, vec![t])]
 }
 
 /// Scope-guard ablation: sweep `min_flooding` (the minimum flooding links
 /// each peer keeps). 1 = maximal pruning (best traffic, scope risk);
 /// higher values trade traffic for scope robustness.
-pub fn ablation_min_flooding(scale: Scale) -> (ExperimentRecord, Vec<Table>) {
+pub fn ablation_min_flooding(scale: Scale) -> Records {
     let mut rec = ExperimentRecord::new(
         "ablation_min_flooding",
         "Scope guard: minimum flooding links vs traffic reduction and scope",
@@ -1680,7 +1745,8 @@ pub fn ablation_min_flooding(scale: Scale) -> (ExperimentRecord, Vec<Table>) {
         "min scope",
         "response reduction",
     ]);
-    let results = parallel_map(vec![1usize, 2, 3, 4], |mf| {
+    let results = plan_parallel(4, effective_workers(0), |i| {
+        let mf = i + 1;
         let cfg = StaticConfig {
             scenario: base_scenario(scale, 4, 161),
             ace: AceConfig {
@@ -1706,7 +1772,7 @@ pub fn ablation_min_flooding(scale: Scale) -> (ExperimentRecord, Vec<Table>) {
         s_scope.push(mf as f64, r.min_scope_ratio());
     }
     rec.add_series(s_red).add_series(s_scope);
-    (rec, vec![t])
+    vec![(rec, vec![t])]
 }
 
 #[cfg(test)]
@@ -1715,7 +1781,7 @@ mod tests {
 
     #[test]
     fn table_example_orders_costs() {
-        let (rec, tables) = table01_02();
+        let (rec, tables) = table01_02(Scale::Quick).remove(0);
         assert_eq!(tables.len(), 3);
         let totals = rec.series_by_label("total cost").unwrap();
         let ys: Vec<f64> = totals.points.iter().map(|&(_, y)| y).collect();
@@ -1723,19 +1789,5 @@ mod tests {
         assert!(ys[1] >= ys[2], "h=1 {} vs h=2 {}", ys[1], ys[2]);
         let dups = rec.series_by_label("duplicate transmissions").unwrap();
         assert!(dups.points[0].1 >= dups.points[2].1);
-    }
-
-    #[test]
-    fn quick_static_figures_have_all_curves() {
-        let figs = fig07_08(Scale::Quick);
-        assert_eq!(figs.len(), 2);
-        let (rec7, t7) = &figs[0];
-        assert_eq!(rec7.series.len(), 4);
-        assert_eq!(t7[0].row_count(), Scale::Quick.steps() + 1);
-        for s in &rec7.series {
-            let first = s.points.first().unwrap().1;
-            let last = s.points.last().unwrap().1;
-            assert!(last < first, "{}: {first} -> {last}", s.label);
-        }
     }
 }

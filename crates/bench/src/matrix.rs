@@ -35,7 +35,7 @@
 
 use ace_core::{purge_index_cache, AceConfig, AceEngine, AceForward, LifecycleEvent};
 use ace_engine::pool::{effective_workers, plan_parallel};
-use ace_engine::rng::sample_distinct;
+use ace_engine::rng::{sample_distinct, splitmix64};
 use ace_overlay::{
     random_walk_query_traced, run_query_traced, Catalog, FloodAll, ForwardPolicy, IndexCache,
     LatencyHistogram, LinkLoad, ObjectId, Overlay, PeerId, Placement, QueryConfig, QueryOutcome,
@@ -357,6 +357,59 @@ impl MatrixBench {
     }
 }
 
+/// The `--check` rule: every measured cell must exist in the committed
+/// artifact with the same digest (digests are parameter-derived, so a
+/// slice reproduces the committed cells exactly regardless of which
+/// other cells ran), clear its strategy's [`recall_floor`], and ACE
+/// must not raise traffic in any `(off, on)` pair. Returns the
+/// failures; empty means the gate holds.
+pub fn check(measured: &MatrixBench, baseline: &MatrixBench) -> Vec<String> {
+    let mut failures = Vec::new();
+    let key = |c: &CellResult| {
+        format!(
+            "{} zipf={} r={} ace={}",
+            c.strategy.name(),
+            c.zipf,
+            c.replicas,
+            c.ace
+        )
+    };
+    for c in &measured.cells {
+        match baseline.cell(c.strategy, c.zipf, c.replicas, c.ace) {
+            None => failures.push(format!("{}: missing from the committed artifact", key(c))),
+            Some(b) if b.digest != c.digest => failures.push(format!(
+                "{}: digest drifted (committed {:#x}, measured {:#x})",
+                key(c),
+                b.digest,
+                c.digest
+            )),
+            Some(_) => {}
+        }
+        let floor = recall_floor(c.strategy);
+        if c.recall < floor {
+            failures.push(format!(
+                "{}: recall {:.3} below the {} floor {floor}",
+                key(c),
+                c.recall,
+                c.strategy.name()
+            ));
+        }
+    }
+    for (off, on) in measured.ace_pairs() {
+        if on.traffic_total > off.traffic_total {
+            failures.push(format!(
+                "{} zipf={} r={}: ACE increased traffic ({:.1} -> {:.1})",
+                off.strategy.name(),
+                off.zipf,
+                off.replicas,
+                off.traffic_total,
+                on.traffic_total
+            ));
+        }
+    }
+    failures
+}
+
 /// The full committed cross-product: 4 strategies × 2 Zipf points × 2
 /// replication points × ACE on/off = 32 cells.
 pub fn committed_cells() -> Vec<CellConfig> {
@@ -396,14 +449,6 @@ pub fn run_matrix(world: &MatrixWorld, cells: &[CellConfig], workers: usize) -> 
     plan_parallel(cells.len(), effective_workers(workers), |i| {
         run_cell(world, &cells[i])
     })
-}
-
-/// `splitmix64` finalizer — the workspace's standard deterministic hash.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// RNG stream ids a cell derives from its parameters.
@@ -893,6 +938,53 @@ fn run_two_tier_cell(world: &MatrixWorld, cell: &CellConfig) -> CellResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::assert_one_failure;
+
+    fn committed() -> MatrixBench {
+        serde_json::from_str(include_str!("../../../BENCH_matrix.json"))
+            .expect("committed BENCH_matrix.json parses")
+    }
+
+    #[test]
+    fn check_holds_on_the_committed_matrix_and_catches_each_cell_rule() {
+        let baseline = committed();
+        assert_eq!(check(&baseline, &baseline), Vec::<String>::new());
+
+        let mut drifted = baseline.clone();
+        drifted.cells[5].digest ^= 1;
+        assert_one_failure(&check(&drifted, &baseline), "digest drifted");
+
+        let mut shrunk = baseline.clone();
+        let gone = shrunk.cells.remove(7);
+        let failures = check(&baseline, &shrunk);
+        assert_one_failure(&failures, "missing from the committed artifact");
+        assert!(failures[0].starts_with(gone.strategy.name()));
+
+        for strategy in Strategy::ALL {
+            let mut low = baseline.clone();
+            let cell = low
+                .cells
+                .iter_mut()
+                .find(|c| c.strategy == strategy)
+                .expect("every strategy is in the matrix");
+            cell.recall = recall_floor(strategy) - 0.001;
+            assert_one_failure(&check(&low, &baseline), "recall");
+        }
+    }
+
+    #[test]
+    fn check_catches_an_ace_pair_that_raised_traffic() {
+        let baseline = committed();
+        let mut raised = baseline.clone();
+        let off_total = raised.cells.iter().find(|c| !c.ace).unwrap().traffic_total;
+        let on = raised
+            .cells
+            .iter_mut()
+            .find(|c| c.ace)
+            .expect("matrix has ACE cells");
+        on.traffic_total = off_total + 1.0;
+        assert_one_failure(&check(&raised, &baseline), "ACE increased traffic");
+    }
 
     #[test]
     fn committed_cells_cover_the_cross_product() {

@@ -152,6 +152,50 @@ impl QpsBench {
     }
 }
 
+/// Allowed drop of the ACE/flood throughput ratio below the committed
+/// baseline before [`check`] fails. The gate compares the *ratio* — both
+/// sides measured in the same run — not absolute qps: absolute
+/// wall-clock throughput swings with runner speed and load, while the
+/// ratio self-normalizes (the floor is additionally clamped to parity,
+/// so the optimized side may never serve slower than flooding).
+pub const REGRESSION_TOLERANCE: f64 = 0.35;
+
+/// The `--check` rule: the serving digests must equal the committed
+/// baseline's (the simulated quantities are deterministic, so drift
+/// means the serving semantics changed, not that the runner was slow),
+/// the measured ACE/flood throughput ratio must clear both parity and
+/// [`REGRESSION_TOLERANCE`] under the baseline's ratio, and the traffic
+/// ratio must still be a reduction. Returns the failures; empty means
+/// the gate holds.
+pub fn check(point: &QpsPoint, baseline: &QpsBench) -> Vec<String> {
+    let Some(base) = baseline.point(point.peers) else {
+        return vec![format!("baseline has no {}-peer point", point.peers)];
+    };
+    let mut failures = Vec::new();
+    if point.flood.digest != base.flood.digest || point.ace.digest != base.ace.digest {
+        failures.push(format!(
+            "serving digests drifted from the baseline (flood {} vs {}, ace {} vs {})",
+            point.flood.digest, base.flood.digest, point.ace.digest, base.ace.digest
+        ));
+    }
+    let floor = (base.qps_ratio * (1.0 - REGRESSION_TOLERANCE)).max(1.0);
+    if point.qps_ratio < floor {
+        failures.push(format!(
+            "ACE/flood throughput ratio {:.2} fell below max(parity, baseline {:.2} - {:.0}%) = {floor:.2}",
+            point.qps_ratio,
+            base.qps_ratio,
+            REGRESSION_TOLERANCE * 100.0
+        ));
+    }
+    if point.traffic_ratio >= 1.0 {
+        failures.push(format!(
+            "ACE stopped reducing per-query traffic (ratio {:.3})",
+            point.traffic_ratio
+        ));
+    }
+    failures
+}
+
 fn serve_side<P: ForwardPolicy + Sync + ?Sized>(
     overlay: &ace_overlay::Overlay,
     plane: &dyn DistancePlane,
@@ -184,7 +228,7 @@ pub fn run_point(peers: usize) -> QpsPoint {
     let t0 = Instant::now();
     let plane = HybridOracle::build(graph, &members, &HybridConfig::default());
     eprintln!(
-        "[bench_qps: {peers} peers — hybrid plane built in {:.0} ms]",
+        "[repro qps: {peers} peers — hybrid plane built in {:.0} ms]",
         t0.elapsed().as_secs_f64() * 1e3
     );
 
@@ -210,7 +254,7 @@ pub fn run_point(peers: usize) -> QpsPoint {
         ace.round(&mut optimized, &plane, &mut rng);
     }
     eprintln!(
-        "[bench_qps: {peers} peers — {QPS_ROUNDS} ACE rounds in {:.0} ms]",
+        "[repro qps: {peers} peers — {QPS_ROUNDS} ACE rounds in {:.0} ms]",
         t1.elapsed().as_secs_f64() * 1e3
     );
     let ace_report = serve_side(
@@ -238,6 +282,52 @@ pub fn run_point(peers: usize) -> QpsPoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::assert_one_failure;
+
+    fn committed() -> QpsBench {
+        serde_json::from_str(include_str!("../../../BENCH_qps.json"))
+            .expect("committed BENCH_qps.json parses")
+    }
+
+    #[test]
+    fn check_holds_on_the_committed_curve_and_catches_digest_drift() {
+        let baseline = committed();
+        for point in &baseline.points {
+            assert_eq!(check(point, &baseline), Vec::<String>::new());
+            let mut flood = point.clone();
+            flood.flood.digest ^= 1;
+            assert_one_failure(&check(&flood, &baseline), "digests drifted");
+            let mut ace = point.clone();
+            ace.ace.digest ^= 1;
+            assert_one_failure(&check(&ace, &baseline), "digests drifted");
+        }
+        let mut missing = baseline.points[0].clone();
+        missing.peers = 123;
+        assert_one_failure(&check(&missing, &baseline), "no 123-peer point");
+    }
+
+    /// The throughput floor is `max(1, baseline × 0.65)`: parity binds
+    /// for the committed ratios (1.43, 1.31), the tolerance for a
+    /// baseline of 2.0 (floor 1.3).
+    #[test]
+    fn check_catches_a_ratio_under_the_floor_and_lost_traffic_reduction() {
+        let mut baseline = committed();
+        let mut point = baseline.points[0].clone();
+        point.qps_ratio = 1.0;
+        assert_eq!(check(&point, &baseline), Vec::<String>::new());
+        point.qps_ratio = 0.99;
+        assert_one_failure(&check(&point, &baseline), "throughput ratio 0.99");
+
+        baseline.points[0].qps_ratio = 2.0;
+        point.qps_ratio = 1.31;
+        assert_eq!(check(&point, &baseline), Vec::<String>::new());
+        point.qps_ratio = 1.29;
+        assert_one_failure(&check(&point, &baseline), "= 1.30");
+
+        point.qps_ratio = 2.0;
+        point.traffic_ratio = 1.0;
+        assert_one_failure(&check(&point, &baseline), "stopped reducing");
+    }
 
     /// A miniature point (not a committed population): the optimized side
     /// must cut per-query traffic while retaining scope, and both sides

@@ -10,7 +10,7 @@
 //! * **wall time** per round at each population, against a naive linear
 //!   extrapolation of the 800-peer exact baseline;
 //! * **peak RSS** per point — each point runs in its own subprocess (see
-//!   `bin/bench_scale.rs`) because `VmHWM` is a process-lifetime high
+//!   `repro scale`) because `VmHWM` is a process-lifetime high
 //!   watermark;
 //! * **tier hit rates** of the hybrid plane ([`PlaneStats`]) and its
 //!   build-time [`Calibration`];
@@ -269,6 +269,26 @@ impl ScaleBench {
     }
 }
 
+/// The `--check` rule: `point`'s engine state digest must equal the
+/// committed baseline's, bit for bit — the rounds are fully seeded and
+/// worker-count invariant, so drift is a behavior change, not noise.
+/// Baselines predating the field carry 0 and are skipped. Mean round
+/// wall time is not judged: the baseline was written on another host,
+/// and wall-clock regressions are the repo benchmark's job. Returns the
+/// failures; empty means the gate holds.
+pub fn check(point: &ScalePoint, baseline: &ScaleBench) -> Vec<String> {
+    let Some(base) = baseline.point(point.peers) else {
+        return vec![format!("baseline has no {}-peer point", point.peers)];
+    };
+    if base.state_digest != 0 && point.state_digest != base.state_digest {
+        return vec![format!(
+            "DIGEST DRIFT — measured {:#018x}, baseline {:#018x}; round behavior changed",
+            point.state_digest, base.state_digest
+        )];
+    }
+    Vec::new()
+}
+
 /// Process peak RSS in KiB from `/proc/self/status` (`VmHWM`), 0 when the
 /// file or field is unavailable (non-Linux).
 pub fn peak_rss_kb() -> u64 {
@@ -360,18 +380,12 @@ fn timed_run(
 }
 
 /// Measures one population: builds the world and the hybrid plane, runs
-/// [`SCALE_ROUNDS`] ACE rounds, and reports timings, tier traffic and
-/// this process's peak RSS (run each point in a fresh process for
-/// honest RSS numbers). [`run_point_workers`] with default workers and
-/// the full [`WORKER_SWEEP`].
-pub fn run_point(peers: usize) -> ScalePoint {
-    run_point_workers(peers, 0, true)
-}
-
-/// [`run_point`] with an explicit worker count for the main timed run
-/// and an optional worker sweep. Every sweep leg replays the identical
-/// seeded rounds on a pristine clone of the world and must land on the
-/// main run's state digest (the pipeline is worker-count invariant).
+/// [`SCALE_ROUNDS`] ACE rounds at `workers` plan threads (`0` = one per
+/// core), and reports timings, tier traffic and this process's peak RSS
+/// (run each point in a fresh process for honest RSS numbers). With
+/// `sweep`, every [`WORKER_SWEEP`] leg replays the identical seeded
+/// rounds on a pristine clone of the world and must land on the main
+/// run's state digest (the pipeline is worker-count invariant).
 ///
 /// # Panics
 ///
@@ -514,6 +528,36 @@ pub fn run_band() -> ScaleBand {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::assert_one_failure;
+
+    fn committed() -> ScaleBench {
+        serde_json::from_str(include_str!("../../../BENCH_scale.json"))
+            .expect("committed BENCH_scale.json parses")
+    }
+
+    #[test]
+    fn check_holds_on_the_committed_curve_and_catches_digest_drift() {
+        let baseline = committed();
+        for point in &baseline.points {
+            assert_eq!(check(point, &baseline), Vec::<String>::new());
+            let mut drifted = point.clone();
+            drifted.state_digest ^= 1;
+            assert_one_failure(&check(&drifted, &baseline), "DIGEST DRIFT");
+        }
+    }
+
+    #[test]
+    fn check_skips_pre_digest_baselines_but_not_missing_points() {
+        let mut baseline = committed();
+        let mut point = baseline.points[0].clone();
+        point.state_digest ^= 1;
+        assert_one_failure(&check(&point, &baseline), "DIGEST DRIFT");
+        // A baseline written before the field existed carries 0.
+        baseline.points[0].state_digest = 0;
+        assert_eq!(check(&point, &baseline), Vec::<String>::new());
+        point.peers = 123;
+        assert_one_failure(&check(&point, &baseline), "no 123-peer point");
+    }
 
     #[test]
     fn rss_probe_reads_something_on_linux() {

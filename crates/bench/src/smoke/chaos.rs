@@ -18,7 +18,8 @@
 //! Severities at or below the documented differential loss threshold
 //! ([`LOSSY_WIRE_MAX_LOSS`]) are asserted; harsher ones are report-only.
 //! Any auditor violation or ledger identity mismatch panics (non-zero
-//! exit). The summary is written to `CHAOS.json`.
+//! exit). The summary is returned as the JSON `repro smoke chaos` writes
+//! to `CHAOS.json`.
 
 use ace_core::experiments::differential::LOSSY_WIRE_MAX_LOSS;
 use ace_core::experiments::{PhysKind, Scenario, ScenarioConfig};
@@ -128,7 +129,7 @@ struct Outcome {
 
 /// One full run: world `seed`, the given wire, driven past the last heal
 /// plus a repair window, measured from peer 0.
-fn run(seed: u64, netem: Option<NetemConfig>) -> Outcome {
+fn run_world(seed: u64, netem: Option<NetemConfig>) -> Outcome {
     let scenario = ScenarioConfig {
         phys: PhysKind::TwoLevel {
             as_count: 4,
@@ -210,7 +211,8 @@ fn run(seed: u64, netem: Option<NetemConfig>) -> Outcome {
     }
 }
 
-fn main() {
+/// Runs every severity × seed and returns the `CHAOS.json` text.
+pub fn run() -> String {
     let mut reports = Vec::new();
     for sev in severities() {
         let asserted = sev.loss <= LOSSY_WIRE_MAX_LOSS;
@@ -231,8 +233,8 @@ fn main() {
                     .collect(),
                 seed: seed ^ 0x3141,
             };
-            let base = run(seed, None);
-            let chaos = run(seed, Some(netem));
+            let base = run_world(seed, None);
+            let chaos = run_world(seed, Some(netem));
             if asserted {
                 assert!(
                     chaos.reduction < 1.0,
@@ -279,7 +281,7 @@ fn main() {
             runs,
         };
         eprintln!(
-            "[chaos_smoke {}: loss {:.2} mean reduction {:.3} overhead x{:.2} heal <= {} periods]",
+            "[repro smoke chaos {}: loss {:.2} mean reduction {:.3} overhead x{:.2} heal <= {} periods]",
             report.severity,
             report.loss,
             report.mean_reduction,
@@ -294,7 +296,5 @@ fn main() {
         scope_floor: SCOPE_FLOOR,
         severities: reports,
     };
-    let json = serde_json::to_string_pretty(&summary).expect("serialize chaos smoke");
-    std::fs::write("CHAOS.json", json).expect("write CHAOS.json");
-    eprintln!("[saved CHAOS.json]");
+    serde_json::to_string_pretty(&summary).expect("serialize chaos smoke")
 }

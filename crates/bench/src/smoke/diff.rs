@@ -9,7 +9,8 @@
 //! * engine, simulator and overlay auditors stay green throughout.
 //!
 //! Any violation panics (non-zero exit); otherwise per-seed ratios and a
-//! summary are written to `DIFFERENTIAL.json` for the CI artifact.
+//! summary are returned as the JSON `repro smoke diff` writes to
+//! `DIFFERENTIAL.json` for the CI artifact.
 
 use ace_core::experiments::differential::DEFAULT_BAND;
 use ace_core::experiments::{
@@ -44,7 +45,8 @@ struct Summary {
     per_seed: Vec<SeedReport>,
 }
 
-fn main() {
+/// Runs every seed and returns the `DIFFERENTIAL.json` text.
+pub fn run() -> String {
     let mut per_seed = Vec::new();
     let mut max_gap = 0.0f64;
     let mut gap_sum = 0.0f64;
@@ -121,10 +123,8 @@ fn main() {
         per_seed,
     };
     eprintln!(
-        "[diff_smoke: {SEEDS} seeds x {ROUNDS} rounds, max gap {max_gap:.3} \
+        "[repro smoke diff: {SEEDS} seeds x {ROUNDS} rounds, max gap {max_gap:.3} \
          (band {DEFAULT_BAND}), 0 equivalence failures, 0 auditor failures]"
     );
-    let json = serde_json::to_string_pretty(&summary).expect("serialize differential smoke");
-    std::fs::write("DIFFERENTIAL.json", json).expect("write DIFFERENTIAL.json");
-    eprintln!("[saved DIFFERENTIAL.json]");
+    serde_json::to_string_pretty(&summary).expect("serialize differential smoke")
 }

@@ -9,8 +9,8 @@
 //! * no alive, connected peer has an empty forward-target set (the
 //!   black-hole regression this PR fixes).
 //!
-//! Any violation panics (non-zero exit); otherwise a summary is written
-//! to `FAULT_SMOKE.json`.
+//! Any violation panics (non-zero exit); otherwise the summary is
+//! returned as the JSON `repro smoke fault` writes to `FAULT_SMOKE.json`.
 
 use ace_core::experiments::{PhysKind, Scenario, ScenarioConfig};
 use ace_core::{AceConfig, AceEngine, FaultConfig, OverheadKind};
@@ -42,7 +42,8 @@ struct Summary {
     per_seed: Vec<SeedReport>,
 }
 
-fn main() {
+/// Runs every seed and returns the `FAULT_SMOKE.json` text.
+pub fn run() -> String {
     let faults = FaultConfig {
         probe_loss: 0.15,
         max_retries: 2,
@@ -131,10 +132,8 @@ fn main() {
         per_seed,
     };
     eprintln!(
-        "[fault_smoke: {SEEDS} seeds x {ROUNDS} rounds, {departures} departures, \
+        "[repro smoke fault: {SEEDS} seeds x {ROUNDS} rounds, {departures} departures, \
          {rejoins} rejoins, 0 black holes, 0 invariant failures]"
     );
-    let json = serde_json::to_string_pretty(&summary).expect("serialize fault smoke");
-    std::fs::write("FAULT_SMOKE.json", json).expect("write FAULT_SMOKE.json");
-    eprintln!("[saved FAULT_SMOKE.json]");
+    serde_json::to_string_pretty(&summary).expect("serialize fault smoke")
 }

@@ -237,6 +237,84 @@ impl SoakBench {
     }
 }
 
+/// Minimum `adaptive.reduction_mean / static.reduction_mean` the
+/// churn+chaos severity must retain over the *whole* soak (convergence
+/// transient included). The controller is allowed to trade a sliver of
+/// reduction for its overhead savings, not to give the optimization
+/// back.
+pub const RETENTION_FLOOR: f64 = 0.95;
+
+/// Minimum `adaptive.reduction_final / static.reduction_final` at
+/// end-of-soak: once the controller has converged, the adaptive
+/// schedule must hold the optimization at least as well as the static
+/// one (the churn snap-to-floor is what buys this).
+pub const FINAL_RETENTION_FLOOR: f64 = 1.0;
+
+/// The `--check` rule for one measured severity: both arms' digests
+/// must equal the committed baseline's (everything is simulated and
+/// seeded, so drift means the protocol or controller semantics changed,
+/// not that the runner was slow), the adaptive arm must retain
+/// [`RETENTION_FLOOR`] of the static arm's traffic reduction over the
+/// soak and [`FINAL_RETENTION_FLOOR`] of it at the end, spend no more
+/// control overhead than the static arm, leak no controller entry and
+/// stay inside its byte budget, and both arms must pass the post-settle
+/// invariant audit. Returns the failures; empty means the gate holds.
+pub fn check(report: &SeverityReport, baseline: &SoakBench) -> Vec<String> {
+    let Some(base) = baseline.severity(&report.name) else {
+        return vec![format!("baseline has no severity {:?}", report.name)];
+    };
+    let mut failures = Vec::new();
+    for (label, arm, base_arm) in [
+        ("static", &report.static_arm, &base.static_arm),
+        ("adaptive", &report.adaptive_arm, &base.adaptive_arm),
+    ] {
+        if arm.digest != base_arm.digest {
+            failures.push(format!(
+                "{label} digest drifted ({} vs {})",
+                arm.digest, base_arm.digest
+            ));
+        }
+        if !arm.invariants_ok {
+            failures.push(format!(
+                "{label} arm failed the post-settle invariant audit"
+            ));
+        }
+    }
+    if report.retention < RETENTION_FLOOR {
+        failures.push(format!(
+            "adaptive arm retains {:.3} of the static reduction (floor {RETENTION_FLOOR})",
+            report.retention
+        ));
+    }
+    if report.retention_final < FINAL_RETENTION_FLOOR {
+        failures.push(format!(
+            "adaptive arm ends the soak at {:.3} of the static reduction \
+             (floor {FINAL_RETENTION_FLOOR})",
+            report.retention_final
+        ));
+    }
+    if report.overhead_ratio > 1.0 {
+        failures.push(format!(
+            "adaptive arm spends more control overhead than static (x{:.3})",
+            report.overhead_ratio
+        ));
+    }
+    if report.adaptive_arm.leaked_entries != 0 {
+        failures.push(format!(
+            "{} controller entries leaked past end-of-soak",
+            report.adaptive_arm.leaked_entries
+        ));
+    }
+    let c = &report.adaptive_arm.controller;
+    if c.high_water_bytes > c.byte_budget {
+        failures.push(format!(
+            "controller high water {} bytes breached budget {}",
+            c.high_water_bytes, c.byte_budget
+        ));
+    }
+    failures
+}
+
 const QC: QueryConfig = QueryConfig {
     ttl: 32,
     stop_at_responder: false,
@@ -341,7 +419,7 @@ fn run_arm(p: &SoakParams, sev: &SoakSeverity, adaptive: bool) -> ArmReport {
         Ok(()) => true,
         Err(e) => {
             eprintln!(
-                "[bench_soak: {} {} arm audit: {e}]",
+                "[repro soak: {} {} arm audit: {e}]",
                 sev.name,
                 arm_name(adaptive)
             );
@@ -509,6 +587,78 @@ fn window_point(sim: &AsyncAceSim, t_secs: u64, reduction: f64, scope_frac: f64)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::assert_one_failure;
+
+    fn committed() -> SoakBench {
+        serde_json::from_str(include_str!("../../../BENCH_soak.json"))
+            .expect("committed BENCH_soak.json parses")
+    }
+
+    /// `check` on the committed slice severity with one field moved.
+    fn check_with(mutate: impl FnOnce(&mut SeverityReport)) -> Vec<String> {
+        let baseline = committed();
+        let mut report = baseline
+            .severity(SLICE_SEVERITY)
+            .expect("slice severity is committed")
+            .clone();
+        mutate(&mut report);
+        check(&report, &baseline)
+    }
+
+    #[test]
+    fn check_holds_on_the_committed_slice_and_catches_digest_drift() {
+        assert_eq!(check_with(|_| {}), Vec::<String>::new());
+        assert_one_failure(
+            &check_with(|r| r.static_arm.digest ^= 1),
+            "static digest drifted",
+        );
+        assert_one_failure(
+            &check_with(|r| r.adaptive_arm.digest ^= 1),
+            "adaptive digest drifted",
+        );
+        assert_one_failure(
+            &check_with(|r| r.name = "typhoon".into()),
+            "no severity \"typhoon\"",
+        );
+    }
+
+    #[test]
+    fn check_catches_each_controller_regression() {
+        assert_eq!(check_with(|r| r.retention = 0.95), Vec::<String>::new());
+        assert_one_failure(&check_with(|r| r.retention = 0.949), "retains 0.949");
+        assert_eq!(
+            check_with(|r| r.retention_final = 1.0),
+            Vec::<String>::new()
+        );
+        assert_one_failure(
+            &check_with(|r| r.retention_final = 0.999),
+            "ends the soak at 0.999",
+        );
+        assert_eq!(check_with(|r| r.overhead_ratio = 1.0), Vec::<String>::new());
+        assert_one_failure(
+            &check_with(|r| r.overhead_ratio = 1.001),
+            "more control overhead than static",
+        );
+        assert_one_failure(
+            &check_with(|r| r.adaptive_arm.leaked_entries = 1),
+            "1 controller entries leaked",
+        );
+        assert_one_failure(
+            &check_with(|r| {
+                r.adaptive_arm.controller.high_water_bytes =
+                    r.adaptive_arm.controller.byte_budget + 1
+            }),
+            "breached budget",
+        );
+        assert_one_failure(
+            &check_with(|r| r.static_arm.invariants_ok = false),
+            "static arm failed the post-settle invariant audit",
+        );
+        assert_one_failure(
+            &check_with(|r| r.adaptive_arm.invariants_ok = false),
+            "adaptive arm failed the post-settle invariant audit",
+        );
+    }
 
     /// A miniature storm severity (not committed scale): both arms
     /// complete, the adaptive arm spends no more overhead than the

@@ -34,6 +34,7 @@
 
 use std::collections::BTreeMap;
 
+use ace_engine::rng::splitmix64;
 use ace_overlay::PeerId;
 
 use crate::audit::{ConfigError, InvariantViolation, ViolationKind};
@@ -522,14 +523,6 @@ impl RateController {
         mix(self.rejected);
         h
     }
-}
-
-/// `splitmix64` finalizer — the workspace's standard deterministic hash.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 #[cfg(test)]

@@ -13,6 +13,7 @@
 //! count, and both endpoints of a probe observe the same loss (a timeout
 //! is a property of the pair's exchange, not of one side).
 
+use ace_engine::rng::splitmix64;
 use ace_overlay::{DepartureKind, PeerId};
 
 use crate::audit::ConfigError;
@@ -169,13 +170,6 @@ pub(crate) fn mix(words: &[u64]) -> u64 {
 /// Maps a hash to a uniform draw in `[0, 1)`.
 pub(crate) fn unit(h: u64) -> f64 {
     (h >> 11) as f64 / (1u64 << 53) as f64
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 #[cfg(test)]

@@ -7,6 +7,7 @@
 //! endpoints observe the same value (symmetric RTT), and runs stay
 //! reproducible.
 
+use ace_engine::rng::splitmix64;
 use ace_overlay::{Overlay, PeerId};
 use ace_topology::{Delay, DistancePlane};
 
@@ -68,13 +69,6 @@ impl ProbeModel {
         let factor = 1.0 + self.noise * unit;
         ((f64::from(true_cost) * factor).round() as u32).max(1)
     }
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 #[cfg(test)]

@@ -149,6 +149,18 @@ pub fn sample_distinct<R: Rng + ?Sized>(rng: &mut R, n: usize, k: usize) -> Vec<
     chosen
 }
 
+/// `splitmix64` finalizer — the workspace's standard deterministic hash
+/// (fault draws, probe jitter, serving and matrix digests all chain it).
+/// `#[inline]` because the workspace builds without LTO and the fault
+/// model calls it on the probe path of every round.
+#[inline]
+pub fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,18 +1,17 @@
 //! # ace-metrics — statistics and experiment output
 //!
-//! Measurement plumbing for the ACE reproduction: streaming [`Summary`]
-//! statistics (Welford), exact [`Percentiles`], aligned-text / CSV
-//! [`Table`] rendering, and JSON [`ExperimentRecord`]s that tie each run
-//! to the paper figure or table it reproduces.
+//! Measurement plumbing for the ACE reproduction: a log-bucketed
+//! [`LogHistogram`], aligned-text / CSV [`Table`] rendering, and JSON
+//! [`ExperimentRecord`]s that tie each run to the paper figure or table
+//! it reproduces.
 //!
 //! # Examples
 //!
 //! ```
-//! use ace_metrics::{Summary, Table};
+//! use ace_metrics::{f1, Table};
 //!
-//! let s: Summary = [3.0, 5.0, 7.0].into_iter().collect();
 //! let mut t = Table::new(["metric", "value"]);
-//! t.row(["mean traffic".to_string(), format!("{:.1}", s.mean())]);
+//! t.row(["mean traffic".to_string(), f1(5.04)]);
 //! assert!(t.render().contains("5.0"));
 //! ```
 
@@ -21,10 +20,8 @@
 
 mod experiment;
 mod histogram;
-mod summary;
 mod table;
 
 pub use experiment::{ExperimentRecord, NamedSeries};
 pub use histogram::LogHistogram;
-pub use summary::{Percentiles, Summary};
 pub use table::{f1, f3, pct, Table};

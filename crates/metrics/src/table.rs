@@ -1,7 +1,7 @@
 //! Plain-text and CSV rendering for experiment output.
 //!
-//! Every figure/table binary prints an aligned text table (what you read
-//! in the terminal) and can write the same data as CSV for plotting.
+//! Every figure/table record prints as an aligned text table (what you read
+//! in the terminal) and can be written as CSV for plotting.
 
 use std::fmt::Write as _;
 

@@ -37,6 +37,7 @@ use std::time::{Duration, Instant};
 use rand::Rng;
 
 use ace_engine::pool::{effective_workers, plan_parallel};
+use ace_engine::rng::splitmix64;
 use ace_engine::SimTime;
 use ace_topology::DistancePlane;
 
@@ -196,14 +197,6 @@ impl BatchOutcome {
         }
         h
     }
-}
-
-/// `splitmix64` finalizer — the workspace's standard deterministic hash.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// Fixed-size latency histogram over [`SimTime`] ticks with 4 mantissa

@@ -2,7 +2,7 @@
 //! tiers. This is the scale plane of the reproduction (ROADMAP item 1):
 //! it answers `distance(a, b)` in `O(dims)` from converged network
 //! coordinates instead of `O(V log V)` Dijkstra rows, which is what lets
-//! `bench_scale` sweep to 100k peers on ~1M-node physical topologies.
+//! `repro scale` sweep to 100k peers on ~1M-node physical topologies.
 //!
 //! # Tiers
 //!

@@ -38,22 +38,33 @@ USAGE:
 
 All commands are deterministic for a given --seed (default 1).";
 
-/// Minimal `--flag value` argument map; flags without values get \"true\".
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
+/// Flags that take no value.
+const SWITCHES: [&str; 1] = ["no-ace"];
+
+/// Minimal `--flag value` argument map over the flags a sub-command
+/// `accepts`; switches get "true". Anything else — an unknown flag, a
+/// bare word, a flag without its value — is an error, not a default.
+fn parse_flags(args: &[String], accepts: &[&str]) -> Result<HashMap<String, String>, String> {
     let mut out = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
+    let mut args = args.iter();
+    while let Some(a) = args.next() {
         let Some(key) = a.strip_prefix("--") else {
             return Err(format!("unexpected argument '{a}'"));
         };
-        if i + 1 < args.len() && !args[i + 1].starts_with("--") {
-            out.insert(key.to_string(), args[i + 1].clone());
-            i += 2;
-        } else {
-            out.insert(key.to_string(), "true".to_string());
-            i += 1;
+        if !accepts.contains(&key) {
+            return Err(format!(
+                "unknown flag '{a}' (this command takes --{})",
+                accepts.join(", --")
+            ));
         }
+        let value = if SWITCHES.contains(&key) {
+            "true"
+        } else {
+            args.next()
+                .filter(|v| !v.starts_with("--"))
+                .ok_or_else(|| format!("{a} takes a value"))?
+        };
+        out.insert(key.to_string(), value.to_string());
     }
     Ok(out)
 }
@@ -274,34 +285,34 @@ fn cmd_dynamic(flags: &HashMap<String, String>) -> Result<(), String> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else {
-        eprintln!("{USAGE}");
-        return ExitCode::FAILURE;
-    };
-    let flags = match parse_flags(&args[1..]) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let result = match cmd.as_str() {
-        "generate" => cmd_generate(&flags),
-        "analyze" => cmd_analyze(&flags),
-        "optimize" => cmd_optimize(&flags),
-        "export" => cmd_export(&flags),
-        "dynamic" => cmd_dynamic(&flags),
-        "help" | "--help" | "-h" => {
+    type Cmd = fn(&HashMap<String, String>) -> Result<(), String>;
+    let (accepts, run): (&[&str], Cmd) = match args.first().map(String::as_str) {
+        Some("generate") => (&["kind", "nodes", "seed", "out"], cmd_generate),
+        Some("analyze") => (&["in", "samples"], cmd_analyze),
+        Some("optimize") => (
+            &["peers", "degree", "steps", "depth", "policy", "seed"],
+            cmd_optimize,
+        ),
+        Some("dynamic") => (
+            &["peers", "queries", "window", "no-ace", "cache", "seed"],
+            cmd_dynamic,
+        ),
+        Some("export") => (&["in", "format", "out"], cmd_export),
+        Some("help" | "--help" | "-h") => {
             println!("{USAGE}");
-            Ok(())
+            return ExitCode::SUCCESS;
         }
-        other => Err(format!("unknown command '{other}'")),
+        Some(other) => return usage_error(&format!("unknown command '{other}'")),
+        None => return usage_error("no command given"),
     };
-    match result {
+    match parse_flags(&args[1..], accepts).and_then(|flags| run(&flags)) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            ExitCode::FAILURE
-        }
+        Err(e) => usage_error(&e),
     }
+}
+
+/// One-line error, then the usage, on stderr; exit code 2.
+fn usage_error(e: &str) -> ExitCode {
+    eprintln!("error: {e}\n\n{USAGE}");
+    ExitCode::from(2)
 }

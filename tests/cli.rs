@@ -36,6 +36,37 @@ fn unknown_command_fails() {
     assert!(stderr.contains("unknown command"));
 }
 
+/// A mistyped flag, a flag without its value, an unparsable value and a
+/// stray word are errors (exit 2, one line + usage), never a silent
+/// default.
+#[test]
+fn bad_flags_exit_2_with_usage() {
+    for (line, what) in [
+        ("optimize --stpes 5", "unknown flag '--stpes'"),
+        ("optimize --window 5", "unknown flag '--window'"),
+        ("optimize --steps", "--steps takes a value"),
+        ("optimize --steps --seed 1", "--steps takes a value"),
+        ("optimize --steps many", "invalid --steps value 'many'"),
+        ("dynamic --no-ace 5", "unexpected argument '5'"),
+        ("analyze", "analyze requires --in FILE"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_acesim"))
+            .args(line.split_whitespace())
+            .output()
+            .expect("acesim binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{line}: {stderr}");
+        assert!(out.stdout.is_empty(), "{line}: printed results");
+        let first = stderr.lines().next().unwrap_or_default();
+        assert!(
+            first.starts_with("error: ") && first.contains(what),
+            "{line}: {first}"
+        );
+        assert!(stderr.contains("USAGE"), "{line}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{line}: {stderr}");
+    }
+}
+
 #[test]
 fn generate_analyze_round_trip() {
     let path = std::env::temp_dir().join("acesim_test_world.json");

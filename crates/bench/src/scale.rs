@@ -12,8 +12,9 @@
 //! * **peak RSS** per point — each point runs in its own subprocess (see
 //!   `repro scale`) because `VmHWM` is a process-lifetime high
 //!   watermark;
-//! * **tier hit rates** of the hybrid plane ([`PlaneStats`]) and its
-//!   build-time [`Calibration`];
+//! * **tier hit rates** of the hybrid plane
+//!   ([`PlaneStats`](ace_topology::PlaneStats)) and its build-time
+//!   [calibration](ace_topology::HybridOracle::calibration);
 //! * a **reduction band** at 800 peers: the same world optimized once on
 //!   the exact plane and once on the hybrid plane, both measured with
 //!   exact costs, must land within [`DEFAULT_BAND`] of each other — the

@@ -1,21 +1,23 @@
 //! Typed audit and validation errors.
 //!
-//! The invariant auditors ([`AceEngine::check_invariants`]
-//! (crate::AceEngine::check_invariants),
-//! [`AsyncAceSim::check_invariants`]
-//! (crate::protocol::AsyncAceSim::check_invariants)), the config
-//! validators ([`FaultConfig::validate`](crate::FaultConfig::validate),
-//! [`AsyncConfig::validate`](crate::protocol::AsyncConfig::validate),
-//! [`NetemConfig::validate`](crate::netem::NetemConfig::validate)) and
-//! the differential equivalence judge
-//! ([`DifferentialOutcome::check_equivalence`]
-//! (crate::experiments::differential::DifferentialOutcome::check_equivalence))
-//! used to return bare `String`s, which forced the chaos harness to
+//! The invariant auditors ([`AceEngine::check_invariants`],
+//! [`AsyncAceSim::check_invariants`]), the config validators
+//! ([`FaultConfig::validate`], [`AsyncConfig::validate`],
+//! [`NetemConfig::validate`]) and the differential equivalence judge
+//! ([`DifferentialOutcome::check_equivalence`]) used to return bare
+//! `String`s, which forced the chaos harness to
 //! pattern-match error *messages* to decide which violations a lossy or
 //! partitioned wire legitimately defers. Each error is now a typed value
 //! carrying its classification plus the involved peers; `Display` still
 //! renders the exact human-readable message the string era produced, so
 //! log output and `format!("{e}")` call sites are unchanged.
+//!
+//! [`AceEngine::check_invariants`]: crate::AceEngine::check_invariants
+//! [`AsyncAceSim::check_invariants`]: crate::protocol::AsyncAceSim::check_invariants
+//! [`FaultConfig::validate`]: crate::FaultConfig::validate
+//! [`AsyncConfig::validate`]: crate::protocol::AsyncConfig::validate
+//! [`NetemConfig::validate`]: crate::netem::NetemConfig::validate
+//! [`DifferentialOutcome::check_equivalence`]: crate::experiments::differential::DifferentialOutcome::check_equivalence
 
 use std::fmt;
 

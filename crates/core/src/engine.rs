@@ -113,7 +113,7 @@ pub struct AceConfig {
     /// No effect on the serial schedule (see [`AceEngine::build_tree`]).
     pub dirty_planning: bool,
     /// Byte budget for the pairwise-core probe cache
-    /// ([`crate::core_cache`]); `0` selects the 256 MiB default. When
+    /// (`core_cache.rs`); `0` selects the 256 MiB default. When
     /// the budget is exceeded, oldest-inserted pairs are evicted and
     /// will be re-probed (and re-charged) if needed again.
     pub core_cache_budget: usize,
@@ -367,11 +367,6 @@ impl AceEngine {
         &self.ledger
     }
 
-    /// Zeroes the overhead ledger (e.g. between measurement windows).
-    pub fn reset_ledger(&mut self) {
-        self.ledger = OverheadLedger::new();
-    }
-
     /// Reports `count` query arrivals observed at `peer` since the last
     /// round — the controller's per-peer load stream (harnesses feed it
     /// from per-peer inbox accounting). No-op without
@@ -496,12 +491,6 @@ impl AceEngine {
     /// `peer`'s probed cost to `neighbor`, if it has one recorded.
     pub fn probed_cost(&self, peer: PeerId, neighbor: PeerId) -> Option<Delay> {
         self.states[peer.index()].table.get(neighbor)
-    }
-
-    /// Clears all ACE state of `peer` — equivalent to a graceful leave
-    /// ([`AceEngine::on_leave`]); kept as the historical entry point.
-    pub fn reset_peer(&mut self, peer: PeerId) {
-        self.on_leave(peer);
     }
 
     /// Graceful leave: `peer`'s goodbye reaches every partner, so both
@@ -2072,12 +2061,12 @@ mod tests {
     }
 
     #[test]
-    fn reset_peer_clears_state() {
+    fn leave_clears_own_state() {
         let (mut ov, oracle) = mismatch_env();
         let mut ace = AceEngine::new(4, AceConfig::paper_default());
         let mut rng = StdRng::seed_from_u64(1);
         ace.round(&mut ov, &oracle, &mut rng);
-        ace.reset_peer(PeerId::new(0));
+        ace.on_leave(PeerId::new(0));
         assert!(!ace.tree_built(PeerId::new(0)));
         let mut fl = vec![PeerId::new(9)];
         ace.flooding_neighbors_into(PeerId::new(0), &mut fl);

@@ -120,22 +120,6 @@ impl StaticResult {
             })
             .fold(f64::INFINITY, f64::min)
     }
-
-    /// Mean per-step overhead cost over the optimization steps (excludes
-    /// the measurement-only step 0).
-    pub fn mean_step_overhead(&self) -> f64 {
-        let opt_steps: Vec<f64> = self
-            .steps
-            .iter()
-            .skip(1)
-            .map(|s| s.overhead.total_cost())
-            .collect();
-        if opt_steps.is_empty() {
-            0.0
-        } else {
-            opt_steps.iter().sum::<f64>() / opt_steps.len() as f64
-        }
-    }
 }
 
 /// Runs ACE in a static environment, measuring after every step with a
@@ -265,7 +249,6 @@ mod tests {
                 s.step
             );
         }
-        assert!(r.mean_step_overhead() > 0.0);
     }
 
     #[test]

@@ -114,11 +114,6 @@ impl LtmEngine {
         }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &LtmConfig {
-        &self.cfg
-    }
-
     /// Accumulated control overhead.
     pub fn ledger(&self) -> &OverheadLedger {
         &self.ledger

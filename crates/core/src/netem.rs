@@ -248,14 +248,6 @@ impl NetemConfig {
             .max()
             .unwrap_or(0)
     }
-
-    /// True when every knob is inert (behaviorally a perfect wire).
-    pub fn is_quiet(&self) -> bool {
-        self.loss <= 0.0
-            && self.duplicate <= 0.0
-            && self.reorder_jitter == 0
-            && self.partitions.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -280,7 +272,6 @@ mod tests {
     fn default_is_quiet_and_valid() {
         let n = NetemConfig::default();
         n.validate().unwrap();
-        assert!(n.is_quiet());
         for seq in 0..50 {
             assert!(!n.lost(p(1), p(2), seq, 0));
             assert!(!n.duplicated(p(1), p(2), seq, 0));

@@ -10,7 +10,7 @@
 //! exactly as long as the network makes it. The *decisions* — Figure-4,
 //! tree construction, watch triage, forwarding-target selection, the
 //! churn purge taxonomy — are not re-implemented here: they come from
-//! the shared [`policy`](crate::policy) core, the same code the
+//! the shared [`policy`] core, the same code the
 //! round-based engine runs, so the two execution models cannot diverge.
 //! The differential harness (`tests/differential.rs`) holds them to
 //! that: same seeded world, N sync rounds vs. an equivalent async
@@ -1920,11 +1920,12 @@ impl AsyncAceSim {
     }
 
     /// Audits the simulator's cross-peer state against the overlay — the
-    /// async mirror of [`AceEngine::check_invariants`]
-    /// (`crate::AceEngine::check_invariants`), adapted to message
+    /// async mirror of [`AceEngine::check_invariants`], adapted to message
     /// asynchrony: where the engine demands exact agreement, the
     /// simulator tolerates disagreement exactly while the notifying
-    /// message is still on the wire (tracked per [`InFlightKind`]).
+    /// message is still on the wire (tracked per `InFlightKind`).
+    ///
+    /// [`AceEngine::check_invariants`]: crate::AceEngine::check_invariants
     ///
     /// 1. **Forwarding liveness** — every alive peer with ≥ 1 neighbor
     ///    has ≥ 1 forward target (no query black holes).

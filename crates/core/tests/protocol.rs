@@ -235,7 +235,7 @@ fn engine_clone_is_independent() {
     let mut rng = StdRng::seed_from_u64(13);
     ace.round(&mut ov, &oracle, &mut rng);
     let snapshot = ace.clone();
-    ace.reset_peer(p(0));
+    ace.on_leave(p(0));
     assert!(!ace.tree_built(p(0)));
     assert!(snapshot.tree_built(p(0)), "clone keeps its own state");
 }

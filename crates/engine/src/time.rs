@@ -48,11 +48,6 @@ impl SimTime {
         SimTime(s * Self::TICKS_PER_SECOND)
     }
 
-    /// Creates a time from whole minutes.
-    pub const fn from_minutes(m: u64) -> Self {
-        SimTime(m * 60 * Self::TICKS_PER_SECOND)
-    }
-
     /// Raw tick count.
     pub const fn as_ticks(self) -> u64 {
         self.0
@@ -124,7 +119,6 @@ mod tests {
     fn conversions_round_trip() {
         assert_eq!(SimTime::from_millis(5).as_ticks(), 50);
         assert_eq!(SimTime::from_secs(2).as_ticks(), 20_000);
-        assert_eq!(SimTime::from_minutes(1).as_ticks(), 600_000);
         assert!((SimTime::from_ticks(15).as_millis_f64() - 1.5).abs() < 1e-12);
     }
 

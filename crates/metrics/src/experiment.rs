@@ -30,12 +30,6 @@ impl NamedSeries {
         self.points.push((x, y));
         self
     }
-
-    /// The final y value (`None` when empty) — handy for "converged value"
-    /// assertions.
-    pub fn last_y(&self) -> Option<f64> {
-        self.points.last().map(|&(_, y)| y)
-    }
 }
 
 /// A reproduced figure or table: id, axes, parameters and curves.
@@ -102,15 +96,6 @@ impl ExperimentRecord {
         serde_json::to_string_pretty(self)
     }
 
-    /// Parses a record back from JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying `serde_json` error on malformed input.
-    pub fn from_json(s: &str) -> serde_json::Result<Self> {
-        serde_json::from_str(s)
-    }
-
     /// Writes `<dir>/<id>.json`, creating `dir` if needed.
     ///
     /// # Errors
@@ -142,7 +127,7 @@ mod tests {
     fn json_round_trip() {
         let rec = sample();
         let json = rec.to_json().unwrap();
-        let back = ExperimentRecord::from_json(&json).unwrap();
+        let back: ExperimentRecord = serde_json::from_str(&json).unwrap();
         assert_eq!(rec, back);
     }
 
@@ -150,7 +135,7 @@ mod tests {
     fn series_lookup_and_last_y() {
         let rec = sample();
         let s = rec.series_by_label("C=4").unwrap();
-        assert_eq!(s.last_y(), Some(1.5));
+        assert_eq!(s.points.last(), Some(&(2.0, 1.5)));
         assert!(rec.series_by_label("C=8").is_none());
     }
 

@@ -1,7 +1,7 @@
 //! # ace-metrics — statistics and experiment output
 //!
 //! Measurement plumbing for the ACE reproduction: a log-bucketed
-//! [`LogHistogram`], aligned-text / CSV [`Table`] rendering, and JSON
+//! [`LogHistogram`], aligned-text [`Table`] rendering, and JSON
 //! [`ExperimentRecord`]s that tie each run to the paper figure or table
 //! it reproduces.
 //!

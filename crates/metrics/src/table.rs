@@ -1,7 +1,7 @@
-//! Plain-text and CSV rendering for experiment output.
+//! Plain-text rendering for experiment output.
 //!
 //! Every figure/table record prints as an aligned text table (what you read
-//! in the terminal) and can be written as CSV for plotting.
+//! in the terminal).
 
 use std::fmt::Write as _;
 
@@ -18,7 +18,6 @@ use serde::{Deserialize, Serialize};
 /// t.row(["2", "99.0"]);
 /// let text = t.render();
 /// assert!(text.contains("traffic"));
-/// assert_eq!(t.to_csv(), "h,traffic\n1,123.4\n2,99.0\n");
 /// ```
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Table {
@@ -87,29 +86,6 @@ impl Table {
         }
         out
     }
-
-    /// Renders RFC-4180-ish CSV (fields containing `,`, `"` or newlines are
-    /// quoted).
-    pub fn to_csv(&self) -> String {
-        let esc = |s: &String| -> String {
-            if s.contains(',') || s.contains('"') || s.contains('\n') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.clone()
-            }
-        };
-        let mut out = String::new();
-        let mut emit = |cells: &[String]| {
-            let line: Vec<String> = cells.iter().map(esc).collect();
-            out.push_str(&line.join(","));
-            out.push('\n');
-        };
-        emit(&self.headers);
-        for row in &self.rows {
-            emit(row);
-        }
-        out
-    }
 }
 
 /// Formats a float with 1 decimal place (experiment table convention).
@@ -139,13 +115,6 @@ mod tests {
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines.len(), 3);
         assert_eq!(lines[0].len(), lines[2].len());
-    }
-
-    #[test]
-    fn csv_escapes_special_chars() {
-        let mut t = Table::new(["name", "value"]);
-        t.row(["a,b", "say \"hi\""]);
-        assert_eq!(t.to_csv(), "name,value\n\"a,b\",\"say \"\"hi\"\"\"\n");
     }
 
     #[test]

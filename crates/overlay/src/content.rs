@@ -113,11 +113,6 @@ impl Placement {
         Placement { holders }
     }
 
-    /// Number of objects placed.
-    pub fn object_count(&self) -> usize {
-        self.holders.len()
-    }
-
     /// The sorted holder list of `object` (empty if unknown).
     pub fn holders(&self, object: ObjectId) -> &[PeerId] {
         self.holders.get(object as usize).map_or(&[], Vec::as_slice)
@@ -126,18 +121,6 @@ impl Placement {
     /// True if `peer` holds `object`.
     pub fn is_holder(&self, object: ObjectId, peer: PeerId) -> bool {
         self.holders(object).binary_search(&peer).is_ok()
-    }
-
-    /// Adds `peer` as a holder of `object` (no-op when already a holder).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `object` is out of range.
-    pub fn add_holder(&mut self, object: ObjectId, peer: PeerId) {
-        let hs = &mut self.holders[object as usize];
-        if let Err(pos) = hs.binary_search(&peer) {
-            hs.insert(pos, peer);
-        }
     }
 }
 
@@ -157,7 +140,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(8);
         let ov = overlay(50);
         let p = Placement::random(20, 5, &ov, &mut rng);
-        assert_eq!(p.object_count(), 20);
+        assert!(p.holders(20).is_empty(), "exactly 20 objects placed");
         for obj in 0..20 {
             let hs = p.holders(obj);
             assert_eq!(hs.len(), 5);
@@ -181,17 +164,6 @@ mod tests {
         let p = Placement::default();
         assert!(p.holders(7).is_empty());
         assert!(!p.is_holder(7, PeerId::new(0)));
-    }
-
-    #[test]
-    fn add_holder_is_idempotent() {
-        let mut rng = StdRng::seed_from_u64(8);
-        let ov = overlay(10);
-        let mut p = Placement::random(1, 1, &ov, &mut rng);
-        let newcomer = PeerId::new(9);
-        p.add_holder(0, newcomer);
-        p.add_holder(0, newcomer);
-        assert_eq!(p.holders(0).iter().filter(|&&h| h == newcomer).count(), 1);
     }
 
     #[test]

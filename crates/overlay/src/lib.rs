@@ -8,8 +8,8 @@
 //!   neighbor links, address caches, join/leave with rejoin-from-cache;
 //!   [`random_overlay`] and [`pref_attach_overlay`] builders matching the
 //!   paper's generated and measured (power-law) overlay shapes;
-//! * [`Message`] — Gnutella-style wire messages with real encoded sizes
-//!   (ACE's overhead accounting is size-aware);
+//! * [`Message`] — Gnutella-style messages and their wire sizes (ACE's
+//!   overhead accounting is size-aware);
 //! * one query-propagation kernel (`search.rs`) — time-ordered, generic
 //!   over a [`ForwardPolicy`] (blind [`FloodAll`] and [`PartialFlood`]
 //!   here; ACE's tree policy lives in `ace-core`) — and its two drivers:
@@ -52,7 +52,6 @@
 mod capacity;
 mod churn;
 mod content;
-mod discovery;
 mod hpf;
 mod index_cache;
 mod link_load;
@@ -67,7 +66,6 @@ mod walk;
 pub use capacity::{assign_capacities, GiaAdaptation, GiaConfig, GNUTELLA_CAPACITY_MIX};
 pub use churn::{DepartureKind, DepartureModel, LifetimeModel, QueryRate};
 pub use content::{Catalog, ObjectId, Placement};
-pub use discovery::{ping_pong_round, DiscoveryConfig, DiscoveryStats};
 pub use hpf::{HpfWeight, PartialFlood};
 pub use index_cache::IndexCache;
 pub use link_load::LinkLoad;

@@ -50,15 +50,6 @@ impl LinkLoad {
         self.record(a.raw(), b.raw(), cost);
     }
 
-    /// Folds another accumulator into this one.
-    pub fn merge(&mut self, other: &LinkLoad) {
-        for (&key, &n) in &other.counts {
-            *self.counts.entry(key).or_insert(0) += n;
-        }
-        self.messages += other.messages;
-        self.cost += other.cost;
-    }
-
     /// Number of distinct links that carried at least one message.
     pub fn links_used(&self) -> usize {
         self.counts.len()
@@ -105,11 +96,5 @@ mod tests {
         assert_eq!(load.max_messages(), 2);
         assert!((load.mean_messages() - 1.5).abs() < 1e-12);
         assert!((load.total_cost() - 5.5).abs() < 1e-12);
-
-        let mut other = LinkLoad::new();
-        other.record(1, 3, 2.0);
-        load.merge(&other);
-        assert_eq!(load.max_messages(), 3);
-        assert_eq!(load.messages(), 4);
     }
 }

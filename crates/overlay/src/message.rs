@@ -1,12 +1,10 @@
 //! Gnutella-style wire messages.
 //!
 //! ACE's overhead accounting is message-size aware: a neighbor cost table
-//! with 20 entries costs more to ship than a probe. Messages are encoded
-//! to a compact binary wire format (via `bytes`) and the *encoded length*
-//! drives the cost model, so overhead numbers follow real payload sizes
-//! instead of hand-picked constants.
-
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+//! with 20 entries costs more to ship than a probe. Each message has a
+//! compact binary layout whose *length* ([`Message::wire_size`]) drives
+//! the cost model, so overhead numbers follow real payload sizes instead
+//! of hand-picked constants.
 
 use ace_topology::Delay;
 
@@ -78,169 +76,53 @@ pub enum Message {
     ForwardCancel,
 }
 
-impl Message {
-    /// Wire tag for encoding.
-    fn tag(&self) -> u8 {
-        match self {
-            Message::Ping => 0,
-            Message::Pong { .. } => 1,
-            Message::Query { .. } => 2,
-            Message::QueryHit { .. } => 3,
-            Message::Probe { .. } => 4,
-            Message::ProbeReply { .. } => 5,
-            Message::CostTable { .. } => 6,
-            Message::Connect => 7,
-            Message::ConnectOk => 8,
-            Message::Disconnect => 9,
-            Message::ProbeRequest { .. } => 10,
-            Message::ForwardRequest => 11,
-            Message::ForwardCancel => 12,
-        }
-    }
+/// Wire bytes of a [`Message::CostTable`] with `entries` rows: tag, owner,
+/// length prefix, then `(neighbor, cost)` pairs.
+const fn cost_table_wire_size(entries: usize) -> usize {
+    7 + 8 * entries
+}
 
-    /// Encodes the message to its binary wire form.
-    pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(32);
-        b.put_u8(self.tag());
+/// Wire bytes in query-size units, floored so nothing travels free.
+fn size_units_of(wire_size: usize) -> f64 {
+    (wire_size as f64 / QUERY_BASE_SIZE as f64).max(0.25)
+}
+
+impl Message {
+    /// Size in bytes on the wire: a one-byte tag, fixed-width fields and
+    /// a two-byte length prefix before each list — PROTOCOL.md's "Message
+    /// reference" table. ACE's overhead is link delay × message size, so
+    /// the size is all that is modelled; no frame is ever built.
+    pub fn wire_size(&self) -> usize {
         match self {
             Message::Ping
             | Message::Connect
             | Message::ConnectOk
             | Message::Disconnect
             | Message::ForwardRequest
-            | Message::ForwardCancel => {}
-            Message::ProbeRequest { targets } => {
-                b.put_u16(targets.len() as u16);
-                for t in targets {
-                    b.put_u32(t.raw());
-                }
+            | Message::ForwardCancel => 1,
+            Message::Probe { .. } | Message::ProbeReply { .. } => 9,
+            Message::QueryHit { .. } => 13,
+            // 14 bytes of fields, padded to the Gnutella-like baseline.
+            Message::Query { .. } => QUERY_BASE_SIZE,
+            Message::Pong { addrs: peers } | Message::ProbeRequest { targets: peers } => {
+                3 + 4 * peers.len()
             }
-            Message::Pong { addrs } => {
-                b.put_u16(addrs.len() as u16);
-                for a in addrs {
-                    b.put_u32(a.raw());
-                }
-            }
-            Message::Query { id, ttl, object } => {
-                b.put_u64(*id);
-                b.put_u8(*ttl);
-                b.put_u32(*object);
-                // Pad to the Gnutella-like baseline query size.
-                let used = b.len();
-                if used < QUERY_BASE_SIZE {
-                    b.put_bytes(0, QUERY_BASE_SIZE - used);
-                }
-            }
-            Message::QueryHit { id, responder } => {
-                b.put_u64(*id);
-                b.put_u32(responder.raw());
-            }
-            Message::Probe { nonce } | Message::ProbeReply { nonce } => {
-                b.put_u64(*nonce);
-            }
-            Message::CostTable { owner, entries } => {
-                b.put_u32(owner.raw());
-                b.put_u16(entries.len() as u16);
-                for (p, c) in entries {
-                    b.put_u32(p.raw());
-                    b.put_u32(*c);
-                }
-            }
+            Message::CostTable { entries, .. } => cost_table_wire_size(entries.len()),
         }
-        b.freeze()
-    }
-
-    /// Decodes a message previously produced by [`Self::encode`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the problem on truncated or unknown input.
-    pub fn decode(mut buf: Bytes) -> Result<Message, String> {
-        fn need(buf: &Bytes, n: usize) -> Result<(), String> {
-            if buf.remaining() < n {
-                Err(format!("truncated: need {n} more bytes"))
-            } else {
-                Ok(())
-            }
-        }
-        need(&buf, 1)?;
-        let tag = buf.get_u8();
-        let msg = match tag {
-            0 => Message::Ping,
-            1 => {
-                need(&buf, 2)?;
-                let n = buf.get_u16() as usize;
-                need(&buf, 4 * n)?;
-                let addrs = (0..n).map(|_| PeerId::new(buf.get_u32())).collect();
-                Message::Pong { addrs }
-            }
-            2 => {
-                need(&buf, 13)?;
-                let id = buf.get_u64();
-                let ttl = buf.get_u8();
-                let object = buf.get_u32();
-                Message::Query { id, ttl, object }
-            }
-            3 => {
-                need(&buf, 12)?;
-                Message::QueryHit {
-                    id: buf.get_u64(),
-                    responder: PeerId::new(buf.get_u32()),
-                }
-            }
-            4 => {
-                need(&buf, 8)?;
-                Message::Probe {
-                    nonce: buf.get_u64(),
-                }
-            }
-            5 => {
-                need(&buf, 8)?;
-                Message::ProbeReply {
-                    nonce: buf.get_u64(),
-                }
-            }
-            6 => {
-                need(&buf, 6)?;
-                let owner = PeerId::new(buf.get_u32());
-                let n = buf.get_u16() as usize;
-                need(&buf, 8 * n)?;
-                let entries = (0..n)
-                    .map(|_| {
-                        let p = PeerId::new(buf.get_u32());
-                        let c = buf.get_u32();
-                        (p, c)
-                    })
-                    .collect();
-                Message::CostTable { owner, entries }
-            }
-            7 => Message::Connect,
-            8 => Message::ConnectOk,
-            9 => Message::Disconnect,
-            10 => {
-                need(&buf, 2)?;
-                let n = buf.get_u16() as usize;
-                need(&buf, 4 * n)?;
-                let targets = (0..n).map(|_| PeerId::new(buf.get_u32())).collect();
-                Message::ProbeRequest { targets }
-            }
-            11 => Message::ForwardRequest,
-            12 => Message::ForwardCancel,
-            t => return Err(format!("unknown tag {t}")),
-        };
-        Ok(msg)
-    }
-
-    /// Encoded size in bytes.
-    pub fn wire_size(&self) -> usize {
-        self.encode().len()
     }
 
     /// Message size expressed in query-size units (>= a small floor so
     /// control messages are never free). This is the factor that scales
     /// the physical link cost when charging traffic/overhead.
     pub fn size_units(&self) -> f64 {
-        (self.wire_size() as f64 / QUERY_BASE_SIZE as f64).max(0.25)
+        size_units_of(self.wire_size())
+    }
+
+    /// [`size_units`](Self::size_units) of a [`Message::CostTable`] with
+    /// `entries` rows, for callers that price a table exchange without
+    /// building the message.
+    pub fn cost_table_size_units(entries: usize) -> f64 {
+        size_units_of(cost_table_wire_size(entries))
     }
 }
 
@@ -248,41 +130,54 @@ impl Message {
 mod tests {
     use super::*;
 
-    fn round_trip(m: Message) {
-        let enc = m.encode();
-        let back = Message::decode(enc).unwrap();
-        assert_eq!(m, back);
-    }
-
+    /// PROTOCOL.md's "Message reference" table, row by row.
     #[test]
-    fn all_variants_round_trip() {
-        round_trip(Message::Ping);
-        round_trip(Message::Pong {
-            addrs: vec![PeerId::new(1), PeerId::new(9)],
-        });
-        round_trip(Message::Query {
-            id: 77,
-            ttl: 7,
-            object: 1234,
-        });
-        round_trip(Message::QueryHit {
-            id: 77,
-            responder: PeerId::new(4),
-        });
-        round_trip(Message::Probe { nonce: 0xdead });
-        round_trip(Message::ProbeReply { nonce: 0xdead });
-        round_trip(Message::CostTable {
-            owner: PeerId::new(2),
-            entries: vec![(PeerId::new(3), 120), (PeerId::new(5), 4)],
-        });
-        round_trip(Message::Connect);
-        round_trip(Message::ConnectOk);
-        round_trip(Message::Disconnect);
-        round_trip(Message::ProbeRequest {
-            targets: vec![PeerId::new(2), PeerId::new(8)],
-        });
-        round_trip(Message::ForwardRequest);
-        round_trip(Message::ForwardCancel);
+    fn wire_sizes_match_the_documented_table() {
+        let peers = |n: u32| (0..n).map(PeerId::new).collect::<Vec<_>>();
+        let rows = |n: u32| (0..n).map(|i| (PeerId::new(i), 5)).collect::<Vec<_>>();
+        for (msg, bytes) in [
+            (Message::Ping, 1),
+            (Message::Connect, 1),
+            (Message::ConnectOk, 1),
+            (Message::Disconnect, 1),
+            (Message::ForwardRequest, 1),
+            (Message::ForwardCancel, 1),
+            (Message::Probe { nonce: 0xdead }, 9),
+            (Message::ProbeReply { nonce: 0xdead }, 9),
+            (
+                Message::QueryHit {
+                    id: 77,
+                    responder: PeerId::new(4),
+                },
+                13,
+            ),
+            (
+                Message::Query {
+                    id: 77,
+                    ttl: 7,
+                    object: 1234,
+                },
+                40,
+            ),
+        ] {
+            assert_eq!(msg.wire_size(), bytes, "{msg:?}");
+        }
+        // A list longer than its two-byte length prefix can count is
+        // still charged for every element.
+        for n in [0, 1, 20, u32::from(u16::MAX) + 2] {
+            let len = n as usize;
+            assert_eq!(Message::Pong { addrs: peers(n) }.wire_size(), 3 + 4 * len);
+            assert_eq!(
+                Message::ProbeRequest { targets: peers(n) }.wire_size(),
+                3 + 4 * len
+            );
+            let table = Message::CostTable {
+                owner: PeerId::new(2),
+                entries: rows(n),
+            };
+            assert_eq!(table.wire_size(), 7 + 8 * len);
+            assert_eq!(table.size_units(), Message::cost_table_size_units(len));
+        }
     }
 
     #[test]
@@ -314,12 +209,5 @@ mod tests {
     fn control_messages_have_floor_cost() {
         assert!(Message::Ping.size_units() >= 0.25);
         assert!(Message::Connect.size_units() >= 0.25);
-    }
-
-    #[test]
-    fn decode_rejects_garbage() {
-        assert!(Message::decode(Bytes::from_static(&[42])).is_err());
-        assert!(Message::decode(Bytes::from_static(&[2, 0])).is_err()); // truncated query
-        assert!(Message::decode(Bytes::new()).is_err());
     }
 }

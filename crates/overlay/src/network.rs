@@ -3,8 +3,8 @@
 //! An [`Overlay`] maps every logical peer to a physical host node and
 //! maintains the (undirected) logical neighbor relation, the alive/offline
 //! state, and each peer's address cache — the paper's model of Gnutella
-//! servents that cache IP addresses learned from ping/pong traffic and
-//! reconnect to cached addresses on rejoin.
+//! servents that cache the IP addresses they learn (here: of every peer
+//! they were ever linked to) and reconnect to cached addresses on rejoin.
 
 use rand::Rng;
 
@@ -254,7 +254,7 @@ impl Overlay {
 
     /// Records `addr` in `peer`'s address cache (LRU, capacity
     /// [`ADDR_CACHE_CAP`]).
-    pub fn remember(&mut self, peer: PeerId, addr: PeerId) {
+    fn remember(&mut self, peer: PeerId, addr: PeerId) {
         if peer == addr {
             return;
         }
@@ -496,8 +496,8 @@ pub fn pref_attach_overlay<R: Rng + ?Sized>(
 /// Builds a clustered, small-world overlay via friend-of-friend
 /// attachment: each arriving peer connects to a random *anchor* among the
 /// peers already present and then, with probability `locality`, to
-/// neighbors of its existing targets (the Gnutella ping/pong discovery
-/// horizon) rather than to fresh random peers.
+/// neighbors of its existing targets (the horizon a Gnutella servent's
+/// pings reach) rather than to fresh random peers.
 ///
 /// Real Gnutella snapshots show exactly this local clustering — a new
 /// servent learns addresses by crawling outward from its bootstrap point —

@@ -192,11 +192,6 @@ impl TwoTierNetwork {
         self.assignment[leaf]
     }
 
-    /// Physical host of a leaf.
-    pub fn leaf_host(&self, leaf: usize) -> NodeId {
-        self.leaf_hosts[leaf]
-    }
-
     /// Cost of the access link between a leaf and its supernode.
     pub fn access_cost(&self, oracle: &dyn DistancePlane, leaf: usize) -> Delay {
         oracle.distance(self.leaf_hosts[leaf], self.core.host(self.assignment[leaf]))

@@ -70,7 +70,7 @@ pub fn ba<R: Rng + ?Sized>(cfg: &BaConfig, rng: &mut R) -> Graph {
 /// `offset..offset + cfg.nodes` of an existing graph.
 ///
 /// This is [`ba`] without the intermediate graph: composite generators
-/// (two-level AS/router, transit-stub) lay out many BA islands inside one
+/// (the two-level AS/router hierarchy) lay out many BA islands inside one
 /// big arena, and emitting edges straight into the target means the edge
 /// list is never materialized twice. Draws from `rng` in exactly the same
 /// order as [`ba`], so `ba(cfg, rng)` and `ba_into(cfg, rng, g, 0)` build

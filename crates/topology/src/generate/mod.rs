@@ -3,11 +3,10 @@
 //! The paper generates physical topologies with BRITE using the
 //! Barabási–Albert (BA) model, which produces graphs with power-law degree
 //! distributions and small-world path lengths. This module re-implements
-//! that model plus several classical alternatives used by tests and
-//! ablations:
+//! that model, the hierarchy every figure and benchmark workload is
+//! evaluated under, and the two null models the tests compare against:
 //!
 //! * [`ba`] — Barabási–Albert preferential attachment (the paper's model);
-//! * [`waxman`] — Waxman random geometric graphs with distance-derived delays;
 //! * [`gnm`]/[`watts_strogatz`] — Erdős–Rényi `G(n,m)` and Watts–Strogatz small-world graphs;
 //! * [`two_level`] — a two-level AS/router hierarchy with short intra-AS
 //!   and long inter-AS delays (the "MSU vs. Tsinghua" structure of the
@@ -18,22 +17,18 @@
 
 mod ba;
 mod random;
-mod transit_stub;
 mod two_level;
-mod waxman;
 
 pub use ba::{ba, ba_into, BaConfig};
-pub use random::{gnm, gnm_into, watts_strogatz, GnmConfig, WattsStrogatzConfig};
-pub use transit_stub::{transit_stub, RouterTier, TransitStubConfig, TransitStubTopology};
+pub use random::{gnm, watts_strogatz, GnmConfig, WattsStrogatzConfig};
 pub use two_level::{two_level, TwoLevelConfig, TwoLevelTopology};
-pub use waxman::{waxman, WaxmanConfig};
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::graph::Delay;
 
-/// How link delays are assigned by non-geometric generators.
+/// How the generators assign link delays.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
 pub enum DelayModel {
     /// Every link gets the same delay.

@@ -4,8 +4,7 @@
 //! These are not the paper's topology model (that is Barabási–Albert) but
 //! serve as controls: `G(n,m)` has *no* degree heterogeneity and
 //! Watts–Strogatz has high clustering, letting tests check that the
-//! analysis module distinguishes the three families, and letting ablation
-//! experiments run ACE on non-power-law substrates.
+//! analysis module distinguishes the three families.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -34,83 +33,25 @@ pub struct GnmConfig {
 ///
 /// Panics if `nodes < 2`.
 pub fn gnm<R: Rng + ?Sized>(cfg: &GnmConfig, rng: &mut R) -> Graph {
-    let mut g = Graph::new(cfg.nodes);
-    gnm_into(cfg, rng, &mut g, 0);
-    g
-}
-
-/// Streams a connected `G(n,m)` island into nodes
-/// `offset..offset + cfg.nodes` of an existing graph.
-///
-/// This is [`gnm`] without the intermediate graph (see
-/// [`ba_into`](super::ba_into) for why composite generators stream):
-/// edges — including the connectivity bridges, which only consider the
-/// target range — go straight into `g`. Draws from `rng` in exactly the
-/// same order as [`gnm`], so both build identical edge sets.
-///
-/// # Panics
-///
-/// Panics if `cfg.nodes < 2`, the target range exceeds the graph, or a
-/// target node already has edges inside the range.
-pub fn gnm_into<R: Rng + ?Sized>(cfg: &GnmConfig, rng: &mut R, g: &mut Graph, offset: usize) {
     assert!(cfg.nodes >= 2, "need at least two nodes");
-    assert!(
-        offset + cfg.nodes <= g.node_count(),
-        "target range exceeds the graph"
-    );
     let max_edges = cfg.nodes * (cfg.nodes - 1) / 2;
     let target = cfg.edges.min(max_edges);
-    let global = |local: u32| NodeId::new(offset as u32 + local);
-
-    // Union-find over the local range tracks connectivity as edges land,
-    // replacing the whole-graph component scan a standalone build uses.
-    let mut parent: Vec<u32> = (0..cfg.nodes as u32).collect();
-    fn root(parent: &mut [u32], mut x: u32) -> u32 {
-        while parent[x as usize] != x {
-            parent[x as usize] = parent[parent[x as usize] as usize];
-            x = parent[x as usize];
-        }
-        x
-    }
+    let mut g = Graph::new(cfg.nodes);
 
     let mut placed = 0;
     // Rejection sampling is fine for the sparse graphs we care about.
     while placed < target {
-        let a = rng.gen_range(0..cfg.nodes as u32);
-        let b = rng.gen_range(0..cfg.nodes as u32);
+        let a = NodeId::new(rng.gen_range(0..cfg.nodes as u32));
+        let b = NodeId::new(rng.gen_range(0..cfg.nodes as u32));
         if a == b {
             continue;
         }
-        if g.add_edge(global(a), global(b), cfg.delays.sample(rng))
-            .is_ok()
-        {
+        if g.add_edge(a, b, cfg.delays.sample(rng)).is_ok() {
             placed += 1;
-            let (ra, rb) = (root(&mut parent, a), root(&mut parent, b));
-            parent[ra as usize] = rb;
         }
     }
-
-    // Bridge leftover components exactly like `Graph::connect_components`:
-    // every smaller component's lowest node links to the lowest node of the
-    // largest component (ties broken toward the earlier component).
-    let mut comp_size: Vec<(u32, usize)> = Vec::new(); // (lowest node, size)
-    let mut comp_of_root: std::collections::HashMap<u32, usize> = std::collections::HashMap::new();
-    for x in 0..cfg.nodes as u32 {
-        let r = root(&mut parent, x);
-        let idx = *comp_of_root.entry(r).or_insert_with(|| {
-            comp_size.push((x, 0));
-            comp_size.len() - 1
-        });
-        comp_size[idx].1 += 1;
-    }
-    if comp_size.len() > 1 {
-        comp_size.sort_by_key(|&(_, size)| std::cmp::Reverse(size));
-        let anchor = comp_size[0].0;
-        for &(low, _) in &comp_size[1..] {
-            g.add_edge(global(anchor), global(low), cfg.delays.typical())
-                .expect("bridging edge between distinct components");
-        }
-    }
+    g.connect_components(cfg.delays.typical());
+    g
 }
 
 /// Parameters for [`watts_strogatz`].

@@ -60,11 +60,6 @@ impl TwoLevelTopology {
         self.as_of[node.index()]
     }
 
-    /// True if `a` and `b` are in the same AS.
-    pub fn same_as(&self, a: NodeId, b: NodeId) -> bool {
-        self.as_of(a) == self.as_of(b)
-    }
-
     /// Number of distinct ASes.
     pub fn as_count(&self) -> usize {
         self.as_of
@@ -167,8 +162,8 @@ mod tests {
         assert_eq!(t.graph.node_count(), 200);
         assert_eq!(t.as_count(), 5);
         assert!(t.graph.is_connected());
-        assert!(t.same_as(NodeId::new(0), NodeId::new(39)));
-        assert!(!t.same_as(NodeId::new(0), NodeId::new(40)));
+        assert_eq!(t.as_of(NodeId::new(0)), t.as_of(NodeId::new(39)));
+        assert_ne!(t.as_of(NodeId::new(0)), t.as_of(NodeId::new(40)));
     }
 
     #[test]
@@ -177,7 +172,7 @@ mod tests {
         let mut intra_max = 0;
         let mut inter_min = u32::MAX;
         for e in t.graph.edges() {
-            if t.same_as(e.a, e.b) {
+            if t.as_of(e.a) == t.as_of(e.b) {
                 intra_max = intra_max.max(e.weight);
             } else {
                 inter_min = inter_min.min(e.weight);

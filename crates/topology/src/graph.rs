@@ -159,7 +159,8 @@ impl Csr {
 }
 
 /// An undirected, weighted physical-network graph backed by a flat CSR
-/// arena (see the [module docs](self) for the two-phase storage model).
+/// arena (the comment at the top of `graph.rs` describes the two-phase
+/// storage model).
 ///
 /// Parallel edges and self-loops are rejected at construction time; edge
 /// weights must be strictly positive so that shortest-path distances form a
@@ -411,11 +412,6 @@ impl Graph {
         })
     }
 
-    /// Sum of all edge weights.
-    pub fn total_weight(&self) -> u64 {
-        self.edges().map(|e| u64::from(e.weight)).sum()
-    }
-
     /// Returns true if every node is reachable from node 0 (empty and
     /// single-node graphs count as connected).
     pub fn is_connected(&self) -> bool {
@@ -636,7 +632,7 @@ mod tests {
         let edges: Vec<Edge> = g.edges().collect();
         assert_eq!(edges.len(), 4);
         assert!(edges.iter().all(|e| e.a < e.b));
-        assert_eq!(g.total_weight(), 1 + 2 + 3 + 4);
+        assert_eq!(edges.iter().map(|e| e.weight).sum::<Delay>(), 1 + 2 + 3 + 4);
     }
 
     #[test]

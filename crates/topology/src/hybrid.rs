@@ -126,8 +126,9 @@ const TIER_COORD: u8 = 0;
 const TIER_AUDIT: u8 = 1;
 const TIER_FORCED: u8 = 2;
 
-/// The hybrid Vivaldi-plus-sampled-exact distance plane. See the
-/// [module docs](self) for tier semantics and the determinism contract.
+/// The hybrid Vivaldi-plus-sampled-exact distance plane. The comment at
+/// the top of `hybrid.rs` gives tier semantics and the determinism
+/// contract.
 ///
 /// # Examples
 ///
@@ -155,8 +156,6 @@ pub struct HybridOracle {
     dims: usize,
     /// Flattened member coordinates (`members.len() * dims`).
     coords: Vec<f64>,
-    /// Converged per-member confidence error.
-    error: Vec<f64>,
     /// Per-member tier tag.
     tier: Vec<u8>,
     /// Exact member-projected rows for audit and forced members, keyed by
@@ -375,7 +374,6 @@ impl HybridOracle {
             member_slot,
             dims,
             coords,
-            error,
             tier,
             exact_rows,
             calibration,
@@ -394,17 +392,6 @@ impl HybridOracle {
     /// Observed coordinate accuracy, measured at build time.
     pub fn calibration(&self) -> Calibration {
         self.calibration
-    }
-
-    /// The converged Vivaldi confidence error of a member.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `m` is not a member.
-    pub fn member_error(&self, m: NodeId) -> f64 {
-        let slot = self.member_slot[m.index()];
-        assert!(slot != NOT_MEMBER, "{m} is not a member");
-        self.error[slot as usize]
     }
 
     /// Members currently answered by the forced-exact tier.

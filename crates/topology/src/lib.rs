@@ -7,8 +7,9 @@
 //!
 //! * a compact undirected weighted [`Graph`] with integer link delays;
 //! * Internet-like generators ([`generate`]): Barabási–Albert (the paper's
-//!   model), Waxman, Erdős–Rényi, Watts–Strogatz, and a two-level
-//!   AS/router hierarchy with LAN-vs-WAN delay separation;
+//!   model), a two-level AS/router hierarchy with LAN-vs-WAN delay
+//!   separation, and the Erdős–Rényi / Watts–Strogatz null models the
+//!   tests compare against;
 //! * shortest paths ([`sssp`]) and caching [`DistanceOracle`]s — overlay
 //!   link costs are physical shortest-path delays;
 //! * structural [`analysis`] validating the power-law / small-world
@@ -36,7 +37,6 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
-pub mod export;
 pub mod generate;
 mod graph;
 mod hybrid;

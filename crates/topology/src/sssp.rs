@@ -66,54 +66,6 @@ pub fn dijkstra_bounded(g: &Graph, src: NodeId, bound: Delay) -> Vec<Delay> {
     dist
 }
 
-/// Dijkstra that also records a shortest-path tree.
-///
-/// Returns `(dist, parent)` where `parent[v]` is the predecessor of `v` on
-/// a shortest path from `src` (`None` for `src` and unreachable nodes).
-pub fn dijkstra_with_parents(g: &Graph, src: NodeId) -> (Vec<Delay>, Vec<Option<NodeId>>) {
-    let n = g.node_count();
-    assert!(src.index() < n, "source {src} out of range");
-    let mut dist = vec![UNREACHABLE; n];
-    let mut parent: Vec<Option<NodeId>> = vec![None; n];
-    let mut heap: BinaryHeap<Reverse<(Delay, u32)>> = BinaryHeap::new();
-    dist[src.index()] = 0;
-    heap.push(Reverse((0, src.raw())));
-    while let Some(Reverse((d, u))) = heap.pop() {
-        let u = NodeId::new(u);
-        if d > dist[u.index()] {
-            continue;
-        }
-        for &(v, w) in g.neighbors(u) {
-            let nd = d.saturating_add(w);
-            if nd < dist[v.index()] {
-                dist[v.index()] = nd;
-                parent[v.index()] = Some(u);
-                heap.push(Reverse((nd, v.raw())));
-            }
-        }
-    }
-    (dist, parent)
-}
-
-/// Reconstructs the node sequence of a shortest path from the `parent`
-/// array produced by [`dijkstra_with_parents`].
-///
-/// Returns `None` when `dst` is unreachable.
-pub fn path_from_parents(
-    parent: &[Option<NodeId>],
-    src: NodeId,
-    dst: NodeId,
-) -> Option<Vec<NodeId>> {
-    let mut path = vec![dst];
-    let mut cur = dst;
-    while cur != src {
-        cur = parent[cur.index()]?;
-        path.push(cur);
-    }
-    path.reverse();
-    Some(path)
-}
-
 /// Hop counts (unweighted BFS) from `src`; `u32::MAX` when unreachable.
 pub fn bfs_hops(g: &Graph, src: NodeId) -> Vec<u32> {
     let n = g.node_count();
@@ -236,31 +188,6 @@ mod tests {
     fn bounded_dijkstra_cuts_off() {
         let d = dijkstra_bounded(&diamond(), NodeId::new(0), 1);
         assert_eq!(d, vec![0, 1, UNREACHABLE, UNREACHABLE]);
-    }
-
-    #[test]
-    fn parents_reconstruct_path() {
-        let g = diamond();
-        let (d, parent) = dijkstra_with_parents(&g, NodeId::new(0));
-        assert_eq!(d[2], 3);
-        let p = path_from_parents(&parent, NodeId::new(0), NodeId::new(2)).unwrap();
-        assert_eq!(
-            p,
-            vec![
-                NodeId::new(0),
-                NodeId::new(1),
-                NodeId::new(3),
-                NodeId::new(2)
-            ]
-        );
-    }
-
-    #[test]
-    fn path_to_unreachable_is_none() {
-        let mut g = diamond();
-        let iso = g.add_node();
-        let (_, parent) = dijkstra_with_parents(&g, NodeId::new(0));
-        assert_eq!(path_from_parents(&parent, NodeId::new(0), iso), None);
     }
 
     #[test]

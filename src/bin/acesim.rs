@@ -16,10 +16,8 @@ use ace_core::experiments::{
     dynamic_run, static_run, DynamicConfig, PhysKind, ScenarioConfig, StaticConfig,
 };
 use ace_core::{AceConfig, ReplacePolicy};
-use ace_topology::generate::{
-    ba, transit_stub, two_level, BaConfig, TransitStubConfig, TwoLevelConfig,
-};
-use ace_topology::{analysis, export, Graph};
+use ace_topology::generate::{ba, two_level, BaConfig, TwoLevelConfig};
+use ace_topology::{analysis, Graph};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -27,13 +25,12 @@ const USAGE: &str = "\
 acesim — ACE (Adaptive Connection Establishment) simulator
 
 USAGE:
-  acesim generate --kind <two-level|ba|transit-stub> [--nodes N] [--seed S] [--out FILE]
+  acesim generate --kind <two-level|ba> [--nodes N] [--seed S] [--out FILE]
   acesim analyze  --in FILE [--samples N]
   acesim optimize [--peers N] [--degree C] [--steps K] [--depth H]
                   [--policy <random|naive|closest>] [--seed S]
   acesim dynamic  [--peers N] [--queries N] [--window W] [--no-ace]
                   [--cache ITEMS] [--seed S]
-  acesim export   --in FILE --format <dot|edges> [--out FILE]
   acesim help
 
 All commands are deterministic for a given --seed (default 1).";
@@ -82,6 +79,20 @@ fn get_num<T: std::str::FromStr>(
     }
 }
 
+/// [`get_num`] for a count the simulator needs at least `min` of.
+fn get_at_least(
+    flags: &HashMap<String, String>,
+    key: &str,
+    default: usize,
+    min: usize,
+) -> Result<usize, String> {
+    let n = get_num(flags, key, default)?;
+    if n < min {
+        return Err(format!("--{key} must be at least {min}, got {n}"));
+    }
+    Ok(n)
+}
+
 fn cmd_generate(flags: &HashMap<String, String>) -> Result<(), String> {
     let kind = flags.get("kind").map(String::as_str).unwrap_or("two-level");
     let nodes: usize = get_num(flags, "nodes", 2000)?;
@@ -100,14 +111,11 @@ fn cmd_generate(flags: &HashMap<String, String>) -> Result<(), String> {
             )
             .graph
         }
-        "ba" => ba(
-            &BaConfig {
-                nodes,
-                ..BaConfig::default()
-            },
-            &mut rng,
-        ),
-        "transit-stub" => transit_stub(&TransitStubConfig::default(), &mut rng).graph,
+        "ba" => {
+            let cfg = BaConfig::default();
+            let nodes = get_at_least(flags, "nodes", nodes, cfg.seed_nodes)?;
+            ba(&BaConfig { nodes, ..cfg }, &mut rng)
+        }
         other => return Err(format!("unknown --kind '{other}'")),
     };
     println!(
@@ -157,28 +165,9 @@ fn cmd_analyze(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_export(flags: &HashMap<String, String>) -> Result<(), String> {
-    let path = flags.get("in").ok_or("export requires --in FILE")?;
-    let json = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let graph: Graph = serde_json::from_str(&json).map_err(|e| format!("{path}: {e}"))?;
-    let rendered = match flags.get("format").map(String::as_str).unwrap_or("edges") {
-        "dot" => export::to_dot(&graph, "world"),
-        "edges" => export::to_edge_list(&graph),
-        other => return Err(format!("unknown --format '{other}'")),
-    };
-    match flags.get("out") {
-        Some(out) => {
-            std::fs::write(out, rendered).map_err(|e| e.to_string())?;
-            println!("wrote {out}");
-        }
-        None => print!("{rendered}"),
-    }
-    Ok(())
-}
-
 fn cmd_optimize(flags: &HashMap<String, String>) -> Result<(), String> {
-    let peers: usize = get_num(flags, "peers", 400)?;
-    let degree: usize = get_num(flags, "degree", 6)?;
+    let peers = get_at_least(flags, "peers", 400, 2)?;
+    let degree = get_at_least(flags, "degree", 6, 2)?;
     let steps: usize = get_num(flags, "steps", 10)?;
     let depth: u8 = get_num(flags, "depth", 1)?;
     let seed: u64 = get_num(flags, "seed", 1)?;
@@ -233,7 +222,7 @@ fn cmd_optimize(flags: &HashMap<String, String>) -> Result<(), String> {
 }
 
 fn cmd_dynamic(flags: &HashMap<String, String>) -> Result<(), String> {
-    let peers: usize = get_num(flags, "peers", 300)?;
+    let peers = get_at_least(flags, "peers", 300, 2)?;
     let queries: u64 = get_num(flags, "queries", 2000)?;
     let window: u64 = get_num(flags, "window", 200)?;
     let seed: u64 = get_num(flags, "seed", 1)?;
@@ -242,10 +231,10 @@ fn cmd_dynamic(flags: &HashMap<String, String>) -> Result<(), String> {
     } else {
         Some(AceConfig::paper_default())
     };
-    let cache: Option<usize> = match flags.get("cache") {
-        Some(v) => Some(v.parse().map_err(|_| format!("invalid --cache '{v}'"))?),
-        None => None,
-    };
+    let cache = flags
+        .contains_key("cache")
+        .then(|| get_at_least(flags, "cache", 0, 1))
+        .transpose()?;
     let scenario = ScenarioConfig {
         phys: PhysKind::TwoLevel {
             as_count: 8,
@@ -297,7 +286,6 @@ fn main() -> ExitCode {
             &["peers", "queries", "window", "no-ace", "cache", "seed"],
             cmd_dynamic,
         ),
-        Some("export") => (&["in", "format", "out"], cmd_export),
         Some("help" | "--help" | "-h") => {
             println!("{USAGE}");
             return ExitCode::SUCCESS;

@@ -92,7 +92,7 @@ fn index_cache_improves_on_plain_ace() {
 
 #[test]
 fn forwarding_survives_unannounced_crashes() {
-    // Peers vanish WITHOUT the engine being told (no reset_peer): stale
+    // Peers vanish WITHOUT the engine being told (no on_leave): stale
     // tree entries and forward requests must be filtered, not followed.
     use ace_core::experiments::Scenario;
     use ace_core::{AceConfig, AceEngine, AceForward};

@@ -36,9 +36,9 @@ fn unknown_command_fails() {
     assert!(stderr.contains("unknown command"));
 }
 
-/// A mistyped flag, a flag without its value, an unparsable value and a
-/// stray word are errors (exit 2, one line + usage), never a silent
-/// default.
+/// A mistyped flag, a flag without its value, an unparsable or
+/// out-of-range value, a stray word and a removed sub-command are errors
+/// (exit 2, one line + usage), never a silent default or a panic.
 #[test]
 fn bad_flags_exit_2_with_usage() {
     for (line, what) in [
@@ -49,6 +49,20 @@ fn bad_flags_exit_2_with_usage() {
         ("optimize --steps many", "invalid --steps value 'many'"),
         ("dynamic --no-ace 5", "unexpected argument '5'"),
         ("analyze", "analyze requires --in FILE"),
+        ("generate --kind ba --nodes 0", "--nodes must be at least 3"),
+        ("generate --kind ba --nodes 1", "--nodes must be at least 3"),
+        ("optimize --peers 0", "--peers must be at least 2"),
+        ("optimize --peers 1", "--peers must be at least 2"),
+        ("dynamic --peers 0", "--peers must be at least 2"),
+        ("dynamic --peers 1", "--peers must be at least 2"),
+        ("optimize --degree 0", "--degree must be at least 2"),
+        ("optimize --degree 1", "--degree must be at least 2"),
+        ("dynamic --cache 0", "--cache must be at least 1"),
+        (
+            "generate --kind transit-stub",
+            "unknown --kind 'transit-stub'",
+        ),
+        ("export --in world.json", "unknown command 'export'"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_acesim"))
             .args(line.split_whitespace())
@@ -142,24 +156,4 @@ fn dynamic_smoke_run() {
     ]);
     assert!(ok, "{stdout}");
     assert!(stdout.contains("churn events"));
-}
-
-#[test]
-fn export_formats_work() {
-    let path = std::env::temp_dir().join("acesim_export_world.json");
-    let path_s = path.to_str().unwrap();
-    let (ok, _, _) = acesim(&[
-        "generate", "--kind", "ba", "--nodes", "50", "--seed", "4", "--out", path_s,
-    ]);
-    assert!(ok);
-    let (ok, dot, _) = acesim(&["export", "--in", path_s, "--format", "dot"]);
-    assert!(ok);
-    assert!(dot.starts_with("graph world {"));
-    let (ok, edges, _) = acesim(&["export", "--in", path_s, "--format", "edges"]);
-    assert!(ok);
-    assert!(edges.lines().count() >= 49, "BA graph has ~2(n-seed) edges");
-    let (ok, _, stderr) = acesim(&["export", "--in", path_s, "--format", "gexf"]);
-    assert!(!ok);
-    assert!(stderr.contains("unknown --format"));
-    let _ = std::fs::remove_file(path);
 }

@@ -55,6 +55,10 @@ pub enum ViolationKind {
     CycleBookkeeping,
     /// The overhead ledger holds an invalid or unbacked charge.
     LedgerAccounting,
+    /// A maintenance index (the engine's reverse-reference lists, the
+    /// core cache's endpoint chains) misses a live reference or pair, so
+    /// a lifecycle purge walking it would leave stale state behind.
+    IndexGap,
 }
 
 /// One invariant violation: its classification, the peers involved, and
@@ -227,6 +231,7 @@ mod tests {
             ViolationKind::ServingLedger,
             ViolationKind::CycleBookkeeping,
             ViolationKind::LedgerAccounting,
+            ViolationKind::IndexGap,
         ] {
             assert!(!mk(kind).is_wire_deferrable(), "{kind:?}");
         }

@@ -25,6 +25,18 @@
 //!   [`LifecycleEvent`] taxonomy, so controller state never outlives the
 //!   incarnation it observed.
 //!
+//! **When the population exceeds the budget.** The default 64 KiB budget
+//! holds 780 entries. Feed the controller more alive peers than that —
+//! the repo benchmark's `steady_churn_5k` feeds 5,000 — and one round's
+//! observations (one per alive peer, in id order) evict every entry
+//! before its peer is observed again. Each observation then starts from
+//! a fresh entry at `r_min` with the demand-neutral prior, so no
+//! interval ever stretches, every peer is due every round (a due ratio
+//! of exactly 1) and `evictions = observes − 780`: the controller keeps
+//! books and controls nothing. That regime is valid, bounded and pinned
+//! by a test below; a deployment that wants the control loop to act
+//! sizes `byte_budget` to its population (84 B per peer).
+//!
 //! Determinism contract: the controller is fed only per-peer observation
 //! streams that both drivers compute serially (round stats, ledger
 //! deltas, externally supplied query counts), and all updates iterate in
@@ -32,7 +44,7 @@
 //! counts with the controller enabled, and the invariant auditors can
 //! check its state like any other protocol state.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use ace_engine::rng::splitmix64;
 use ace_overlay::PeerId;
@@ -250,11 +262,16 @@ pub struct ControllerStats {
 /// The per-peer optimization-rate controller shared by both drivers.
 ///
 /// Entries live in a `BTreeMap` keyed by raw peer id so every iteration
-/// (updates, eviction scans, digest) is in deterministic peer-id order.
+/// (updates, digest) is in deterministic peer-id order.
 #[derive(Clone, Debug)]
 pub struct RateController {
     cfg: AutoRateConfig,
     entries: BTreeMap<u32, RateEntry>,
+    /// `(last_touch, id)` of every entry, so the eviction victim —
+    /// oldest touch, ties to the lowest id — is the first element
+    /// instead of a scan of `entries`. Kept by [`Self::touch`] and the
+    /// three removal sites.
+    by_touch: BTreeSet<(u64, u32)>,
     high_water: usize,
     evictions: u64,
     purges: u64,
@@ -269,6 +286,7 @@ impl RateController {
         RateController {
             cfg,
             entries: BTreeMap::new(),
+            by_touch: BTreeSet::new(),
             high_water: 0,
             evictions: 0,
             purges: 0,
@@ -313,15 +331,7 @@ impl RateController {
         ran: bool,
     ) -> f64 {
         let cfg = self.cfg;
-        let entry = self
-            .entries
-            .entry(peer.raw())
-            .or_insert_with(|| RateEntry::fresh(&cfg, incarnation, period));
-        if entry.incarnation != incarnation {
-            // A new incarnation must not inherit its predecessor's
-            // estimates (or its schedule).
-            *entry = RateEntry::fresh(&cfg, incarnation, period);
-        }
+        let entry = self.touch(peer, incarnation, period);
         let alpha = cfg.ewma_alpha;
         let mut rejected = 0u64;
         let mut fold = |est: &mut f64, x: f64| {
@@ -353,7 +363,6 @@ impl RateController {
                 Err(_) => rejected += 1,
             }
         }
-        entry.last_touch = period;
         if ran {
             let obs = RateObservation {
                 ewma_churn: entry.ewma_churn,
@@ -379,28 +388,48 @@ impl RateController {
     /// snaps. A peer with no entry (or a stale incarnation) gets a fresh
     /// one, which is already at the floor and due.
     pub fn snap_to_floor(&mut self, peer: PeerId, incarnation: u32, period: u64) {
-        let cfg = self.cfg;
-        let entry = self
-            .entries
-            .entry(peer.raw())
-            .or_insert_with(|| RateEntry::fresh(&cfg, incarnation, period));
-        if entry.incarnation != incarnation {
-            *entry = RateEntry::fresh(&cfg, incarnation, period);
-        }
-        entry.interval = cfg.r_min;
+        let r_min = self.cfg.r_min;
+        let entry = self.touch(peer, incarnation, period);
+        entry.interval = r_min;
         entry.next_due = period;
-        entry.last_touch = period;
         self.enforce_budget(Some(peer));
+    }
+
+    /// `peer`'s entry, touched at `period`: created fresh when missing,
+    /// reset when it belongs to another incarnation (a new incarnation
+    /// must not inherit its predecessor's estimates or schedule), and
+    /// moved to its new place in the eviction order.
+    fn touch(&mut self, peer: PeerId, incarnation: u32, period: u64) -> &mut RateEntry {
+        let id = peer.raw();
+        let fresh = RateEntry::fresh(&self.cfg, incarnation, period);
+        let entry = self.entries.entry(id).or_insert_with(|| {
+            self.by_touch.insert((period, id));
+            fresh
+        });
+        let touched = entry.last_touch;
+        if entry.incarnation != incarnation {
+            *entry = fresh;
+        }
+        if touched != period {
+            self.by_touch.remove(&(touched, id));
+            self.by_touch.insert((period, id));
+            entry.last_touch = period;
+        }
+        entry
     }
 
     /// End-of-period maintenance: evict idle entries, enforce the byte
     /// budget, and advance the high-water mark.
     pub fn end_period(&mut self, period: u64) {
         let idle = self.cfg.idle_evict;
-        let before = self.entries.len();
-        self.entries
-            .retain(|_, e| period.saturating_sub(e.last_touch) <= idle);
-        self.evictions += (before - self.entries.len()) as u64;
+        while let Some(&(touch, id)) = self.by_touch.first() {
+            if period.saturating_sub(touch) <= idle {
+                break;
+            }
+            self.by_touch.pop_first();
+            self.entries.remove(&id);
+            self.evictions += 1;
+        }
         self.enforce_budget(None);
     }
 
@@ -409,20 +438,18 @@ impl RateController {
     /// touched). Updates the high-water mark afterwards, so the mark is
     /// always a value that actually fit under the budget.
     fn enforce_budget(&mut self, keep: Option<PeerId>) {
+        let keep = keep.map(PeerId::raw);
         while self.soft_state_bytes() > self.cfg.byte_budget && self.entries.len() > 1 {
-            let victim = self
-                .entries
-                .iter()
-                .filter(|(&id, _)| keep.map(PeerId::raw) != Some(id))
-                .min_by_key(|(&id, e)| (e.last_touch, id))
-                .map(|(&id, _)| id);
-            match victim {
-                Some(id) => {
-                    self.entries.remove(&id);
-                    self.evictions += 1;
-                }
-                None => break,
-            }
+            // At most one element (`keep`) stands before the victim.
+            let victim = self.by_touch.iter().copied().find(|&(_, id)| {
+                #[cfg(test)]
+                crate::steps::bump();
+                Some(id) != keep
+            });
+            let Some(victim) = victim else { break };
+            self.by_touch.remove(&victim);
+            self.entries.remove(&victim.1);
+            self.evictions += 1;
         }
         self.high_water = self.high_water.max(self.soft_state_bytes());
     }
@@ -433,7 +460,11 @@ impl RateController {
     /// incarnation starts from the static schedule, and a departed
     /// peer's schedule dies with it).
     pub fn on_lifecycle(&mut self, peer: PeerId, event: LifecycleEvent) {
-        if event.clears_own_state() && self.entries.remove(&peer.raw()).is_some() {
+        if !event.clears_own_state() {
+            return;
+        }
+        if let Some(e) = self.entries.remove(&peer.raw()) {
+            self.by_touch.remove(&(e.last_touch, peer.raw()));
             self.purges += 1;
         }
     }
@@ -457,7 +488,8 @@ impl RateController {
 
     /// Audits controller state: no entry may reference a dead peer or a
     /// stale incarnation (the purge taxonomy should have cleared it),
-    /// and the soft-state bytes must fit the budget. Drivers fold this
+    /// the eviction order must index exactly the entries, and the
+    /// soft-state bytes must fit the budget. Drivers fold this
     /// into their `check_invariants`.
     pub fn audit(
         &self,
@@ -485,6 +517,15 @@ impl RateController {
                     ),
                 ));
             }
+        }
+        let indexed = |(&id, e): (&u32, &RateEntry)| self.by_touch.contains(&(e.last_touch, id));
+        if self.by_touch.len() != self.entries.len() || !self.entries.iter().all(indexed) {
+            return Err(InvariantViolation::new(
+                ViolationKind::IndexGap,
+                None,
+                None,
+                "controller eviction order disagrees with its entries".into(),
+            ));
         }
         if self.soft_state_bytes() > self.cfg.byte_budget {
             return Err(InvariantViolation::new(
@@ -770,6 +811,63 @@ mod tests {
         for i in 6..10u32 {
             assert!(c.interval_of(p(i)).is_some(), "peer {i} should survive");
         }
+    }
+
+    /// One engine round's feed (`AceEngine::feed_controller`) for peers
+    /// `0..peers`: who is due is decided up front, then every peer is
+    /// observed in id order as having run, then the period ends. The
+    /// sample carries no traffic measurement, like a harness that never
+    /// calls `note_traffic`. Returns how many peers were due.
+    fn feed_round(c: &mut RateController, peers: u32, period: u64) -> usize {
+        let due = (0..peers).filter(|&i| c.is_due(p(i), period)).count();
+        let sample = RateSample {
+            overhead: 5000.0,
+            ..RateSample::default()
+        };
+        for i in 0..peers {
+            c.observe(p(i), 0, period, &sample, true);
+        }
+        c.end_period(period);
+        due
+    }
+
+    #[test]
+    fn budget_eviction_reads_the_front_of_the_index_not_the_map() {
+        let mut c = RateController::new(AutoRateConfig::default());
+        crate::steps::take();
+        feed_round(&mut c, 5_000, 0);
+        let evictions = c.stats().evictions;
+        assert_eq!(evictions, 5_000 - 780);
+        // One element per eviction, two when the entry to keep is oldest.
+        assert!(crate::steps::take() <= 2 * evictions);
+        c.audit(|_| true, |_| 0).unwrap();
+    }
+
+    /// The regime `steady_churn_5k` runs in (module docs): 5,000 alive
+    /// peers against the default budget's 780 entries. Every entry is
+    /// evicted before its peer is observed again, so every observation
+    /// starts from a fresh entry, nobody's interval ever leaves `r_min`
+    /// and every peer is due every round. The digest was captured with
+    /// the linear victim scan this index replaced: same victims, same
+    /// order.
+    #[test]
+    fn population_over_budget_is_due_every_round_and_never_stretches() {
+        let cfg = AutoRateConfig::default();
+        let capacity = cfg.byte_budget / ENTRY_BYTES;
+        assert_eq!(capacity, 780);
+        let mut c = RateController::new(cfg);
+        for period in 0..4u64 {
+            assert_eq!(feed_round(&mut c, 5_000, period), 5_000, "period {period}");
+            let stats = c.stats();
+            assert_eq!(stats.entries, capacity);
+            assert_eq!(stats.evictions, 5_000 * (period + 1) - capacity as u64);
+            assert_eq!(stats.soft_state_bytes, 65_520);
+            for i in 0..5_000 {
+                let held = c.interval_of(p(i));
+                assert_eq!(held, (i >= 5_000 - 780).then_some(cfg.r_min), "peer {i}");
+            }
+        }
+        assert_eq!(c.digest(), 0xe8ec_1bce_b6e8_3cbe);
     }
 
     #[test]

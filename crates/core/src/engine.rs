@@ -46,6 +46,7 @@ use crate::overhead::{OverheadKind, OverheadLedger};
 use crate::plan::{KnownSnap, PlanScratch};
 use crate::policy::{self, Figure4Action, LifecycleEvent, WatchVerdict};
 use crate::probe::ProbeModel;
+use crate::reverse_refs::ReverseRefs;
 
 /// How phase 3 picks the non-flooding neighbor to improve and the
 /// replacement candidate (§6 of the paper; `Random` is what the paper's
@@ -209,7 +210,7 @@ impl RoundStats {
     }
 }
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 struct PeerState {
     table: CostTable,
     /// Neighbors adjacent to this peer in its own closure MST.
@@ -234,6 +235,22 @@ impl PeerState {
             watches: Vec::new(),
             tree_built: false,
         }
+    }
+
+    /// Every peer the four lists name (with repeats).
+    fn mentioned(&self) -> impl Iterator<Item = PeerId> + '_ {
+        (self.own_tree.iter().chain(&self.requested).copied())
+            .chain(self.watches.iter().flat_map(|&(far, near)| [far, near]))
+            .chain(self.table.iter().map(|(n, _)| n))
+    }
+
+    /// Drops every mention of `peer` from the four lists.
+    fn forget(&mut self, peer: PeerId) {
+        self.own_tree.retain(|&p| p != peer);
+        self.requested.retain(|&p| p != peer);
+        self.watches
+            .retain(|&(far, near)| far != peer && near != peer);
+        self.table.remove(peer);
     }
 }
 
@@ -264,6 +281,13 @@ impl PeerState {
 pub struct AceEngine {
     cfg: AceConfig,
     states: Vec<PeerState>,
+    /// Who may name a peer in `own_tree` / `requested` / `watches` /
+    /// `table`, so a lifecycle purge visits those instead of everyone:
+    /// pushed to wherever such a reference is *created* (updating or
+    /// dropping one needs no call — the index is a superset). Kept
+    /// beside the states, not in them: [`PeerState`] is read per visited
+    /// peer on the query path and stays as small as it was.
+    referrers: ReverseRefs,
     /// Cache of pairwise probe results for the phase-2 neighbor core.
     /// Physical distances are stable, so a measured pair is never
     /// re-probed: once known, the value rides along in the periodic table
@@ -341,6 +365,7 @@ impl AceEngine {
             pending_queries: vec![0.0; peer_count],
             pending_traffic: None,
             core_cache,
+            referrers: ReverseRefs::new(peer_count),
             plan_caches: vec![PlanCache::default(); peer_count],
             scratch: ScratchPool::new(),
             state_hashes: Vec::new(),
@@ -496,7 +521,10 @@ impl AceEngine {
     /// Graceful leave: `peer`'s goodbye reaches every partner, so both
     /// its own state and every reference other peers hold to it (tree
     /// membership, forward requests, watches, cost rows, cached core
-    /// probes) are invalidated immediately.
+    /// probes) are invalidated immediately — at a cost of `peer`'s
+    /// referrers plus its cached pairs, not of the population. A no-op
+    /// for an id the engine was not built for (like the other two
+    /// lifecycle calls; [`Overlay::leave`] answers `UnknownPeer`).
     pub fn on_leave(&mut self, peer: PeerId) {
         self.apply_lifecycle(peer, LifecycleEvent::GracefulLeave);
     }
@@ -504,7 +532,8 @@ impl AceEngine {
     /// Silent crash: no goodbye is sent, so partners keep their (now
     /// stale) references until phase 1 prunes them; only the crashed
     /// process's own state disappears. [`AceEngine::check_invariants`]
-    /// tolerates references to dead peers for exactly this reason.
+    /// tolerates references to dead peers for exactly this reason. A
+    /// no-op for an id the engine was not built for.
     pub fn on_crash(&mut self, peer: PeerId) {
         self.apply_lifecycle(peer, LifecycleEvent::Crash);
     }
@@ -512,18 +541,20 @@ impl AceEngine {
     /// (Re)join: the joiner starts as a plain flooding Gnutella node, and
     /// any references surviving from a previous incarnation (e.g. after a
     /// crash) are purged — an alive peer must never be shadowed by stale
-    /// state recorded about its predecessor.
+    /// state recorded about its predecessor. A no-op for an id the
+    /// engine was not built for.
     pub fn on_join(&mut self, peer: PeerId) {
         self.apply_lifecycle(peer, LifecycleEvent::Rejoin);
     }
 
     /// Applies the shared purge taxonomy ([`LifecycleEvent`]) to `peer`.
     fn apply_lifecycle(&mut self, peer: PeerId, event: LifecycleEvent) {
+        if peer.index() >= self.states.len() {
+            return;
+        }
         // Every lifecycle event makes the peer's cached plan meaningless
         // (its state resets, or a new incarnation appears).
-        if let Some(c) = self.plan_caches.get_mut(peer.index()) {
-            c.valid = false;
-        }
+        self.plan_caches[peer.index()].valid = false;
         if event.purges_survivor_refs() {
             self.purge_peer_refs(peer);
         }
@@ -533,9 +564,7 @@ impl AceEngine {
         if let Some(c) = self.controller.as_mut() {
             c.on_lifecycle(peer, event);
         }
-        if let Some(q) = self.pending_queries.get_mut(peer.index()) {
-            *q = 0.0;
-        }
+        self.pending_queries[peer.index()] = 0.0;
     }
 
     /// Local churn response: each disturbed neighbor's dirty-set plan
@@ -561,15 +590,29 @@ impl AceEngine {
         }
     }
 
+    /// Rebuilds the reverse references from the states once stale and
+    /// repeated records make up half of them. Only valid between
+    /// mutations — every list in place — so the two stages that create
+    /// references run it on entry, not each `referrers.push` mid-commit.
+    fn shed_stale_refs(&mut self) {
+        if self.referrers.overgrown() {
+            let states = self.states.iter().enumerate();
+            self.referrers.rebuild(states.flat_map(|(q, s)| {
+                let q = PeerId::new(q as u32);
+                s.mentioned().map(move |p| (q, p))
+            }));
+        }
+    }
+
     /// Removes every reference other peers hold to `peer`, plus cached
     /// core probes with `peer` as an endpoint.
     fn purge_peer_refs(&mut self, peer: PeerId) {
-        for s in &mut self.states {
-            s.own_tree.retain(|&p| p != peer);
-            s.requested.retain(|&p| p != peer);
-            s.watches.retain(|&(far, near)| far != peer && near != peer);
-            s.table.remove(peer);
+        for q in self.referrers.holders(peer) {
+            #[cfg(test)]
+            crate::steps::bump();
+            self.states[q.index()].forget(peer);
         }
+        self.referrers.clear(peer);
         self.core_cache.purge_endpoint(peer);
     }
 
@@ -659,6 +702,7 @@ impl AceEngine {
     pub fn phase1_probe(&mut self, ov: &Overlay, oracle: &dyn DistancePlane, peer: PeerId) {
         self.assert_sized_for(ov);
         assert!(ov.is_alive(peer), "cannot probe from an offline peer");
+        self.shed_stale_refs();
         let nbrs = ov.neighbors(peer);
         {
             let s = &mut self.states[peer.index()];
@@ -679,7 +723,11 @@ impl AceEngine {
                 )
             };
             match measured {
-                Some(m) => self.states[peer.index()].table.set(n, m),
+                Some(m) => {
+                    if self.states[peer.index()].table.set(n, m) {
+                        self.referrers.push(peer, n);
+                    }
+                }
                 None => self.states[peer.index()].table.remove(n),
             }
         }
@@ -849,6 +897,7 @@ impl AceEngine {
         core_probes: &[(PeerId, PeerId, Delay)],
         new_tree: &[PeerId],
     ) {
+        self.shed_stale_refs();
         for &(a, b, c) in core_probes {
             self.core_cache.insert_if_absent(a, b, c);
         }
@@ -857,7 +906,9 @@ impl AceEngine {
             let req = &mut self.states[f.index()].requested;
             if !req.contains(&peer) {
                 req.push(peer);
+                self.referrers.push(f, peer);
             }
+            self.referrers.push(peer, f); // `f` enters `peer`'s own tree below
             let cost = ov.link_cost(oracle, peer, f);
             self.ledger.charge(
                 OverheadKind::TableExchange,
@@ -1067,6 +1118,7 @@ impl AceEngine {
                 if valid && self.replace_link(ov, oracle, peer, far, near).is_ok() {
                     self.note_link_down(peer, far);
                     self.states[peer.index()].table.set(near, p.near_cost);
+                    self.referrers.push(peer, near);
                     return AdaptOutcome::Replaced { far, near };
                 }
             }
@@ -1077,6 +1129,8 @@ impl AceEngine {
                     let st = &mut self.states[peer.index()];
                     st.table.set(near, p.near_cost);
                     st.watches.push((far, near));
+                    self.referrers.push(peer, far);
+                    self.referrers.push(peer, near);
                     return AdaptOutcome::Added { near };
                 }
             }
@@ -1680,6 +1734,10 @@ impl AceEngine {
     ///    one symmetric exchange).
     /// 5. **Ledger consistency** — every cost finite and non-negative,
     ///    and any charged cost backed by a nonzero message count.
+    /// 6. **Controller hygiene**, 7. **maintenance indexes** (the
+    ///    reverse-reference lists and the core cache's endpoint chains
+    ///    cover every live reference and pair) and 8. **closure
+    ///    coherence** — described where they are checked.
     ///
     /// Violations are typed ([`InvariantViolation`]); `Display` renders
     /// the same message text the `String`-returning era produced.
@@ -1808,7 +1866,28 @@ impl AceEngine {
         if let Some(c) = &self.controller {
             c.audit(|p| ov.is_alive(p), |_| 0)?;
         }
-        // 7. **Closure coherence** — the dense BFS arenas reproduce the
+        // 7. **Maintenance indexes** — every mention of a peer in
+        //    another's lists is covered by `referrers`, and the core
+        //    cache's endpoint chains reach every live pair: a lifecycle
+        //    purge that walks the indexes misses nothing a sweep over
+        //    everyone would find.
+        for (q, s) in self.states.iter().enumerate() {
+            let q = PeerId::new(q as u32);
+            for p in s.mentioned() {
+                if !self.referrers.holders(p).any(|holder| holder == q) {
+                    return viol(
+                        ViolationKind::IndexGap,
+                        Some(q),
+                        Some(p),
+                        format!("peer {q} mentions {p} but is not among {p}'s referrers"),
+                    );
+                }
+            }
+        }
+        if let Err(message) = self.core_cache.check_index() {
+            return viol(ViolationKind::IndexGap, None, None, message);
+        }
+        // 8. **Closure coherence** — the dense BFS arenas reproduce the
         //    canonical `Closure` exactly (members, order), and every
         //    member's relay path is well-formed: it starts at the member,
         //    ends at the source, and each hop crosses a live overlay
@@ -2428,5 +2507,166 @@ mod tests {
             assert_eq!(ace.probed_cost(p, victim), None);
         }
         ace.check_invariants(&ov).unwrap();
+    }
+
+    #[test]
+    fn lifecycle_calls_ignore_an_id_the_engine_was_not_built_for() {
+        let (mut ov, oracle, mut rng) = ba_env(41);
+        let cfg = AceConfig {
+            autorate: Some(AutoRateConfig::default()),
+            ..AceConfig::paper_default()
+        };
+        let mut ace = AceEngine::new(ov.peer_count(), cfg);
+        ace.round(&mut ov, &oracle, &mut rng);
+        let before = ace.state_digest();
+        for unknown in [PeerId::new(ov.peer_count() as u32), PeerId::new(u32::MAX)] {
+            assert_eq!(ov.leave(unknown), Err(OverlayError::UnknownPeer(unknown)));
+            ace.on_leave(unknown);
+            ace.on_crash(unknown);
+            ace.on_join(unknown);
+        }
+        assert_eq!(ace.state_digest(), before);
+        assert_eq!(ace.core_cache.stats().purged, 0);
+        ace.check_invariants(&ov).unwrap();
+    }
+
+    #[test]
+    fn leave_visits_the_departed_peers_referrers_not_the_population() {
+        use ace_topology::generate::{ba, BaConfig};
+        const PEERS: u32 = 20_000;
+        let mut rng = StdRng::seed_from_u64(43);
+        let nodes = BaConfig {
+            nodes: 200,
+            ..BaConfig::default()
+        };
+        let oracle = DistanceOracle::new(ba(&nodes, &mut rng));
+        let mut ov = Overlay::new((0..PEERS).map(|i| NodeId::new(i % 200)).collect(), None);
+        for i in 0..PEERS {
+            // A ring with chords: every peer has degree 6.
+            for step in [1, 97, 5_003] {
+                ov.connect(PeerId::new(i), PeerId::new((i + step) % PEERS))
+                    .unwrap();
+            }
+        }
+        let victim = PeerId::new(7_777);
+        let nbrs = ov.neighbors(victim).to_vec();
+        assert_eq!(nbrs.len(), 6);
+        let mut ace = AceEngine::new(PEERS as usize, AceConfig::paper_default());
+        // Only the victim's neighborhood optimizes: what a purge costs
+        // must not depend on the 19,993 peers that never heard of it.
+        for &q in nbrs.iter().chain([&victim]) {
+            ace.phase1_probe(&ov, &oracle, q);
+        }
+        for &q in nbrs.iter().chain([&victim]) {
+            ace.build_tree(&ov, &oracle, q);
+        }
+        let names_victim = |s: &PeerState| s.mentioned().any(|p| p == victim);
+        assert!(nbrs.iter().all(|&q| names_victim(&ace.states[q.index()])));
+        ov.leave(victim).unwrap();
+        crate::steps::take();
+        ace.on_leave(victim);
+        let visited = crate::steps::take();
+        // A neighbor is recorded once per list it names the victim in
+        // (table, tree, forward request); the rest is the cache chain.
+        let purged = ace.core_cache.stats().purged;
+        assert!(
+            visited <= 3 * 6 + purged,
+            "visited {visited}, {purged} pairs"
+        );
+        assert!(!ace.states.iter().any(names_victim));
+    }
+
+    /// What `on_leave` / `on_crash` / `on_join` did before the indexes:
+    /// every peer's four lists and every cached pair are read, whoever
+    /// they belong to. Returns the engine the event should have produced.
+    fn sweep_reference(before: &AceEngine, peer: PeerId, event: LifecycleEvent) -> AceEngine {
+        let mut want = before.clone();
+        if event.purges_survivor_refs() {
+            for s in &mut want.states {
+                s.own_tree.retain(|&p| p != peer);
+                s.requested.retain(|&p| p != peer);
+                s.watches.retain(|&(far, near)| far != peer && near != peer);
+                s.table.remove(peer);
+            }
+        }
+        want.states[peer.index()] = PeerState::new(peer);
+        if let Some(c) = want.controller.as_mut() {
+            c.on_lifecycle(peer, event);
+        }
+        want
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(24))]
+
+        /// Lockstep against the sweep: random rounds (either schedule,
+        /// with and without injected faults and the rate controller) and
+        /// lifecycle events on 40–80 peers; after every event all per-peer
+        /// state, the digest and the cached pairs equal what the
+        /// read-everything reference computes from the pre-event engine.
+        #[test]
+        fn lifecycle_events_match_the_sweep_over_everyone(seed in 0u64..1_000_000) {
+            use ace_overlay::random_overlay;
+            use ace_topology::generate::{ba, BaConfig};
+            let mut rng = StdRng::seed_from_u64(seed);
+            let nodes = BaConfig { nodes: 160, ..BaConfig::default() };
+            let oracle = DistanceOracle::new(ba(&nodes, &mut rng));
+            let peers = 40 + (seed % 41) as usize;
+            let hosts = oracle.graph().nodes().take(peers).collect();
+            let mut ov = random_overlay(hosts, 4 + (seed % 3) as usize, None, &mut rng);
+            let mut ace = AceEngine::new(peers, AceConfig {
+                parallel: seed % 2 == 0,
+                workers: 2,
+                faults: (seed % 3 == 0).then(|| faulty(seed)),
+                autorate: (seed % 5 < 2).then(AutoRateConfig::default),
+                core_cache_budget: if seed % 7 == 0 { 4096 } else { 0 },
+                ..AceConfig::paper_default()
+            });
+            for _ in 0..24 {
+                let p = PeerId::new(rng.gen_range(0..peers as u32));
+                let event = match (rng.gen_range(0..5), ov.is_alive(p)) {
+                    (0 | 1, _) => {
+                        ace.round(&mut ov, &oracle, &mut rng);
+                        continue;
+                    }
+                    (_, true) if ov.alive_count() <= 3 => continue,
+                    (2, true) => LifecycleEvent::Crash,
+                    (_, true) => LifecycleEvent::GracefulLeave,
+                    (_, false) => LifecycleEvent::Rejoin,
+                };
+                proptest::prop_assert_eq!(ace.check_invariants(&ov), Ok(()));
+                let want = sweep_reference(&ace, p, event);
+                let mut pairs = ace.core_cache.live_pairs();
+                if event.purges_survivor_refs() {
+                    let raw = u64::from(p.raw());
+                    pairs.retain(|&(key, _)| key >> 32 != raw && key & 0xFFFF_FFFF != raw);
+                }
+                let purged = (ace.core_cache.stats().entries - pairs.len()) as u64;
+                let stats = CoreCacheStats {
+                    entries: pairs.len(),
+                    purged: ace.core_cache.stats().purged + purged,
+                    ..ace.core_cache.stats()
+                };
+                match event {
+                    LifecycleEvent::Rejoin => {
+                        ov.join(p, 3, &mut rng).unwrap();
+                        ace.on_join(p);
+                    }
+                    LifecycleEvent::Crash => {
+                        ov.leave(p).unwrap();
+                        ace.on_crash(p);
+                    }
+                    LifecycleEvent::GracefulLeave => {
+                        ov.leave(p).unwrap();
+                        ace.on_leave(p);
+                    }
+                }
+                proptest::prop_assert!(ace.states == want.states, "{event:?} of {p}");
+                proptest::prop_assert_eq!(ace.state_digest(), want.state_digest());
+                proptest::prop_assert_eq!(ace.core_cache.live_pairs(), pairs);
+                // `bytes` counts stale log records too, and those stay.
+                proptest::prop_assert_eq!(ace.core_cache.stats(), stats);
+            }
+        }
     }
 }

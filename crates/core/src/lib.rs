@@ -76,6 +76,7 @@ mod plan;
 pub mod policy;
 mod probe;
 pub mod protocol;
+mod reverse_refs;
 
 pub use audit::{
     ConfigError, EquivalenceKind, EquivalenceViolation, InvariantViolation, ViolationKind,
@@ -95,3 +96,23 @@ pub use policy::{
     WatchVerdict,
 };
 pub use probe::ProbeModel;
+
+/// Test-only work counter: the index walks bump it once per element
+/// they visit, so tests can assert *how much* a purge or an eviction
+/// touched instead of timing it. Thread-local, and the test harness runs
+/// each test on its own thread.
+#[cfg(test)]
+pub(crate) mod steps {
+    use std::cell::Cell;
+
+    thread_local!(static STEPS: Cell<u64> = const { Cell::new(0) });
+
+    pub(crate) fn bump() {
+        STEPS.with(|s| s.set(s.get() + 1));
+    }
+
+    /// The count since the last call, which it resets.
+    pub(crate) fn take() -> u64 {
+        STEPS.with(|s| s.replace(0))
+    }
+}

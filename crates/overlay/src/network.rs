@@ -38,6 +38,8 @@ pub const ADDR_CACHE_CAP: usize = 32;
 pub struct Overlay {
     hosts: Vec<NodeId>,
     alive: Vec<bool>,
+    /// `true` entries of `alive`, kept by `leave` / `join`.
+    alive_count: usize,
     nbrs: Vec<Vec<PeerId>>,
     addr_cache: Vec<Vec<PeerId>>,
     max_degree: Option<usize>,
@@ -93,6 +95,7 @@ impl Overlay {
         Overlay {
             hosts,
             alive: vec![true; n],
+            alive_count: n,
             nbrs: vec![Vec::new(); n],
             addr_cache: vec![Vec::new(); n],
             max_degree,
@@ -107,7 +110,7 @@ impl Overlay {
 
     /// Number of alive peers.
     pub fn alive_count(&self) -> usize {
-        self.alive.iter().filter(|&&a| a).count()
+        self.alive_count
     }
 
     /// Number of logical connections.
@@ -281,6 +284,7 @@ impl Overlay {
         }
         self.edge_count -= former.len();
         self.alive[peer.index()] = false;
+        self.alive_count -= 1;
         Ok(former)
     }
 
@@ -288,6 +292,11 @@ impl Overlay {
     /// first alive cached addresses (most recent first — the paper's
     /// rejoin-from-cache behaviour), then random alive peers supplied by
     /// the bootstrap. Returns the established neighbor list.
+    ///
+    /// The bootstrap is consulted only when the address cache left the
+    /// targets short. Each draw is a rank `k` among the other alive
+    /// peers, resolved to the `k`-th alive id in id order — no list of
+    /// the population is materialised.
     ///
     /// # Errors
     ///
@@ -308,6 +317,7 @@ impl Overlay {
             return Err(OverlayError::PeerOnline(peer));
         }
         self.alive[peer.index()] = true;
+        self.alive_count += 1;
 
         let mut targets: Vec<PeerId> = Vec::with_capacity(attach);
         // Cached addresses, most recently learned first.
@@ -325,11 +335,11 @@ impl Overlay {
             }
         }
         // Bootstrap: random alive peers.
-        let alive: Vec<PeerId> = self.alive_peers().filter(|&p| p != peer).collect();
+        let others = self.alive_count - 1;
         let mut guard = 0;
-        while targets.len() < attach && targets.len() < alive.len() && guard < 64 * attach + 64 {
+        while targets.len() < attach && targets.len() < others && guard < 64 * attach + 64 {
             guard += 1;
-            let cand = alive[rng.gen_range(0..alive.len())];
+            let cand = self.kth_alive_other(rng.gen_range(0..others), peer);
             if !targets.contains(&cand) {
                 targets.push(cand);
             }
@@ -344,8 +354,33 @@ impl Overlay {
         Ok(connected)
     }
 
+    /// The `k`-th alive peer other than `skip` (itself alive), in id
+    /// order. Whole 64-flag blocks are skipped by their alive count, so
+    /// a draw reads the flag array once, mostly as wide sums.
+    fn kth_alive_other(&self, mut k: usize, skip: PeerId) -> PeerId {
+        let mut start = 0;
+        for block in self.alive.chunks(64) {
+            let end = start + block.len();
+            let here = block.iter().filter(|&&a| a).count()
+                - usize::from((start..end).contains(&skip.index()));
+            if k < here {
+                break;
+            }
+            k -= here;
+            start = end;
+        }
+        (start..self.alive.len())
+            .filter(|&i| self.alive[i] && i != skip.index())
+            .nth(k)
+            .map(|i| PeerId::new(i as u32))
+            .expect("rank below the number of other alive peers")
+    }
+
     /// Checks structural invariants; used by tests and `debug_assert`s.
     pub fn check_invariants(&self) -> Result<(), String> {
+        if self.alive_count != self.alive.iter().filter(|&&a| a).count() {
+            return Err(format!("alive count {} is stale", self.alive_count));
+        }
         let mut edges = 0usize;
         for p in self.peers() {
             let nbrs = &self.nbrs[p.index()];
@@ -649,6 +684,51 @@ mod tests {
         assert!(ov.is_alive(center));
         assert!(made.iter().all(|&m| former.contains(&m)));
         ov.check_invariants().unwrap();
+    }
+
+    /// Pins which targets `join` picks — cached addresses first, then
+    /// bootstrap ranks resolved in id order — over 200 seeded leaves and
+    /// joins on 150 peers (40 of them never linked, so their address
+    /// caches are empty). The digest was captured with the bootstrap that
+    /// collected every alive peer into a `Vec` and indexed it; any change
+    /// to the draws or to the rank → peer map moves it.
+    #[test]
+    fn join_targets_are_pinned_over_a_seeded_churn_script() {
+        const ATTACH: usize = 3;
+        let mut rng = StdRng::seed_from_u64(0xACE);
+        let mut ov = Overlay::new(hosts(150), None);
+        for a in 0..110u32 {
+            for _ in 0..rng.gen_range(1..3) {
+                let b = rng.gen_range(0..110);
+                let _ = ov.connect(PeerId::new(a), PeerId::new(b));
+            }
+        }
+        let (mut empty, mut short, mut all_dead) = (0, 0, 0);
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let mut fold = |v: u64| digest = (digest ^ v).wrapping_mul(0x0000_0100_0000_01b3);
+        for _ in 0..200 {
+            let p = PeerId::new(rng.gen_range(0..150));
+            if ov.is_alive(p) {
+                ov.leave(p).unwrap();
+                continue;
+            }
+            let cache = ov.addr_cache(p);
+            empty += usize::from(cache.is_empty());
+            short += usize::from((1..ATTACH).contains(&cache.len()));
+            all_dead += usize::from(!cache.is_empty() && !cache.iter().any(|&c| ov.is_alive(c)));
+            let connected = ov.join(p, ATTACH, &mut rng).unwrap();
+            fold(u64::from(p.raw()));
+            connected
+                .iter()
+                .for_each(|t| fold(u64::from(t.raw()) + 1000));
+            ov.check_invariants().unwrap();
+        }
+        assert!(
+            empty > 0 && short > 0 && all_dead > 0,
+            "{empty} {short} {all_dead}"
+        );
+        assert_eq!(ov.alive_count(), ov.alive_peers().count());
+        assert_eq!(digest, 0x9778_55f9_aaac_cb4e);
     }
 
     #[test]

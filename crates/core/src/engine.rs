@@ -35,7 +35,7 @@ use ace_engine::pool::{self, plan_parallel_scratch, ScratchPool};
 use ace_overlay::{DepartureKind, Message, Overlay, OverlayError, PeerId};
 use ace_topology::{Delay, DistancePlane};
 
-use crate::audit::{InvariantViolation, ViolationKind};
+use crate::audit::{self, AuditView, Gap, InvariantViolation, ViolationKind};
 use crate::autorate::{AutoRateConfig, ControllerStats, RateController, RateSample};
 use crate::closure::Closure;
 use crate::core_cache::{CoreCache, CoreCacheStats, FxHasher};
@@ -43,6 +43,7 @@ use crate::cost_table::CostTable;
 use crate::fault::FaultConfig;
 use crate::mst::SlotEdge;
 use crate::overhead::{OverheadKind, OverheadLedger};
+use crate::peer_state::PeerState;
 use crate::plan::{KnownSnap, PlanScratch};
 use crate::policy::{self, Figure4Action, LifecycleEvent, WatchVerdict};
 use crate::probe::ProbeModel;
@@ -207,50 +208,6 @@ impl RoundStats {
             AdaptOutcome::Added { .. } => self.added += 1,
             AdaptOutcome::KeptAll => {}
         }
-    }
-}
-
-#[derive(Clone, Debug, PartialEq)]
-struct PeerState {
-    table: CostTable,
-    /// Neighbors adjacent to this peer in its own closure MST.
-    own_tree: Vec<PeerId>,
-    /// Peers whose trees attach through us: they sent a forward request
-    /// ("I expect queries through you", the paper's Figure-3 narrative),
-    /// so we must relay to them even though they are not on our own tree.
-    requested: Vec<PeerId>,
-    /// Keep-both watches from Figure 4(c): `(far, near)` pairs where we
-    /// kept `far` after connecting `near`; once `near` vanishes from
-    /// `far`'s table (B dropped B–H), we cut the `far` link (§3.3).
-    watches: Vec<(PeerId, PeerId)>,
-    tree_built: bool,
-}
-
-impl PeerState {
-    fn new(owner: PeerId) -> Self {
-        PeerState {
-            table: CostTable::new(owner),
-            own_tree: Vec::new(),
-            requested: Vec::new(),
-            watches: Vec::new(),
-            tree_built: false,
-        }
-    }
-
-    /// Every peer the four lists name (with repeats).
-    fn mentioned(&self) -> impl Iterator<Item = PeerId> + '_ {
-        (self.own_tree.iter().chain(&self.requested).copied())
-            .chain(self.watches.iter().flat_map(|&(far, near)| [far, near]))
-            .chain(self.table.iter().map(|(n, _)| n))
-    }
-
-    /// Drops every mention of `peer` from the four lists.
-    fn forget(&mut self, peer: PeerId) {
-        self.own_tree.retain(|&p| p != peer);
-        self.requested.retain(|&p| p != peer);
-        self.watches
-            .retain(|&(far, near)| far != peer && near != peer);
-        self.table.remove(peer);
     }
 }
 
@@ -486,9 +443,10 @@ impl AceEngine {
         }
     }
 
-    /// True once `peer` has built a spanning tree.
+    /// True once `peer` has built a spanning tree; false for an id the
+    /// engine was not built for.
     pub fn tree_built(&self, peer: PeerId) -> bool {
-        self.states[peer.index()].tree_built
+        self.states.get(peer.index()).is_some_and(|s| s.tree_built)
     }
 
     /// `peer`'s flooding neighbors, written into a caller buffer (cleared
@@ -496,26 +454,25 @@ impl AceEngine {
     /// forwarding because their trees attach through `peer`. May contain
     /// stale entries after topology changes; forwarding filters against
     /// current neighbors. Forwarding calls this once per visited peer per
-    /// query, hence the reused buffer.
+    /// query, hence the reused buffer. Empty for an id the engine was
+    /// not built for.
     pub fn flooding_neighbors_into(&self, peer: PeerId, out: &mut Vec<PeerId>) {
         out.clear();
-        let s = &self.states[peer.index()];
-        out.extend_from_slice(&s.own_tree);
-        for &r in &s.requested {
-            if !out.contains(&r) {
-                out.push(r);
-            }
+        if let Some(s) = self.states.get(peer.index()) {
+            s.flooding_into(out);
         }
     }
 
-    /// `peer`'s own-tree neighbors only (without symmetrization requests).
+    /// `peer`'s own-tree neighbors only (without symmetrization
+    /// requests); empty for an id the engine was not built for.
     pub fn tree_neighbors_of(&self, peer: PeerId) -> &[PeerId] {
-        &self.states[peer.index()].own_tree
+        self.states.get(peer.index()).map_or(&[], |s| &s.own_tree)
     }
 
-    /// `peer`'s probed cost to `neighbor`, if it has one recorded.
+    /// `peer`'s probed cost to `neighbor`, if it has one recorded;
+    /// `None` for an id the engine was not built for.
     pub fn probed_cost(&self, peer: PeerId, neighbor: PeerId) -> Option<Delay> {
-        self.states[peer.index()].table.get(neighbor)
+        self.states.get(peer.index())?.table.get(neighbor)
     }
 
     /// Graceful leave: `peer`'s goodbye reaches every partner, so both
@@ -559,7 +516,7 @@ impl AceEngine {
             self.purge_peer_refs(peer);
         }
         if event.clears_own_state() {
-            self.clear_own_state(peer);
+            self.states[peer.index()].reset();
         }
         if let Some(c) = self.controller.as_mut() {
             c.on_lifecycle(peer, event);
@@ -616,30 +573,13 @@ impl AceEngine {
         self.core_cache.purge_endpoint(peer);
     }
 
-    /// Resets `peer`'s own protocol state to the fresh-node default.
-    fn clear_own_state(&mut self, peer: PeerId) {
-        let s = &mut self.states[peer.index()];
-        s.table = CostTable::new(peer);
-        s.own_tree.clear();
-        s.requested.clear();
-        s.watches.clear();
-        s.tree_built = false;
-    }
-
-    /// Both endpoints of a just-cut link forget it: tree membership,
-    /// forward requests and cached cost rows for the partner. Keeps the
-    /// tree⊆neighbors and request-symmetry invariants true after
-    /// engine-initiated cuts (phase-3 replaces, watch cuts). Watches are
-    /// left to expire on their own (§3.3).
+    /// Both endpoints of a just-cut link forget it
+    /// ([`PeerState::forget_link`]). Keeps the tree⊆neighbors and
+    /// request-symmetry invariants true after engine-initiated cuts
+    /// (phase-3 replaces, watch cuts).
     fn note_link_down(&mut self, a: PeerId, b: PeerId) {
-        let sa = &mut self.states[a.index()];
-        sa.own_tree.retain(|&p| p != b);
-        sa.requested.retain(|&p| p != b);
-        sa.table.remove(b);
-        let sb = &mut self.states[b.index()];
-        sb.own_tree.retain(|&p| p != a);
-        sb.requested.retain(|&p| p != a);
-        sb.table.remove(a);
+        self.states[a.index()].forget_link(b);
+        self.states[b.index()].forget_link(a);
     }
 
     /// Measures `a`↔`b`, charging `ledger`. Read-only on `self` and
@@ -1721,19 +1661,13 @@ impl AceEngine {
     /// Audits the engine's cross-peer state against the overlay; rounds
     /// run it under `debug_assert` and the churn tests call it directly.
     ///
-    /// 1. **Forwarding liveness** — every alive peer with ≥ 1 neighbor
-    ///    has ≥ 1 forward target (no query black holes).
-    /// 2. **Tree ⊆ neighbors** — an *alive* tree or forward-request
-    ///    partner must be a current neighbor. References to dead peers
-    ///    are tolerated: a crash sends no goodbye, and phase 1 prunes
-    ///    them on the holder's next probe sweep.
-    /// 3. **Request symmetry** — `f ∈ own_tree(p)` ⟺ `p ∈ requested(f)`
-    ///    for alive pairs, so both ends of a tree edge agree to relay.
-    /// 4. **Cost-table symmetry** — when two alive peers both hold an
-    ///    entry for each other, it is the same measurement (probes share
-    ///    one symmetric exchange).
-    /// 5. **Ledger consistency** — every cost finite and non-negative,
-    ///    and any charged cost backed by a nonzero message count.
+    /// 1.–5. The clauses shared with the async simulator
+    ///    (`audit::check_peer`: forwarding liveness, list hygiene,
+    ///    tree ⊆ neighbors, request symmetry, cost symmetry;
+    ///    `audit::check_ledger`), held strictly: a round leaves no
+    ///    message in flight, so nothing excuses a disagreement. References
+    ///    to dead peers are skipped — a crash sends no goodbye, and
+    ///    phase 1 prunes them on the holder's next probe sweep.
     /// 6. **Controller hygiene**, 7. **maintenance indexes** (the
     ///    reverse-reference lists and the core cache's endpoint chains
     ///    cover every live reference and pair) and 8. **closure
@@ -1745,120 +1679,14 @@ impl AceEngine {
         let viol = |kind, peer, partner, message: String| {
             Err(InvariantViolation::new(kind, peer, partner, message))
         };
-        let mut targets = Vec::new();
-        for p in ov.peers() {
-            if !ov.is_alive(p) {
-                continue;
-            }
-            let s = &self.states[p.index()];
-            if !ov.neighbors(p).is_empty() {
-                self.forward_targets_into(ov, p, None, &mut targets);
-                if targets.is_empty() {
-                    return viol(
-                        ViolationKind::ForwardBlackHole,
-                        Some(p),
-                        None,
-                        format!("peer {p} has neighbors but no forward targets"),
-                    );
-                }
-            }
-            for (name, list) in [("tree", &s.own_tree), ("request", &s.requested)] {
-                for (i, &e) in list.iter().enumerate() {
-                    if e == p {
-                        return viol(
-                            ViolationKind::ListCorrupt,
-                            Some(p),
-                            None,
-                            format!("peer {p} {name} list contains itself"),
-                        );
-                    }
-                    if list[..i].contains(&e) {
-                        return viol(
-                            ViolationKind::ListCorrupt,
-                            Some(p),
-                            Some(e),
-                            format!("peer {p} {name} list has duplicate {e}"),
-                        );
-                    }
-                }
-            }
-            for &f in &s.own_tree {
-                if !ov.is_alive(f) {
-                    continue;
-                }
-                if !ov.are_neighbors(p, f) {
-                    return viol(
-                        ViolationKind::StaleLink,
-                        Some(p),
-                        Some(f),
-                        format!("peer {p} tree entry {f}: alive but not a neighbor"),
-                    );
-                }
-                if !self.states[f.index()].requested.contains(&p) {
-                    return viol(
-                        ViolationKind::Unmirrored,
-                        Some(p),
-                        Some(f),
-                        format!("tree edge {p}->{f} not mirrored in {f}'s forward requests"),
-                    );
-                }
-            }
-            for &r in &s.requested {
-                if !ov.is_alive(r) {
-                    continue;
-                }
-                if !ov.are_neighbors(p, r) {
-                    return viol(
-                        ViolationKind::StaleLink,
-                        Some(p),
-                        Some(r),
-                        format!("peer {p} forward request from {r}: alive but not a neighbor"),
-                    );
-                }
-                if !self.states[r.index()].own_tree.contains(&p) {
-                    return viol(
-                        ViolationKind::Unmirrored,
-                        Some(p),
-                        Some(r),
-                        format!("forward request {r}->{p} has no matching tree entry at {r}"),
-                    );
-                }
-            }
-            for (n, c) in s.table.iter() {
-                if !ov.is_alive(n) {
-                    continue;
-                }
-                if let Some(c2) = self.states[n.index()].table.get(p) {
-                    if c != c2 {
-                        return viol(
-                            ViolationKind::AsymmetricCost,
-                            Some(p),
-                            Some(n),
-                            format!("asymmetric cost {p}<->{n}: {c} vs {c2}"),
-                        );
-                    }
-                }
-            }
+        let view = Strict {
+            ov,
+            states: &self.states,
+        };
+        for p in ov.alive_peers() {
+            audit::check_peer(p, &self.states[p.index()], &view)?;
         }
-        for kind in OverheadKind::ALL {
-            let cost = self.ledger.cost_of(kind);
-            if !cost.is_finite() || cost < 0.0 {
-                return viol(
-                    ViolationKind::LedgerAccounting,
-                    None,
-                    None,
-                    format!("ledger {kind:?} cost invalid: {cost}"),
-                );
-            }
-            if cost > 0.0 && self.ledger.count_of(kind) == 0 {
-                return viol(
-                    ViolationKind::LedgerAccounting,
-                    None,
-                    None,
-                    format!("ledger {kind:?} charged {cost} over zero messages"),
-                );
-            }
-        }
+        audit::check_ledger(&self.ledger)?;
         // 6. **Controller hygiene** — autorate soft state never
         //    references a departed peer (the purge taxonomy clears
         //    entries on every lifecycle event) and never exceeds its
@@ -1987,6 +1815,27 @@ impl AceEngine {
     }
 }
 
+/// The engine's audit view: exact agreement, nothing excused — a round
+/// leaves no message in flight.
+struct Strict<'a> {
+    ov: &'a Overlay,
+    states: &'a [PeerState],
+}
+
+impl AuditView for Strict<'_> {
+    fn overlay(&self) -> &Overlay {
+        self.ov
+    }
+
+    fn state(&self, p: PeerId) -> &PeerState {
+        &self.states[p.index()]
+    }
+
+    fn excuses(&self, _: Gap, _: PeerId, _: PeerId) -> bool {
+        false
+    }
+}
+
 /// Stage-A result for one due peer: a fresh plan, or (`plan: None`, a
 /// dirty-set hit) a replay of the peer's cached committed decision.
 struct TreeOutcome {
@@ -2045,6 +1894,7 @@ struct Proposal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::audit::provoke::{self, Clause, StatesMut};
     use ace_topology::{DistanceOracle, Graph, NodeId};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -2455,6 +2305,70 @@ mod tests {
         // A cut the engine never hears about corrupts tree⊆neighbors.
         ov.disconnect(p, f).unwrap();
         assert!(ace.check_invariants(&ov).is_err());
+    }
+
+    impl StatesMut for AceEngine {
+        fn state_mut(&mut self, p: PeerId) -> &mut PeerState {
+            &mut self.states[p.index()]
+        }
+    }
+
+    fn audited_engine() -> (Overlay, AceEngine) {
+        let (mut ov, oracle, mut rng) = ba_env(21);
+        let mut ace = AceEngine::new(ov.peer_count(), AceConfig::paper_default());
+        ace.round(&mut ov, &oracle, &mut rng);
+        ace.check_invariants(&ov).unwrap();
+        (ov, ace)
+    }
+
+    #[test]
+    fn auditor_reports_each_shared_clause_at_its_pair() {
+        let (ov, ace) = audited_engine();
+        let view = Strict {
+            ov: &ov,
+            states: &ace.states,
+        };
+        let pick = provoke::pick(&view);
+        for clause in Clause::ALL {
+            let mut bad = ace.clone();
+            let want = clause.apply(&mut bad, pick);
+            let v = bad.check_invariants(&ov).expect_err("corruption missed");
+            assert_eq!((v.kind(), v.peer(), v.partner()), want, "{clause:?}");
+        }
+    }
+
+    /// The state the async simulator excuses while the `Disconnect` is in
+    /// flight (`disconnect_in_flight_excuses_the_stale_slot`): one end
+    /// cut and forgot the link, the other still names it. A round sends
+    /// nothing that could still be on its way, so here it is stale.
+    #[test]
+    fn cut_heard_by_one_end_only_is_a_stale_slot() {
+        let (mut ov, mut ace) = audited_engine();
+        let view = Strict {
+            ov: &ov,
+            states: &ace.states,
+        };
+        let (p, f, _) = provoke::pick(&view);
+        ov.disconnect(p, f).unwrap();
+        ace.states[p.index()].forget_link(f);
+        let v = ace.check_invariants(&ov).unwrap_err();
+        assert_eq!(
+            (v.kind(), v.peer(), v.partner()),
+            (ViolationKind::StaleLink, Some(f), Some(p))
+        );
+    }
+
+    #[test]
+    fn accessors_answer_an_unknown_id_like_the_overlay() {
+        let (ov, ace) = audited_engine();
+        let mut out = vec![PeerId::new(0)];
+        for unknown in [PeerId::new(ov.peer_count() as u32), PeerId::new(u32::MAX)] {
+            assert!(!ace.tree_built(unknown));
+            assert!(ace.tree_neighbors_of(unknown).is_empty());
+            assert_eq!(ace.probed_cost(unknown, PeerId::new(0)), None);
+            ace.flooding_neighbors_into(unknown, &mut out);
+            assert!(out.is_empty());
+        }
     }
 
     #[test]

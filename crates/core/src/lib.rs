@@ -72,6 +72,7 @@ pub mod mst;
 pub mod netem;
 mod optrate;
 mod overhead;
+mod peer_state;
 mod plan;
 pub mod policy;
 mod probe;

@@ -78,13 +78,14 @@ use ace_engine::{EventQueue, SimTime};
 use ace_overlay::{ForwardPolicy, Message, Overlay, PeerId};
 use ace_topology::{Delay, DistancePlane};
 
-use crate::audit::{ConfigError, InvariantViolation, ViolationKind};
+use crate::audit::{self, AuditView, ConfigError, Gap, InvariantViolation, ViolationKind};
 use crate::autorate::{AutoRateConfig, ControllerStats, RateController, RateSample};
 use crate::cost_table::CostTable;
 use crate::fault::FaultConfig;
 use crate::mst::{PrimScratch, SlotEdge};
 use crate::netem::NetemConfig;
 use crate::overhead::{OverheadKind, OverheadLedger};
+use crate::peer_state::PeerState;
 use crate::policy::{self, Figure4Action, LifecycleEvent, WatchVerdict};
 use crate::probe::ProbeModel;
 
@@ -231,14 +232,13 @@ struct PendingProbe {
     sent_at: SimTime,
 }
 
+/// One node's protocol state: the [`PeerState`] the round-based engine
+/// keeps too, plus what only a message-level run needs.
 #[derive(Debug)]
 struct NodeState {
-    table: CostTable,
+    peer: PeerState,
     /// Latest table/report received from each neighbor (merged entries).
     neighbor_tables: HashMap<PeerId, CostTable>,
-    own_tree: Vec<PeerId>,
-    requested: Vec<PeerId>,
-    watches: Vec<(PeerId, PeerId)>,
     /// Outstanding probes (by nonce).
     pending_probes: HashMap<u64, PendingProbe>,
     /// Neighbors whose pairwise report we still await this cycle.
@@ -266,11 +266,8 @@ struct NodeState {
 impl NodeState {
     fn new(owner: PeerId) -> Self {
         NodeState {
-            table: CostTable::new(owner),
+            peer: PeerState::new(owner),
             neighbor_tables: HashMap::new(),
-            own_tree: Vec::new(),
-            requested: Vec::new(),
-            watches: Vec::new(),
             pending_probes: HashMap::new(),
             awaiting_reports: Vec::new(),
             serving: HashMap::new(),
@@ -282,16 +279,29 @@ impl NodeState {
         }
     }
 
-    /// Forgets a partner after a link cut: tree membership, forward
-    /// requests and the cached cost row (the async twin of the engine's
-    /// `note_link_down`, applied per endpoint — the cutter at send time,
-    /// the partner when the `Disconnect` arrives). Watches are left to
-    /// expire on their own (§3.3).
+    /// Forgets a partner after a link cut ([`PeerState::forget_link`]
+    /// plus the request's refresh stamp), applied per endpoint: the
+    /// cutter at send time, the partner when the `Disconnect` arrives.
     fn forget_link(&mut self, partner: PeerId) {
-        self.own_tree.retain(|&p| p != partner);
-        self.requested.retain(|&p| p != partner);
+        self.peer.forget_link(partner);
         self.requested_at.remove(&partner);
-        self.table.remove(partner);
+    }
+
+    /// One on-behalf probe for `requester` is settled — answered with
+    /// `measured`, or written off (`None`). Counts its `serving` entry
+    /// down and, at zero, removes it and returns the report to flush.
+    fn settle_serving(
+        &mut self,
+        requester: PeerId,
+        measured: Option<(PeerId, Delay)>,
+    ) -> Option<Vec<(PeerId, Delay)>> {
+        let (entries, left) = self.serving.get_mut(&requester)?;
+        entries.extend(measured);
+        *left -= 1;
+        if *left > 0 {
+            return None;
+        }
+        self.serving.remove(&requester).map(|(entries, _)| entries)
     }
 }
 
@@ -656,7 +666,7 @@ impl AsyncAceSim {
         use std::hash::{Hash, Hasher};
         let mut h = DefaultHasher::new();
         for n in &self.nodes {
-            let mut entries: Vec<(PeerId, Delay)> = n.table.iter().collect();
+            let mut entries: Vec<(PeerId, Delay)> = n.peer.table.iter().collect();
             entries.sort_unstable();
             entries.hash(&mut h);
             let mut tables: Vec<(PeerId, Vec<(PeerId, Delay)>)> = n
@@ -670,8 +680,8 @@ impl AsyncAceSim {
                 .collect();
             tables.sort_unstable_by_key(|&(o, _)| o);
             tables.hash(&mut h);
-            n.own_tree.hash(&mut h);
-            n.requested.hash(&mut h);
+            n.peer.own_tree.hash(&mut h);
+            n.peer.requested.hash(&mut h);
             let mut stamps: Vec<(PeerId, u64)> = n
                 .requested_at
                 .iter()
@@ -679,7 +689,7 @@ impl AsyncAceSim {
                 .collect();
             stamps.sort_unstable();
             stamps.hash(&mut h);
-            n.watches.hash(&mut h);
+            n.peer.watches.hash(&mut h);
             let mut pending: Vec<(u64, PeerId, ProbePurpose, u64)> = n
                 .pending_probes
                 .iter()
@@ -724,34 +734,29 @@ impl AsyncAceSim {
             .unwrap_or(0)
     }
 
-    /// A node's current flooding set (own tree ∪ forward requests).
+    /// A node's current flooding set (own tree ∪ forward requests);
+    /// empty for a peer the simulator does not know.
     pub fn flooding_neighbors(&self, peer: PeerId) -> Vec<PeerId> {
         let mut out = Vec::new();
-        self.flooding_neighbors_into(peer, &mut out);
+        if let Some(n) = self.nodes.get(peer.index()) {
+            n.peer.flooding_into(&mut out);
+        }
         out
     }
 
-    /// Like [`AsyncAceSim::flooding_neighbors`], but appends into a
-    /// caller buffer (the query hot path reuses one allocation).
-    fn flooding_neighbors_into(&self, peer: PeerId, out: &mut Vec<PeerId>) {
-        let n = &self.nodes[peer.index()];
-        out.extend_from_slice(&n.own_tree);
-        for &r in &n.requested {
-            if !out.contains(&r) {
-                out.push(r);
-            }
-        }
-    }
-
-    /// True once `peer` has completed at least one tree build.
+    /// True once `peer` has completed at least one tree build; false
+    /// for a peer the simulator does not know.
     pub fn tree_built(&self, peer: PeerId) -> bool {
-        self.nodes[peer.index()].cycles_done > 0
+        self.nodes
+            .get(peer.index())
+            .is_some_and(|n| n.peer.tree_built)
     }
 
     /// Completed optimization cycles of one peer (the soak harness sums
-    /// these to price a timer chain's total control activity).
+    /// these to price a timer chain's total control activity); 0 for a
+    /// peer the simulator does not know.
     pub fn cycles_done(&self, peer: PeerId) -> u64 {
-        self.nodes[peer.index()].cycles_done
+        self.nodes.get(peer.index()).map_or(0, |n| n.cycles_done)
     }
 
     /// Takes `peer` offline (graceful leave in the shared taxonomy —
@@ -878,13 +883,9 @@ impl AsyncAceSim {
             }
             let owner = PeerId::new(i as u32);
             let node = &mut self.nodes[i];
-            node.own_tree.retain(|&p| p != dead);
-            node.requested.retain(|&p| p != dead);
+            node.peer.forget(dead);
             node.requested_at.remove(&dead);
             node.seen.remove(&dead);
-            node.watches
-                .retain(|&(far, near)| far != dead && near != dead);
-            node.table.remove(dead);
             node.neighbor_tables.remove(&dead);
             for t in node.neighbor_tables.values_mut() {
                 t.remove(dead);
@@ -923,16 +924,10 @@ impl AsyncAceSim {
                         // The probe that will never be answered still
                         // counts down its serving entry; at zero the
                         // report is complete (without the dead pair) and
-                        // must be flushed — this is the leak the PR
-                        // fixes: `serving` entries used to wait forever.
+                        // is flushed rather than left waiting forever.
                         if requester != dead && target == dead {
-                            if let Some((_, left)) = node.serving.get_mut(&requester) {
-                                *left -= 1;
-                                if *left == 0 {
-                                    let (entries, _) =
-                                        node.serving.remove(&requester).expect("just seen");
-                                    fx.serving_replies.push((owner, requester, entries));
-                                }
+                            if let Some(entries) = node.settle_serving(requester, None) {
+                                fx.serving_replies.push((owner, requester, entries));
                             }
                         }
                     }
@@ -1307,7 +1302,7 @@ impl AsyncAceSim {
                         // Same semantics as the engine: a pair whose
                         // every probe attempt was lost gets no table
                         // entry this cycle.
-                        self.nodes[peer.index()].table.remove(n);
+                        self.nodes[peer.index()].peer.table.remove(n);
                         continue;
                     }
                     let nonce = self.fresh_nonce();
@@ -1396,16 +1391,13 @@ impl AsyncAceSim {
         let nbrs: Vec<PeerId> = self.overlay.neighbors(peer).to_vec();
         {
             let node = &mut self.nodes[peer.index()];
-            let before = node.requested.len();
-            let NodeState {
-                requested,
-                requested_at,
-                ..
-            } = node;
+            let requested = &mut node.peer.requested;
+            let requested_at = &mut node.requested_at;
+            let before = requested.len();
             requested.retain(|r| requested_at.get(r).is_none_or(|&t| t >= cutoff));
             requested_at.retain(|r, _| requested.contains(r));
-            self.netem_stats.expired_forwards += (before - node.requested.len()) as u64;
-            node.table.retain_neighbors(&nbrs);
+            self.netem_stats.expired_forwards += (before - requested.len()) as u64;
+            node.peer.table.retain_neighbors(&nbrs);
         }
         // Stranded on-behalf probes: their reply has been gone past any
         // ARQ horizon; write them off in nonce order.
@@ -1423,21 +1415,7 @@ impl AsyncAceSim {
         for (nonce, requester) in expired {
             self.nodes[peer.index()].pending_probes.remove(&nonce);
             self.netem_stats.expired_probes += 1;
-            let flushed = {
-                let node = &mut self.nodes[peer.index()];
-                match node.serving.get_mut(&requester) {
-                    Some((_, left)) => {
-                        *left -= 1;
-                        if *left == 0 {
-                            let (entries, _) = node.serving.remove(&requester).expect("just seen");
-                            Some(entries)
-                        } else {
-                            None
-                        }
-                    }
-                    None => None,
-                }
-            };
+            let flushed = self.nodes[peer.index()].settle_serving(requester, None);
             if let Some(entries) = flushed {
                 if self.overlay.is_alive(requester) {
                     self.send(
@@ -1491,12 +1469,12 @@ impl AsyncAceSim {
                 // overtaken by a cut-and-reconnect cannot install a
                 // forward slot nobody wants anymore.
                 if self.overlay.are_neighbors(to, from)
-                    && self.nodes[from.index()].own_tree.contains(&to)
+                    && self.nodes[from.index()].peer.own_tree.contains(&to)
                 {
                     let now = self.now;
                     let node = &mut self.nodes[to.index()];
-                    if !node.requested.contains(&from) {
-                        node.requested.push(from);
+                    if !node.peer.requested.contains(&from) {
+                        node.peer.requested.push(from);
                     }
                     // Refresh stamp: netem-mode senders re-send their
                     // whole tree every cycle, and slots unrefreshed for
@@ -1506,7 +1484,7 @@ impl AsyncAceSim {
             }
             Message::ForwardCancel => {
                 let node = &mut self.nodes[to.index()];
-                node.requested.retain(|&p| p != from);
+                node.peer.requested.retain(|&p| p != from);
                 node.requested_at.remove(&from);
             }
             Message::Connect => {
@@ -1546,7 +1524,7 @@ impl AsyncAceSim {
         match purpose {
             ProbePurpose::Neighbor => {
                 if self.overlay.are_neighbors(to, from) {
-                    self.nodes[to.index()].table.set(from, measured);
+                    self.nodes[to.index()].peer.table.set(from, measured);
                 }
                 // All phase-1 probes answered → exchange tables + request
                 // pairwise measurements.
@@ -1570,18 +1548,13 @@ impl AsyncAceSim {
                 // Cache the measurement: later ProbeRequests for the same
                 // peer are answered without a fresh round trip.
                 node.pair_cache.insert(from, measured);
-                if let Some((entries, left)) = node.serving.get_mut(&requester) {
-                    entries.push((from, measured));
-                    *left -= 1;
-                    if *left == 0 {
-                        let (entries, _) = node.serving.remove(&requester).expect("just present");
-                        self.send(
-                            oracle,
-                            to,
-                            requester,
-                            Message::CostTable { owner: to, entries },
-                        );
-                    }
+                if let Some(entries) = node.settle_serving(requester, Some((from, measured))) {
+                    self.send(
+                        oracle,
+                        to,
+                        requester,
+                        Message::CostTable { owner: to, entries },
+                    );
                 }
             }
         }
@@ -1590,7 +1563,7 @@ impl AsyncAceSim {
     /// Step 2: own table to all neighbors + pairwise probe requests.
     fn exchange_tables(&mut self, oracle: &dyn DistancePlane, peer: PeerId) {
         let nbrs: Vec<PeerId> = self.overlay.neighbors(peer).to_vec();
-        let own = self.nodes[peer.index()].table.clone();
+        let own = self.nodes[peer.index()].peer.table.clone();
         self.nodes[peer.index()].awaiting_reports = nbrs.clone();
         for &n in &nbrs {
             let others: Vec<PeerId> = nbrs.iter().copied().filter(|&o| o != n).collect();
@@ -1642,6 +1615,7 @@ impl AsyncAceSim {
             }
             let node = &self.nodes[to.index()];
             match node
+                .peer
                 .table
                 .get(t)
                 .or_else(|| node.pair_cache.get(&t).copied())
@@ -1700,7 +1674,7 @@ impl AsyncAceSim {
         let node = &self.nodes[peer.index()];
         let mut edges: Vec<SlotEdge> = Vec::new();
         for (i, &n) in nbrs.iter().enumerate() {
-            if let Some(cost) = node.table.get(n) {
+            if let Some(cost) = node.peer.table.get(n) {
                 let (a, b) = (0, 1 + i as u32);
                 edges.push(SlotEdge { a, b, cost });
             }
@@ -1723,13 +1697,13 @@ impl AsyncAceSim {
             &edges,
             nbrs,
             self.cfg.min_flooding,
-            |n| node.table.get(n),
+            |n| node.peer.table.get(n),
             &mut PrimScratch::default(),
             &mut Vec::new(),
             &mut new_tree,
         );
-        let old_tree = std::mem::take(&mut self.nodes[peer.index()].own_tree);
-        self.nodes[peer.index()].own_tree = new_tree.clone();
+        let old_tree = std::mem::take(&mut self.nodes[peer.index()].peer.own_tree);
+        self.nodes[peer.index()].peer.own_tree = new_tree.clone();
         // On a perfect wire only the diffs travel; under netem the whole
         // tree is re-requested every cycle — the refresh that keeps the
         // partner's `requested_at` stamps alive and re-installs slots
@@ -1741,7 +1715,9 @@ impl AsyncAceSim {
         for &f in old_tree.iter().filter(|f| !new_tree.contains(f)) {
             self.send(oracle, peer, f, Message::ForwardCancel);
         }
-        self.nodes[peer.index()].cycles_done += 1;
+        let node = &mut self.nodes[peer.index()];
+        node.cycles_done += 1;
+        node.peer.tree_built = true;
 
         self.process_watches(oracle, peer);
         self.start_phase3(oracle, peer);
@@ -1799,8 +1775,8 @@ impl AsyncAceSim {
     /// [`policy::triage_watch`] over the freshest table received from
     /// each watched far neighbor.
     fn process_watches(&mut self, oracle: &dyn DistancePlane, peer: PeerId) {
-        let watches = std::mem::take(&mut self.nodes[peer.index()].watches);
-        let own_tree = self.nodes[peer.index()].own_tree.clone();
+        let watches = std::mem::take(&mut self.nodes[peer.index()].peer.watches);
+        let own_tree = self.nodes[peer.index()].peer.own_tree.clone();
         let mut keep = Vec::new();
         for (far, near) in watches {
             let verdict = policy::triage_watch(
@@ -1822,7 +1798,7 @@ impl AsyncAceSim {
                 }
             }
         }
-        self.nodes[peer.index()].watches = keep;
+        self.nodes[peer.index()].peer.watches = keep;
     }
 
     fn start_phase3(&mut self, oracle: &dyn DistancePlane, peer: PeerId) {
@@ -1831,7 +1807,7 @@ impl AsyncAceSim {
         let mut flooding = std::mem::take(&mut self.flood_scratch);
         let mut non_flooding = std::mem::take(&mut self.nonflood_scratch);
         flooding.clear();
-        self.flooding_neighbors_into(peer, &mut flooding);
+        self.nodes[peer.index()].peer.flooding_into(&mut flooding);
         non_flooding.clear();
         non_flooding.extend(
             self.overlay
@@ -1889,7 +1865,7 @@ impl AsyncAceSim {
         if !self.overlay.are_neighbors(peer, far) || self.overlay.are_neighbors(peer, near) {
             return; // world moved on while the probe was in flight
         }
-        let Some(far_cost) = self.nodes[peer.index()].table.get(far) else {
+        let Some(far_cost) = self.nodes[peer.index()].peer.table.get(far) else {
             return;
         };
         match policy::figure4_decide(
@@ -1901,7 +1877,7 @@ impl AsyncAceSim {
             Figure4Action::Replace => {
                 if self.overlay.connect(peer, near).is_ok() {
                     self.send(oracle, peer, near, Message::Connect);
-                    self.nodes[peer.index()].table.set(near, near_cost);
+                    self.nodes[peer.index()].peer.table.set(near, near_cost);
                     if self.overlay.disconnect(peer, far).is_ok() {
                         self.nodes[peer.index()].forget_link(far);
                         self.send(oracle, peer, far, Message::Disconnect);
@@ -1911,8 +1887,8 @@ impl AsyncAceSim {
             Figure4Action::Add => {
                 if self.overlay.connect(peer, near).is_ok() {
                     self.send(oracle, peer, near, Message::Connect);
-                    self.nodes[peer.index()].table.set(near, near_cost);
-                    self.nodes[peer.index()].watches.push((far, near));
+                    self.nodes[peer.index()].peer.table.set(near, near_cost);
+                    self.nodes[peer.index()].peer.watches.push((far, near));
                 }
             }
             Figure4Action::Keep => {}
@@ -1920,80 +1896,41 @@ impl AsyncAceSim {
     }
 
     /// Audits the simulator's cross-peer state against the overlay — the
-    /// async mirror of [`AceEngine::check_invariants`], adapted to message
-    /// asynchrony: where the engine demands exact agreement, the
-    /// simulator tolerates disagreement exactly while the notifying
-    /// message is still on the wire (tracked per `InFlightKind`).
+    /// async mirror of [`AceEngine::check_invariants`]. The async-only
+    /// clauses run first for each alive peer:
     ///
     /// [`AceEngine::check_invariants`]: crate::AceEngine::check_invariants
     ///
-    /// 1. **Forwarding liveness** — every alive peer with ≥ 1 neighbor
-    ///    has ≥ 1 forward target (no query black holes).
-    /// 2. **No offline references** — graceful leaves drain eagerly, so
+    /// 1. **No offline references** — graceful leaves drain eagerly, so
     ///    *no* surviving state may reference an offline peer: trees,
     ///    requests, watches, tables (own and received), pair caches,
     ///    pending probes, awaited reports or serving ledgers.
-    /// 3. **Tree ⊆ neighbors + mirroring** — a tree slot must be a
-    ///    current neighbor (unless a `Disconnect` is in flight) and be
-    ///    mirrored by the partner's forward request (unless the
-    ///    `ForwardRequest`/`ForwardCancel` is in flight).
-    /// 4. **Cost-table symmetry** — when two alive peers both hold an
-    ///    entry for each other it is the same measurement (probes share
-    ///    one symmetric exchange).
-    /// 5. **Serving consistency** — every `serving` countdown equals its
+    /// 2. **Cycle bookkeeping** — awaited reports imply an open cycle.
+    /// 3. **Serving consistency** — every `serving` countdown equals its
     ///    outstanding on-behalf probes (a zero countdown would be a
-    ///    report that was never flushed — the leak this PR fixes).
-    /// 6. **Cycle bookkeeping** — awaited reports imply an open cycle.
-    /// 7. **Ledger consistency** — every cost finite and non-negative,
-    ///    and any charged cost backed by a nonzero message count.
+    ///    report that was never flushed).
     ///
-    /// Under netem, the cross-peer agreement clauses (3) additionally
-    /// tolerate pairs whose covering notification was destroyed within
-    /// its repair window ([`AsyncConfig::repair_periods`]) or that a
-    /// scheduled partition separated within that window — the chaos
-    /// harness re-checks strictly once the window past the last heal has
-    /// elapsed. Violations are typed ([`InvariantViolation`]); `Display`
-    /// renders the same message text the `String` era produced.
+    /// Then the clauses shared with the engine (`audit::check_peer`:
+    /// forwarding liveness, list hygiene, tree ⊆ neighbors, request
+    /// mirroring, cost symmetry; `audit::check_ledger`). Where the
+    /// engine demands exact agreement, the simulator excuses a stale or
+    /// unmirrored pair exactly while the notifying message is still on
+    /// the wire (tracked per `InFlightKind`), a destroyed copy is within
+    /// its repair window ([`AsyncConfig::repair_periods`]), or a
+    /// scheduled partition separated the pair within that window — the
+    /// chaos harness re-checks strictly once the window past the last
+    /// heal has elapsed. Violations are typed ([`InvariantViolation`]);
+    /// `Display` renders the same message text the `String` era
+    /// produced.
     pub fn check_invariants(&self) -> Result<(), InvariantViolation> {
         let viol = |kind, peer, partner, message: String| {
             Err(InvariantViolation::new(kind, peer, partner, message))
         };
         let ov = &self.overlay;
-        let mut targets = Vec::new();
-        for p in ov.peers() {
-            if !ov.is_alive(p) {
-                continue;
-            }
+        for p in ov.alive_peers() {
             let n = &self.nodes[p.index()];
-            if !ov.neighbors(p).is_empty() {
-                AsyncForward::new(self).forward_targets_into(ov, p, None, &mut targets);
-                if targets.is_empty() {
-                    return viol(
-                        ViolationKind::ForwardBlackHole,
-                        Some(p),
-                        None,
-                        format!("peer {p} has neighbors but no forward targets"),
-                    );
-                }
-            }
-            for (name, list) in [("tree", &n.own_tree), ("request", &n.requested)] {
-                for (i, &e) in list.iter().enumerate() {
-                    if e == p {
-                        return viol(
-                            ViolationKind::ListCorrupt,
-                            Some(p),
-                            None,
-                            format!("peer {p} {name} list contains itself"),
-                        );
-                    }
-                    if list[..i].contains(&e) {
-                        return viol(
-                            ViolationKind::ListCorrupt,
-                            Some(p),
-                            Some(e),
-                            format!("peer {p} {name} list has duplicate {e}"),
-                        );
-                    }
+            for (name, list) in [("tree", &n.peer.own_tree), ("request", &n.peer.requested)] {
+                for &e in list {
                     if !ov.is_alive(e) {
                         return viol(
                             ViolationKind::OfflineReference,
@@ -2004,7 +1941,7 @@ impl AsyncAceSim {
                     }
                 }
             }
-            for &(far, near) in &n.watches {
+            for &(far, near) in &n.peer.watches {
                 if !ov.is_alive(far) || !ov.is_alive(near) {
                     return viol(
                         ViolationKind::OfflineReference,
@@ -2014,7 +1951,7 @@ impl AsyncAceSim {
                     );
                 }
             }
-            for (q, _) in n.table.iter() {
+            for (q, _) in n.peer.table.iter() {
                 if !ov.is_alive(q) {
                     return viol(
                         ViolationKind::OfflineReference,
@@ -2151,93 +2088,37 @@ impl AsyncAceSim {
                     );
                 }
             }
-            for &f in &n.own_tree {
-                if !ov.are_neighbors(p, f) {
-                    if !self.cut_cover(p, f) && !self.recently_separated(p, f) {
-                        return viol(
-                            ViolationKind::StaleLink,
-                            Some(p),
-                            Some(f),
-                            format!("peer {p} tree entry {f}: not a neighbor and no cut in flight"),
-                        );
-                    }
-                    continue;
-                }
-                if !self.nodes[f.index()].requested.contains(&p)
-                    && !self.wire_cover(p, f, InFlightKind::ForwardRequest)
-                    && !self.recently_separated(p, f)
-                {
-                    return viol(
-                        ViolationKind::Unmirrored,
-                        Some(p),
-                        Some(f),
-                        format!("tree edge {p}->{f} not mirrored in {f}'s forward requests"),
-                    );
-                }
-            }
-            for &r in &n.requested {
-                if !ov.are_neighbors(p, r) {
-                    if !self.cut_cover(p, r) && !self.recently_separated(p, r) {
-                        return viol(
-                            ViolationKind::StaleLink,
-                            Some(p),
-                            Some(r),
-                            format!(
-                                "peer {p} forward request from {r}: not a neighbor and no cut in flight"
-                            ),
-                        );
-                    }
-                    continue;
-                }
-                if !self.nodes[r.index()].own_tree.contains(&p)
-                    && !self.wire_cover(r, p, InFlightKind::ForwardCancel)
-                    && !self.cut_cover(p, r)
-                    && !self.recently_separated(p, r)
-                {
-                    return viol(
-                        ViolationKind::Unmirrored,
-                        Some(p),
-                        Some(r),
-                        format!("forward request {r}->{p} has no matching tree entry at {r}"),
-                    );
-                }
-            }
-            for (q, c) in n.table.iter() {
-                if let Some(c2) = self.nodes[q.index()].table.get(p) {
-                    if c != c2 {
-                        return viol(
-                            ViolationKind::AsymmetricCost,
-                            Some(p),
-                            Some(q),
-                            format!("asymmetric cost {p}<->{q}: {c} vs {c2}"),
-                        );
-                    }
-                }
-            }
+            audit::check_peer(p, &n.peer, self)?;
         }
-        for kind in OverheadKind::ALL {
-            let cost = self.ledger.cost_of(kind);
-            if !cost.is_finite() || cost < 0.0 {
-                return viol(
-                    ViolationKind::LedgerAccounting,
-                    None,
-                    None,
-                    format!("ledger {kind:?} cost invalid: {cost}"),
-                );
-            }
-            if cost > 0.0 && self.ledger.count_of(kind) == 0 {
-                return viol(
-                    ViolationKind::LedgerAccounting,
-                    None,
-                    None,
-                    format!("ledger {kind:?} charged {cost} over zero messages"),
-                );
-            }
-        }
+        audit::check_ledger(&self.ledger)?;
         if let Some(c) = &self.controller {
             c.audit(|p| ov.is_alive(p), |p| self.incarnations[p.index()])?;
         }
         Ok(())
+    }
+}
+
+/// The simulator's audit view: a pair may disagree while the message
+/// that reconciles it is in flight or within its repair window, or when
+/// a partition recently separated the two.
+impl AuditView for AsyncAceSim {
+    fn overlay(&self) -> &Overlay {
+        &self.overlay
+    }
+
+    fn state(&self, p: PeerId) -> &PeerState {
+        &self.nodes[p.index()].peer
+    }
+
+    fn excuses(&self, gap: Gap, p: PeerId, q: PeerId) -> bool {
+        self.recently_separated(p, q)
+            || match gap {
+                Gap::Stale => self.cut_cover(p, q),
+                Gap::TreeUnmirrored => self.wire_cover(p, q, InFlightKind::ForwardRequest),
+                Gap::RequestUnmirrored => {
+                    self.wire_cover(q, p, InFlightKind::ForwardCancel) || self.cut_cover(p, q)
+                }
+            }
     }
 }
 
@@ -2271,7 +2152,7 @@ impl ForwardPolicy for AsyncForward<'_> {
             peer,
             from,
             self.sim.tree_built(peer),
-            |buf| self.sim.flooding_neighbors_into(peer, buf),
+            |buf| self.sim.nodes[peer.index()].peer.flooding_into(buf),
             out,
         );
     }
@@ -2280,6 +2161,7 @@ impl ForwardPolicy for AsyncForward<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::audit::provoke::{self, Clause, StatesMut};
     use crate::netem::{Partition, PartitionKind};
     use ace_overlay::{clustered_overlay, run_query, FloodAll, QueryConfig};
     use ace_topology::generate::{two_level, TwoLevelConfig};
@@ -2317,6 +2199,70 @@ mod tests {
             assert!(sim.tree_built(p), "{p} never built a tree");
         }
         sim.check_invariants().unwrap();
+    }
+
+    impl StatesMut for AsyncAceSim {
+        fn state_mut(&mut self, p: PeerId) -> &mut PeerState {
+            &mut self.nodes[p.index()].peer
+        }
+    }
+
+    fn audited_sim() -> (DistanceOracle, AsyncAceSim) {
+        let (oracle, ov) = world(60, 1);
+        let mut sim = AsyncAceSim::new(ov, ProtoConfig::default(), 2);
+        sim.run_until(&oracle, SimTime::from_secs(120));
+        sim.check_invariants().unwrap();
+        (oracle, sim)
+    }
+
+    #[test]
+    fn auditor_reports_each_shared_clause_at_its_pair() {
+        for clause in Clause::ALL {
+            let (_, mut sim) = audited_sim();
+            let pick = provoke::pick(&sim);
+            let want = clause.apply(&mut sim, pick);
+            let v = sim.check_invariants().expect_err("corruption missed");
+            assert_eq!((v.kind(), v.peer(), v.partner()), want, "{clause:?}");
+        }
+    }
+
+    /// The engine rejects this state (`cut_heard_by_one_end_only_is_a_
+    /// stale_slot`); here the `Disconnect` on its way to the other end
+    /// excuses it, and only that does.
+    #[test]
+    fn disconnect_in_flight_excuses_the_stale_slot() {
+        let (oracle, mut sim) = audited_sim();
+        let (p, f, _) = provoke::pick(&sim);
+        sim.overlay.disconnect(p, f).unwrap();
+        sim.nodes[p.index()].forget_link(f);
+        sim.send(&oracle, p, f, Message::Disconnect);
+        sim.check_invariants().unwrap();
+
+        let key = (p, f, InFlightKind::Disconnect);
+        let copies = sim.in_flight.remove(&key).expect("cut in flight");
+        let v = sim.check_invariants().unwrap_err();
+        assert_eq!(
+            (v.kind(), v.peer(), v.partner()),
+            (ViolationKind::StaleLink, Some(f), Some(p))
+        );
+        sim.in_flight.insert(key, copies);
+
+        sim.run_until(&oracle, sim.now() + SimTime::from_secs(5).as_ticks());
+        assert!(
+            !sim.in_flight(p, f, InFlightKind::Disconnect),
+            "cut delivered"
+        );
+        sim.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn accessors_answer_an_unknown_id() {
+        let (_, sim) = audited_sim();
+        for unknown in [PeerId::new(sim.nodes.len() as u32), PeerId::new(u32::MAX)] {
+            assert!(!sim.tree_built(unknown));
+            assert_eq!(sim.cycles_done(unknown), 0);
+            assert!(sim.flooding_neighbors(unknown).is_empty());
+        }
     }
 
     #[test]
@@ -2689,26 +2635,30 @@ mod tests {
             .alive_peers()
             .find(|&v| {
                 sim.nodes.iter().any(|n| {
-                    n.table.owner() != v
+                    n.peer.table.owner() != v
                         && (n.pair_cache.contains_key(&v) || n.neighbor_tables.contains_key(&v))
                 })
             })
             .expect("some victim is cached somewhere");
         assert!(sim.peer_leave(&oracle, victim));
         for node in &sim.nodes {
-            if node.table.owner() == victim {
+            if node.peer.table.owner() == victim {
                 continue;
             }
-            assert!(!node.own_tree.contains(&victim), "tree ref survived");
-            assert!(!node.requested.contains(&victim), "request ref survived");
+            assert!(!node.peer.own_tree.contains(&victim), "tree ref survived");
+            assert!(
+                !node.peer.requested.contains(&victim),
+                "request ref survived"
+            );
             assert!(
                 !node
+                    .peer
                     .watches
                     .iter()
                     .any(|&(f, n)| f == victim || n == victim),
                 "watch ref survived"
             );
-            assert!(node.table.get(victim).is_none(), "cost row survived");
+            assert!(node.peer.table.get(victim).is_none(), "cost row survived");
             assert!(
                 !node.pair_cache.contains_key(&victim),
                 "pair-cache measurement survived"
@@ -2758,7 +2708,7 @@ mod tests {
             sim.run_until(&oracle, SimTime::from_ticks(step * 40));
             for node in &sim.nodes {
                 if let Some(&victim) = node.awaiting_reports.first() {
-                    found = Some((node.table.owner(), victim));
+                    found = Some((node.peer.table.owner(), victim));
                     break 'scan;
                 }
             }

@@ -230,21 +230,17 @@ fn scale_cmd(args: &Args) -> Result<bool, String> {
     eprintln!("[repro scale: measuring {peers} peers]");
     // The CI smoke stays lean: no worker sweep under --check (the
     // sweep's digest-invariance claim is covered by the drift gate plus
-    // the dirty-planning differential suite).
+    // the planned-schedule golden cells).
     let point = scale::run_point_workers(peers, args.workers.unwrap_or(0), baseline.is_none());
     eprintln!(
         "[repro scale: {peers} peers — world {:.0} ms, oracle build {:.0} ms, mean round {:.1} ms, \
-         plan-skip rate {:.3}, state digest {:#018x}]",
-        point.world_ms,
-        point.oracle_build_ms,
-        point.mean_round_ms,
-        point.plan_skip_rate,
-        point.state_digest
+         state digest {:#018x}]",
+        point.world_ms, point.oracle_build_ms, point.mean_round_ms, point.state_digest
     );
     for leg in &point.workers_sweep {
         eprintln!(
-            "[repro scale:   workers={} — mean round {:.1} ms, plan-skip rate {:.3} (digest ok)]",
-            leg.workers, leg.mean_round_ms, leg.plan_skip_rate
+            "[repro scale:   workers={} — mean round {:.1} ms (digest ok)]",
+            leg.workers, leg.mean_round_ms
         );
     }
     // Informational only — like with like: a --workers run is printed

@@ -47,8 +47,8 @@ pub const SCALE_ROUNDS: usize = 5;
 
 /// Worker counts the per-point sweep re-runs the same rounds with. The
 /// round pipeline is bit-identical across worker counts (pinned by the
-/// dirty-planning differential suite), so every leg must land on the
-/// same [`AceEngine::state_digest`] — the sweep asserts it.
+/// planned-schedule golden cells), so every leg must land on the same
+/// [`AceEngine::state_digest`] — the sweep asserts it.
 pub const WORKER_SWEEP: [usize; 3] = [1, 4, 8];
 
 /// Overlay degree used across the curve (the paper's default C = 6).
@@ -109,8 +109,6 @@ pub struct WorkerRun {
     pub workers: usize,
     /// Mean wall time over the timed rounds.
     pub mean_round_ms: f64,
-    /// Plans replayed from the dirty-set cache ÷ plans examined.
-    pub plan_skip_rate: f64,
     /// Engine state digest after the timed rounds.
     pub state_digest: u64,
 }
@@ -144,10 +142,6 @@ pub struct ScalePoint {
     /// Defaulted fields below are absent from pre-sweep baselines.
     #[serde(default)]
     pub workers: usize,
-    /// Plans replayed from the dirty-set cache ÷ plans examined over
-    /// the timed rounds.
-    #[serde(default)]
-    pub plan_skip_rate: f64,
     /// Engine state digest after the timed rounds. Bit-stable across
     /// worker counts — the CI drift gate; `0` in old baselines.
     #[serde(default)]
@@ -350,15 +344,14 @@ pub(crate) fn build_world_sized(
 }
 
 /// Runs [`SCALE_ROUNDS`] timed rounds on `overlay` with a fresh engine
-/// at `workers` threads. Returns per-round wall times, the plan-skip
-/// rate (replayed ÷ examined; `trees_built` counts both) and the final
+/// at `workers` threads. Returns per-round wall times and the final
 /// engine state digest.
 fn timed_run(
     overlay: &mut Overlay,
     plane: &dyn DistancePlane,
     rng: &mut StdRng,
     workers: usize,
-) -> (Vec<f64>, f64, u64) {
+) -> (Vec<f64>, u64) {
     let mut ace = AceEngine::new(
         overlay.peer_count(),
         AceConfig {
@@ -368,16 +361,12 @@ fn timed_run(
         },
     );
     let mut round_wall_ms = Vec::with_capacity(SCALE_ROUNDS);
-    let (mut skipped, mut examined) = (0usize, 0usize);
     for _ in 0..SCALE_ROUNDS {
         let t = Instant::now();
-        let s = ace.round(overlay, plane, rng);
+        ace.round(overlay, plane, rng);
         round_wall_ms.push(t.elapsed().as_secs_f64() * 1e3);
-        skipped += s.plans_skipped;
-        examined += s.trees_built;
     }
-    let skip_rate = skipped as f64 / examined.max(1) as f64;
-    (round_wall_ms, skip_rate, ace.state_digest())
+    (round_wall_ms, ace.state_digest())
 }
 
 /// Measures one population: builds the world and the hybrid plane, runs
@@ -406,8 +395,7 @@ pub fn run_point_workers(peers: usize, workers: usize, sweep: bool) -> ScalePoin
     // Pristine copies for the sweep legs: same start state, same seeds.
     let (overlay0, rng0) = (overlay.clone(), rng.clone());
 
-    let (round_wall_ms, plan_skip_rate, state_digest) =
-        timed_run(&mut overlay, &plane, &mut rng, workers);
+    let (round_wall_ms, state_digest) = timed_run(&mut overlay, &plane, &mut rng, workers);
     let mean_round_ms = round_wall_ms.iter().sum::<f64>() / round_wall_ms.len() as f64;
     // Tier counters snapshot now so sweep traffic does not dilute the
     // main run's shares.
@@ -418,7 +406,7 @@ pub fn run_point_workers(peers: usize, workers: usize, sweep: bool) -> ScalePoin
             .iter()
             .map(|&w| {
                 let (mut ov, mut r) = (overlay0.clone(), rng0.clone());
-                let (wall, skip, digest) = timed_run(&mut ov, &plane, &mut r, w);
+                let (wall, digest) = timed_run(&mut ov, &plane, &mut r, w);
                 assert_eq!(
                     digest, state_digest,
                     "{peers} peers: workers={w} diverged from the main run"
@@ -426,7 +414,6 @@ pub fn run_point_workers(peers: usize, workers: usize, sweep: bool) -> ScalePoin
                 WorkerRun {
                     workers: w,
                     mean_round_ms: wall.iter().sum::<f64>() / wall.len() as f64,
-                    plan_skip_rate: skip,
                     state_digest: digest,
                 }
             })
@@ -458,7 +445,6 @@ pub fn run_point_workers(peers: usize, workers: usize, sweep: bool) -> ScalePoin
             p90: cal.p90,
         },
         workers,
-        plan_skip_rate,
         state_digest,
         workers_sweep,
     }
@@ -571,16 +557,13 @@ mod tests {
     #[test]
     fn worker_sweep_is_digest_invariant_at_800() {
         // run_point_workers itself asserts every sweep leg's digest
-        // against the main run; this pins that the sweep actually ran
-        // and that the skip rate is a sane fraction.
+        // against the main run; this pins that the sweep actually ran.
         let point = run_point_workers(800, 0, true);
         assert_eq!(point.workers_sweep.len(), WORKER_SWEEP.len());
         for leg in &point.workers_sweep {
             assert_eq!(leg.state_digest, point.state_digest);
-            assert!((0.0..=1.0).contains(&leg.plan_skip_rate));
         }
         assert!(point.state_digest != 0);
-        assert!((0.0..=1.0).contains(&point.plan_skip_rate));
     }
 
     #[test]
@@ -614,7 +597,6 @@ mod tests {
                 p90: 0.0,
             },
             workers: 0,
-            plan_skip_rate: 0.0,
             state_digest: 0,
             workers_sweep: Vec::new(),
         };

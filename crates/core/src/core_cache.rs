@@ -44,9 +44,9 @@ use ace_overlay::PeerId;
 use ace_topology::Delay;
 
 /// Deterministic FxHash-style hasher (the rustc hash): multiply-rotate
-/// mixing, no per-process seed, so digests and iteration-independent
-/// lookups behave identically across runs. Only integers are hashed
-/// here, which is exactly the input FxHash is good at.
+/// mixing, no per-process seed, so lookups behave identically across
+/// runs. Only packed pair keys are hashed here, which is exactly the
+/// input FxHash is good at.
 #[derive(Default)]
 pub struct FxHasher {
     hash: u64,
@@ -72,18 +72,8 @@ impl Hasher for FxHasher {
     }
 
     #[inline]
-    fn write_u32(&mut self, n: u32) {
-        self.add_to_hash(u64::from(n));
-    }
-
-    #[inline]
     fn write_u64(&mut self, n: u64) {
         self.add_to_hash(n);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, n: usize) {
-        self.add_to_hash(n as u64);
     }
 
     #[inline]

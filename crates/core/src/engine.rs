@@ -21,8 +21,7 @@
 //! `plan_tree` → `commit_tree`, `plan_phase3` → `commit_proposal`. The
 //! two round schedules ([`AceConfig::parallel`]) only order those pairs.
 //! Schedule-specific on purpose: the serial watch sweep
-//! (`process_watches`) and the planned schedule's dirty-set replay
-//! (`plan_tree_cached`).
+//! (`process_watches`).
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -38,7 +37,7 @@ use ace_topology::{Delay, DistancePlane};
 use crate::audit::{self, AuditView, Gap, InvariantViolation, ViolationKind};
 use crate::autorate::{AutoRateConfig, ControllerStats, RateController, RateSample};
 use crate::closure::Closure;
-use crate::core_cache::{CoreCache, CoreCacheStats, FxHasher};
+use crate::core_cache::{CoreCache, CoreCacheStats};
 use crate::cost_table::CostTable;
 use crate::fault::FaultConfig;
 use crate::mst::SlotEdge;
@@ -103,17 +102,6 @@ pub struct AceConfig {
     /// observation streams at round end, so the worker-count digest
     /// guarantee still holds.
     pub autorate: Option<AutoRateConfig>,
-    /// Convergence-aware dirty-set planning for the parallel pipeline:
-    /// each committed plan is cached with a digest of its inputs
-    /// (closure membership and adjacency, member tables, pairwise-core
-    /// cache state), and a peer whose digest is unchanged — and whose
-    /// cached plan needed no probes — replays the cached decision
-    /// instead of replanning. Behavior-invisible by construction (the
-    /// differential proptest pins it): digests, ledgers and overlay
-    /// wiring are bit-identical with the flag off. Lifecycle events and
-    /// autorate snap-to-floor invalidate the affected peers' caches.
-    /// No effect on the serial schedule (see [`AceEngine::build_tree`]).
-    pub dirty_planning: bool,
     /// Byte budget for the pairwise-core probe cache
     /// (`core_cache.rs`); `0` selects the 256 MiB default. When
     /// the budget is exceeded, oldest-inserted pairs are evicted and
@@ -134,7 +122,6 @@ impl AceConfig {
             workers: 0,
             faults: None,
             autorate: None,
-            dirty_planning: true,
             core_cache_budget: 0,
         }
     }
@@ -142,7 +129,7 @@ impl AceConfig {
 
 impl Default for AceConfig {
     /// [`AceConfig::paper_default`] — a derived all-zero value would turn
-    /// the scope guard (`min_flooding`) and dirty planning off.
+    /// the scope guard (`min_flooding`) off.
     fn default() -> Self {
         Self::paper_default()
     }
@@ -184,10 +171,11 @@ pub struct RoundStats {
     pub rejoined: usize,
     /// Control-traffic overhead incurred during the round.
     pub overhead: OverheadLedger,
-    /// Plans served from the dirty-set cache instead of replanned
-    /// ([`AceConfig::dirty_planning`]); always 0 on the serial schedule.
-    /// Each skipped plan still counts in `trees_built` — the peer's
-    /// tree was refreshed, just without recomputing it.
+    /// Always 0: both schedules plan every due peer's tree. It counted
+    /// the tree plans the planned schedule once replayed from a
+    /// per-peer cache; replay saved less than its bookkeeping cost and
+    /// is gone. The field stays while the repo benchmark still reads it
+    /// (its `core.engine.plan_skip_ratio`).
     pub plans_skipped: usize,
     /// Cumulative pairwise-core cache counters as of the end of the
     /// round (hits/misses/evictions are totals since engine
@@ -252,18 +240,9 @@ pub struct AceEngine {
     /// the steady-state optimization overhead at the paper's level.
     /// Bounded by [`AceConfig::core_cache_budget`], oldest pair first.
     core_cache: CoreCache,
-    /// Per-peer dirty-set plan cache ([`AceConfig::dirty_planning`]).
-    plan_caches: Vec<PlanCache>,
     /// Reusable per-worker plan arenas, shared by the parallel pipeline
     /// and the serial round path.
     scratch: ScratchPool<PlanScratch>,
-    /// Per-peer state hashes ([`Self::peer_state_hash`]), refreshed once
-    /// per planned round right before stage A. Peer state is frozen for
-    /// the whole plan stage, and every closure containing a peer hashes
-    /// the same state — memoizing turns the digest's per-member
-    /// adjacency-and-table walk into one array read. Recomputed from
-    /// live state each round, so it can never go stale.
-    state_hashes: Vec<u64>,
     ledger: OverheadLedger,
     /// Completed optimization rounds; indexes the fault hash streams so
     /// every round draws fresh (but reproducible) fault decisions.
@@ -323,9 +302,7 @@ impl AceEngine {
             pending_traffic: None,
             core_cache,
             referrers: ReverseRefs::new(peer_count),
-            plan_caches: vec![PlanCache::default(); peer_count],
             scratch: ScratchPool::new(),
-            state_hashes: Vec::new(),
             cfg,
             states,
             ledger: OverheadLedger::new(),
@@ -509,9 +486,6 @@ impl AceEngine {
         if peer.index() >= self.states.len() {
             return;
         }
-        // Every lifecycle event makes the peer's cached plan meaningless
-        // (its state resets, or a new incarnation appears).
-        self.plan_caches[peer.index()].valid = false;
         if event.purges_survivor_refs() {
             self.purge_peer_refs(peer);
         }
@@ -524,24 +498,20 @@ impl AceEngine {
         self.pending_queries[peer.index()] = 0.0;
     }
 
-    /// Local churn response: each disturbed neighbor's dirty-set plan
-    /// cache is dropped (a churned neighborhood must be replanned from
-    /// scratch, never replayed) and, with a controller, its schedule
-    /// snaps back to the floor ([`RateController::snap_to_floor`]) so
-    /// the next round re-optimizes the neighborhood instead of coasting
-    /// through it on a stretched interval — the static schedule gets
-    /// exactly that for free by always running. The sync engine has a
-    /// single incarnation (0) per peer; fault injection runs serially
-    /// in both round paths, so the snaps are worker-count invariant.
+    /// Local churn response: with a controller, each disturbed
+    /// neighbor's schedule snaps back to the floor
+    /// ([`RateController::snap_to_floor`]) so the next round
+    /// re-optimizes the neighborhood instead of coasting through it on a
+    /// stretched interval — the static schedule gets exactly that for
+    /// free by always running. The sync engine has a single incarnation
+    /// (0) per peer; fault injection runs serially in both round paths,
+    /// so the snaps are worker-count invariant.
     fn snap_neighbors(&mut self, ov: &Overlay, neighbors: &[PeerId]) {
+        let Some(c) = self.controller.as_mut() else {
+            return;
+        };
         for &n in neighbors {
-            if !ov.is_alive(n) {
-                continue;
-            }
-            if let Some(cache) = self.plan_caches.get_mut(n.index()) {
-                cache.valid = false;
-            }
-            if let Some(c) = self.controller.as_mut() {
+            if ov.is_alive(n) {
                 c.snap_to_floor(n, 0, self.rounds_run);
             }
         }
@@ -879,8 +849,7 @@ impl AceEngine {
     ///
     /// The plan charges a copy of the engine ledger, written back before
     /// the commit charges, so float sums accumulate plan-then-commit,
-    /// peer by peer — an order no cached plan could be replayed into,
-    /// hence no dirty-set digest here.
+    /// peer by peer.
     ///
     /// # Panics
     ///
@@ -896,9 +865,6 @@ impl AceEngine {
         self.plan_tree(ov, oracle, peer, &mut scratch, &mut ledger);
         self.ledger = ledger;
         self.commit_tree(ov, oracle, peer, &scratch.core_probes, &scratch.tree);
-        // This tree bypassed the digest bookkeeping, so the peer must not
-        // replay a stale cached plan in a later planned round.
-        self.plan_caches[peer.index()].valid = false;
         self.scratch.put(scratch);
     }
 
@@ -1273,10 +1239,9 @@ impl AceEngine {
         round_seed: u64,
         stats: &mut RoundStats,
     ) {
-        self.refresh_state_hashes(ov);
         let workers = pool::effective_workers(self.cfg.workers);
 
-        let outcomes: Vec<TreeOutcome> = {
+        let trees: Vec<TreePlan> = {
             let this = &*self;
             let ov_ref = &*ov;
             plan_parallel_scratch(
@@ -1284,12 +1249,10 @@ impl AceEngine {
                 due.len(),
                 workers,
                 PlanScratch::default,
-                |scratch, i| {
-                    this.plan_tree_cached(ov_ref, oracle, due[i], Some(&this.state_hashes), scratch)
-                },
+                |scratch, i| this.plan_stage_a(ov_ref, oracle, due[i], scratch),
             )
         };
-        self.commit_trees(ov, oracle, &outcomes, stats);
+        self.commit_trees(ov, oracle, &trees, stats);
 
         // Injected departures/rejoins strike between the tree commit and
         // the adaptation stage: stage B plans only the survivors, against
@@ -1310,7 +1273,7 @@ impl AceEngine {
                 |scratch, k| {
                     let i = survivors[k];
                     let peer = due[i];
-                    let known = outcomes[i].known.as_ref();
+                    let known = trees[i].known.as_ref();
                     // Per-peer stream: distinct per `(round_seed, peer)`
                     // and independent of which worker runs the plan.
                     let mut rng = StdRng::seed_from_u64(
@@ -1320,76 +1283,26 @@ impl AceEngine {
                 },
             )
         };
-        drop(outcomes);
+        drop(trees);
         self.commit_adaptations(ov, oracle, adapt_plans, stats);
     }
 
-    // ----- planned schedule: dirty-set replay around the tree plan --------
+    // ----- planned schedule: the stages' plan and commit halves ----------
 
-    /// Hash of one peer's planner-visible state: its adjacency list
-    /// (relay paths and internal edges are functions of it) and its
-    /// cost table. [`Self::refresh_state_hashes`] memoizes this per
-    /// round; [`plan_digest`](Self::plan_digest) computes it inline
-    /// when no memo table is supplied, so both paths produce identical
-    /// digests by construction.
-    fn peer_state_hash(&self, ov: &Overlay, m: PeerId) -> u64 {
-        let mut h = FxHasher::default();
-        let nbrs = ov.neighbors(m);
-        h.write_usize(nbrs.len());
-        for &nb in nbrs {
-            h.write_u32(nb.raw());
-        }
-        let table = &self.states[m.index()].table;
-        h.write_usize(table.len());
-        for &(nb, c) in table.as_slice() {
-            h.write_u32(nb.raw());
-            h.write_u32(c);
-        }
-        h.finish()
-    }
-
-    /// Recomputes every peer's [`Self::peer_state_hash`] into
-    /// `state_hashes`. Called once per planned round, after phase 1 and
-    /// before stage A: peer state is frozen for the whole plan stage,
-    /// and each peer sits in every closure that contains it (~closure
-    /// size of them), so hashing it once here replaces that many full
-    /// adjacency-and-table walks inside the parallel digest passes.
-    /// Rebuilding from live state each round means the memo can never
-    /// go stale, no matter what commits, faults, or lifecycle events
-    /// did in between.
-    fn refresh_state_hashes(&mut self, ov: &Overlay) {
-        let n = self.states.len();
-        let mut hashes = std::mem::take(&mut self.state_hashes);
-        hashes.clear();
-        hashes.reserve(n);
-        for i in 0..n {
-            hashes.push(self.peer_state_hash(ov, PeerId::new(i as u32)));
-        }
-        self.state_hashes = hashes;
-    }
-
-    /// Digest of every input that determines [`Self::plan_tree`]'s
-    /// output and ledger for `peer`: the closure membership with hop
-    /// depths, every member's planner-visible state
-    /// ([`Self::peer_state_hash`], read from `hashes` when the caller
-    /// refreshed the per-round memo table, recomputed inline
-    /// otherwise), and the pairwise-core cache state for the peer's
-    /// non-adjacent neighbor pairs (staged by
-    /// [`Self::stage_core_pairs`] as a side effect, so the cache is
-    /// consulted exactly once per pair whether or not the plan is
-    /// replayed). Config knobs and the static distance oracle are
-    /// engine constants and need no hashing; `rounds_run` is
-    /// deliberately absent — it only feeds the fault hashes, which is
-    /// why only probe-free plans are replayable.
-    fn plan_digest(
+    /// Stage A of the planned schedule: [`Self::plan_tree`] for one peer
+    /// against the round-start snapshot, charging a fresh ledger merged
+    /// at commit. With faults configured the closure tables are
+    /// snapshotted for stage B: mid-round faults can mutate tables after
+    /// the tree commit, and stage B must read what stage A saw
+    /// (faultless rounds read live).
+    fn plan_stage_a(
         &self,
         ov: &Overlay,
+        oracle: &dyn DistancePlane,
         peer: PeerId,
-        hashes: Option<&[u64]>,
         scratch: &mut PlanScratch,
-    ) -> u64 {
-        let mut h = FxHasher::default();
-        h.write_u32(peer.raw());
+    ) -> TreePlan {
+        scratch.collect_closure(ov, peer, self.cfg.depth);
         // The plan body touches, per member, four lines scattered
         // across peer-count-sized vecs (state header, table data,
         // neighbor-list header and data). Left to the walk itself those
@@ -1404,107 +1317,34 @@ impl AceEngine {
             std::hint::black_box(ov.neighbors(m).first().copied());
             std::hint::black_box(self.states[m.index()].table.as_slice().first().copied());
         }
-        for (i, &m) in scratch.members.iter().enumerate() {
-            h.write_u32(m.raw());
-            h.write_u8(scratch.hops[i]);
-            h.write_u64(match hashes {
-                Some(hs) => hs[m.index()],
-                None => self.peer_state_hash(ov, m),
-            });
-        }
         self.stage_core_pairs(ov, peer, scratch);
-        for cost in &scratch.core_costs {
-            match *cost {
-                Some(c) => {
-                    h.write_u8(1);
-                    h.write_u32(c);
-                }
-                None => h.write_u8(0),
-            }
-        }
-        h.finish()
-    }
-
-    /// Stage A of the planned schedule: [`Self::plan_tree`] for one peer
-    /// against the round-start snapshot, wrapped in the dirty-set
-    /// digest/replay — which needs what only this schedule has: state
-    /// frozen for the whole stage (memoized `hashes`) and per-plan
-    /// ledgers merged at commit (a cached one can be replayed).
-    ///
-    /// With [`AceConfig::dirty_planning`], a peer whose input digest
-    /// matches its cached committed plan — and whose cached plan needed
-    /// no probes, so no fault stream would be consumed — skips the plan
-    /// pass and replays the cached decision at commit. With faults
-    /// configured the closure tables are snapshotted for stage B:
-    /// mid-round faults can mutate tables after the tree commit, and
-    /// stage B must read what stage A saw (faultless rounds read live).
-    fn plan_tree_cached(
-        &self,
-        ov: &Overlay,
-        oracle: &dyn DistancePlane,
-        peer: PeerId,
-        hashes: Option<&[u64]>,
-        scratch: &mut PlanScratch,
-    ) -> TreeOutcome {
-        scratch.collect_closure(ov, peer, self.cfg.depth);
-        let digest = self.plan_digest(ov, peer, hashes, scratch);
         let snap = |w: PeerId| self.states[w.index()].table.clone();
         let known = self.cfg.faults.map(|_| KnownSnap::capture(scratch, snap));
-        let cache = &self.plan_caches[peer.index()];
-        let plan =
-            if self.cfg.dirty_planning && cache.valid && cache.probe_free && cache.digest == digest
-            {
-                None
-            } else {
-                let mut ledger = OverheadLedger::new();
-                self.plan_tree(ov, oracle, peer, scratch, &mut ledger);
-                Some(TreePlan {
-                    new_tree: scratch.tree.clone(),
-                    core_probes: scratch.core_probes.clone(),
-                    ledger,
-                    digest,
-                    probe_free: ledger.count_of(OverheadKind::Probe) == 0
-                        && ledger.count_of(OverheadKind::ProbeRetry) == 0,
-                })
-            };
-        TreeOutcome { peer, known, plan }
+        let mut ledger = OverheadLedger::new();
+        self.plan_tree(ov, oracle, peer, scratch, &mut ledger);
+        TreePlan {
+            peer,
+            known,
+            new_tree: scratch.tree.clone(),
+            core_probes: scratch.core_probes.clone(),
+            ledger,
+        }
     }
 
     /// Commit of stage A, in plan (peer-id) order: merge each plan's
-    /// ledger, then [`Self::commit_tree`]. Replays merge the cached ledger
-    /// and re-apply the cached tree; the diff always runs against the
-    /// *current* own-tree, so a partner's intervening rewiring is handled
-    /// identically either way.
+    /// ledger, then [`Self::commit_tree`], which diffs against the
+    /// *current* own-tree, so a partner's intervening rewiring is
+    /// handled.
     fn commit_trees(
         &mut self,
         ov: &Overlay,
         oracle: &dyn DistancePlane,
-        outcomes: &[TreeOutcome],
+        plans: &[TreePlan],
         stats: &mut RoundStats,
     ) {
-        for outcome in outcomes {
-            let peer = outcome.peer;
-            match &outcome.plan {
-                None => {
-                    let cached_ledger = self.plan_caches[peer.index()].ledger;
-                    self.ledger.merge(&cached_ledger);
-                    let new_tree = std::mem::take(&mut self.plan_caches[peer.index()].tree);
-                    self.commit_tree(ov, oracle, peer, &[], &new_tree);
-                    self.plan_caches[peer.index()].tree = new_tree;
-                    stats.plans_skipped += 1;
-                }
-                Some(plan) => {
-                    self.ledger.merge(&plan.ledger);
-                    self.commit_tree(ov, oracle, peer, &plan.core_probes, &plan.new_tree);
-                    let cache = &mut self.plan_caches[peer.index()];
-                    cache.valid = true;
-                    cache.digest = plan.digest;
-                    cache.probe_free = plan.probe_free;
-                    cache.ledger = plan.ledger;
-                    cache.tree.clear();
-                    cache.tree.extend_from_slice(&plan.new_tree);
-                }
-            }
+        for plan in plans {
+            self.ledger.merge(&plan.ledger);
+            self.commit_tree(ov, oracle, plan.peer, &plan.core_probes, &plan.new_tree);
             stats.trees_built += 1;
         }
     }
@@ -1767,20 +1607,6 @@ impl AceEngine {
         Ok(())
     }
 
-    /// Test hook: runs one stage-A plan pass for `peer` with pooled
-    /// arenas and reports whether dirty-set planning replayed the cached
-    /// decision. On a converged, faultless engine this performs zero
-    /// heap allocations once the arenas are warm — the zero-alloc
-    /// micro-benchmark pins that.
-    #[doc(hidden)]
-    pub fn dirty_plan_check(&self, ov: &Overlay, oracle: &dyn DistancePlane, peer: PeerId) -> bool {
-        let mut scratch = self.scratch.take().unwrap_or_default();
-        let outcome = self.plan_tree_cached(ov, oracle, peer, None, &mut scratch);
-        let replayed = outcome.plan.is_none();
-        self.scratch.put(scratch);
-        replayed
-    }
-
     /// Order-independent digest of all per-peer ACE state plus the ledger
     /// bit patterns. Two engines with equal digests made bit-identical
     /// decisions — the equivalence tests compare worker counts this way.
@@ -1836,41 +1662,15 @@ impl AuditView for Strict<'_> {
     }
 }
 
-/// Stage-A result for one due peer: a fresh plan, or (`plan: None`, a
-/// dirty-set hit) a replay of the peer's cached committed decision.
-struct TreeOutcome {
-    peer: PeerId,
-    /// The closure tables as stage A saw them (fault configs only).
-    known: Option<KnownSnap>,
-    plan: Option<TreePlan>,
-}
-
 /// One peer's planned phase 2: the tree it wants, the core probes it had
 /// to pay for, and the overhead it incurred.
 struct TreePlan {
+    peer: PeerId,
+    /// The closure tables as stage A saw them (fault configs only).
+    known: Option<KnownSnap>,
     new_tree: Vec<PeerId>,
     core_probes: Vec<(PeerId, PeerId, Delay)>,
     ledger: OverheadLedger,
-    /// Digest of every input the plan read; keyed into [`PlanCache`].
-    digest: u64,
-    /// True when the plan charged no probes — the only plans eligible
-    /// for dirty-set replay (probe charges consume fault-hash draws
-    /// keyed by `rounds_run`, so replaying them would not be
-    /// behavior-invisible).
-    probe_free: bool,
-}
-
-/// Per-peer memo of the last committed tree plan, keyed by a digest of
-/// every input the planner read. While the digest is unchanged (and the
-/// plan was probe-free), stage A replays the cached decision instead of
-/// re-planning — the convergence-aware fast path.
-#[derive(Clone, Debug, Default)]
-struct PlanCache {
-    valid: bool,
-    digest: u64,
-    probe_free: bool,
-    ledger: OverheadLedger,
-    tree: Vec<PeerId>,
 }
 
 /// One peer's planned phase 3 plus watch triage.
@@ -2158,7 +1958,7 @@ mod tests {
         let (d, p) = (AceConfig::default(), AceConfig::paper_default());
         assert_eq!(format!("{d:?}"), format!("{p:?}"));
         // What a derived `Default` would silently turn off.
-        assert_eq!((d.depth, d.min_flooding, d.dirty_planning), (1, 2, true));
+        assert_eq!((d.depth, d.min_flooding), (1, 2));
     }
 
     #[test]
@@ -2358,16 +2158,26 @@ mod tests {
         );
     }
 
+    /// An id neither side was built for reads as empty everywhere, as
+    /// `Overlay::degree` and `are_neighbors` answer it — so forwarding
+    /// from one finds no targets instead of panicking.
     #[test]
     fn accessors_answer_an_unknown_id_like_the_overlay() {
         let (ov, ace) = audited_engine();
         let mut out = vec![PeerId::new(0)];
         for unknown in [PeerId::new(ov.peer_count() as u32), PeerId::new(u32::MAX)] {
+            assert!(ov.neighbors(unknown).is_empty());
+            assert!(ov.addr_cache(unknown).is_empty());
             assert!(!ace.tree_built(unknown));
             assert!(ace.tree_neighbors_of(unknown).is_empty());
             assert_eq!(ace.probed_cost(unknown, PeerId::new(0)), None);
             ace.flooding_neighbors_into(unknown, &mut out);
             assert!(out.is_empty());
+            for from in [None, Some(PeerId::new(0))] {
+                out.push(PeerId::new(0));
+                ace.forward_targets_into(&ov, unknown, from, &mut out);
+                assert!(out.is_empty());
+            }
         }
     }
 

@@ -46,7 +46,7 @@ pub struct PlanScratch {
     /// Closure edges in slot space.
     pub edges: Vec<SlotEdge>,
     /// Per non-adjacent-neighbor-pair core costs, in pairwise loop
-    /// order; filled by the digest pass and replayed by the plan pass so
+    /// order; filled by `stage_core_pairs` and read by the plan pass so
     /// the cache is consulted once per pair.
     pub core_costs: Vec<Option<Delay>>,
     /// The non-adjacent neighbor pairs themselves, parallel to

@@ -147,9 +147,11 @@ impl Overlay {
         self.max_degree
     }
 
-    /// Logical neighbors of `peer` (empty for offline peers).
+    /// Logical neighbors of `peer`; empty for offline peers and for an
+    /// id the overlay was not built for.
+    #[inline]
     pub fn neighbors(&self, peer: PeerId) -> &[PeerId] {
-        &self.nbrs[peer.index()]
+        self.nbrs.get(peer.index()).map_or(&[], Vec::as_slice)
     }
 
     /// Pulls `peer`'s neighbor-list header (the inner `Vec` triple, a
@@ -182,9 +184,10 @@ impl Overlay {
         self.nbrs.get(a.index()).is_some_and(|v| v.contains(&b))
     }
 
-    /// The peer's cached addresses (most recently learned last).
+    /// The peer's cached addresses (most recently learned last); empty
+    /// for an id the overlay was not built for.
     pub fn addr_cache(&self, peer: PeerId) -> &[PeerId] {
-        &self.addr_cache[peer.index()]
+        self.addr_cache.get(peer.index()).map_or(&[], Vec::as_slice)
     }
 
     /// Physical shortest-path delay between the hosts of two peers — the

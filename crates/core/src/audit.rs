@@ -461,6 +461,19 @@ pub(crate) mod provoke {
         }
     }
 
+    /// A write to `p`'s flooding set that every shared clause accepts —
+    /// its tree, reversed — standing for an engine write that skipped
+    /// its forwarding-row invalidation. With two or more live tree links
+    /// at `p`, `p`'s row no longer equals the rule's answer; returns what
+    /// the engine's auditor must report.
+    pub(crate) fn reorder_tree(
+        d: &mut impl StatesMut,
+        p: PeerId,
+    ) -> (ViolationKind, Option<PeerId>, Option<PeerId>) {
+        d.state_mut(p).own_tree.reverse();
+        (ViolationKind::IndexGap, Some(p), None)
+    }
+
     /// A mirrored tree edge `p → f` with cost rows both ways, and an
     /// alive non-neighbor `q` of `p` that neither list names — none of
     /// the pairs excused by the view.

@@ -40,6 +40,7 @@ use crate::closure::Closure;
 use crate::core_cache::{CoreCache, CoreCacheStats};
 use crate::cost_table::CostTable;
 use crate::fault::FaultConfig;
+use crate::forward_rows::ForwardRows;
 use crate::mst::SlotEdge;
 use crate::overhead::{OverheadKind, OverheadLedger};
 use crate::peer_state::PeerState;
@@ -233,6 +234,12 @@ pub struct AceEngine {
     /// beside the states, not in them: [`PeerState`] is read per visited
     /// peer on the query path and stays as small as it was.
     referrers: ReverseRefs,
+    /// Each peer's live forward targets as of its last rebuild, so a
+    /// query visit copies a slice ([`Self::forward_targets_into`]).
+    /// Every write below to a peer's `own_tree`, `requested` or
+    /// `tree_built` invalidates that peer's row; rounds rebuild the rows
+    /// that no longer match.
+    rows: ForwardRows,
     /// Cache of pairwise probe results for the phase-2 neighbor core.
     /// Physical distances are stable, so a measured pair is never
     /// re-probed: once known, the value rides along in the periodic table
@@ -302,6 +309,7 @@ impl AceEngine {
             pending_traffic: None,
             core_cache,
             referrers: ReverseRefs::new(peer_count),
+            rows: ForwardRows::new(peer_count),
             scratch: ScratchPool::new(),
             cfg,
             states,
@@ -491,6 +499,7 @@ impl AceEngine {
         }
         if event.clears_own_state() {
             self.states[peer.index()].reset();
+            self.rows.invalidate(peer);
         }
         if let Some(c) = self.controller.as_mut() {
             c.on_lifecycle(peer, event);
@@ -538,6 +547,7 @@ impl AceEngine {
             #[cfg(test)]
             crate::steps::bump();
             self.states[q.index()].forget(peer);
+            self.rows.invalidate(q);
         }
         self.referrers.clear(peer);
         self.core_cache.purge_endpoint(peer);
@@ -550,6 +560,8 @@ impl AceEngine {
     fn note_link_down(&mut self, a: PeerId, b: PeerId) {
         self.states[a.index()].forget_link(b);
         self.states[b.index()].forget_link(a);
+        self.rows.invalidate(a);
+        self.rows.invalidate(b);
     }
 
     /// Measures `a`↔`b`, charging `ledger`. Read-only on `self` and
@@ -617,7 +629,11 @@ impl AceEngine {
         {
             let s = &mut self.states[peer.index()];
             s.table.retain_neighbors(nbrs);
+            let requests = s.requested.len();
             s.requested.retain(|r| nbrs.contains(r));
+            if s.requested.len() != requests {
+                self.rows.invalidate(peer);
+            }
         }
         let mut ledger = self.ledger;
         for &n in nbrs {
@@ -817,6 +833,7 @@ impl AceEngine {
             if !req.contains(&peer) {
                 req.push(peer);
                 self.referrers.push(f, peer);
+                self.rows.invalidate(f);
             }
             self.referrers.push(peer, f); // `f` enters `peer`'s own tree below
             let cost = ov.link_cost(oracle, peer, f);
@@ -827,16 +844,20 @@ impl AceEngine {
         }
         for &f in old_tree.iter().filter(|f| !new_tree.contains(f)) {
             self.states[f.index()].requested.retain(|&p| p != peer);
+            self.rows.invalidate(f);
             let cost = ov.link_cost(oracle, peer, f);
             self.ledger.charge(
                 OverheadKind::TableExchange,
                 f64::from(cost) * self.notify_units,
             );
         }
+        let s = &mut self.states[peer.index()];
+        if !s.tree_built || old_tree != new_tree {
+            self.rows.invalidate(peer);
+        }
         // Reuse the old tree's allocation for the new one.
         old_tree.clear();
         old_tree.extend_from_slice(new_tree);
-        let s = &mut self.states[peer.index()];
         s.own_tree = old_tree;
         s.tree_built = true;
     }
@@ -1167,6 +1188,7 @@ impl AceEngine {
         stats.core_cache = self.core_cache.stats();
         self.feed_controller(ov, &stats, &ran);
         self.rounds_run += 1;
+        self.refresh_rows(ov);
         debug_assert!(ov.check_invariants().is_ok());
         debug_assert_eq!(self.check_invariants(ov), Ok(()));
         stats
@@ -1224,6 +1246,7 @@ impl AceEngine {
         stats.overhead = self.ledger.since(&before);
         stats.core_cache = self.core_cache.stats();
         self.rounds_run += 1;
+        self.refresh_rows(ov);
         stats
     }
 
@@ -1472,6 +1495,33 @@ impl AceEngine {
         }
     }
 
+    /// Rebuilds the forwarding row of every alive peer whose row no
+    /// longer matches: an input was written (row invalidated) or its
+    /// neighbor list changed (stamp moved). Finding them compares one
+    /// stamp per peer; only the stale rows are rebuilt.
+    fn refresh_rows(&mut self, ov: &Overlay) {
+        for p in ov.alive_peers() {
+            let stamp = ov.neighbors_stamp(p);
+            if self.rows.get(p, stamp).is_some() {
+                continue;
+            }
+            #[cfg(test)]
+            crate::steps::bump();
+            let s = &self.states[p.index()];
+            self.rows.rebuild(p, stamp, |out| {
+                policy::select_forward_targets(
+                    ov,
+                    p,
+                    None,
+                    s.tree_built,
+                    |b| s.flooding_into(b),
+                    out,
+                )
+            });
+        }
+        self.rows.compact_if_sparse();
+    }
+
     /// Live forward targets for `peer`: its flooding set filtered to
     /// current neighbors. When the peer has a tree but *every* tree entry
     /// is stale (churn cut them all since the tree was built), it falls
@@ -1481,6 +1531,11 @@ impl AceEngine {
     /// decision: a tree leaf whose one live link is the sender is a
     /// legitimate endpoint, not a black hole, and must not start
     /// flooding.
+    ///
+    /// The answer is [`policy::select_forward_targets`]'s. While `peer`'s
+    /// forwarding row matches — built against this very neighbor list,
+    /// no input changed since — it is the row minus `from`; otherwise
+    /// the rule runs on the spot.
     pub fn forward_targets_into(
         &self,
         ov: &Overlay,
@@ -1488,6 +1543,11 @@ impl AceEngine {
         from: Option<PeerId>,
         out: &mut Vec<PeerId>,
     ) {
+        if let Some(row) = self.rows.get(peer, ov.neighbors_stamp(peer)) {
+            out.clear();
+            out.extend(row.iter().copied().filter(|&n| Some(n) != from));
+            return;
+        }
         policy::select_forward_targets(
             ov,
             peer,
@@ -1510,8 +1570,9 @@ impl AceEngine {
     ///    phase 1 prunes them on the holder's next probe sweep.
     /// 6. **Controller hygiene**, 7. **maintenance indexes** (the
     ///    reverse-reference lists and the core cache's endpoint chains
-    ///    cover every live reference and pair) and 8. **closure
-    ///    coherence** — described where they are checked.
+    ///    cover every live reference and pair; every forwarding row that
+    ///    answers equals the rule) and 8. **closure coherence** —
+    ///    described where they are checked.
     ///
     /// Violations are typed ([`InvariantViolation`]); `Display` renders
     /// the same message text the `String`-returning era produced.
@@ -1554,6 +1615,26 @@ impl AceEngine {
         }
         if let Err(message) = self.core_cache.check_index() {
             return viol(ViolationKind::IndexGap, None, None, message);
+        }
+        //    A forwarding row that still matches its peer's neighbor list
+        //    is exactly what the rule computes: no write to a row input
+        //    skipped its invalidation.
+        let mut want = Vec::new();
+        for p in ov.peers() {
+            let Some(row) = self.rows.get(p, ov.neighbors_stamp(p)) else {
+                continue;
+            };
+            let s = &self.states[p.index()];
+            let fill = |b: &mut Vec<PeerId>| s.flooding_into(b);
+            policy::select_forward_targets(ov, p, None, s.tree_built, fill, &mut want);
+            if row != want {
+                return viol(
+                    ViolationKind::IndexGap,
+                    Some(p),
+                    None,
+                    format!("peer {p}: forwarding row {row:?}, the rule gives {want:?}"),
+                );
+            }
         }
         // 8. **Closure coherence** — the dense BFS arenas reproduce the
         //    canonical `Closure` exactly (members, order), and every
@@ -2135,6 +2216,59 @@ mod tests {
             let v = bad.check_invariants(&ov).expect_err("corruption missed");
             assert_eq!((v.kind(), v.peer(), v.partner()), want, "{clause:?}");
         }
+    }
+
+    /// A write to a row input that skipped its invalidation leaves a
+    /// row that still answers but is no longer the rule's: the auditor
+    /// names the peer. Invalidating the row, as every engine write does,
+    /// makes forwarding follow the rule again.
+    #[test]
+    fn auditor_reports_a_row_that_missed_its_invalidation() {
+        let (ov, mut ace) = audited_engine();
+        let live_tree = |ace: &AceEngine, p| {
+            let tree = ace.tree_neighbors_of(p).iter();
+            tree.filter(|&&f| ov.are_neighbors(p, f)).count()
+        };
+        let p = ov
+            .alive_peers()
+            .find(|&p| live_tree(&ace, p) >= 2)
+            .expect("a peer with two live tree links");
+        let want = provoke::reorder_tree(&mut ace, p);
+        let v = ace.check_invariants(&ov).expect_err("stale row missed");
+        assert_eq!((v.kind(), v.peer(), v.partner()), want);
+        ace.rows.invalidate(p);
+        ace.check_invariants(&ov).unwrap();
+    }
+
+    /// Rounds rebuild the rows whose inputs changed, not every row: a
+    /// repeated tree round on an unchanged overlay rebuilds none, and a
+    /// hook only invalidates — its peer, the purged holders and the
+    /// departed peer's neighbors wait for the next round.
+    #[test]
+    fn rounds_rebuild_only_the_rows_whose_inputs_changed() {
+        let (mut ov, oracle, _) = ba_env(51);
+        let mut ace = AceEngine::new(ov.peer_count(), AceConfig::paper_default());
+        crate::steps::take();
+        ace.tree_round(&ov, &oracle);
+        assert_eq!(crate::steps::take(), ov.alive_count() as u64);
+        ace.tree_round(&ov, &oracle);
+        assert_eq!(crate::steps::take(), 0, "same trees, same lists");
+        let answering = |ace: &AceEngine, ov: &Overlay| {
+            ov.alive_peers()
+                .filter(|&p| ace.rows.get(p, ov.neighbors_stamp(p)).is_some())
+                .count()
+        };
+        assert_eq!(answering(&ace, &ov), ov.alive_count());
+        let victim = ov.alive_peers().next().unwrap();
+        let holders = ace.referrers.holders(victim).count() as u64;
+        ov.leave(victim).unwrap();
+        ace.on_leave(victim);
+        assert!(answering(&ace, &ov) < ov.alive_count());
+        crate::steps::take(); // the purge's own visits
+        ace.check_invariants(&ov).unwrap();
+        ace.tree_round(&ov, &oracle);
+        assert!(crate::steps::take() <= holders + ov.degree(victim) as u64 + 6);
+        assert_eq!(answering(&ace, &ov), ov.alive_count());
     }
 
     /// The state the async simulator excuses while the `Disconnect` is in

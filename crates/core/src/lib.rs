@@ -66,6 +66,7 @@ mod cost_table;
 mod engine;
 pub mod experiments;
 mod fault;
+mod forward_rows;
 mod forwarding;
 pub mod ltm;
 pub mod mst;

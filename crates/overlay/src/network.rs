@@ -6,6 +6,8 @@
 //! servents that cache the IP addresses they learn (here: of every peer
 //! they were ever linked to) and reconnect to cached addresses on rejoin.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use rand::Rng;
 
 use ace_topology::{Delay, DistancePlane, NodeId};
@@ -14,6 +16,57 @@ use crate::peer::PeerId;
 
 /// Maximum number of cached peer addresses kept per peer.
 pub const ADDR_CACHE_CAP: usize = 32;
+
+/// Neighbor-list stamps are handed out in blocks of this many.
+const STAMP_BLOCK: u64 = 1 << 16;
+
+/// The next unissued block of stamps. One counter for the whole process,
+/// so no stamp value is issued twice; it starts at block 1, so 0 is never
+/// issued.
+static NEXT_STAMP_BLOCK: AtomicU64 = AtomicU64::new(1);
+
+/// An overlay's supply of fresh neighbor-list stamps: a block reserved
+/// from the process-wide counter, so a list write touches the shared
+/// counter once per block instead of once per write. A copy of an
+/// overlay reserves a block of its own — it must never issue a stamp the
+/// original will issue.
+#[derive(Debug)]
+struct Stamps {
+    next: u64,
+    end: u64,
+}
+
+impl Stamps {
+    fn reserve() -> Self {
+        let start = NEXT_STAMP_BLOCK.fetch_add(1, Ordering::Relaxed) * STAMP_BLOCK;
+        Stamps {
+            next: start,
+            end: start + STAMP_BLOCK,
+        }
+    }
+
+    fn fresh(&mut self) -> u64 {
+        if self.next == self.end {
+            *self = Stamps::reserve();
+        }
+        self.next += 1;
+        self.next - 1
+    }
+}
+
+impl Clone for Stamps {
+    fn clone(&self) -> Self {
+        Stamps::reserve()
+    }
+}
+
+/// One peer's neighbors and the stamp of this version of the list, side
+/// by side: a mutation writes the stamp on the line it already touches.
+#[derive(Clone, Debug)]
+struct NbrList {
+    peers: Vec<PeerId>,
+    stamp: u64,
+}
 
 /// The logical overlay network on top of a physical topology.
 ///
@@ -40,10 +93,11 @@ pub struct Overlay {
     alive: Vec<bool>,
     /// `true` entries of `alive`, kept by `leave` / `join`.
     alive_count: usize,
-    nbrs: Vec<Vec<PeerId>>,
+    nbrs: Vec<NbrList>,
     addr_cache: Vec<Vec<PeerId>>,
     max_degree: Option<usize>,
     edge_count: usize,
+    stamps: Stamps,
 }
 
 /// Error for invalid overlay mutations.
@@ -92,14 +146,20 @@ impl Overlay {
     pub fn new(hosts: Vec<NodeId>, max_degree: Option<usize>) -> Self {
         assert!(max_degree != Some(0), "degree cap must be at least 1");
         let n = hosts.len();
+        let mut stamps = Stamps::reserve();
+        let empty = NbrList {
+            peers: Vec::new(),
+            stamp: stamps.fresh(),
+        };
         Overlay {
             hosts,
             alive: vec![true; n],
             alive_count: n,
-            nbrs: vec![Vec::new(); n],
+            nbrs: vec![empty; n],
             addr_cache: vec![Vec::new(); n],
             max_degree,
             edge_count: 0,
+            stamps,
         }
     }
 
@@ -151,7 +211,18 @@ impl Overlay {
     /// id the overlay was not built for.
     #[inline]
     pub fn neighbors(&self, peer: PeerId) -> &[PeerId] {
-        self.nbrs.get(peer.index()).map_or(&[], Vec::as_slice)
+        self.nbrs.get(peer.index()).map_or(&[], |l| &l.peers)
+    }
+
+    /// An opaque stamp of `peer`'s neighbor list: equal stamps mean equal
+    /// lists. Every `connect`, `disconnect` and `leave` that changes a
+    /// list gives it a stamp no overlay in the process has held before,
+    /// so two reads — from this overlay or from any copy of it — that
+    /// return the same stamp saw the same list. Never 0 for a known
+    /// peer; 0 for an id the overlay was not built for.
+    #[inline]
+    pub fn neighbors_stamp(&self, peer: PeerId) -> u64 {
+        self.nbrs.get(peer.index()).map_or(0, |l| l.stamp)
     }
 
     /// Pulls `peer`'s neighbor-list header (the inner `Vec` triple, a
@@ -161,12 +232,12 @@ impl Overlay {
     /// pipeline instead of serializing behind each pointer chase.
     #[inline]
     pub fn prefetch_neighbors(&self, peer: PeerId) {
-        std::hint::black_box(self.nbrs.get(peer.index()).map(Vec::len));
+        std::hint::black_box(self.nbrs.get(peer.index()).map(|l| l.peers.len()));
     }
 
     /// Degree of `peer`.
     pub fn degree(&self, peer: PeerId) -> usize {
-        self.nbrs.get(peer.index()).map_or(0, Vec::len)
+        self.nbrs.get(peer.index()).map_or(0, |l| l.peers.len())
     }
 
     /// Average degree over alive peers (0 when none).
@@ -181,7 +252,9 @@ impl Overlay {
 
     /// True if `a` and `b` are directly connected.
     pub fn are_neighbors(&self, a: PeerId, b: PeerId) -> bool {
-        self.nbrs.get(a.index()).is_some_and(|v| v.contains(&b))
+        self.nbrs
+            .get(a.index())
+            .is_some_and(|l| l.peers.contains(&b))
     }
 
     /// The peer's cached addresses (most recently learned last); empty
@@ -229,8 +302,12 @@ impl Overlay {
                 return Err(OverlayError::DegreeCapReached(b));
             }
         }
-        self.nbrs[a.index()].push(b);
-        self.nbrs[b.index()].push(a);
+        let stamp = self.stamps.fresh();
+        for (p, q) in [(a, b), (b, a)] {
+            let list = &mut self.nbrs[p.index()];
+            list.peers.push(q);
+            list.stamp = stamp;
+        }
         self.edge_count += 1;
         self.remember(a, b);
         self.remember(b, a);
@@ -252,8 +329,12 @@ impl Overlay {
         if !self.are_neighbors(a, b) {
             return Err(OverlayError::NotConnected(a, b));
         }
-        self.nbrs[a.index()].retain(|&p| p != b);
-        self.nbrs[b.index()].retain(|&p| p != a);
+        let stamp = self.stamps.fresh();
+        for (p, q) in [(a, b), (b, a)] {
+            let list = &mut self.nbrs[p.index()];
+            list.peers.retain(|&n| n != q);
+            list.stamp = stamp;
+        }
         self.edge_count -= 1;
         Ok(())
     }
@@ -281,9 +362,14 @@ impl Overlay {
     /// Fails when the peer is unknown or already offline.
     pub fn leave(&mut self, peer: PeerId) -> Result<Vec<PeerId>, OverlayError> {
         self.check_peer(peer)?;
-        let former = std::mem::take(&mut self.nbrs[peer.index()]);
+        let stamp = self.stamps.fresh();
+        let list = &mut self.nbrs[peer.index()];
+        let former = std::mem::take(&mut list.peers);
+        list.stamp = stamp;
         for &n in &former {
-            self.nbrs[n.index()].retain(|&p| p != peer);
+            let list = &mut self.nbrs[n.index()];
+            list.peers.retain(|&p| p != peer);
+            list.stamp = stamp;
         }
         self.edge_count -= former.len();
         self.alive[peer.index()] = false;
@@ -386,7 +472,7 @@ impl Overlay {
         }
         let mut edges = 0usize;
         for p in self.peers() {
-            let nbrs = &self.nbrs[p.index()];
+            let nbrs = &self.nbrs[p.index()].peers;
             if !self.alive[p.index()] && !nbrs.is_empty() {
                 return Err(format!("offline {p} has neighbors"));
             }
@@ -398,7 +484,7 @@ impl Overlay {
                 if !seen.insert(n) {
                     return Err(format!("{p} duplicate neighbor {n}"));
                 }
-                if !self.nbrs[n.index()].contains(&p) {
+                if !self.nbrs[n.index()].peers.contains(&p) {
                     return Err(format!("asymmetric edge {p}-{n}"));
                 }
                 edges += 1;
@@ -430,7 +516,7 @@ impl Overlay {
         seen[start.index()] = true;
         while let Some(u) = stack.pop() {
             count += 1;
-            for &v in &self.nbrs[u.index()] {
+            for &v in self.neighbors(u) {
                 if !seen[v.index()] {
                     seen[v.index()] = true;
                     stack.push(v);
@@ -732,6 +818,64 @@ mod tests {
         );
         assert_eq!(ov.alive_count(), ov.alive_peers().count());
         assert_eq!(digest, 0x9778_55f9_aaac_cb4e);
+    }
+
+    /// Every list write moves the written lists' stamps to values no
+    /// list held before; failed calls and untouched lists keep theirs;
+    /// a copy shares stamps only until one side writes.
+    #[test]
+    fn stamps_move_with_every_list_write_and_copy_with_the_overlay() {
+        let mut ov = Overlay::new(hosts(4), None);
+        let other = Overlay::new(hosts(4), None);
+        let [a, b, c, d] = [0, 1, 2, 3].map(PeerId::new);
+        assert_ne!(ov.neighbors_stamp(a), 0);
+        assert_ne!(ov.neighbors_stamp(a), other.neighbors_stamp(a));
+        assert_eq!(ov.neighbors_stamp(PeerId::new(4)), 0, "unknown id");
+        let stamps = |ov: &Overlay| [a, b, c, d].map(|p| ov.neighbors_stamp(p));
+        let mut seen = stamps(&ov).to_vec();
+        let mut step = |ov: &mut Overlay, f: &dyn Fn(&mut Overlay), moved: &[PeerId]| {
+            let before = stamps(ov);
+            f(ov);
+            let held = seen.clone();
+            for (i, p) in [a, b, c, d].into_iter().enumerate() {
+                let now = ov.neighbors_stamp(p);
+                if moved.contains(&p) {
+                    assert!(!held.contains(&now), "{p} reused a stamp");
+                    seen.push(now);
+                } else {
+                    assert_eq!(now, before[i], "{p} moved");
+                }
+            }
+        };
+        step(&mut ov, &|ov| ov.connect(a, b).unwrap(), &[a, b]);
+        step(&mut ov, &|ov| ov.connect(a, c).unwrap(), &[a, c]);
+        step(&mut ov, &|ov| assert!(ov.connect(a, b).is_err()), &[]);
+        let copy = ov.clone();
+        assert_eq!(stamps(&copy), stamps(&ov));
+        step(&mut ov, &|ov| ov.disconnect(a, b).unwrap(), &[a, b]);
+        step(&mut ov, &|ov| assert!(ov.disconnect(a, b).is_err()), &[]);
+        step(&mut ov, &|ov| drop(ov.leave(a).unwrap()), &[a, c]);
+        step(&mut ov, &|ov| drop(ov.leave(d).unwrap()), &[d]);
+        let join = |ov: &mut Overlay| drop(ov.join(a, 1, &mut StdRng::seed_from_u64(1)).unwrap());
+        step(&mut ov, &join, &[a, c]);
+        assert_eq!(ov.neighbors(a), [c]);
+        for p in [a, b, c, d] {
+            assert_ne!(copy.neighbors_stamp(p), ov.neighbors_stamp(p));
+        }
+    }
+
+    /// A supply that runs dry reserves a new block; a copy never
+    /// continues its original's block.
+    #[test]
+    fn stamp_supplies_never_issue_a_value_twice() {
+        let mut a = Stamps::reserve();
+        a.next = a.end - 1;
+        let mut b = a.clone();
+        let issued = [a.fresh(), a.fresh(), b.fresh(), Stamps::reserve().fresh()];
+        for (i, s) in issued.iter().enumerate() {
+            assert_ne!(*s, 0);
+            assert!(!issued[..i].contains(s), "{s} issued twice");
+        }
     }
 
     #[test]

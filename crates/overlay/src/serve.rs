@@ -60,11 +60,9 @@ pub struct QuerySpec {
 
 /// Draws a Zipf-popularity workload of `count` query specs: sources
 /// uniform over the currently alive peers, objects from `catalog`'s
-/// Zipf distribution. Deterministic given the RNG state.
-///
-/// # Panics
-///
-/// Panics if the overlay has no alive peers.
+/// Zipf distribution. Deterministic given the RNG state. An overlay with
+/// no alive peer has nobody to query from: the workload is empty and the
+/// RNG is not drawn from.
 pub fn zipf_workload<R: Rng + ?Sized>(
     overlay: &Overlay,
     catalog: &Catalog,
@@ -72,7 +70,9 @@ pub fn zipf_workload<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Vec<QuerySpec> {
     let alive: Vec<PeerId> = overlay.alive_peers().collect();
-    assert!(!alive.is_empty(), "no alive peers to query from");
+    if alive.is_empty() {
+        return Vec::new();
+    }
     (0..count)
         .map(|_| QuerySpec {
             source: alive[rng.gen_range(0..alive.len())],
@@ -89,18 +89,23 @@ pub struct ServeConfig {
     /// Worker threads; `0` means one per available hardware thread.
     /// Never affects results, only wall time.
     pub workers: usize,
-    /// Query slots per worker shard. Shard boundaries are a function of
-    /// this knob alone — NOT of the worker count — which is what keeps
-    /// the batch digest worker-count-independent. Must be at least 1.
+    /// Query slots per worker shard; `0` means the default, 256. Shard
+    /// boundaries are a function of this knob alone — NOT of the worker
+    /// count — which is what keeps the batch digest
+    /// worker-count-independent.
     pub chunk: usize,
 }
+
+/// The shard size [`ServeConfig::default`] uses, and what a `chunk` of
+/// `0` stands for.
+const DEFAULT_CHUNK: usize = 256;
 
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             query: QueryConfig::default(),
             workers: 0,
-            chunk: 256,
+            chunk: DEFAULT_CHUNK,
         }
     }
 }
@@ -372,10 +377,6 @@ struct ShardOut {
 /// loop, so the same event ordering and measurements — checked by the
 /// digest equivalence with [`serve_sequential`]. Slots whose source is
 /// dead are skipped and counted.
-///
-/// # Panics
-///
-/// Panics if `cfg.chunk == 0`.
 pub fn serve_batch<P, R>(
     overlay: &Overlay,
     plane: &dyn DistancePlane,
@@ -388,15 +389,19 @@ where
     P: ForwardPolicy + Sync + ?Sized,
     R: Fn(ObjectId, PeerId) -> bool + Sync,
 {
-    assert!(cfg.chunk > 0, "shard chunk must be at least 1");
+    let chunk = if cfg.chunk == 0 {
+        DEFAULT_CHUNK
+    } else {
+        cfg.chunk
+    };
     let peers = overlay.peer_count();
-    let shards = specs.len().div_ceil(cfg.chunk);
+    let shards = specs.len().div_ceil(chunk);
     let workers = effective_workers(cfg.workers);
 
     let start = Instant::now();
     let mut shard_outs = plan_parallel(shards, workers, |s| {
-        let lo = s * cfg.chunk;
-        let hi = (lo + cfg.chunk).min(specs.len());
+        let lo = s * chunk;
+        let hi = (lo + chunk).min(specs.len());
         run_shard(overlay, plane, policy, &specs[lo..hi], is_responder, cfg)
     });
     let elapsed = start.elapsed();
@@ -702,6 +707,47 @@ mod tests {
         assert_eq!(report.served, 0);
         assert_eq!(report.qps(), 0.0);
         assert!(report.outcome.is_empty());
+    }
+
+    /// `chunk: 0` is the default shard size, as `workers: 0` is the
+    /// default worker count: same shards, same report.
+    #[test]
+    fn chunk_zero_serves_like_the_default_chunk() {
+        let (ov, oracle, mut rng) = world(50, 4);
+        let (_cat, specs) = workload(&ov, &mut rng, 600);
+        let run = |chunk| {
+            let cfg = ServeConfig {
+                workers: 2,
+                chunk,
+                ..ServeConfig::default()
+            };
+            serve_batch(&ov, &oracle, &FloodAll, &specs, &holder, &cfg)
+        };
+        let (zero, default) = (run(0), run(DEFAULT_CHUNK));
+        assert_eq!(zero.digest(), default.digest());
+        assert_eq!(zero.inbox_load, default.inbox_load);
+        assert_eq!(zero.served, 600);
+    }
+
+    /// With every peer departed there is nobody to query from: the
+    /// workload is empty, and serving it serves nothing.
+    #[test]
+    fn workload_on_an_overlay_with_nobody_alive_is_empty() {
+        let (mut ov, oracle, mut rng) = world(12, 6);
+        for p in ov.peers().collect::<Vec<_>>() {
+            ov.leave(p).unwrap();
+        }
+        let (_cat, specs) = workload(&ov, &mut rng, 50);
+        assert!(specs.is_empty());
+        let report = serve_batch(
+            &ov,
+            &oracle,
+            &FloodAll,
+            &specs,
+            &holder,
+            &ServeConfig::default(),
+        );
+        assert_eq!((report.served, report.skipped), (0, 0));
     }
 
     #[test]

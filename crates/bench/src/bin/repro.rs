@@ -9,12 +9,12 @@
 //! unreadable baseline — is a one-line error plus the usage on stderr
 //! and exit code 2.
 
-use std::process::{Command, ExitCode, Stdio};
+use std::process::ExitCode;
 
 use ace_bench::figures::FIGURES;
 use ace_bench::matrix::{self, MatrixBench, MatrixWorld, WorldConfig, MATRIX_ROUNDS};
 use ace_bench::qps::{self, QpsBench, QpsPoint, QPS_POINTS, QPS_ROUNDS};
-use ace_bench::scale::{self, ScaleBench, ScalePoint, SCALE_POINTS};
+use ace_bench::scale::{self, ScaleBench, SCALE_POINTS, SCALE_ROUNDS};
 use ace_bench::smoke::SMOKES;
 use ace_bench::soak::{self, ArmReport, SeverityReport, SoakBench, SoakParams};
 use ace_bench::{emit, Scale};
@@ -150,34 +150,6 @@ fn finish<T: Serialize>(args: &Args, measured: &T, failures: Option<Vec<String>>
     true
 }
 
-/// Measures each population in a child `repro <cmd> --point N --json`
-/// (its peak RSS and allocator state are its own; its stderr is ours).
-fn spawn_points<T: Deserialize>(
-    cmd: &str,
-    populations: impl IntoIterator<Item = usize>,
-) -> Result<Vec<T>, String> {
-    let exe = std::env::current_exe().map_err(|e| format!("own executable path: {e}"))?;
-    populations
-        .into_iter()
-        .map(|peers| {
-            let out = Command::new(&exe)
-                .args([cmd, "--point", &peers.to_string(), "--json"])
-                .stderr(Stdio::inherit())
-                .output()
-                .map_err(|e| format!("spawn {peers}-peer point: {e}"))?;
-            if !out.status.success() {
-                return Err(format!("{peers}-peer point failed ({})", out.status));
-            }
-            let stdout = String::from_utf8_lossy(&out.stdout);
-            let json = stdout
-                .lines()
-                .find(|l| l.trim_start().starts_with('{'))
-                .ok_or_else(|| format!("{peers}-peer point printed no JSON"))?;
-            serde_json::from_str(json).map_err(|e| format!("parse {peers}-peer point: {e}"))
-        })
-        .collect()
-}
-
 fn figures(names: &[String]) -> Result<bool, String> {
     let all = names == ["all"];
     let wanted = |id: &str| all || names.iter().any(|n| n == id);
@@ -202,26 +174,24 @@ fn figures(names: &[String]) -> Result<bool, String> {
 fn scale_cmd(args: &Args) -> Result<bool, String> {
     let Some(peers) = args.population()? else {
         args.accept(&[], 0)?;
-        let points: Vec<ScalePoint> = spawn_points("scale", SCALE_POINTS.map(|p| p.0))?;
+        let points = SCALE_POINTS
+            .iter()
+            .map(|&(peers, _, _)| {
+                eprintln!("[repro scale: measuring {peers} peers]");
+                scale::run_point_workers(peers, 0, true)
+            })
+            .collect();
         eprintln!("[repro scale: running 800-peer cross-plane band]");
         let band = scale::run_band();
         assert!(
             band.within_band,
             "hybrid plane fell outside the documented reduction band: {band:?}"
         );
-        let bench = ScaleBench::assemble(points, band);
-        for row in &bench.extrapolation {
-            eprintln!(
-                "[repro scale: {} peers — naive exact {:.0} ms vs measured {:.0} ms ({:.0}x); \
-                 exact cache would need {:.0} MiB, hybrid peaked at {:.0} MiB]",
-                row.peers,
-                row.naive_exact_ms,
-                row.measured_ms,
-                row.advantage,
-                row.exact_cache_mb,
-                row.hybrid_peak_rss_mb
-            );
-        }
+        let bench = ScaleBench {
+            rounds: SCALE_ROUNDS,
+            points,
+            band,
+        };
         let json = serde_json::to_string_pretty(&bench).expect("bench types serialize");
         return save("BENCH_scale.json", json).map(|()| true);
     };
@@ -233,29 +203,9 @@ fn scale_cmd(args: &Args) -> Result<bool, String> {
     // the planned-schedule golden cells).
     let point = scale::run_point_workers(peers, args.workers.unwrap_or(0), baseline.is_none());
     eprintln!(
-        "[repro scale: {peers} peers — world {:.0} ms, oracle build {:.0} ms, mean round {:.1} ms, \
-         state digest {:#018x}]",
-        point.world_ms, point.oracle_build_ms, point.mean_round_ms, point.state_digest
+        "[repro scale: {peers} peers — state digest {:#018x}]",
+        point.state_digest
     );
-    for leg in &point.workers_sweep {
-        eprintln!(
-            "[repro scale:   workers={} — mean round {:.1} ms (digest ok)]",
-            leg.workers, leg.mean_round_ms
-        );
-    }
-    // Informational only — like with like: a --workers run is printed
-    // against the baseline's matching sweep leg when one exists.
-    if let Some(base) = baseline.as_ref().and_then(|b| b.point(peers)) {
-        let base_mean = base
-            .workers_sweep
-            .iter()
-            .find(|leg| leg.workers == point.workers)
-            .map_or(base.mean_round_ms, |leg| leg.mean_round_ms);
-        eprintln!(
-            "[repro scale: {peers} peers — measured {:.1} ms vs baseline {:.1} ms (not gated)]",
-            point.mean_round_ms, base_mean
-        );
-    }
     let failures = baseline.map(|b| scale::check(&point, &b));
     Ok(finish(args, &point, failures))
 }
@@ -263,10 +213,17 @@ fn scale_cmd(args: &Args) -> Result<bool, String> {
 fn qps_cmd(args: &Args) -> Result<bool, String> {
     let Some(peers) = args.population()? else {
         args.accept(&[], 0)?;
+        let points = QPS_POINTS
+            .iter()
+            .map(|&peers| {
+                eprintln!("[repro qps: measuring {peers} peers]");
+                qps::run_point(peers)
+            })
+            .collect();
         let bench = QpsBench {
             rounds: QPS_ROUNDS,
             chunk: ServeConfig::default().chunk,
-            points: spawn_points("qps", QPS_POINTS)?,
+            points,
         };
         let json = serde_json::to_string_pretty(&bench).expect("bench types serialize");
         return save("BENCH_qps.json", json).map(|()| true);
@@ -276,19 +233,14 @@ fn qps_cmd(args: &Args) -> Result<bool, String> {
     eprintln!("[repro qps: measuring {peers} peers]");
     let point: QpsPoint = qps::run_point(peers);
     eprintln!(
-        "[repro qps: {} peers, {} queries, {} workers — flood {:.0} qps (hop p50 {:.1} ms, \
-         p99 {:.1} ms) vs ACE {:.0} qps (hop p50 {:.1} ms, p99 {:.1} ms); \
-         qps x{:.2}, traffic x{:.2}, scope x{:.2}]",
+        "[repro qps: {} peers, {} queries — flood hop p50 {:.1} ms, p99 {:.1} ms vs ACE hop \
+         p50 {:.1} ms, p99 {:.1} ms; traffic x{:.2}, scope x{:.2}]",
         point.peers,
         point.queries,
-        point.workers,
-        point.flood.qps,
         point.flood.hop_p50_ms,
         point.flood.hop_p99_ms,
-        point.ace.qps,
         point.ace.hop_p50_ms,
         point.ace.hop_p99_ms,
-        point.qps_ratio,
         point.traffic_ratio,
         point.scope_ratio
     );
@@ -315,7 +267,6 @@ fn matrix_cmd(args: &Args) -> Result<bool, String> {
         peers: cfg.peers,
         queries_per_cell: cfg.queries,
         rounds: MATRIX_ROUNDS,
-        workers: ace_engine::pool::effective_workers(0),
         cells: matrix::run_matrix(&world, &cells, 0),
     };
     eprintln!(

@@ -15,9 +15,9 @@
 //!   families.
 
 use ace_core::experiments::{
-    depth_sweep, draw_query_pairs, dynamic_run, landmark_overlay, measure_queries, static_run,
-    DepthPoint, DepthSweepConfig, DynamicConfig, OverlayKind, PhysKind, Scenario, ScenarioConfig,
-    StaticConfig, StaticResult,
+    depth_sweep, dynamic_run, landmark_overlay, measure_queries, static_run, DepthPoint,
+    DepthSweepConfig, DynamicConfig, OverlayKind, PhysKind, Scenario, ScenarioConfig, StaticConfig,
+    StaticResult,
 };
 use ace_core::ltm::{LtmConfig, LtmEngine};
 use ace_core::protocol::{AsyncAceSim, AsyncForward, ProtoConfig};
@@ -26,9 +26,10 @@ use ace_engine::pool::{effective_workers, plan_parallel};
 use ace_engine::rng::sample_distinct;
 use ace_metrics::{f1, f3, pct, ExperimentRecord, NamedSeries, Table};
 use ace_overlay::{
-    assign_capacities, random_overlay, random_walk_query, run_query, run_query_traced, FloodAll,
-    ForwardPolicy, GiaAdaptation, GiaConfig, HpfWeight, Overlay, PartialFlood, PeerId, QueryConfig,
-    TwoTierConfig, TwoTierNetwork, WalkConfig, GNUTELLA_CAPACITY_MIX,
+    assign_capacities, random_overlay, random_walk_query, run_query, run_query_traced,
+    zipf_workload, FloodAll, ForwardPolicy, GiaAdaptation, GiaConfig, HpfWeight, Overlay,
+    PartialFlood, PeerId, QueryConfig, QuerySpec, TwoTierConfig, TwoTierNetwork, WalkConfig,
+    GNUTELLA_CAPACITY_MIX,
 };
 use ace_topology::{
     DistanceOracle, DistancePlane, Graph, LandmarkOracle, NodeId, VivaldiConfig, VivaldiCoords,
@@ -826,9 +827,9 @@ fn sample_nodes(rng: &mut StdRng, n: usize, k: usize) -> Vec<NodeId> {
 pub fn ablation_phases(scale: Scale) -> Records {
     let scenario_cfg = base_scenario(scale, 8, 88);
     let mut s = Scenario::build(&scenario_cfg);
-    let pairs = draw_query_pairs(&s.overlay, &s.catalog, scale.samples(), &mut s.rng);
+    let specs = zipf_workload(&s.overlay, &s.catalog, scale.samples(), &mut s.rng);
 
-    let flood = measure_queries(&s.overlay, &s.oracle, &s.placement, &pairs, 32, &FloodAll);
+    let flood = measure_queries(&s.overlay, &s.oracle, &s.placement, &specs, 32, &FloodAll);
 
     // Trees only.
     let mut trees = AceEngine::new(s.overlay.peer_count(), AceConfig::paper_default());
@@ -837,7 +838,7 @@ pub fn ablation_phases(scale: Scale) -> Records {
         &s.overlay,
         &s.oracle,
         &s.placement,
-        &pairs,
+        &specs,
         32,
         &AceForward::new(&trees),
     );
@@ -851,7 +852,7 @@ pub fn ablation_phases(scale: Scale) -> Records {
         &s.overlay,
         &s.oracle,
         &s.placement,
-        &pairs,
+        &specs,
         32,
         &AceForward::new(&full),
     );
@@ -896,7 +897,7 @@ pub fn ablation_phases(scale: Scale) -> Records {
 pub fn ablation_ttl(scale: Scale) -> Records {
     let scenario_cfg = base_scenario(scale, 6, 99);
     let mut s = Scenario::build(&scenario_cfg);
-    let pairs = draw_query_pairs(&s.overlay, &s.catalog, scale.samples(), &mut s.rng);
+    let specs = zipf_workload(&s.overlay, &s.catalog, scale.samples(), &mut s.rng);
     let mut ace = AceEngine::new(s.overlay.peer_count(), AceConfig::paper_default());
     for _ in 0..scale.steps() {
         ace.round(&mut s.overlay, &s.oracle, &mut s.rng);
@@ -911,12 +912,12 @@ pub fn ablation_ttl(scale: Scale) -> Records {
     let mut sf = NamedSeries::new("flooding");
     let mut sa = NamedSeries::new("ACE");
     for ttl in [4u8, 5, 6, 7, 8, 10, 12, 16, 24, 32] {
-        let f = measure_queries(&s.overlay, &s.oracle, &s.placement, &pairs, ttl, &FloodAll);
+        let f = measure_queries(&s.overlay, &s.oracle, &s.placement, &specs, ttl, &FloodAll);
         let a = measure_queries(
             &s.overlay,
             &s.oracle,
             &s.placement,
-            &pairs,
+            &specs,
             ttl,
             &AceForward::new(&ace),
         );
@@ -992,12 +993,12 @@ pub fn baseline_ltm(scale: Scale) -> Records {
 
     // Arm 1: untouched flooding.
     let mut s0 = Scenario::build(&scenario_cfg);
-    let pairs = draw_query_pairs(&s0.overlay, &s0.catalog, scale.samples(), &mut s0.rng);
+    let specs = zipf_workload(&s0.overlay, &s0.catalog, scale.samples(), &mut s0.rng);
     let flood = measure_queries(
         &s0.overlay,
         &s0.oracle,
         &s0.placement,
-        &pairs,
+        &specs,
         32,
         &FloodAll,
     );
@@ -1012,7 +1013,7 @@ pub fn baseline_ltm(scale: Scale) -> Records {
         &s1.overlay,
         &s1.oracle,
         &s1.placement,
-        &pairs,
+        &specs,
         32,
         &FloodAll,
     );
@@ -1028,7 +1029,7 @@ pub fn baseline_ltm(scale: Scale) -> Records {
         &s2.overlay,
         &s2.oracle,
         &s2.placement,
-        &pairs,
+        &specs,
         32,
         &AceForward::new(&ace),
     );
@@ -1092,12 +1093,16 @@ pub fn baseline_ltm(scale: Scale) -> Records {
 pub fn ext_random_walk(scale: Scale) -> Records {
     let scenario_cfg = base_scenario(scale, 6, 141);
     let mut s = Scenario::build(&scenario_cfg);
-    let pairs = draw_query_pairs(&s.overlay, &s.catalog, scale.samples(), &mut s.rng);
+    let specs = zipf_workload(&s.overlay, &s.catalog, scale.samples(), &mut s.rng);
     let cfg = WalkConfig::default();
 
     let walk_avg = |s: &mut Scenario, label: &str| {
         let (mut traffic, mut resp, mut found) = (0.0, 0.0, 0u64);
-        for &(src, obj) in &pairs {
+        for &QuerySpec {
+            source: src,
+            object: obj,
+        } in &specs
+        {
             let out = random_walk_query(
                 &s.overlay,
                 &s.oracle,
@@ -1112,7 +1117,7 @@ pub fn ext_random_walk(scale: Scale) -> Records {
                 found += 1;
             }
         }
-        let n = pairs.len() as f64;
+        let n = specs.len() as f64;
         let _ = label;
         (
             traffic / n,
@@ -1260,12 +1265,12 @@ pub fn ext_async_churn(scale: Scale) -> Records {
 pub fn baseline_gia(scale: Scale) -> Records {
     let scenario_cfg = base_scenario(scale, 6, 201);
     let mut s = Scenario::build(&scenario_cfg);
-    let pairs = draw_query_pairs(&s.overlay, &s.catalog, scale.samples(), &mut s.rng);
+    let specs = zipf_workload(&s.overlay, &s.catalog, scale.samples(), &mut s.rng);
     let caps = assign_capacities(s.overlay.peer_count(), &GNUTELLA_CAPACITY_MIX, &mut s.rng);
     let gia = GiaAdaptation::new(caps, GiaConfig::default());
 
     let mut rows: Vec<(String, f64, f64, f64)> = Vec::new(); // name, traffic, corr, scope
-    let flood = measure_queries(&s.overlay, &s.oracle, &s.placement, &pairs, 32, &FloodAll);
+    let flood = measure_queries(&s.overlay, &s.oracle, &s.placement, &specs, 32, &FloodAll);
     rows.push((
         "original, flooding".into(),
         flood.traffic,
@@ -1277,7 +1282,7 @@ pub fn baseline_gia(scale: Scale) -> Records {
     for _ in 0..scale.steps() {
         gia.round(&mut s.overlay, &mut s.rng);
     }
-    let gia_sample = measure_queries(&s.overlay, &s.oracle, &s.placement, &pairs, 32, &FloodAll);
+    let gia_sample = measure_queries(&s.overlay, &s.oracle, &s.placement, &specs, 32, &FloodAll);
     rows.push((
         "Gia capacity adaptation, flooding".into(),
         gia_sample.traffic,
@@ -1295,7 +1300,7 @@ pub fn baseline_gia(scale: Scale) -> Records {
         &s.overlay,
         &s.oracle,
         &s.placement,
-        &pairs,
+        &specs,
         32,
         &AceForward::new(&ace),
     );
@@ -1333,12 +1338,12 @@ pub fn ext_async(scale: Scale) -> Records {
 
     // Arm 1: round-based engine.
     let mut s1 = Scenario::build(&scenario_cfg);
-    let pairs = draw_query_pairs(&s1.overlay, &s1.catalog, scale.samples(), &mut s1.rng);
+    let specs = zipf_workload(&s1.overlay, &s1.catalog, scale.samples(), &mut s1.rng);
     let flood = measure_queries(
         &s1.overlay,
         &s1.oracle,
         &s1.placement,
-        &pairs,
+        &specs,
         32,
         &FloodAll,
     );
@@ -1351,7 +1356,7 @@ pub fn ext_async(scale: Scale) -> Records {
         &s1.overlay,
         &s1.oracle,
         &s1.placement,
-        &pairs,
+        &specs,
         32,
         &AceForward::new(&eng),
     );
@@ -1363,7 +1368,7 @@ pub fn ext_async(scale: Scale) -> Records {
     sim.run_until(&s2.oracle, SimTime::from_secs(30 * (cycles + 1)));
     let async_sample = {
         let fwd = AsyncForward::new(&sim);
-        measure_queries(sim.overlay(), &s2.oracle, &s2.placement, &pairs, 32, &fwd)
+        measure_queries(sim.overlay(), &s2.oracle, &s2.placement, &specs, 32, &fwd)
     };
 
     let mut rec = ExperimentRecord::new(
@@ -1414,27 +1419,31 @@ pub fn ext_async(scale: Scale) -> Records {
 pub fn ext_search_strategies(scale: Scale) -> Records {
     let scenario_cfg = base_scenario(scale, 6, 181);
     let mut s = Scenario::build(&scenario_cfg);
-    let pairs = draw_query_pairs(&s.overlay, &s.catalog, scale.samples(), &mut s.rng);
+    let specs = zipf_workload(&s.overlay, &s.catalog, scale.samples(), &mut s.rng);
     let mut ace = AceEngine::new(s.overlay.peer_count(), AceConfig::paper_default());
     for _ in 0..scale.steps() {
         ace.round(&mut s.overlay, &s.oracle, &mut s.rng);
     }
 
-    let flood = measure_queries(&s.overlay, &s.oracle, &s.placement, &pairs, 32, &FloodAll);
+    let flood = measure_queries(&s.overlay, &s.oracle, &s.placement, &specs, 32, &FloodAll);
     let hpf_policy = PartialFlood::new(&s.oracle, 0.5, 2, HpfWeight::Cheapest);
-    let hpf = measure_queries(&s.overlay, &s.oracle, &s.placement, &pairs, 32, &hpf_policy);
+    let hpf = measure_queries(&s.overlay, &s.oracle, &s.placement, &specs, 32, &hpf_policy);
     let tree = measure_queries(
         &s.overlay,
         &s.oracle,
         &s.placement,
-        &pairs,
+        &specs,
         32,
         &AceForward::new(&ace),
     );
     // Random walks measured separately (not a ForwardPolicy propagation).
     let (mut w_traffic, mut w_resp, mut w_hits) = (0.0, 0.0, 0u64);
     let wcfg = WalkConfig::default();
-    for &(src, obj) in &pairs {
+    for &QuerySpec {
+        source: src,
+        object: obj,
+    } in &specs
+    {
         let out = random_walk_query(
             &s.overlay,
             &s.oracle,
@@ -1449,7 +1458,7 @@ pub fn ext_search_strategies(scale: Scale) -> Records {
             w_hits += 1;
         }
     }
-    let n = pairs.len() as f64;
+    let n = specs.len() as f64;
     let walks = (
         w_traffic / n,
         if w_hits > 0 {
@@ -1526,8 +1535,8 @@ pub fn ext_supernode(scale: Scale) -> Records {
     let samples = scale.samples();
 
     // Flat Gnutella reference on the same hosts.
-    let pairs = draw_query_pairs(&s.overlay, &s.catalog, samples, &mut s.rng);
-    let flat = measure_queries(&s.overlay, &s.oracle, &s.placement, &pairs, 32, &FloodAll);
+    let specs = zipf_workload(&s.overlay, &s.catalog, samples, &mut s.rng);
+    let flat = measure_queries(&s.overlay, &s.oracle, &s.placement, &specs, 32, &FloodAll);
 
     // Two-tier network (random attach, the mismatch-prone default).
     let mut tt = TwoTierNetwork::build(hosts, &TwoTierConfig::default(), &s.oracle, &mut s.rng);
@@ -1662,7 +1671,7 @@ pub fn ablation_estimation(scale: Scale) -> Records {
 pub fn ablation_load(scale: Scale) -> Records {
     let scenario_cfg = base_scenario(scale, 6, 211);
     let mut s = Scenario::build(&scenario_cfg);
-    let pairs = draw_query_pairs(&s.overlay, &s.catalog, scale.samples(), &mut s.rng);
+    let specs = zipf_workload(&s.overlay, &s.catalog, scale.samples(), &mut s.rng);
     let mut ace = AceEngine::new(s.overlay.peer_count(), AceConfig::paper_default());
     for _ in 0..scale.steps() {
         ace.round(&mut s.overlay, &s.oracle, &mut s.rng);
@@ -1675,7 +1684,11 @@ pub fn ablation_load(scale: Scale) -> Records {
     let load_stats = |policy: &dyn ForwardPolicy| {
         let n = s.overlay.peer_count();
         let mut load = vec![0u64; n];
-        for &(src, obj) in &pairs {
+        for &QuerySpec {
+            source: src,
+            object: obj,
+        } in &specs
+        {
             let q = run_query(&s.overlay, &s.oracle, src, &qc, policy, |p| {
                 s.placement.is_holder(obj, p)
             });

@@ -6,7 +6,11 @@
 //! [`ace_metrics::ExperimentRecord`] JSON under `target/experiments/`.
 //! The committed `BENCH_*.json` curves ([`scale`], [`qps`], [`matrix`],
 //! [`soak`] — each with the `check` rule its CI gate applies) and the
-//! three [`smoke`] artifacts are regenerated by the same binary.
+//! three [`smoke`] artifacts are regenerated by the same binary. Every
+//! one of them holds simulated results only — digests, traffic, scope,
+//! recall, simulated latency — so each regenerates bit for bit on any
+//! host; wall time, memory and speedup belong to the repo benchmark
+//! (`benchmark/`), the only code that reads a clock.
 //!
 //! Scale selection via environment:
 //!
@@ -124,6 +128,23 @@ pub fn emit(record: &ExperimentRecord, tables: &[Table]) {
     }
 }
 
+/// The text of a committed artifact at the repo root, e.g.
+/// `"BENCH_scale.json"`.
+#[cfg(test)]
+pub(crate) fn committed_text(file: &str) -> String {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .join(file);
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
+}
+
+/// A committed artifact, parsed as the type that writes it.
+#[cfg(test)]
+pub(crate) fn committed<T: serde::Deserialize>(file: &str) -> T {
+    serde_json::from_str(&committed_text(file))
+        .unwrap_or_else(|e| panic!("committed {file} parses: {e}"))
+}
+
 /// Asserts a `check` rule reported exactly one failure naming `needle`.
 #[cfg(test)]
 pub(crate) fn assert_one_failure(failures: &[String], needle: &str) {
@@ -143,6 +164,25 @@ mod tests {
         assert!(Scale::Default.peers() < Scale::Paper.peers());
         let (a, n) = Scale::Paper.phys();
         assert_eq!(a * n, 20_000, "paper scale is 20k physical nodes");
+    }
+
+    /// A committed artifact holds exactly what its type writes: a field
+    /// the type no longer has, or one it gained, fails here.
+    #[test]
+    fn committed_artifacts_round_trip_through_their_types() {
+        fn round_trips<T: serde::Serialize + serde::Deserialize>(file: &str) {
+            let text = committed_text(file);
+            let rewritten =
+                serde_json::to_string_pretty(&committed::<T>(file)).expect("bench types serialize");
+            assert!(
+                rewritten == text.trim_end_matches('\n'),
+                "{file} is not what its type writes; regenerate it with `repro`"
+            );
+        }
+        round_trips::<scale::ScaleBench>("BENCH_scale.json");
+        round_trips::<qps::QpsBench>("BENCH_qps.json");
+        round_trips::<matrix::MatrixBench>("BENCH_matrix.json");
+        round_trips::<soak::SoakBench>("BENCH_soak.json");
     }
 
     #[test]

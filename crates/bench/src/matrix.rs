@@ -319,9 +319,6 @@ pub struct MatrixBench {
     pub queries_per_cell: usize,
     /// ACE rounds per optimized cell.
     pub rounds: usize,
-    /// Worker threads the run used (informational — results are
-    /// worker-count independent).
-    pub workers: usize,
     /// Every measured cell.
     pub cells: Vec<CellResult>,
 }
@@ -938,16 +935,11 @@ fn run_two_tier_cell(world: &MatrixWorld, cell: &CellConfig) -> CellResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::assert_one_failure;
-
-    fn committed() -> MatrixBench {
-        serde_json::from_str(include_str!("../../../BENCH_matrix.json"))
-            .expect("committed BENCH_matrix.json parses")
-    }
+    use crate::{assert_one_failure, committed};
 
     #[test]
     fn check_holds_on_the_committed_matrix_and_catches_each_cell_rule() {
-        let baseline = committed();
+        let baseline: MatrixBench = committed("BENCH_matrix.json");
         assert_eq!(check(&baseline, &baseline), Vec::<String>::new());
 
         let mut drifted = baseline.clone();
@@ -974,7 +966,7 @@ mod tests {
 
     #[test]
     fn check_catches_an_ace_pair_that_raised_traffic() {
-        let baseline = committed();
+        let baseline: MatrixBench = committed("BENCH_matrix.json");
         let mut raised = baseline.clone();
         let off_total = raised.cells.iter().find(|c| !c.ace).unwrap().traffic_total;
         let on = raised
@@ -1046,7 +1038,6 @@ mod tests {
             peers: 0,
             queries_per_cell: 1,
             rounds: MATRIX_ROUNDS,
-            workers: 1,
             cells,
         };
         let pairs = bench.ace_pairs();

@@ -1,21 +1,18 @@
-//! The serving-throughput curve — sustained queries/sec on optimized vs.
+//! The serving curve — a Zipf workload served on optimized vs.
 //! unoptimized overlays, written to `BENCH_qps.json`.
 //!
-//! The paper's headline is that ACE cuts *query* traffic; every earlier
-//! artifact measures that cut per query. This bench serves a Zipf
-//! workload at rate through [`ace_overlay::serve_batch`] and reports
-//! what the reduction buys as throughput: on the same world, the same
-//! queries are swept once over the initial overlay with blind flooding
-//! and once over the ACE-optimized overlay with tree forwarding, and
-//! each side records sustained queries/sec plus p50/p99 hop and
-//! response latency (simulated ticks, not wall clock — wall clock only
-//! prices the sweep itself).
+//! The paper's headline is that ACE cuts *query* traffic. This bench
+//! serves a Zipf workload through [`ace_overlay::serve_batch`]: on the
+//! same world, the same queries are swept once over the initial overlay
+//! with blind flooding and once over the ACE-optimized overlay with tree
+//! forwarding, and each side records traffic, scope, duplicates and
+//! p50/p99 hop and response latency — all in simulated units, pinned by
+//! the batch digests. Throughput in queries per wall-clock second is the
+//! repo benchmark's job (`serve_zipf_5k`: `qps_ace`, `qps_flood`).
 //!
 //! Worlds and distance plane match the scale curve ([`crate::scale`]):
 //! same two-level physical topologies, same clustered overlays, same
 //! hybrid Vivaldi oracle, so the two artifacts describe one system.
-
-use std::time::Instant;
 
 use ace_core::{AceConfig, AceEngine, AceForward};
 use ace_overlay::{
@@ -59,10 +56,6 @@ pub fn queries_for(peers: usize) -> usize {
 /// forwarding on the optimized overlay).
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct QpsSide {
-    /// Sustained throughput: served queries per wall-clock second.
-    pub qps: f64,
-    /// Wall-clock seconds for the whole sweep.
-    pub elapsed_s: f64,
     /// Median query-arrival (hop) latency, simulated ms.
     pub hop_p50_ms: f64,
     /// 99th-percentile hop latency, simulated ms.
@@ -92,8 +85,6 @@ impl QpsSide {
     fn from_report(r: &ServeReport) -> Self {
         let served = r.served.max(1) as f64;
         QpsSide {
-            qps: r.qps(),
-            elapsed_s: r.elapsed.as_secs_f64(),
             // Serving sweeps always propagate; an empty histogram can
             // only mean zero served queries, where 0 ms is the honest
             // sentinel for the JSON schema.
@@ -112,21 +103,17 @@ impl QpsSide {
     }
 }
 
-/// One population of the throughput curve.
+/// One population of the serving curve.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct QpsPoint {
     /// Logical peers.
     pub peers: usize,
     /// Queries served per side.
     pub queries: usize,
-    /// Worker threads the serving engine used.
-    pub workers: usize,
     /// Blind flooding on the initial (mismatched) overlay.
     pub flood: QpsSide,
     /// ACE tree forwarding on the optimized overlay.
     pub ace: QpsSide,
-    /// `ace.qps / flood.qps` — the serving-throughput claim.
-    pub qps_ratio: f64,
     /// `ace.traffic_per_query / flood.traffic_per_query` — the paper's
     /// traffic claim, restated on the serving plane.
     pub traffic_ratio: f64,
@@ -160,9 +147,7 @@ pub const SCOPE_FLOOR: f64 = 0.9;
 /// digests must equal the committed baseline's (they are deterministic,
 /// so drift means the serving semantics changed), the traffic ratio must
 /// still be a reduction, and the scope ratio must clear [`SCOPE_FLOOR`].
-/// No wall-clock figure is compared: `qps_ratio` is printed, and
-/// throughput is the repo benchmark's job. Returns the failures; empty
-/// means the gate holds.
+/// Returns the failures; empty means the gate holds.
 pub fn check(point: &QpsPoint, baseline: &QpsBench) -> Vec<String> {
     let Some(base) = baseline.point(point.peers) else {
         return vec![format!("baseline has no {}-peer point", point.peers)];
@@ -218,12 +203,7 @@ fn serve_side<P: ForwardPolicy + Sync + ?Sized>(
 pub fn run_point(peers: usize) -> QpsPoint {
     let (graph, overlay, mut rng) = build_world(peers, SEED);
     let members: Vec<NodeId> = overlay.peers().map(|p| overlay.host(p)).collect();
-    let t0 = Instant::now();
     let plane = HybridOracle::build(graph, &members, &HybridConfig::default());
-    eprintln!(
-        "[repro qps: {peers} peers — hybrid plane built in {:.0} ms]",
-        t0.elapsed().as_secs_f64() * 1e3
-    );
 
     let catalog = Catalog::new(OBJECTS, ZIPF);
     let placement = Placement::random(OBJECTS, REPLICAS, &overlay, &mut rng);
@@ -242,14 +222,9 @@ pub fn run_point(peers: usize) -> QpsPoint {
             ..AceConfig::paper_default()
         },
     );
-    let t1 = Instant::now();
     for _ in 0..QPS_ROUNDS {
         ace.round(&mut optimized, &plane, &mut rng);
     }
-    eprintln!(
-        "[repro qps: {peers} peers — {QPS_ROUNDS} ACE rounds in {:.0} ms]",
-        t1.elapsed().as_secs_f64() * 1e3
-    );
     let ace_report = serve_side(
         &optimized,
         &plane,
@@ -263,8 +238,6 @@ pub fn run_point(peers: usize) -> QpsPoint {
     QpsPoint {
         peers,
         queries,
-        workers: ace_engine::pool::effective_workers(0),
-        qps_ratio: ace_side.qps / flood.qps.max(1e-9),
         traffic_ratio: ace_side.traffic_per_query / flood.traffic_per_query.max(1e-9),
         scope_ratio: ace_side.mean_scope / flood.mean_scope.max(1e-9),
         flood,
@@ -275,16 +248,11 @@ pub fn run_point(peers: usize) -> QpsPoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::assert_one_failure;
-
-    fn committed() -> QpsBench {
-        serde_json::from_str(include_str!("../../../BENCH_qps.json"))
-            .expect("committed BENCH_qps.json parses")
-    }
+    use crate::{assert_one_failure, committed};
 
     #[test]
     fn check_holds_on_the_committed_curve_and_catches_digest_drift() {
-        let baseline = committed();
+        let baseline: QpsBench = committed("BENCH_qps.json");
         for point in &baseline.points {
             assert_eq!(check(point, &baseline), Vec::<String>::new());
             let mut flood = point.clone();
@@ -299,14 +267,11 @@ mod tests {
         assert_one_failure(&check(&missing, &baseline), "no 123-peer point");
     }
 
-    /// The scope floor binds at 0.9 exactly, and no throughput ratio —
-    /// however far under parity — fails the gate: it is a wall-clock
-    /// figure.
+    /// The scope floor binds at 0.9 exactly.
     #[test]
     fn check_catches_scope_under_the_floor_and_lost_traffic_reduction() {
-        let baseline = committed();
+        let baseline: QpsBench = committed("BENCH_qps.json");
         let mut point = baseline.points[0].clone();
-        point.qps_ratio = 0.01;
         point.scope_ratio = SCOPE_FLOOR;
         assert_eq!(check(&point, &baseline), Vec::<String>::new());
         point.scope_ratio = 0.89;
@@ -325,8 +290,8 @@ mod tests {
         let point = run_point_sized(300, 256);
         assert_eq!(point.flood.skipped, 0);
         assert_eq!(point.ace.skipped, 0);
-        assert!(point.flood.qps > 0.0);
-        assert!(point.ace.qps > 0.0);
+        assert!(point.flood.mean_scope > 0.0);
+        assert!(point.ace.mean_scope > 0.0);
         assert!(
             point.traffic_ratio < 0.95,
             "ACE must cut per-query traffic: ratio {}",
@@ -393,8 +358,6 @@ mod tests {
         QpsPoint {
             peers,
             queries,
-            workers: ace_engine::pool::effective_workers(0),
-            qps_ratio: ace_side.qps / flood.qps.max(1e-9),
             traffic_ratio: ace_side.traffic_per_query / flood.traffic_per_query.max(1e-9),
             scope_ratio: ace_side.mean_scope / flood.mean_scope.max(1e-9),
             flood,

@@ -587,16 +587,11 @@ fn window_point(sim: &AsyncAceSim, t_secs: u64, reduction: f64, scope_frac: f64)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::assert_one_failure;
-
-    fn committed() -> SoakBench {
-        serde_json::from_str(include_str!("../../../BENCH_soak.json"))
-            .expect("committed BENCH_soak.json parses")
-    }
+    use crate::{assert_one_failure, committed};
 
     /// `check` on the committed slice severity with one field moved.
     fn check_with(mutate: impl FnOnce(&mut SeverityReport)) -> Vec<String> {
-        let baseline = committed();
+        let baseline: SoakBench = committed("BENCH_soak.json");
         let mut report = baseline
             .severity(SLICE_SEVERITY)
             .expect("slice severity is committed")

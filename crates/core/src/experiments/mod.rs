@@ -22,7 +22,7 @@ use rand::{Rng, SeedableRng};
 use ace_engine::rng::sample_distinct;
 use ace_overlay::{
     clustered_overlay, pref_attach_overlay, random_overlay, run_query_into, Catalog, ForwardPolicy,
-    Overlay, PeerId, Placement, QueryConfig, QueryOutcome, QueryScratch,
+    Overlay, PeerId, Placement, QueryConfig, QueryOutcome, QueryScratch, QuerySpec,
 };
 use ace_topology::generate::{ba, two_level, BaConfig, TwoLevelConfig};
 use ace_topology::{DistanceOracle, DistancePlane, LandmarkOracle, NodeId};
@@ -192,17 +192,21 @@ pub struct QuerySample {
     pub success: f64,
 }
 
-/// Runs one query per `(source, object)` pair under `policy` and averages
-/// the outcomes. Only holders that are currently alive respond.
+/// Runs one query per spec under `policy` and averages the outcomes. Only
+/// holders that are currently alive respond. An empty workload (say,
+/// drawn when every peer had departed) measures nothing and returns the
+/// all-zero sample.
 pub fn measure_queries<P: ForwardPolicy + ?Sized>(
     overlay: &Overlay,
     oracle: &dyn DistancePlane,
     placement: &Placement,
-    pairs: &[(PeerId, u32)],
+    specs: &[QuerySpec],
     ttl: u8,
     policy: &P,
 ) -> QuerySample {
-    assert!(!pairs.is_empty(), "need at least one query to measure");
+    if specs.is_empty() {
+        return QuerySample::default();
+    }
     let cfg = QueryConfig {
         ttl,
         stop_at_responder: false,
@@ -213,14 +217,14 @@ pub fn measure_queries<P: ForwardPolicy + ?Sized>(
     // the whole batch instead of reallocating them per query.
     let mut scratch = QueryScratch::new();
     let mut q = QueryOutcome::default();
-    for &(src, obj) in pairs {
+    for &QuerySpec { source, object } in specs {
         run_query_into(
             overlay,
             oracle,
-            src,
+            source,
             &cfg,
             policy,
-            |p| placement.is_holder(obj, p),
+            |p| placement.is_holder(object, p),
             &mut scratch,
             &mut q,
         );
@@ -232,7 +236,7 @@ pub fn measure_queries<P: ForwardPolicy + ?Sized>(
             responded += 1;
         }
     }
-    let n = pairs.len() as f64;
+    let n = specs.len() as f64;
     out.traffic /= n;
     out.scope /= n;
     out.duplicates /= n;
@@ -243,20 +247,6 @@ pub fn measure_queries<P: ForwardPolicy + ?Sized>(
         0.0
     };
     out
-}
-
-/// Draws `count` random `(alive source, object)` pairs for measurement.
-pub fn draw_query_pairs<R: Rng + ?Sized>(
-    overlay: &Overlay,
-    catalog: &Catalog,
-    count: usize,
-    rng: &mut R,
-) -> Vec<(PeerId, u32)> {
-    let alive: Vec<PeerId> = overlay.alive_peers().collect();
-    assert!(!alive.is_empty(), "no alive peers to query from");
-    (0..count)
-        .map(|_| (alive[rng.gen_range(0..alive.len())], catalog.draw(rng)))
-        .collect()
 }
 
 /// Builds a landmark-clustered overlay for the related-work ablation: each
@@ -331,7 +321,7 @@ pub fn landmark_overlay<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ace_overlay::FloodAll;
+    use ace_overlay::{zipf_workload, FloodAll};
 
     fn tiny() -> ScenarioConfig {
         ScenarioConfig {
@@ -370,11 +360,26 @@ mod tests {
     #[test]
     fn measure_queries_reports_full_scope_under_flooding() {
         let mut s = Scenario::build(&tiny());
-        let pairs = draw_query_pairs(&s.overlay, &s.catalog, 20, &mut s.rng);
-        let m = measure_queries(&s.overlay, &s.oracle, &s.placement, &pairs, 32, &FloodAll);
+        let specs = zipf_workload(&s.overlay, &s.catalog, 20, &mut s.rng);
+        let m = measure_queries(&s.overlay, &s.oracle, &s.placement, &specs, 32, &FloodAll);
         assert!((m.scope - 60.0).abs() < 1e-9, "scope {}", m.scope);
         assert!(m.traffic > 0.0);
         assert!(m.success > 0.9, "replicated objects should be found");
+    }
+
+    /// With everyone departed the workload is empty, and measuring it is
+    /// the all-zero sample, not a panic.
+    #[test]
+    fn measure_queries_on_a_departed_population_is_the_zero_sample() {
+        let mut s = Scenario::build(&tiny());
+        let everyone: Vec<PeerId> = s.overlay.peers().collect();
+        for p in everyone {
+            s.overlay.leave(p).expect("alive peer leaves");
+        }
+        let specs = zipf_workload(&s.overlay, &s.catalog, 20, &mut s.rng);
+        assert!(specs.is_empty());
+        let m = measure_queries(&s.overlay, &s.oracle, &s.placement, &specs, 32, &FloodAll);
+        assert_eq!(m, QuerySample::default());
     }
 
     #[test]

@@ -3,13 +3,13 @@
 //! No churn: run ACE optimization steps on a fixed peer population and
 //! measure how per-query traffic cost and response time fall step by step.
 
-use ace_overlay::{FloodAll, PeerId};
+use ace_overlay::{zipf_workload, FloodAll};
 
 use crate::engine::{AceConfig, AceEngine};
 use crate::forwarding::AceForward;
 use crate::overhead::OverheadLedger;
 
-use super::{draw_query_pairs, measure_queries, QuerySample, Scenario, ScenarioConfig};
+use super::{measure_queries, QuerySample, Scenario, ScenarioConfig};
 
 /// Configuration of a static run.
 #[derive(Clone, Copy, Debug)]
@@ -123,20 +123,19 @@ impl StaticResult {
 }
 
 /// Runs ACE in a static environment, measuring after every step with a
-/// fixed set of query `(source, object)` pairs (paired comparison keeps
-/// the step-to-step variance low).
+/// fixed workload of query specs (paired comparison keeps the
+/// step-to-step variance low).
 pub fn static_run(cfg: &StaticConfig) -> StaticResult {
     let mut s = Scenario::build(&cfg.scenario);
     let mut ace = AceEngine::new(s.overlay.peer_count(), cfg.ace);
-    let pairs: Vec<(PeerId, u32)> =
-        draw_query_pairs(&s.overlay, &s.catalog, cfg.query_samples, &mut s.rng);
+    let specs = zipf_workload(&s.overlay, &s.catalog, cfg.query_samples, &mut s.rng);
 
     let mut steps = Vec::with_capacity(cfg.steps + 1);
     let baseline = measure_queries(
         &s.overlay,
         &s.oracle,
         &s.placement,
-        &pairs,
+        &specs,
         cfg.ttl,
         &FloodAll,
     );
@@ -157,7 +156,7 @@ pub fn static_run(cfg: &StaticConfig) -> StaticResult {
             &s.overlay,
             &s.oracle,
             &s.placement,
-            &pairs,
+            &specs,
             cfg.ttl,
             &AceForward::new(&ace),
         );
@@ -165,7 +164,7 @@ pub fn static_run(cfg: &StaticConfig) -> StaticResult {
             &s.overlay,
             &s.oracle,
             &s.placement,
-            &pairs,
+            &specs,
             cfg.ttl,
             &FloodAll,
         );

@@ -1,7 +1,7 @@
 //! Batched query serving: thousands of concurrent queries at rate.
 //!
 //! [`crate::run_query_into`] measures *one* query; this module drives a whole
-//! workload through the overlay and reports sustained throughput. Both
+//! workload through the overlay and reports its simulated totals. Both
 //! are drivers over the one propagation kernel in `search.rs` — same
 //! loop, same event order, same totals — and differ only in the visited
 //! set they hand it. The design:
@@ -31,8 +31,6 @@
 //! propagates nothing from a dead source, and both batch drivers record
 //! such a slot as skipped and count it in [`ServeReport::skipped`] — one
 //! crashed peer must not abort a million-query measurement sweep.
-
-use std::time::{Duration, Instant};
 
 use rand::Rng;
 
@@ -309,7 +307,8 @@ impl LatencyHistogram {
     }
 }
 
-/// Everything measured about one serving run.
+/// Everything one serving run measured, in simulated units only (the
+/// repo benchmark times the call itself).
 #[derive(Clone, Debug)]
 pub struct ServeReport {
     /// Per-slot measurements (SoA).
@@ -336,22 +335,9 @@ pub struct ServeReport {
     /// Per-peer receipts (first arrivals + duplicates): the inbox load
     /// each peer absorbed over the whole batch.
     pub inbox_load: Vec<u64>,
-    /// Wall-clock time of the serving sweep (excludes workload
-    /// generation).
-    pub elapsed: Duration,
 }
 
 impl ServeReport {
-    /// Sustained throughput: served queries per wall-clock second.
-    pub fn qps(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs > 0.0 {
-            self.served as f64 / secs
-        } else {
-            0.0
-        }
-    }
-
     /// Heaviest per-peer inbox load.
     pub fn max_inbox(&self) -> u64 {
         self.inbox_load.iter().copied().max().unwrap_or(0)
@@ -398,13 +384,11 @@ where
     let shards = specs.len().div_ceil(chunk);
     let workers = effective_workers(cfg.workers);
 
-    let start = Instant::now();
     let mut shard_outs = plan_parallel(shards, workers, |s| {
         let lo = s * chunk;
         let hi = (lo + chunk).min(specs.len());
         run_shard(overlay, plane, policy, &specs[lo..hi], is_responder, cfg)
     });
-    let elapsed = start.elapsed();
 
     let mut outcome = BatchOutcome::with_capacity(specs.len());
     let mut inbox_load = vec![0u64; peers];
@@ -432,7 +416,6 @@ where
         hop_latency,
         response_latency,
         inbox_load,
-        elapsed,
         outcome,
     };
     let mut scope_sum = 0u64;
@@ -705,7 +688,6 @@ mod tests {
             &ServeConfig::default(),
         );
         assert_eq!(report.served, 0);
-        assert_eq!(report.qps(), 0.0);
         assert!(report.outcome.is_empty());
     }
 

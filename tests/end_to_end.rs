@@ -2,11 +2,10 @@
 //! overlay → ACE optimization → measured search behavior.
 
 use ace_core::experiments::{
-    draw_query_pairs, measure_queries, static_run, OverlayKind, PhysKind, Scenario, ScenarioConfig,
-    StaticConfig,
+    measure_queries, static_run, OverlayKind, PhysKind, Scenario, ScenarioConfig, StaticConfig,
 };
 use ace_core::{AceConfig, AceEngine, AceForward, ReplacePolicy};
-use ace_overlay::FloodAll;
+use ace_overlay::{zipf_workload, FloodAll};
 
 fn small_world(seed: u64) -> ScenarioConfig {
     ScenarioConfig {
@@ -165,16 +164,16 @@ fn fresh_peers_fall_back_to_flooding() {
     let mut s = Scenario::build(&small_world(61));
     let ace = AceEngine::new(s.overlay.peer_count(), AceConfig::paper_default());
     // No rounds run: AceForward must behave exactly like FloodAll.
-    let pairs = draw_query_pairs(&s.overlay, &s.catalog, 10, &mut s.rng);
+    let specs = zipf_workload(&s.overlay, &s.catalog, 10, &mut s.rng);
     let a = measure_queries(
         &s.overlay,
         &s.oracle,
         &s.placement,
-        &pairs,
+        &specs,
         32,
         &AceForward::new(&ace),
     );
-    let f = measure_queries(&s.overlay, &s.oracle, &s.placement, &pairs, 32, &FloodAll);
+    let f = measure_queries(&s.overlay, &s.oracle, &s.placement, &specs, 32, &FloodAll);
     assert_eq!(a.traffic, f.traffic);
     assert_eq!(a.scope, f.scope);
 }

@@ -450,6 +450,14 @@ pub struct DepthData {
     pub by_c: Vec<(usize, Vec<DepthPoint>)>,
 }
 
+/// Optimization rate of a swept point at one of the `R_CURVES` / `R_AXIS`
+/// ratios. Both axes and every measured point are finite and
+/// non-negative, so an error here is a bug in the sweep.
+fn opt_rate(p: &DepthPoint, r: f64) -> f64 {
+    p.optimization_rate(r)
+        .unwrap_or_else(|e| panic!("depth point h={} at R={r}: {e}", p.depth))
+}
+
 /// Runs the closure-depth sweeps shared by Figures 11–16, one world
 /// (seed `70 + C`) per `C`, scheduled across the worker pool.
 pub fn compute_depth_data(scale: Scale) -> DepthData {
@@ -537,14 +545,14 @@ pub fn depth_figures(scale: Scale) -> Records {
         for p in pts.iter().take(4) {
             let mut row = vec![p.depth.to_string()];
             for &r in &R_CURVES {
-                row.push(f3(p.optimization_rate(r)));
+                row.push(f3(opt_rate(p, r)));
             }
             t.row(row);
         }
         for &r in &R_CURVES {
             let mut s = NamedSeries::new(format!("R={r}"));
             for p in pts.iter().take(4) {
-                s.push(f64::from(p.depth), p.optimization_rate(r));
+                s.push(f64::from(p.depth), opt_rate(p, r));
             }
             rec.add_series(s);
         }
@@ -581,14 +589,14 @@ pub fn depth_figures(scale: Scale) -> Records {
         for &r in &R_AXIS {
             let mut row = vec![format!("{r}")];
             for p in pts.iter().take(hmax) {
-                row.push(f3(p.optimization_rate(r)));
+                row.push(f3(opt_rate(p, r)));
             }
             t.row(row);
         }
         for p in pts.iter().take(hmax) {
             let mut s = NamedSeries::new(format!("h={}", p.depth));
             for &r in &R_AXIS {
-                s.push(r, p.optimization_rate(r));
+                s.push(r, opt_rate(p, r));
             }
             rec.add_series(s);
         }

@@ -185,8 +185,11 @@ pub struct RoundStats {
 }
 
 impl RoundStats {
-    /// True when the round changed no connections — the optimization has
-    /// converged.
+    /// True when the round made no phase-3 replacement and no keep-both
+    /// addition (`replaced == 0 && added == 0`). That is all it checks:
+    /// a round whose only changes are watch cuts, rebuilt spanning trees
+    /// or changed forward requests still counts, so this is not a fixed
+    /// point of the whole engine state.
     pub fn converged(&self) -> bool {
         self.replaced == 0 && self.added == 0
     }

@@ -5,6 +5,7 @@
 //! overhead. Figures 13–16 are pure functions of these points and the
 //! frequency ratio `R` (see [`crate::optimization_rate`]).
 
+use crate::audit::ConfigError;
 use crate::engine::AceConfig;
 
 use super::{static_run, ScenarioConfig, StaticConfig};
@@ -55,8 +56,13 @@ pub struct DepthPoint {
 
 impl DepthPoint {
     /// Optimization rate at this depth for frequency ratio `R`.
-    pub fn optimization_rate(&self, frequency_ratio: f64) -> f64 {
-        crate::optrate::optimization_rate(
+    ///
+    /// # Errors
+    ///
+    /// A [`ConfigError`] when `frequency_ratio` (or a field of the point)
+    /// is negative or not finite.
+    pub fn optimization_rate(&self, frequency_ratio: f64) -> Result<f64, ConfigError> {
+        crate::optrate::optimization_rate_checked(
             self.flood_traffic,
             self.ace_traffic,
             self.overhead_per_round,
@@ -161,9 +167,26 @@ mod tests {
     fn optimization_rate_scales_with_r() {
         let pts = depth_sweep(&tiny());
         for p in &pts {
-            let r1 = p.optimization_rate(1.0);
-            let r2 = p.optimization_rate(2.0);
+            let r1 = p.optimization_rate(1.0).unwrap();
+            let r2 = p.optimization_rate(2.0).unwrap();
             assert!((r2 - 2.0 * r1).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn optimization_rate_rejects_negative_and_nan_ratios() {
+        let p = DepthPoint {
+            depth: 1,
+            flood_traffic: 100.0,
+            ace_traffic: 50.0,
+            overhead_per_round: 75.0,
+            reduction: 0.5,
+            scope_ratio: 1.0,
+        };
+        assert!((p.optimization_rate(1.5).unwrap() - 1.0).abs() < 1e-12);
+        for bad in [-1.0, f64::NAN] {
+            let err = p.optimization_rate(bad).unwrap_err();
+            assert_eq!(err.parameter(), "frequency_ratio", "{bad}");
         }
     }
 }

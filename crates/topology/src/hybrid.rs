@@ -46,13 +46,12 @@
 //! Dijkstras, independent of member count; the spring step itself is
 //! [`crate::vivaldi`]'s, so the two embeddings cannot drift apart.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::graph::{Delay, Graph, NodeId};
 use crate::oracle::DistanceOracle;
 use crate::plane::{DistancePlane, PlaneStats};
-use crate::sssp;
+use crate::sssp::{self, RadixHeap, UNREACHABLE};
 use crate::vivaldi::spring_update;
 
 /// Parameters of the hybrid oracle. `Default` is tuned for the scale
@@ -121,6 +120,9 @@ pub struct Calibration {
 /// Member slot sentinel for "not a member".
 const NOT_MEMBER: u32 = u32::MAX;
 
+/// Exact-row sentinel for "answered on the coordinate tier".
+const NO_ROW: u32 = u32::MAX;
+
 /// Per-member tier tag (construction-time, immutable afterwards).
 const TIER_COORD: u8 = 0;
 const TIER_AUDIT: u8 = 1;
@@ -158,9 +160,12 @@ pub struct HybridOracle {
     coords: Vec<f64>,
     /// Per-member tier tag.
     tier: Vec<u8>,
-    /// Exact member-projected rows for audit and forced members, keyed by
-    /// member slot.
-    exact_rows: HashMap<u32, Vec<Delay>>,
+    /// Member slot -> index of its exact row in `exact` ([`NO_ROW`] for
+    /// coord-tier members).
+    row_of: Vec<u32>,
+    /// Exact member-projected rows of the audit and forced members, back
+    /// to back, `members.len()` delays each.
+    exact: Vec<Delay>,
     calibration: Calibration,
     // Tier counters (relaxed; never influence answers).
     n_coord: AtomicU64,
@@ -206,30 +211,38 @@ fn sample_slots(seed: u64, tag: u64, n: usize, k: usize) -> Vec<u32> {
 
 /// Runs one Dijkstra per source on worker threads (sources are
 /// independent, so parallelism cannot affect results) and projects each
-/// row onto the member set.
-fn member_rows(graph: &Graph, members: &[NodeId], sources: &[NodeId]) -> Vec<Vec<Delay>> {
+/// row onto the member set. Returns the projected rows back to back, in
+/// source order: row `i` is `out[i * members.len()..][..members.len()]`.
+fn member_rows(graph: &Graph, members: &[NodeId], sources: &[NodeId]) -> Vec<Delay> {
+    let width = members.len();
+    let mut out = vec![UNREACHABLE; sources.len() * width];
+    if out.is_empty() {
+        return out;
+    }
     let workers = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1)
-        .min(sources.len().max(1));
-    let next = AtomicUsize::new(0);
-    let mut rows: Vec<Vec<Delay>> = vec![Vec::new(); sources.len()];
-    let slots: Vec<&mut Vec<Delay>> = rows.iter_mut().collect();
-    let slots = std::sync::Mutex::new(slots);
+        .min(sources.len());
+    // Contiguous runs of sources, one per worker: each worker owns its
+    // slice of `out` and reuses one distance buffer and one heap.
+    let per_worker = sources.len().div_ceil(workers);
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= sources.len() {
-                    break;
+        for (srcs, rows) in sources
+            .chunks(per_worker)
+            .zip(out.chunks_mut(per_worker * width))
+        {
+            scope.spawn(move || {
+                let (mut full, mut heap) = (Vec::new(), RadixHeap::new());
+                for (&src, row) in srcs.iter().zip(rows.chunks_mut(width)) {
+                    sssp::dijkstra_into(graph, src, UNREACHABLE, &mut full, &mut heap);
+                    for (d, m) in row.iter_mut().zip(members) {
+                        *d = full[m.index()];
+                    }
                 }
-                let full = sssp::dijkstra(graph, sources[i]);
-                let projected: Vec<Delay> = members.iter().map(|m| full[m.index()]).collect();
-                *slots.lock().expect("row slot lock poisoned")[i] = projected;
             });
         }
     });
-    rows
+    out
 }
 
 impl HybridOracle {
@@ -282,8 +295,8 @@ impl HybridOracle {
                 if a_slot == m {
                     continue;
                 }
-                let rtt = anchor_rows[pick][m];
-                if rtt == 0 || rtt == sssp::UNREACHABLE {
+                let rtt = anchor_rows[pick * members.len() + m];
+                if rtt == 0 || rtt == UNREACHABLE {
                     continue;
                 }
                 partner.copy_from_slice(&coords[a_slot * dims..a_slot * dims + dims]);
@@ -326,11 +339,15 @@ impl HybridOracle {
         // Exact rows for every non-coord member.
         let exact_slots: Vec<u32> = audit_slots.iter().copied().chain(worst).collect();
         let exact_nodes: Vec<NodeId> = exact_slots.iter().map(|&s| members[s as usize]).collect();
-        let exact_rows: HashMap<u32, Vec<Delay>> = exact_slots
-            .iter()
-            .copied()
-            .zip(member_rows(&graph, members, &exact_nodes))
-            .collect();
+        let exact = member_rows(&graph, members, &exact_nodes);
+        let mut row_of = vec![NO_ROW; members.len()];
+        for (row, &s) in exact_slots.iter().enumerate() {
+            row_of[s as usize] = row as u32;
+        }
+        let exact_row = |slot: u32| {
+            let start = row_of[slot as usize] as usize * members.len();
+            &exact[start..start + members.len()]
+        };
 
         // Calibration: coordinate estimate vs. truth on audit-row pairs.
         let estimate = |coords: &[f64], i: usize, j: usize| -> f64 {
@@ -353,8 +370,8 @@ impl HybridOracle {
             if src as usize == dst {
                 continue;
             }
-            let truth = exact_rows[&src][dst];
-            if truth == 0 || truth == sssp::UNREACHABLE {
+            let truth = exact_row(src)[dst];
+            if truth == 0 || truth == UNREACHABLE {
                 continue;
             }
             let est = estimate(&coords, src as usize, dst).round().max(1.0);
@@ -375,7 +392,8 @@ impl HybridOracle {
             dims,
             coords,
             tier,
-            exact_rows,
+            row_of,
+            exact,
             calibration,
             n_coord: AtomicU64::new(0),
             n_sampled: AtomicU64::new(0),
@@ -397,6 +415,12 @@ impl HybridOracle {
     /// Members currently answered by the forced-exact tier.
     pub fn forced_members(&self) -> usize {
         self.tier.iter().filter(|&&t| t == TIER_FORCED).count()
+    }
+
+    /// Exact delay from member slot `from` (an audit or forced member) to
+    /// member slot `to`.
+    fn exact_at(&self, from: u32, to: u32) -> Delay {
+        self.exact[self.row_of[from as usize] as usize * self.members.len() + to as usize]
     }
 
     /// Coordinate-tier estimate between two member slots.
@@ -434,19 +458,19 @@ impl DistancePlane for HybridOracle {
         let (ta, tb) = (self.tier[sa as usize], self.tier[sb as usize]);
         if ta == TIER_AUDIT {
             self.n_sampled.fetch_add(1, Ordering::Relaxed);
-            return self.exact_rows[&sa][sb as usize];
+            return self.exact_at(sa, sb);
         }
         if tb == TIER_AUDIT {
             self.n_sampled.fetch_add(1, Ordering::Relaxed);
-            return self.exact_rows[&sb][sa as usize];
+            return self.exact_at(sb, sa);
         }
         if ta == TIER_FORCED {
             self.n_forced.fetch_add(1, Ordering::Relaxed);
-            return self.exact_rows[&sa][sb as usize];
+            return self.exact_at(sa, sb);
         }
         if tb == TIER_FORCED {
             self.n_forced.fetch_add(1, Ordering::Relaxed);
-            return self.exact_rows[&sb][sa as usize];
+            return self.exact_at(sb, sa);
         }
         self.n_coord.fetch_add(1, Ordering::Relaxed);
         self.coord_distance(sa as usize, sb as usize)

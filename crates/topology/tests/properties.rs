@@ -6,7 +6,7 @@ use ace_topology::generate::{ba, gnm, BaConfig, DelayModel, GnmConfig};
 use ace_topology::{sssp, Delay, DistanceOracle, Graph, LandmarkOracle, NodeId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// Reference adjacency model: the plain `Vec<Vec<(NodeId, Delay)>>`
 /// layout the CSR arena replaced. Built from the generator's edge stream,
@@ -62,8 +62,46 @@ fn arb_connected_graph() -> impl Strategy<Value = Graph> {
     })
 }
 
+/// A weight of random bit length in `1..=u32::MAX`.
+fn wide_weight(rng: &mut StdRng) -> Delay {
+    let bits = rng.gen_range(1u32..=32);
+    (rng.gen::<u32>() >> (32 - bits)).max(1)
+}
+
+/// Strategy: a random graph over the whole `u32` weight range. A spanning
+/// tree over `2..=40` nodes plus extra edges, then up to two isolated
+/// nodes. Each weight has a random bit length, so keys cross every radix
+/// bucket boundary and long paths saturate past `u32::MAX`.
+fn arb_wide_weight_graph() -> impl Strategy<Value = Graph> {
+    (2usize..=40, 0usize..80, 0usize..=2, any::<u64>()).prop_map(|(n, extra, isolated, seed)| {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut g = Graph::new(n + isolated);
+        for v in 1..n {
+            let u = rng.gen_range(0..v);
+            let w = wide_weight(&mut rng);
+            g.add_edge(NodeId::new(u as u32), NodeId::new(v as u32), w)
+                .unwrap();
+        }
+        for _ in 0..extra {
+            let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            let w = wide_weight(&mut rng);
+            // Self-loops and duplicates are rejected; skipping them is fine.
+            let _ = g.add_edge(NodeId::new(a as u32), NodeId::new(b as u32), w);
+        }
+        g
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn wide_weight_sssp_rows_match_u64_model(g in arb_wide_weight_graph()) {
+        let model = VecAdjacency::from_graph(&g);
+        for src in g.nodes() {
+            prop_assert_eq!(sssp::dijkstra(&g, src), model.dijkstra(src), "source {}", src);
+        }
+    }
 
     #[test]
     fn dijkstra_matches_bellman_ford(g in arb_connected_graph()) {

@@ -36,7 +36,13 @@ fn main() {
     println!("--------------------------------------------------------------------");
     let mut rates = Vec::new();
     for p in &points {
-        let rate = p.optimization_rate(r);
+        let rate = match p.optimization_rate(r) {
+            Ok(rate) => rate,
+            Err(e) => {
+                eprintln!("depth_tradeoff: frequency ratio R {e}");
+                std::process::exit(2);
+            }
+        };
         rates.push(rate);
         println!(
             " {}   {:>16.1}%   {:>14.0}   {:>13.3}   {:>5.3}",

@@ -34,6 +34,7 @@
 //! exception).
 
 use ace_core::{purge_index_cache, AceConfig, AceEngine, AceForward, LifecycleEvent};
+use ace_engine::digest::{fold, Digest};
 use ace_engine::pool::{effective_workers, plan_parallel};
 use ace_engine::rng::{sample_distinct, splitmix64};
 use ace_overlay::{
@@ -460,23 +461,16 @@ const STREAM_QUERY: u64 = 4;
 /// walker paths — must be identical across replication factors for the
 /// nested-placement monotonicity argument to hold.
 fn stream_seed(world: &WorldConfig, cell: &CellConfig, stream: u64) -> u64 {
-    let mut h = splitmix64(world.seed ^ 0xACE0_ACE0_ACE0_ACE0);
-    h = splitmix64(h ^ cell.strategy.tag());
-    h = splitmix64(h ^ cell.zipf.to_bits());
-    h = splitmix64(h ^ (cell.ace as u64 + 1));
-    splitmix64(h ^ stream)
-}
-
-/// Per-cell digest accumulator.
-struct Digest(u64);
-
-impl Digest {
-    fn new(seed: u64) -> Self {
-        Digest(splitmix64(seed))
-    }
-    fn mix(&mut self, w: u64) {
-        self.0 = splitmix64(self.0 ^ w);
-    }
+    fold(
+        0xACE0_ACE0_ACE0_ACE0,
+        &[
+            world.seed,
+            cell.strategy.tag(),
+            cell.zipf.to_bits(),
+            cell.ace as u64 + 1,
+            stream,
+        ],
+    )
 }
 
 /// Tracks one cell's measurement state shared by all strategies.
@@ -497,7 +491,9 @@ impl CellTrace {
             served: 0,
             traffic_total: 0.0,
             churn_events: 0,
-            digest: Digest::new(stream_seed(world, cell, 0) ^ cell.replicas as u64),
+            digest: Digest::new(splitmix64(
+                stream_seed(world, cell, 0) ^ cell.replicas as u64,
+            )),
         }
     }
 
@@ -517,21 +513,22 @@ impl CellTrace {
             self.hist.record(t);
             self.served += 1;
         }
-        self.digest.mix(u64::from(src.raw()));
-        self.digest.mix(u64::from(obj));
-        self.digest.mix(rt_ticks.unwrap_or(u64::MAX));
-        self.digest.mix(traffic.to_bits());
-        self.digest.mix(messages);
         self.digest
-            .mix(responder.map_or(0, |r| u64::from(r.raw()) + 1));
+            .word(u64::from(src.raw()))
+            .word(u64::from(obj))
+            .word(rt_ticks.unwrap_or(u64::MAX))
+            .word(traffic.to_bits())
+            .word(messages)
+            .word(responder.map_or(0, |r| u64::from(r.raw()) + 1));
     }
 
     fn finish(mut self, cell: &CellConfig, drawn: u64) -> CellResult {
-        self.digest.mix(self.load.messages());
-        self.digest.mix(self.load.total_cost().to_bits());
-        self.digest.mix(self.load.max_messages());
-        self.digest.mix(self.load.links_used() as u64);
-        self.digest.mix(self.churn_events);
+        self.digest
+            .word(self.load.messages())
+            .word(self.load.total_cost().to_bits())
+            .word(self.load.max_messages())
+            .word(self.load.links_used() as u64)
+            .word(self.churn_events);
         CellResult {
             strategy: cell.strategy,
             zipf: cell.zipf,
@@ -554,7 +551,7 @@ impl CellTrace {
             link_max_messages: self.load.max_messages(),
             link_mean_messages: self.load.mean_messages(),
             churn_events: self.churn_events,
-            digest: self.digest.0,
+            digest: self.digest.finish(),
         }
     }
 }

@@ -8,7 +8,6 @@
 //! charged into the reported per-query traffic.
 
 use ace_engine::{EventQueue, SimTime};
-use ace_metrics::LogHistogram;
 use ace_overlay::{
     run_query, DepartureKind, DepartureModel, FloodAll, ForwardPolicy, IndexCache, LifetimeModel,
     Overlay, PeerId, Placement, QueryConfig, QueryRate,
@@ -80,8 +79,6 @@ pub struct DynamicWindow {
     pub traffic: f64,
     /// Mean first-response round trip (ms) over answered queries.
     pub response_ms: f64,
-    /// 95th-percentile response round trip (ms, log-bucket approximate).
-    pub response_p95_ms: f64,
     /// Mean fraction of alive peers reached per query.
     pub scope_frac: f64,
     /// Fraction of queries answered.
@@ -189,7 +186,6 @@ pub fn dynamic_run(cfg: &DynamicConfig) -> DynamicResult {
     // Window accumulators.
     let (mut w_traffic, mut w_resp, mut w_scope, mut w_n, mut w_answered) =
         (0.0f64, 0.0f64, 0.0f64, 0u64, 0u64);
-    let mut w_hist = LogHistogram::new();
     let mut overhead_mark = 0.0f64;
 
     while done < cfg.total_queries {
@@ -244,7 +240,6 @@ pub fn dynamic_run(cfg: &DynamicConfig) -> DynamicResult {
                 w_scope += outcome.scope as f64 / s.overlay.alive_count().max(1) as f64;
                 if let Some(rt) = outcome.first_response {
                     w_resp += rt.as_millis_f64();
-                    w_hist.record(rt.as_millis_f64());
                     w_answered += 1;
                 }
                 w_n += 1;
@@ -261,7 +256,6 @@ pub fn dynamic_run(cfg: &DynamicConfig) -> DynamicResult {
                         } else {
                             0.0
                         },
-                        response_p95_ms: w_hist.quantile(0.95).unwrap_or(0.0),
                         scope_frac: w_scope / w_n as f64,
                         success: w_answered as f64 / w_n as f64,
                     });
@@ -270,7 +264,6 @@ pub fn dynamic_run(cfg: &DynamicConfig) -> DynamicResult {
                     w_scope = 0.0;
                     w_n = 0;
                     w_answered = 0;
-                    w_hist = LogHistogram::new();
                 }
                 queue.push(
                     now + cfg.query_rate.next_gap(&mut s.rng).as_ticks(),
@@ -395,19 +388,6 @@ mod tests {
             total_queries: 600,
             window: 100,
             ..DynamicConfig::paper_default(scenario, ace)
-        }
-    }
-
-    #[test]
-    fn windows_report_tail_latency() {
-        let r = dynamic_run(&tiny(None));
-        for w in &r.windows {
-            assert!(
-                w.response_p95_ms >= w.response_ms * 0.5,
-                "p95 {} vs mean {}",
-                w.response_p95_ms,
-                w.response_ms
-            );
         }
     }
 

@@ -13,7 +13,7 @@
 //! count, and both endpoints of a probe observe the same loss (a timeout
 //! is a property of the pair's exchange, not of one side).
 
-use ace_engine::rng::splitmix64;
+use ace_engine::digest::{fold, unit};
 use ace_overlay::{DepartureKind, PeerId};
 
 use crate::audit::ConfigError;
@@ -112,13 +112,16 @@ impl FaultConfig {
             return false;
         }
         let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-        let h = mix(&[
-            self.seed,
-            1,
-            round,
-            (u64::from(lo.raw()) << 32) | u64::from(hi.raw()),
-            u64::from(attempt),
-        ]);
+        let h = fold(
+            HASH_SEED,
+            &[
+                self.seed,
+                1,
+                round,
+                (u64::from(lo.raw()) << 32) | u64::from(hi.raw()),
+                u64::from(attempt),
+            ],
+        );
         unit(h) < self.probe_loss
     }
 
@@ -128,7 +131,7 @@ impl FaultConfig {
         if self.crash <= 0.0 && self.leave <= 0.0 {
             return None;
         }
-        let h = mix(&[self.seed, 2, round, u64::from(peer.raw())]);
+        let h = fold(HASH_SEED, &[self.seed, 2, round, u64::from(peer.raw())]);
         let u = unit(h);
         if u < self.crash {
             Some(DepartureKind::Crash)
@@ -144,7 +147,7 @@ impl FaultConfig {
         if self.rejoin <= 0.0 {
             return false;
         }
-        let h = mix(&[self.seed, 3, round, u64::from(peer.raw())]);
+        let h = fold(HASH_SEED, &[self.seed, 3, round, u64::from(peer.raw())]);
         unit(h) < self.rejoin
     }
 
@@ -152,25 +155,14 @@ impl FaultConfig {
     /// attachment choices of a rejoining peer don't depend on any shared
     /// RNG stream.
     pub fn rejoin_seed(&self, round: u64, peer: PeerId) -> u64 {
-        mix(&[self.seed, 4, round, u64::from(peer.raw())])
+        fold(HASH_SEED, &[self.seed, 4, round, u64::from(peer.raw())])
     }
 }
 
-/// Hashes a word sequence by chaining splitmix64. Shared with the netem
-/// wire model ([`crate::netem`]) so every adversarial decision in the
-/// workspace draws from the same reproducible chain style.
-pub(crate) fn mix(words: &[u64]) -> u64 {
-    let mut h = 0x5151_5151_ACE0_ACE0u64;
-    for &w in words {
-        h = splitmix64(h ^ w);
-    }
-    h
-}
-
-/// Maps a hash to a uniform draw in `[0, 1)`.
-pub(crate) fn unit(h: u64) -> f64 {
-    (h >> 11) as f64 / (1u64 << 53) as f64
-}
+/// Seed of every fault and wire draw ([`crate::netem`] shares it), so
+/// each adversarial decision in the workspace is one
+/// [`ace_engine::digest::fold`] away from its inputs.
+pub(crate) const HASH_SEED: u64 = 0x5151_5151_ACE0_ACE0;
 
 #[cfg(test)]
 mod tests {

@@ -23,10 +23,11 @@
 //! disagreements until `K` optimize periods after the heal (see
 //! `AsyncConfig::repair_periods`).
 
+use ace_engine::digest::{fold, unit};
 use ace_overlay::PeerId;
 
 use crate::audit::ConfigError;
-use crate::fault::{mix, unit};
+use crate::fault::HASH_SEED;
 
 /// How a scheduled partition assigns peers to sides.
 #[derive(Clone, Copy, Debug)]
@@ -72,9 +73,11 @@ impl Partition {
     /// Which side of this partition `peer` falls on.
     fn side(&self, peer: PeerId) -> u64 {
         match self.kind {
-            PartitionKind::Bipartition { salt } => mix(&[salt, 6, u64::from(peer.raw())]) & 1,
+            PartitionKind::Bipartition { salt } => {
+                fold(HASH_SEED, &[salt, 6, u64::from(peer.raw())]) & 1
+            }
             PartitionKind::Islands { count, salt } => {
-                mix(&[salt, 7, u64::from(peer.raw())]) % u64::from(count.max(1))
+                fold(HASH_SEED, &[salt, 7, u64::from(peer.raw())]) % u64::from(count.max(1))
             }
         }
     }
@@ -156,13 +159,16 @@ impl NetemConfig {
         if self.loss <= 0.0 {
             return false;
         }
-        let h = mix(&[
-            self.seed,
-            8,
-            (u64::from(from.raw()) << 32) | u64::from(to.raw()),
-            seq,
-            u64::from(attempt),
-        ]);
+        let h = fold(
+            HASH_SEED,
+            &[
+                self.seed,
+                8,
+                (u64::from(from.raw()) << 32) | u64::from(to.raw()),
+                seq,
+                u64::from(attempt),
+            ],
+        );
         unit(h) < self.loss
     }
 
@@ -172,13 +178,16 @@ impl NetemConfig {
         if self.duplicate <= 0.0 {
             return false;
         }
-        let h = mix(&[
-            self.seed,
-            9,
-            (u64::from(from.raw()) << 32) | u64::from(to.raw()),
-            seq,
-            u64::from(attempt),
-        ]);
+        let h = fold(
+            HASH_SEED,
+            &[
+                self.seed,
+                9,
+                (u64::from(from.raw()) << 32) | u64::from(to.raw()),
+                seq,
+                u64::from(attempt),
+            ],
+        );
         unit(h) < self.duplicate
     }
 
@@ -189,13 +198,16 @@ impl NetemConfig {
         if self.reorder_jitter == 0 {
             return 0;
         }
-        let h = mix(&[
-            self.seed,
-            10,
-            (u64::from(from.raw()) << 32) | u64::from(to.raw()),
-            seq,
-            u64::from(copy),
-        ]);
+        let h = fold(
+            HASH_SEED,
+            &[
+                self.seed,
+                10,
+                (u64::from(from.raw()) << 32) | u64::from(to.raw()),
+                seq,
+                u64::from(copy),
+            ],
+        );
         h % (self.reorder_jitter + 1)
     }
 
@@ -205,7 +217,7 @@ impl NetemConfig {
         if max == 0 {
             return 0;
         }
-        let h = mix(&[self.seed, 11, seq, u64::from(attempt)]);
+        let h = fold(HASH_SEED, &[self.seed, 11, seq, u64::from(attempt)]);
         h % (max + 1)
     }
 

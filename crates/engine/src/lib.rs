@@ -4,8 +4,9 @@
 //! [`SimTime`], a deterministic [`EventQueue`] (time ties broken by
 //! insertion order), the [`run_until`] driver, the deterministic
 //! fork-join worker pool ([`pool`]) shared by the round pipeline and the
-//! query-serving engine, and the random distributions ([`rng`]) behind
-//! the paper's workload and churn models.
+//! query-serving engine, the random distributions ([`rng`]) behind
+//! the paper's workload and churn models, and the one stable fingerprint
+//! fold ([`digest`]) behind every state digest and golden pin.
 //!
 //! Everything is seedable and integer-timed so that every experiment in
 //! the repository is exactly reproducible from its configuration.
@@ -34,6 +35,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod digest;
 pub mod pool;
 mod queue;
 pub mod rng;

@@ -34,31 +34,7 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    if n <= 1 || workers <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers.min(n) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let v = f(i);
-                *slots[i].lock().expect("plan slot lock poisoned") = Some(v);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("plan slot lock poisoned")
-                .expect("every index was planned")
-        })
-        .collect()
+    plan_parallel_scratch(&ScratchPool::new(), n, workers, || (), |_, i| f(i))
 }
 
 /// A pool of reusable per-worker scratch arenas.
@@ -153,32 +129,45 @@ where
         pool.put(scratch);
         return out;
     }
+    let threads = workers.min(n);
     let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers.min(n) {
-            scope.spawn(|| {
-                let mut scratch = pool.take().unwrap_or_else(&init);
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
+    // Each worker returns the `(index, result)` pairs it ran, indices
+    // rising, so the next index is always at the head of one run.
+    let mut runs: Vec<std::vec::IntoIter<(usize, T)>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut scratch = pool.take().unwrap_or_else(&init);
+                    let mut run = Vec::with_capacity(n.div_ceil(threads));
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
+                        }
+                        run.push((i, f(&mut scratch, i)));
                     }
-                    let v = f(&mut scratch, i);
-                    *slots[i].lock().expect("plan slot lock poisoned") = Some(v);
-                }
-                pool.put(scratch);
-            });
-        }
+                    pool.put(scratch);
+                    run
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| {
+                let run = h.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
+                run.into_iter()
+            })
+            .collect()
     });
-    slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("plan slot lock poisoned")
-                .expect("every index was planned")
-        })
-        .collect()
+    let mut out = Vec::with_capacity(n);
+    while let Some(run) = runs
+        .iter_mut()
+        .filter(|r| !r.as_slice().is_empty())
+        .min_by_key(|r| r.as_slice()[0].0)
+    {
+        out.extend(run.next().map(|(_, v)| v));
+    }
+    out
 }
 
 /// Resolves a worker-count knob: `0` means one worker per available

@@ -150,7 +150,8 @@ pub fn sample_distinct<R: Rng + ?Sized>(rng: &mut R, n: usize, k: usize) -> Vec<
 }
 
 /// `splitmix64` finalizer — the workspace's standard deterministic hash
-/// (fault draws, probe jitter, serving and matrix digests all chain it).
+/// (probe jitter and stream seeds call it; every fold chains it through
+/// [`crate::digest`]).
 /// `#[inline]` because the workspace builds without LTO and the fault
 /// model calls it on the probe path of every round.
 #[inline]

@@ -1,7 +1,7 @@
 //! # ace-metrics — statistics and experiment output
 //!
-//! Measurement plumbing for the ACE reproduction: a log-bucketed
-//! [`LogHistogram`], aligned-text [`Table`] rendering, and JSON
+//! Measurement plumbing for the ACE reproduction: aligned-text [`Table`]
+//! rendering and JSON
 //! [`ExperimentRecord`]s that tie each run to the paper figure or table
 //! it reproduces.
 //!
@@ -19,9 +19,7 @@
 #![warn(missing_docs)]
 
 mod experiment;
-mod histogram;
 mod table;
 
 pub use experiment::{ExperimentRecord, NamedSeries};
-pub use histogram::LogHistogram;
 pub use table::{f1, f3, pct, Table};

@@ -34,8 +34,8 @@
 
 use rand::Rng;
 
+use ace_engine::digest::Digest;
 use ace_engine::pool::{effective_workers, plan_parallel};
-use ace_engine::rng::splitmix64;
 use ace_engine::SimTime;
 use ace_topology::DistancePlane;
 
@@ -186,19 +186,18 @@ impl BatchOutcome {
     /// digests mean bit-identical per-query results — the yardstick of
     /// the worker-count and batched-vs-sequential equivalence tests.
     pub fn digest(&self) -> u64 {
-        let mut h = 0x9E37_79B9_7F4A_7C15u64;
-        let mut mix = |w: u64| h = splitmix64(h ^ w);
+        let mut d = Digest::new(0x9E37_79B9_7F4A_7C15);
         for i in 0..self.len() {
-            mix(u64::from(self.scope[i]));
-            mix(self.messages[i]);
-            mix(self.duplicates[i]);
-            mix(self.traffic_cost[i].to_bits());
-            mix(self.first_response[i].map_or(u64::MAX, SimTime::as_ticks));
-            mix(self.first_responder[i].map_or(u64::MAX, |p| u64::from(p.raw())));
-            mix(u64::from(self.responders_hit[i]));
-            mix(u64::from(self.skipped[i]));
+            d.word(u64::from(self.scope[i]))
+                .word(self.messages[i])
+                .word(self.duplicates[i])
+                .word(self.traffic_cost[i].to_bits())
+                .word(self.first_response[i].map_or(u64::MAX, SimTime::as_ticks))
+                .word(self.first_responder[i].map_or(u64::MAX, |p| u64::from(p.raw())))
+                .word(u64::from(self.responders_hit[i]))
+                .word(u64::from(self.skipped[i]));
         }
-        h
+        d.finish()
     }
 }
 
@@ -541,6 +540,7 @@ mod tests {
     use super::*;
     use crate::network::random_overlay;
     use crate::search::FloodAll;
+    use ace_engine::rng::splitmix64;
     use ace_topology::generate::{ba, BaConfig};
     use ace_topology::{DistanceOracle, NodeId};
     use rand::rngs::StdRng;

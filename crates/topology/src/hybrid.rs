@@ -28,9 +28,9 @@
 //! # Determinism
 //!
 //! Anchor choice, coordinate initialization, training-partner picks, the
-//! audit set and calibration pairs all derive from one splitmix64 hash
-//! chain off [`HybridConfig::seed`] — the same chain style as the fault
-//! and netem layers — so two runs (and any worker-thread interleaving)
+//! audit set and calibration pairs all derive from one
+//! [`ace_engine::digest::fold`] off [`HybridConfig::seed`] — the fold the
+//! fault and netem layers draw from too — so two runs (and any worker-thread interleaving)
 //! see identical state. `distance(a, b)` is a pure function of that state
 //! and the pair: tier counters use relaxed atomics and never influence
 //! answers, preserving the engine's bit-identical-digest guarantee.
@@ -47,6 +47,8 @@
 //! [`crate::vivaldi`]'s, so the two embeddings cannot drift apart.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+
+use ace_engine::digest::{fold, unit};
 
 use crate::graph::{Delay, Graph, NodeId};
 use crate::oracle::DistanceOracle;
@@ -174,27 +176,9 @@ pub struct HybridOracle {
     n_fallback: AtomicU64,
 }
 
-// --- deterministic hash chain (same idiom as core's fault/netem layers) ---
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-fn mix(words: &[u64]) -> u64 {
-    let mut h = 0xACE0_5CA1_E0AC_E05Cu64;
-    for &w in words {
-        h = splitmix64(h ^ w);
-    }
-    h
-}
-
-/// Maps a hash to a uniform draw in `[0, 1)`.
-fn unit(h: u64) -> f64 {
-    (h >> 11) as f64 / (1u64 << 53) as f64
-}
+/// Seed of every hash-seeded choice below (audit set, calibration
+/// pairs, Vivaldi jitter and neighbour picks).
+const HASH_SEED: u64 = 0xACE0_5CA1_E0AC_E05C;
 
 /// Deterministically samples `k` distinct slots from `0..n` via a
 /// hash-seeded partial Fisher–Yates shuffle.
@@ -202,7 +186,7 @@ fn sample_slots(seed: u64, tag: u64, n: usize, k: usize) -> Vec<u32> {
     let k = k.min(n);
     let mut pool: Vec<u32> = (0..n as u32).collect();
     for i in 0..k {
-        let j = i + (mix(&[seed, tag, i as u64]) as usize) % (n - i);
+        let j = i + (fold(HASH_SEED, &[seed, tag, i as u64]) as usize) % (n - i);
         pool.swap(i, j);
     }
     pool.truncate(k);
@@ -283,13 +267,13 @@ impl HybridOracle {
         // Anchor-trained Vivaldi embedding (see module docs).
         let dims = cfg.dims;
         let mut coords: Vec<f64> = (0..members.len() * dims)
-            .map(|i| unit(mix(&[cfg.seed, 0x1417, i as u64])) * 2.0 - 1.0)
+            .map(|i| unit(fold(HASH_SEED, &[cfg.seed, 0x1417, i as u64])) * 2.0 - 1.0)
             .collect();
         let mut error = vec![1.0f64; members.len()];
         let mut partner = vec![0.0f64; dims];
         for round in 0..cfg.rounds {
             for m in 0..members.len() {
-                let pick = (mix(&[cfg.seed, 0x9A1C, round as u64, m as u64]) as usize)
+                let pick = (fold(HASH_SEED, &[cfg.seed, 0x9A1C, round as u64, m as u64]) as usize)
                     % anchor_slots.len();
                 let a_slot = anchor_slots[pick] as usize;
                 if a_slot == m {
@@ -364,9 +348,9 @@ impl HybridOracle {
         };
         let mut errs: Vec<f64> = Vec::with_capacity(cfg.calibration_samples);
         for k in 0..cfg.calibration_samples {
-            let src =
-                audit_slots[(mix(&[cfg.seed, 0xCA11, k as u64]) as usize) % audit_slots.len()];
-            let dst = (mix(&[cfg.seed, 0xCA12, k as u64]) as usize) % members.len();
+            let src = audit_slots
+                [(fold(HASH_SEED, &[cfg.seed, 0xCA11, k as u64]) as usize) % audit_slots.len()];
+            let dst = (fold(HASH_SEED, &[cfg.seed, 0xCA12, k as u64]) as usize) % members.len();
             if src as usize == dst {
                 continue;
             }

@@ -23,12 +23,10 @@
 //! Schedule-specific on purpose: the serial watch sweep
 //! (`process_watches`).
 
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use ace_engine::digest::Digest;
 use ace_engine::pool::{self, plan_parallel_scratch, ScratchPool};
 
 use ace_overlay::{DepartureKind, Message, Overlay, OverlayError, PeerId};
@@ -43,7 +41,7 @@ use crate::fault::FaultConfig;
 use crate::forward_rows::ForwardRows;
 use crate::mst::SlotEdge;
 use crate::overhead::{OverheadKind, OverheadLedger};
-use crate::peer_state::PeerState;
+use crate::peer_state::{fold_peers, fold_sorted, fold_watches, PeerState};
 use crate::plan::{KnownSnap, PlanScratch};
 use crate::policy::{self, Figure4Action, LifecycleEvent, WatchVerdict};
 use crate::probe::ProbeModel;
@@ -97,8 +95,8 @@ pub struct AceConfig {
     pub faults: Option<FaultConfig>,
     /// Autonomic per-peer optimization-rate control
     /// ([`crate::autorate`]); `None` keeps the static every-round
-    /// schedule (and leaves digests byte-identical to controller-free
-    /// builds). When set, each round only peers the controller marks
+    /// schedule (and folds no controller word into the state digest).
+    /// When set, each round only peers the controller marks
     /// *due* run phases 1–3; the controller is fed deterministic
     /// observation streams at round end, so the worker-count digest
     /// guarantee still holds.
@@ -1691,37 +1689,35 @@ impl AceEngine {
         Ok(())
     }
 
-    /// Order-independent digest of all per-peer ACE state plus the ledger
-    /// bit patterns. Two engines with equal digests made bit-identical
-    /// decisions — the equivalence tests compare worker counts this way.
+    /// Digest of all per-peer ACE state plus the ledger bit patterns:
+    /// per peer, its sorted cost table, own tree, forward requests,
+    /// watches and `tree_built`; then each ledger kind's cost bits and
+    /// count; then the rate controller's digest when there is one. Two
+    /// engines with equal digests made bit-identical decisions — the
+    /// equivalence tests compare worker counts this way. Folded through
+    /// [`ace_engine::digest`], so the value is stable across toolchains.
     pub fn state_digest(&self) -> u64 {
-        let mut h = DefaultHasher::new();
+        let mut d = Digest::new(0);
         for s in &self.states {
-            let mut entries: Vec<(PeerId, Delay)> = s.table.iter().collect();
-            entries.sort_unstable();
-            entries.hash(&mut h);
-            s.own_tree.hash(&mut h);
-            s.requested.hash(&mut h);
-            s.watches.hash(&mut h);
-            s.tree_built.hash(&mut h);
+            fold_sorted(&mut d, s.table.iter().map(|(p, c)| (p, u64::from(c))));
+            fold_peers(&mut d, &s.own_tree);
+            fold_peers(&mut d, &s.requested);
+            fold_watches(&mut d, &s.watches);
+            d.word(u64::from(s.tree_built));
         }
         // ControlRetry belongs to the async wire model; the engine never
-        // charges it, and skipping it keeps digests stable across ledger
-        // taxonomy growth.
+        // charges it.
         for kind in OverheadKind::ALL {
             if kind == OverheadKind::ControlRetry {
                 continue;
             }
-            self.ledger.cost_of(kind).to_bits().hash(&mut h);
-            self.ledger.count_of(kind).hash(&mut h);
+            d.word(self.ledger.cost_of(kind).to_bits())
+                .word(self.ledger.count_of(kind));
         }
-        // Mixed only when the controller exists, so every digest
-        // committed before autorate landed is reproduced byte-for-byte
-        // by controller-free configs.
         if let Some(c) = &self.controller {
-            c.digest().hash(&mut h);
+            d.word(c.digest());
         }
-        h.finish()
+        d.finish()
     }
 }
 
@@ -1820,6 +1816,44 @@ mod tests {
             }
         }
         sum
+    }
+
+    /// Every component `state_digest` folds moves it when changed alone,
+    /// so a field dropped from the fold fails here.
+    #[test]
+    fn state_digest_moves_with_every_component() {
+        let (mut ov, oracle) = mismatch_env();
+        let cfg = AceConfig {
+            autorate: Some(AutoRateConfig::default()),
+            ..tiny_cfg()
+        };
+        let mut ace = AceEngine::new(4, cfg);
+        ace.round(&mut ov, &oracle, &mut StdRng::seed_from_u64(1));
+        fn p(i: u32) -> PeerId {
+            PeerId::new(i)
+        }
+        type Edit = (&'static str, fn(&mut AceEngine));
+        let edits: [Edit; 7] = [
+            ("table entry", |e| {
+                e.states[0].table.set(p(3), 12_345);
+            }),
+            ("own_tree", |e| e.states[0].own_tree.push(p(3))),
+            ("requested", |e| e.states[0].requested.push(p(3))),
+            ("watches", |e| e.states[0].watches.push((p(1), p(3)))),
+            ("tree_built", |e| e.states[0].tree_built ^= true),
+            ("ledger", |e| e.ledger.charge(OverheadKind::Reconnect, 1.0)),
+            ("controller", |e| {
+                let c = e.controller.as_mut().unwrap();
+                c.observe(p(3), 7, 9, &RateSample::default(), true);
+            }),
+        ];
+        let mut last = ace.state_digest();
+        for (what, edit) in edits {
+            edit(&mut ace);
+            let now = ace.state_digest();
+            assert_ne!(now, last, "{what} is not folded");
+            last = now;
+        }
     }
 
     #[test]

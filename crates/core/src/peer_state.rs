@@ -8,6 +8,7 @@
 //! once, so the two drivers cannot drift apart on them, and the shared
 //! audit clauses ([`crate::audit`]) read this struct on both.
 
+use ace_engine::digest::Digest;
 use ace_overlay::PeerId;
 
 use crate::cost_table::CostTable;
@@ -80,5 +81,29 @@ impl PeerState {
                 out.push(r);
             }
         }
+    }
+}
+
+/// Folds a peer list into a state digest: its length, then each id.
+pub(crate) fn fold_peers(d: &mut Digest, peers: &[PeerId]) {
+    d.words(peers.iter().map(|p| u64::from(p.raw())));
+}
+
+/// Folds `(peer, value)` pairs into a state digest in sorted order: their
+/// count, then each pair.
+pub(crate) fn fold_sorted(d: &mut Digest, pairs: impl Iterator<Item = (PeerId, u64)>) {
+    let mut pairs: Vec<(PeerId, u64)> = pairs.collect();
+    pairs.sort_unstable();
+    d.word(pairs.len() as u64);
+    for (p, v) in pairs {
+        d.word(u64::from(p.raw())).word(v);
+    }
+}
+
+/// Folds the watch list (`(far, near)` pairs, in list order).
+pub(crate) fn fold_watches(d: &mut Digest, watches: &[(PeerId, PeerId)]) {
+    d.word(watches.len() as u64);
+    for &(far, near) in watches {
+        d.word(u64::from(far.raw())).word(u64::from(near.raw()));
     }
 }

@@ -74,6 +74,7 @@ use std::collections::{HashMap, HashSet};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use ace_engine::digest::Digest;
 use ace_engine::{EventQueue, SimTime};
 use ace_overlay::{ForwardPolicy, Message, Overlay, PeerId};
 use ace_topology::{Delay, DistancePlane};
@@ -85,7 +86,7 @@ use crate::fault::FaultConfig;
 use crate::mst::{PrimScratch, SlotEdge};
 use crate::netem::NetemConfig;
 use crate::overhead::{OverheadKind, OverheadLedger};
-use crate::peer_state::PeerState;
+use crate::peer_state::{fold_peers, fold_sorted, fold_watches, PeerState};
 use crate::policy::{self, Figure4Action, LifecycleEvent, WatchVerdict};
 use crate::probe::ProbeModel;
 
@@ -172,8 +173,8 @@ pub struct ProtoConfig {
     pub netem: Option<NetemConfig>,
     /// Per-peer autonomic optimization-rate control
     /// ([`RateController`]); `None` keeps the static `cycle_period`
-    /// timer chain and the state digest byte-identical to earlier
-    /// revisions. When set, each peer's next timer fires after
+    /// timer chain (and folds no controller word into the state
+    /// digest). When set, each peer's next timer fires after
     /// `cycle_period × interval`, where the interval comes from the
     /// shared decision core ([`policy::next_opt_interval`]).
     pub autorate: Option<AutoRateConfig>,
@@ -654,75 +655,79 @@ impl AsyncAceSim {
             .unwrap_or_default()
     }
 
-    /// Order-independent digest of all per-node protocol state plus the
-    /// ledger bit patterns — the async twin of
-    /// [`AceEngine::state_digest`](crate::AceEngine::state_digest). The
-    /// receiver-side dedup filter (`seen`) is deliberately excluded: it
-    /// records wire history, not protocol state, and the idempotence
-    /// tests assert digests unchanged *because* a suppressed duplicate
-    /// touches nothing else.
+    /// Digest of all per-node protocol state plus the ledger bit
+    /// patterns — the async twin of
+    /// [`AceEngine::state_digest`](crate::AceEngine::state_digest). Per
+    /// node it folds, each keyed map sorted and every collection framed
+    /// by its length: the cost table, the neighbor tables, own tree,
+    /// forward requests and their timestamps, watches, outstanding
+    /// probes, awaited reports, served requests, the pair-cost cache and
+    /// the cycle flags; then every ledger kind and the controller's
+    /// digest when there is one. The receiver-side dedup filter (`seen`)
+    /// is deliberately excluded: it records wire history, not protocol
+    /// state, and the idempotence tests assert digests unchanged
+    /// *because* a suppressed duplicate touches nothing else.
     pub fn state_digest(&self) -> u64 {
-        use std::collections::hash_map::DefaultHasher;
-        use std::hash::{Hash, Hasher};
-        let mut h = DefaultHasher::new();
+        let mut d = Digest::new(0);
         for n in &self.nodes {
-            let mut entries: Vec<(PeerId, Delay)> = n.peer.table.iter().collect();
-            entries.sort_unstable();
-            entries.hash(&mut h);
-            let mut tables: Vec<(PeerId, Vec<(PeerId, Delay)>)> = n
-                .neighbor_tables
-                .iter()
-                .map(|(&o, t)| {
-                    let mut e: Vec<(PeerId, Delay)> = t.iter().collect();
-                    e.sort_unstable();
-                    (o, e)
-                })
-                .collect();
-            tables.sort_unstable_by_key(|&(o, _)| o);
-            tables.hash(&mut h);
-            n.peer.own_tree.hash(&mut h);
-            n.peer.requested.hash(&mut h);
-            let mut stamps: Vec<(PeerId, u64)> = n
-                .requested_at
-                .iter()
-                .map(|(&p, &t)| (p, t.as_ticks()))
-                .collect();
-            stamps.sort_unstable();
-            stamps.hash(&mut h);
-            n.peer.watches.hash(&mut h);
-            let mut pending: Vec<(u64, PeerId, ProbePurpose, u64)> = n
-                .pending_probes
-                .iter()
-                .map(|(&nonce, pp)| (nonce, pp.target, pp.purpose, pp.sent_at.as_ticks()))
-                .collect();
-            pending.sort_unstable_by_key(|&(nonce, ..)| nonce);
-            pending.hash(&mut h);
-            n.awaiting_reports.hash(&mut h);
-            type ServingRow<'a> = (PeerId, &'a Vec<(PeerId, Delay)>, usize);
-            let mut serving: Vec<ServingRow<'_>> = n
-                .serving
-                .iter()
-                .map(|(&req, &(ref entries, left))| (req, entries, left))
-                .collect();
-            serving.sort_unstable_by_key(|&(req, ..)| req);
-            serving.hash(&mut h);
-            let mut cache: Vec<(PeerId, Delay)> =
-                n.pair_cache.iter().map(|(&p, &c)| (p, c)).collect();
-            cache.sort_unstable();
-            cache.hash(&mut h);
-            n.cycle_open.hash(&mut h);
-            n.cycles_done.hash(&mut h);
+            fold_sorted(&mut d, n.peer.table.iter().map(|(p, c)| (p, u64::from(c))));
+            let mut tables: Vec<(&PeerId, &CostTable)> = n.neighbor_tables.iter().collect();
+            tables.sort_unstable_by_key(|&(&o, _)| o);
+            d.word(tables.len() as u64);
+            for (&o, t) in tables {
+                d.word(u64::from(o.raw()));
+                fold_sorted(&mut d, t.iter().map(|(p, c)| (p, u64::from(c))));
+            }
+            fold_peers(&mut d, &n.peer.own_tree);
+            fold_peers(&mut d, &n.peer.requested);
+            fold_sorted(
+                &mut d,
+                n.requested_at.iter().map(|(&p, &t)| (p, t.as_ticks())),
+            );
+            fold_watches(&mut d, &n.peer.watches);
+            let mut pending: Vec<(&u64, &PendingProbe)> = n.pending_probes.iter().collect();
+            pending.sort_unstable_by_key(|&(&nonce, _)| nonce);
+            d.word(pending.len() as u64);
+            for (&nonce, pp) in pending {
+                d.word(nonce).word(u64::from(pp.target.raw()));
+                match pp.purpose {
+                    ProbePurpose::Neighbor => d.word(0),
+                    ProbePurpose::Candidate { far, far_near } => d
+                        .word(1)
+                        .word(u64::from(far.raw()))
+                        .word(u64::from(far_near)),
+                    ProbePurpose::OnBehalf { requester } => {
+                        d.word(2).word(u64::from(requester.raw()))
+                    }
+                };
+                d.word(pp.sent_at.as_ticks());
+            }
+            fold_peers(&mut d, &n.awaiting_reports);
+            let mut serving: Vec<_> = n.serving.iter().collect();
+            serving.sort_unstable_by_key(|&(&req, _)| req);
+            d.word(serving.len() as u64);
+            for (&req, (entries, left)) in serving {
+                d.word(u64::from(req.raw()));
+                d.word(entries.len() as u64);
+                for &(p, c) in entries {
+                    d.word(u64::from(p.raw())).word(u64::from(c));
+                }
+                d.word(*left as u64);
+            }
+            fold_sorted(
+                &mut d,
+                n.pair_cache.iter().map(|(&p, &c)| (p, u64::from(c))),
+            );
+            d.word(u64::from(n.cycle_open)).word(n.cycles_done);
         }
         for kind in OverheadKind::ALL {
-            self.ledger.cost_of(kind).to_bits().hash(&mut h);
-            self.ledger.count_of(kind).hash(&mut h);
+            d.word(self.ledger.cost_of(kind).to_bits())
+                .word(self.ledger.count_of(kind));
         }
-        // Mixed only when enabled, so digests committed before the
-        // controller existed stay byte-identical.
         if let Some(c) = &self.controller {
-            c.digest().hash(&mut h);
+            d.word(c.digest());
         }
-        h.finish()
+        d.finish()
     }
 
     /// Completed optimization cycles per node (min over alive nodes).
@@ -2199,6 +2204,63 @@ mod tests {
             assert!(sim.tree_built(p), "{p} never built a tree");
         }
         sim.check_invariants().unwrap();
+    }
+
+    /// Every per-node map and flag `state_digest` folds moves it when
+    /// changed alone, so a field dropped from the fold fails here.
+    #[test]
+    fn state_digest_moves_with_every_async_map() {
+        let (oracle, ov) = world(30, 1);
+        let mut sim = AsyncAceSim::new(ov, ProtoConfig::default(), 2);
+        sim.run_until(&oracle, SimTime::from_secs(30));
+        fn p(i: u32) -> PeerId {
+            PeerId::new(i)
+        }
+        type Edit = (&'static str, fn(&mut NodeState));
+        let edits: [Edit; 13] = [
+            ("table", |n| {
+                n.peer.table.set(p(29), 12_345);
+            }),
+            ("neighbor_tables", |n| {
+                n.neighbor_tables.insert(p(28), CostTable::new(p(28)));
+            }),
+            ("own_tree", |n| n.peer.own_tree.push(p(27))),
+            ("requested", |n| n.peer.requested.push(p(27))),
+            ("requested_at", |n| {
+                n.requested_at.insert(p(27), SimTime::from_secs(2));
+            }),
+            ("watches", |n| n.peer.watches.push((p(26), p(27)))),
+            ("pending_probes", |n| {
+                let probe = PendingProbe {
+                    target: p(5),
+                    purpose: ProbePurpose::Neighbor,
+                    sent_at: SimTime::from_secs(1),
+                };
+                n.pending_probes.insert(1 << 40, probe);
+            }),
+            ("probe purpose", |n| {
+                let pp = n.pending_probes.get_mut(&(1 << 40)).unwrap();
+                pp.purpose = ProbePurpose::OnBehalf { requester: p(4) };
+            }),
+            ("awaiting_reports", |n| n.awaiting_reports.push(p(25))),
+            ("serving", |n| {
+                n.serving.insert(p(24), (vec![(p(1), 3)], 2));
+            }),
+            ("pair_cache", |n| {
+                n.pair_cache.insert(p(23), 9);
+            }),
+            ("cycle_open", |n| n.cycle_open ^= true),
+            ("cycles_done", |n| n.cycles_done += 1),
+        ];
+        let mut last = sim.state_digest();
+        for (what, edit) in edits {
+            edit(&mut sim.nodes[0]);
+            let now = sim.state_digest();
+            assert_ne!(now, last, "{what} is not folded");
+            last = now;
+        }
+        sim.ledger.charge(OverheadKind::ControlRetry, 1.0);
+        assert_ne!(sim.state_digest(), last, "ledger is not folded");
     }
 
     impl StatesMut for AsyncAceSim {

@@ -775,12 +775,11 @@ mod tests {
         ov.check_invariants().unwrap();
     }
 
-    /// Pins which targets `join` picks — cached addresses first, then
-    /// bootstrap ranks resolved in id order — over 200 seeded leaves and
-    /// joins on 150 peers (40 of them never linked, so their address
-    /// caches are empty). The digest was captured with the bootstrap that
-    /// collected every alive peer into a `Vec` and indexed it; any change
-    /// to the draws or to the rank → peer map moves it.
+    /// 200 seeded leaves and joins on 150 peers (40 of them never
+    /// linked, so their address caches are empty) reach every cache case
+    /// `join` handles: empty, shorter than the attach count, all dead.
+    /// The root package's `tests/golden.rs` runs the same script and pins
+    /// which targets `join` picks (its `join_targets` cell).
     #[test]
     fn join_targets_are_pinned_over_a_seeded_churn_script() {
         const ATTACH: usize = 3;
@@ -793,8 +792,6 @@ mod tests {
             }
         }
         let (mut empty, mut short, mut all_dead) = (0, 0, 0);
-        let mut digest = 0xcbf2_9ce4_8422_2325u64;
-        let mut fold = |v: u64| digest = (digest ^ v).wrapping_mul(0x0000_0100_0000_01b3);
         for _ in 0..200 {
             let p = PeerId::new(rng.gen_range(0..150));
             if ov.is_alive(p) {
@@ -805,11 +802,7 @@ mod tests {
             empty += usize::from(cache.is_empty());
             short += usize::from((1..ATTACH).contains(&cache.len()));
             all_dead += usize::from(!cache.is_empty() && !cache.iter().any(|&c| ov.is_alive(c)));
-            let connected = ov.join(p, ATTACH, &mut rng).unwrap();
-            fold(u64::from(p.raw()));
-            connected
-                .iter()
-                .for_each(|t| fold(u64::from(t.raw()) + 1000));
+            ov.join(p, ATTACH, &mut rng).unwrap();
             ov.check_invariants().unwrap();
         }
         assert!(
@@ -817,7 +810,6 @@ mod tests {
             "{empty} {short} {all_dead}"
         );
         assert_eq!(ov.alive_count(), ov.alive_peers().count());
-        assert_eq!(digest, 0x9778_55f9_aaac_cb4e);
     }
 
     /// Every list write moves the written lists' stamps to values no

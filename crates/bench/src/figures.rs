@@ -16,20 +16,18 @@
 
 use ace_core::experiments::{
     depth_sweep, dynamic_run, landmark_overlay, measure_queries, static_run, DepthPoint,
-    DepthSweepConfig, DynamicConfig, OverlayKind, PhysKind, Scenario, ScenarioConfig, StaticConfig,
+    DepthSweepConfig, DynamicConfig, OverlayKind, Scenario, ScenarioConfig, StaticConfig,
     StaticResult,
 };
-use ace_core::ltm::{LtmConfig, LtmEngine};
+use ace_core::ltm::LtmEngine;
 use ace_core::protocol::{AsyncAceSim, AsyncForward, ProtoConfig};
 use ace_core::{AceConfig, AceEngine, AceForward, OverheadKind, ProbeModel, ReplacePolicy};
 use ace_engine::pool::{effective_workers, plan_parallel};
 use ace_engine::rng::sample_distinct;
-use ace_metrics::{f1, f3, pct, ExperimentRecord, NamedSeries, Table};
 use ace_overlay::{
     assign_capacities, random_overlay, random_walk_query, run_query, run_query_traced,
-    zipf_workload, FloodAll, ForwardPolicy, GiaAdaptation, GiaConfig, HpfWeight, Overlay,
-    PartialFlood, PeerId, QueryConfig, QuerySpec, TwoTierConfig, TwoTierNetwork, WalkConfig,
-    GNUTELLA_CAPACITY_MIX,
+    zipf_workload, FloodAll, ForwardPolicy, GiaAdaptation, HpfWeight, Overlay, PartialFlood,
+    PeerId, QueryConfig, QuerySpec, TwoTierNetwork, WalkConfig, GNUTELLA_CAPACITY_MIX,
 };
 use ace_topology::{
     DistanceOracle, DistancePlane, Graph, LandmarkOracle, NodeId, VivaldiConfig, VivaldiCoords,
@@ -37,7 +35,7 @@ use ace_topology::{
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::Scale;
+use crate::{f1, f3, pct, ExperimentRecord, NamedSeries, Scale, Table};
 
 /// The paper's average-connection sweep.
 pub const C_SWEEP: [usize; 4] = [4, 6, 8, 10];
@@ -172,10 +170,8 @@ pub const FIGURES: [Figure; 20] = [
 fn base_scenario(scale: Scale, avg_degree: usize, seed: u64) -> ScenarioConfig {
     let (as_count, nodes_per_as) = scale.phys();
     ScenarioConfig {
-        phys: PhysKind::TwoLevel {
-            as_count,
-            nodes_per_as,
-        },
+        as_count,
+        nodes_per_as,
         peers: scale.peers(),
         avg_degree,
         overlay: OverlayKind::Clustered,
@@ -737,7 +733,6 @@ pub fn ablation_landmark(scale: Scale) -> Records {
         &TwoLevelConfig {
             as_count,
             nodes_per_as,
-            ..TwoLevelConfig::default()
         },
         &mut rng,
     );
@@ -1013,7 +1008,7 @@ pub fn baseline_ltm(scale: Scale) -> Records {
 
     // Arm 2: LTM-optimized topology, still flooding.
     let mut s1 = Scenario::build(&scenario_cfg);
-    let mut ltm = LtmEngine::new(LtmConfig::default());
+    let mut ltm = LtmEngine::default();
     for _ in 0..scale.steps() {
         ltm.round(&mut s1.overlay, &s1.oracle, &mut s1.rng);
     }
@@ -1275,7 +1270,7 @@ pub fn baseline_gia(scale: Scale) -> Records {
     let mut s = Scenario::build(&scenario_cfg);
     let specs = zipf_workload(&s.overlay, &s.catalog, scale.samples(), &mut s.rng);
     let caps = assign_capacities(s.overlay.peer_count(), &GNUTELLA_CAPACITY_MIX, &mut s.rng);
-    let gia = GiaAdaptation::new(caps, GiaConfig::default());
+    let gia = GiaAdaptation::new(caps);
 
     let mut rows: Vec<(String, f64, f64, f64)> = Vec::new(); // name, traffic, corr, scope
     let flood = measure_queries(&s.overlay, &s.oracle, &s.placement, &specs, 32, &FloodAll);
@@ -1547,7 +1542,7 @@ pub fn ext_supernode(scale: Scale) -> Records {
     let flat = measure_queries(&s.overlay, &s.oracle, &s.placement, &specs, 32, &FloodAll);
 
     // Two-tier network (random attach, the mismatch-prone default).
-    let mut tt = TwoTierNetwork::build(hosts, &TwoTierConfig::default(), &s.oracle, &mut s.rng);
+    let mut tt = TwoTierNetwork::build(hosts, &mut s.rng);
     let leaves: Vec<usize> = (0..samples)
         .map(|_| s.rng.gen_range(0..tt.leaf_count()))
         .collect();

@@ -40,7 +40,7 @@ use ace_engine::rng::{sample_distinct, splitmix64};
 use ace_overlay::{
     random_walk_query_traced, run_query_traced, Catalog, FloodAll, ForwardPolicy, IndexCache,
     LatencyHistogram, LinkLoad, ObjectId, Overlay, PeerId, Placement, QueryConfig, QueryOutcome,
-    TierRole, TwoTierConfig, TwoTierNetwork, WalkConfig,
+    TierRole, TwoTierNetwork, WalkConfig, CORE_DEGREE,
 };
 use ace_topology::{DistancePlane, HybridConfig, HybridOracle, NodeId};
 use rand::rngs::StdRng;
@@ -217,7 +217,7 @@ impl MatrixWorld {
         let (graph, overlay, mut rng) =
             build_world_sized(cfg.peers, cfg.as_count, cfg.nodes_per_as, cfg.seed);
         let members: Vec<NodeId> = overlay.peers().map(|p| overlay.host(p)).collect();
-        let plane = HybridOracle::build(graph, &members, &HybridConfig::default());
+        let plane = HybridOracle::build(graph, &members, &HybridConfig);
         let alive: Vec<PeerId> = overlay.alive_peers().collect();
         let depth = cfg.max_replicas.min(alive.len());
         let holder_pool = (0..cfg.objects)
@@ -755,7 +755,6 @@ fn walk_query(
     let wc = WalkConfig {
         walkers: 1,
         max_hops: WALK_HOPS,
-        avoid_backtrack: true,
     };
     let mut best: Option<(u64, PeerId)> = None;
     let (mut traffic, mut messages) = (0.0f64, 0u64);
@@ -807,9 +806,8 @@ fn run_two_tier_cell(world: &MatrixWorld, cell: &CellConfig) -> CellResult {
         .peers()
         .map(|p| world.overlay.host(p))
         .collect();
-    let tt_cfg = TwoTierConfig::default();
     let mut setup_rng = StdRng::seed_from_u64(stream_seed(&cfg, cell, STREAM_SETUP));
-    let mut tt = TwoTierNetwork::build(hosts, &tt_cfg, plane, &mut setup_rng);
+    let mut tt = TwoTierNetwork::build(hosts, &mut setup_rng);
     let core_ids = tt.supernode_count() as u32; // access links keyed past core ids
 
     let mut ace_rng = StdRng::seed_from_u64(stream_seed(&cfg, cell, STREAM_ACE));
@@ -864,7 +862,7 @@ fn run_two_tier_cell(world: &MatrixWorld, cell: &CellConfig) -> CellResult {
                 // Orphans re-attach (randomly, like the initial attach)
                 // and their index entries move with them — the
                 // supernode-state purge of the lifecycle taxonomy.
-                tt.reattach_leaves(sn, false, plane, &mut churn_rng);
+                tt.reattach_leaves(sn, &mut churn_rng);
                 departed.push(sn);
                 trace.churn_events += 1;
             }
@@ -874,11 +872,7 @@ fn run_two_tier_cell(world: &MatrixWorld, cell: &CellConfig) -> CellResult {
         }
         if qi == 2 * queries / 3 {
             for sn in departed.drain(..) {
-                if tt
-                    .core
-                    .join(sn, tt_cfg.core_degree, &mut churn_rng)
-                    .is_err()
-                {
+                if tt.core.join(sn, CORE_DEGREE, &mut churn_rng).is_err() {
                     continue;
                 }
                 if let Some(eng) = &mut ace {

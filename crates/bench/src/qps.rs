@@ -203,7 +203,7 @@ fn serve_side<P: ForwardPolicy + Sync + ?Sized>(
 pub fn run_point(peers: usize) -> QpsPoint {
     let (graph, overlay, mut rng) = build_world(peers, SEED);
     let members: Vec<NodeId> = overlay.peers().map(|p| overlay.host(p)).collect();
-    let plane = HybridOracle::build(graph, &members, &HybridConfig::default());
+    let plane = HybridOracle::build(graph, &members, &HybridConfig);
 
     let catalog = Catalog::new(OBJECTS, ZIPF);
     let placement = Placement::random(OBJECTS, REPLICAS, &overlay, &mut rng);
@@ -327,14 +327,13 @@ mod tests {
             &TwoLevelConfig {
                 as_count: 4,
                 nodes_per_as: 200,
-                ..TwoLevelConfig::default()
             },
             &mut rng,
         );
         let hosts = topo.graph.nodes().take(peers).collect();
         let overlay = clustered_overlay(hosts, 6, 0.7, Some(12), &mut rng);
         let members: Vec<NodeId> = overlay.peers().map(|p| overlay.host(p)).collect();
-        let plane = HybridOracle::build(topo.graph, &members, &HybridConfig::default());
+        let plane = HybridOracle::build(topo.graph, &members, &HybridConfig);
 
         let catalog = Catalog::new(OBJECTS, ZIPF);
         let placement = Placement::random(OBJECTS, REPLICAS, &overlay, &mut rng);

@@ -214,7 +214,6 @@ pub(crate) fn build_world_sized(
         &TwoLevelConfig {
             as_count,
             nodes_per_as,
-            ..TwoLevelConfig::default()
         },
         &mut rng,
     );
@@ -261,7 +260,7 @@ pub fn run_point_workers(peers: usize, workers: usize, sweep: bool) -> ScalePoin
     let (phys_nodes, phys_edges) = (graph.node_count(), graph.edge_count());
 
     let members: Vec<NodeId> = overlay.peers().map(|p| overlay.host(p)).collect();
-    let plane = HybridOracle::build(graph, &members, &HybridConfig::default());
+    let plane = HybridOracle::build(graph, &members, &HybridConfig);
     let cal = plane.calibration();
 
     // Pristine copies for the sweep legs: same start state, same seeds.
@@ -337,7 +336,7 @@ pub fn run_band() -> ScaleBand {
     let (graph, overlay, rng) = build_world(peers, SEED);
     let members: Vec<NodeId> = overlay.peers().map(|p| overlay.host(p)).collect();
     let exact = DistanceOracle::new(graph.clone());
-    let hybrid = HybridOracle::build(graph, &members, &HybridConfig::default());
+    let hybrid = HybridOracle::build(graph, &members, &HybridConfig);
 
     let (exact_reduction, exact_scope_frac) =
         band_side(overlay.clone(), rng.clone(), &exact, &exact);

@@ -10,8 +10,8 @@
 //!   optimization still reduces traffic and keeps ≥ 90 % of the search
 //!   scope;
 //! * prices the adversity: the overhead ratio of the chaos ledger to the
-//!   baseline ledger (every retransmission, duplicate and fault
-//!   write-off is charged, so the ratio is the full cost of the wire);
+//!   baseline ledger (every retransmission and duplicate is charged,
+//!   so the ratio is the full cost of the wire);
 //! * measures time-to-heal: cycle periods after the heal until the
 //!   auditor is green and every alive peer has rebuilt its tree.
 //!
@@ -22,8 +22,8 @@
 //! to `CHAOS.json`.
 
 use ace_core::experiments::differential::LOSSY_WIRE_MAX_LOSS;
-use ace_core::experiments::{PhysKind, Scenario, ScenarioConfig};
-use ace_core::protocol::{AsyncAceSim, AsyncForward, ProtoConfig};
+use ace_core::experiments::{Scenario, ScenarioConfig};
+use ace_core::protocol::{AsyncAceSim, AsyncForward, ProtoConfig, REPAIR_PERIODS};
 use ace_core::{NetemConfig, Partition, PartitionKind};
 use ace_engine::SimTime;
 use ace_overlay::{run_query, FloodAll, PeerId, QueryConfig};
@@ -131,10 +131,8 @@ struct Outcome {
 /// plus a repair window, measured from peer 0.
 fn run_world(seed: u64, netem: Option<NetemConfig>) -> Outcome {
     let scenario = ScenarioConfig {
-        phys: PhysKind::TwoLevel {
-            as_count: 4,
-            nodes_per_as: 60,
-        },
+        as_count: 4,
+        nodes_per_as: 60,
         peers: 60,
         avg_degree: 6,
         objects: 30,
@@ -152,7 +150,7 @@ fn run_world(seed: u64, netem: Option<NetemConfig>) -> Outcome {
         ..ProtoConfig::default()
     };
     let period = cfg.timing.cycle_period;
-    let repair = cfg.timing.repair_periods * period;
+    let repair = REPAIR_PERIODS * period;
     let heal = netem.as_ref().map_or(0, NetemConfig::last_heal);
     let mut sim = AsyncAceSim::new(s.overlay, cfg, seed ^ 0xc4a0_5eed);
 
@@ -199,7 +197,7 @@ fn run_world(seed: u64, netem: Option<NetemConfig>) -> Outcome {
     let st = *sim.netem_stats();
     assert_eq!(
         sim.ledger().total_count(),
-        st.sent + st.duplicated + st.retransmits + st.fault_retries,
+        st.sent + st.duplicated + st.retransmits,
         "seed {seed}: chaos ledger identity broken"
     );
     Outcome {

@@ -14,7 +14,7 @@
 
 use ace_core::experiments::differential::DEFAULT_BAND;
 use ace_core::experiments::{
-    differential_run, ChurnKind, ChurnStep, DifferentialConfig, PhysKind, ScenarioConfig,
+    differential_run, ChurnKind, ChurnStep, DifferentialConfig, ScenarioConfig,
 };
 use serde::Serialize;
 
@@ -78,10 +78,8 @@ pub fn run() -> String {
         };
         let cfg = DifferentialConfig {
             scenario: ScenarioConfig {
-                phys: PhysKind::TwoLevel {
-                    as_count: 4,
-                    nodes_per_as: 60,
-                },
+                as_count: 4,
+                nodes_per_as: 60,
                 peers: 70,
                 avg_degree: 6,
                 objects: 30,

@@ -12,7 +12,7 @@
 //! Any violation panics (non-zero exit); otherwise the summary is
 //! returned as the JSON `repro smoke fault` writes to `FAULT_SMOKE.json`.
 
-use ace_core::experiments::{PhysKind, Scenario, ScenarioConfig};
+use ace_core::experiments::{Scenario, ScenarioConfig};
 use ace_core::{AceConfig, AceEngine, FaultConfig, OverheadKind};
 use serde::Serialize;
 
@@ -46,22 +46,17 @@ struct Summary {
 pub fn run() -> String {
     let faults = FaultConfig {
         probe_loss: 0.15,
-        max_retries: 2,
-        backoff: 1.5,
         crash: 0.02,
         leave: 0.02,
         rejoin: 0.3,
-        rejoin_attach: 3,
         seed: 0, // overwritten per run below
     };
     let mut per_seed = Vec::new();
     let (mut departures, mut rejoins) = (0usize, 0usize);
     for seed in 0..SEEDS {
         let scenario = ScenarioConfig {
-            phys: PhysKind::TwoLevel {
-                as_count: 4,
-                nodes_per_as: 50,
-            },
+            as_count: 4,
+            nodes_per_as: 50,
             peers: 80,
             avg_degree: 6,
             objects: 40,

@@ -8,7 +8,7 @@
 //! three severities (quiet / sustained churn / churn + adversarial
 //! wire), each with two arms on the same seeded world — **static-R**
 //! (no controller, the fixed `cycle_period` timer chain) and
-//! **adaptive-R** ([`ace_core::AutoRateConfig::default`]).
+//! **adaptive-R** ([`ace_core::AutoRateConfig`]).
 //!
 //! Every window the harness measures the flood-vs-ACE traffic gap with
 //! a query sample, feeds the measurement back to the controller
@@ -24,8 +24,9 @@
 //! traffic reduction at equal or lower total control overhead, with the
 //! controller's high-water mark under its byte budget and zero leaks.
 
-use ace_core::experiments::{PhysKind, Scenario, ScenarioConfig};
-use ace_core::protocol::{AsyncAceSim, AsyncForward, ProtoConfig};
+use ace_core::autorate::{BYTE_BUDGET, R_MAX};
+use ace_core::experiments::{Scenario, ScenarioConfig};
+use ace_core::protocol::{AsyncAceSim, AsyncForward, ProtoConfig, REPAIR_PERIODS};
 use ace_core::{AutoRateConfig, NetemConfig};
 use ace_engine::SimTime;
 use ace_overlay::{run_query, FloodAll, PeerId, QueryConfig};
@@ -344,10 +345,8 @@ pub fn run_severity(p: &SoakParams, sev: &SoakSeverity) -> SeverityReport {
 /// feedback, settle, audit, report.
 fn run_arm(p: &SoakParams, sev: &SoakSeverity, adaptive: bool) -> ArmReport {
     let scenario = ScenarioConfig {
-        phys: PhysKind::TwoLevel {
-            as_count: 5,
-            nodes_per_as: 60,
-        },
+        as_count: 5,
+        nodes_per_as: 60,
         peers: p.peers,
         avg_degree: 6,
         objects: 30,
@@ -366,11 +365,11 @@ fn run_arm(p: &SoakParams, sev: &SoakSeverity, adaptive: bool) -> ArmReport {
     });
     let cfg = ProtoConfig {
         netem,
-        autorate: adaptive.then(AutoRateConfig::default),
+        autorate: adaptive.then_some(AutoRateConfig),
         ..ProtoConfig::default()
     };
     let period = cfg.timing.cycle_period;
-    let repair = cfg.timing.repair_periods * period;
+    let repair = REPAIR_PERIODS * period;
     let mut sim = AsyncAceSim::new(s.overlay, cfg, SOAK_SEED ^ 0x50a7_ca3e);
 
     // Churn and measurement draws are independent of sim state, so both
@@ -405,14 +404,10 @@ fn run_arm(p: &SoakParams, sev: &SoakSeverity, adaptive: bool) -> ArmReport {
 
     // Settle: churn stops, one repair window plus slack drains every
     // deferral the wire opened, then the audit is strict. The adaptive
-    // chain refreshes up to `r_max` periods apart, so its window (and
+    // chain refreshes up to `R_MAX` periods apart, so its window (and
     // the slack) stretches accordingly — mirroring the protocol's own
     // stretched repair window.
-    let stretch = if adaptive {
-        AutoRateConfig::default().r_max.ceil() as u64
-    } else {
-        1
-    };
+    let stretch = if adaptive { R_MAX.ceil() as u64 } else { 1 };
     let settle = sim.now() + stretch * (repair + 2 * period);
     sim.run_until(&oracle, settle);
     let invariants_ok = match sim.check_invariants() {
@@ -432,10 +427,7 @@ fn run_arm(p: &SoakParams, sev: &SoakSeverity, adaptive: bool) -> ArmReport {
         entries: stats.entries,
         soft_state_bytes: stats.soft_state_bytes,
         high_water_bytes: stats.high_water_bytes,
-        byte_budget: sim
-            .controller()
-            .map(|c| c.config().byte_budget)
-            .unwrap_or(0),
+        byte_budget: if adaptive { BYTE_BUDGET } else { 0 },
         evictions: stats.evictions,
         purges: stats.purges,
         rejected: stats.rejected,

@@ -14,28 +14,28 @@
 //!   [`optimization_rate_checked`]);
 //! * from those estimates the shared decision rule
 //!   [`policy::next_opt_interval`] schedules the peer's next
-//!   optimization round inside a clamped `[r_min, r_max]` window, with a
+//!   optimization round inside a clamped [`R_MIN`, `R_MAX`] window, with a
 //!   hysteresis dead-band around break-even (gain ≈ 1) and multiplicative
 //!   backoff when retry pressure says the control plane is already
 //!   stressed;
 //! * all controller soft state is memory-bounded: entries idle past
-//!   [`AutoRateConfig::idle_evict`] periods are evicted, and a hard
-//!   [`AutoRateConfig::byte_budget`] is enforced by oldest-first
+//!   `IDLE_EVICT` periods are evicted, and a hard
+//!   [`BYTE_BUDGET`] is enforced by oldest-first
 //!   eviction. Lifecycle events purge entries through the shared
 //!   [`LifecycleEvent`] taxonomy, so controller state never outlives the
 //!   incarnation it observed.
 //!
-//! **When the population exceeds the budget.** The default 64 KiB budget
+//! **When the population exceeds the budget.** The 64 KiB budget
 //! holds 780 entries. Feed the controller more alive peers than that —
 //! the repo benchmark's `steady_churn_5k` feeds 5,000 — and one round's
 //! observations (one per alive peer, in id order) evict every entry
 //! before its peer is observed again. Each observation then starts from
-//! a fresh entry at `r_min` with the demand-neutral prior, so no
+//! a fresh entry at [`R_MIN`] with the demand-neutral prior, so no
 //! interval ever stretches, every peer is due every round (a due ratio
 //! of exactly 1) and `evictions = observes − 780`: the controller keeps
 //! books and controls nothing. That regime is valid, bounded and pinned
 //! by a test below; a deployment that wants the control loop to act
-//! sizes `byte_budget` to its population (84 B per peer).
+//! needs a [`BYTE_BUDGET`] sized to its population (84 B per peer).
 //!
 //! Determinism contract: the controller is fed only per-peer observation
 //! streams that both drivers compute serially (round stats, ledger
@@ -49,140 +49,46 @@ use std::collections::{BTreeMap, BTreeSet};
 use ace_engine::digest::Digest;
 use ace_overlay::PeerId;
 
-use crate::audit::{ConfigError, InvariantViolation, ViolationKind};
+use crate::audit::{InvariantViolation, ViolationKind};
 use crate::optrate::optimization_rate_checked;
 use crate::policy::{self, LifecycleEvent, RateObservation};
 
-/// Bounds and gains of the per-peer optimization-rate control loop.
-///
-/// `r_min`/`r_max` are measured in *base periods* — engine rounds for
+/// Shortest optimization interval, in *base periods* — engine rounds for
 /// the sync driver, cycle periods for the async simulator — so an
-/// interval of `1.0` reproduces the static every-period schedule and
-/// `r_max` is the longest a peer may coast without re-optimizing.
-#[derive(Clone, Copy, Debug)]
-pub struct AutoRateConfig {
-    /// Shortest allowed optimization interval, in base periods (≥ 1).
-    pub r_min: f64,
-    /// Longest allowed optimization interval, in base periods
-    /// (≥ `r_min`).
-    pub r_max: f64,
-    /// EWMA smoothing factor in `(0, 1]`: weight of the newest sample.
-    pub ewma_alpha: f64,
-    /// Hysteresis dead-band half-width around the break-even demand of
-    /// 1.0 — inside it the interval is left alone, preventing flapping.
-    pub hysteresis: f64,
-    /// Multiplicative interval adjustment per decision (> 1): divide
-    /// when optimization pays, multiply when it does not.
-    pub step: f64,
-    /// Multiplicative interval stretch applied when the control plane is
-    /// stressed (> 1); dominates the demand signal.
-    pub backoff: f64,
-    /// Retry-pressure fraction (retry overhead / total overhead) above
-    /// which the backoff fires, in `(0, 1]`.
-    pub stress_threshold: f64,
-    /// Weight of the churn EWMA in the demand signal (≥ 0): a churning
-    /// neighborhood decays the tree faster than gain alone reveals.
-    pub churn_weight: f64,
-    /// Hard byte budget for controller soft state (> 0); enforced by
-    /// oldest-first eviction, audited by the invariant checkers.
-    pub byte_budget: usize,
-    /// Evict entries untouched for this many periods (> 0) — a peer the
-    /// driver stopped observing must not pin memory forever.
-    pub idle_evict: u64,
-}
+/// interval of `1.0` reproduces the static every-period schedule.
+pub const R_MIN: f64 = 1.0;
+/// Longest a peer may coast without re-optimizing, in base periods.
+pub const R_MAX: f64 = 8.0;
+/// EWMA smoothing factor: weight of the newest sample.
+pub(crate) const EWMA_ALPHA: f64 = 0.3;
+/// Hysteresis dead-band half-width around the break-even demand of 1.0 —
+/// inside it the interval is left alone, preventing flapping.
+pub(crate) const HYSTERESIS: f64 = 0.25;
+/// Multiplicative interval adjustment per decision: divide when
+/// optimization pays, multiply when it does not.
+pub(crate) const STEP: f64 = 1.5;
+/// Multiplicative interval stretch applied when the control plane is
+/// stressed; dominates the demand signal.
+pub(crate) const BACKOFF: f64 = 2.0;
+/// Retry-pressure fraction (retry overhead / total overhead) above which
+/// the backoff fires.
+pub(crate) const STRESS_THRESHOLD: f64 = 0.2;
+/// Weight of the churn EWMA in the demand signal: a churning
+/// neighborhood decays the tree faster than gain alone reveals.
+pub(crate) const CHURN_WEIGHT: f64 = 0.5;
+/// Hard byte budget for controller soft state, enforced by oldest-first
+/// eviction and audited by the invariant checkers.
+pub const BYTE_BUDGET: usize = 64 * 1024;
+/// Entries untouched for more than this many periods are evicted — a
+/// peer the driver stopped observing must not pin memory forever.
+pub(crate) const IDLE_EVICT: u64 = 16;
 
-impl Default for AutoRateConfig {
-    fn default() -> Self {
-        AutoRateConfig {
-            r_min: 1.0,
-            r_max: 8.0,
-            ewma_alpha: 0.3,
-            hysteresis: 0.25,
-            step: 1.5,
-            backoff: 2.0,
-            stress_threshold: 0.2,
-            churn_weight: 0.5,
-            byte_budget: 64 * 1024,
-            idle_evict: 16,
-        }
-    }
-}
-
-impl AutoRateConfig {
-    /// Validates every field, naming the offending parameter.
-    pub fn validate(&self) -> Result<(), ConfigError> {
-        let finite = |name: &'static str, v: f64| {
-            if v.is_finite() {
-                Ok(())
-            } else {
-                Err(ConfigError::new(name, format!("must be finite, got {v}")))
-            }
-        };
-        finite("r_min", self.r_min)?;
-        finite("r_max", self.r_max)?;
-        finite("ewma_alpha", self.ewma_alpha)?;
-        finite("hysteresis", self.hysteresis)?;
-        finite("step", self.step)?;
-        finite("backoff", self.backoff)?;
-        finite("stress_threshold", self.stress_threshold)?;
-        finite("churn_weight", self.churn_weight)?;
-        if self.r_min < 1.0 {
-            return Err(ConfigError::new(
-                "r_min",
-                format!("must be >= 1 base period, got {}", self.r_min),
-            ));
-        }
-        if self.r_max < self.r_min {
-            return Err(ConfigError::new(
-                "r_max",
-                format!("must be >= r_min ({}), got {}", self.r_min, self.r_max),
-            ));
-        }
-        if !(self.ewma_alpha > 0.0 && self.ewma_alpha <= 1.0) {
-            return Err(ConfigError::new(
-                "ewma_alpha",
-                format!("must be in (0, 1], got {}", self.ewma_alpha),
-            ));
-        }
-        if self.hysteresis < 0.0 {
-            return Err(ConfigError::new(
-                "hysteresis",
-                format!("must be >= 0, got {}", self.hysteresis),
-            ));
-        }
-        if self.step <= 1.0 {
-            return Err(ConfigError::new(
-                "step",
-                format!("must be > 1, got {}", self.step),
-            ));
-        }
-        if self.backoff <= 1.0 {
-            return Err(ConfigError::new(
-                "backoff",
-                format!("must be > 1, got {}", self.backoff),
-            ));
-        }
-        if !(self.stress_threshold > 0.0 && self.stress_threshold <= 1.0) {
-            return Err(ConfigError::new(
-                "stress_threshold",
-                format!("must be in (0, 1], got {}", self.stress_threshold),
-            ));
-        }
-        if self.churn_weight < 0.0 {
-            return Err(ConfigError::new(
-                "churn_weight",
-                format!("must be >= 0, got {}", self.churn_weight),
-            ));
-        }
-        if self.byte_budget == 0 {
-            return Err(ConfigError::new("byte_budget", "must be > 0".into()));
-        }
-        if self.idle_evict == 0 {
-            return Err(ConfigError::new("idle_evict", "must be > 0".into()));
-        }
-        Ok(())
-    }
-}
+/// Turns the per-peer optimization-rate control loop on
+/// (`Some(AutoRateConfig)` in [`crate::AceConfig::autorate`] or
+/// [`crate::protocol::ProtoConfig::autorate`]). Its bounds and gains are
+/// the constants of this module.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct AutoRateConfig;
 
 /// One observation window's raw measurements for a peer, fed by the
 /// driver at the end of every period. All values are *measured*, so the
@@ -219,17 +125,17 @@ struct RateEntry {
 }
 
 impl RateEntry {
-    /// A fresh entry at the static schedule: due now, interval `r_min`,
+    /// A fresh entry at the static schedule: due now, interval [`R_MIN`],
     /// with a demand-neutral gain prior (inside the hysteresis dead
     /// band) so a peer with no evidence yet holds the floor instead of
     /// coasting away before its overlay has even converged.
-    fn fresh(cfg: &AutoRateConfig, incarnation: u32, period: u64) -> RateEntry {
+    fn fresh(incarnation: u32, period: u64) -> RateEntry {
         RateEntry {
             incarnation,
             ewma_queries: 0.0,
             ewma_churn: 0.0,
             ewma_gain: 1.0,
-            interval: cfg.r_min,
+            interval: R_MIN,
             next_due: period,
             last_touch: period,
         }
@@ -263,9 +169,8 @@ pub struct ControllerStats {
 ///
 /// Entries live in a `BTreeMap` keyed by raw peer id so every iteration
 /// (updates, digest) is in deterministic peer-id order.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct RateController {
-    cfg: AutoRateConfig,
     entries: BTreeMap<u32, RateEntry>,
     /// `(last_touch, id)` of every entry, so the eviction victim —
     /// oldest touch, ties to the lowest id — is the first element
@@ -279,28 +184,8 @@ pub struct RateController {
 }
 
 impl RateController {
-    /// Creates an empty controller. The config must already be valid —
-    /// drivers validate at their own construction sites.
-    pub fn new(cfg: AutoRateConfig) -> Self {
-        debug_assert!(cfg.validate().is_ok(), "invalid AutoRateConfig");
-        RateController {
-            cfg,
-            entries: BTreeMap::new(),
-            by_touch: BTreeSet::new(),
-            high_water: 0,
-            evictions: 0,
-            purges: 0,
-            rejected: 0,
-        }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &AutoRateConfig {
-        &self.cfg
-    }
-
     /// Whether `peer` should run its optimization in `period`. Unknown
-    /// peers are due immediately — a fresh node starts at `r_min`, the
+    /// peers are due immediately — a fresh node starts at [`R_MIN`], the
     /// static schedule, and earns a longer interval by observation.
     pub fn is_due(&self, peer: PeerId, period: u64) -> bool {
         self.entries
@@ -330,9 +215,8 @@ impl RateController {
         sample: &RateSample,
         ran: bool,
     ) -> f64 {
-        let cfg = self.cfg;
         let entry = self.touch(peer, incarnation, period);
-        let alpha = cfg.ewma_alpha;
+        let alpha = EWMA_ALPHA;
         let mut rejected = 0u64;
         let mut fold = |est: &mut f64, x: f64| {
             if x.is_finite() && x >= 0.0 {
@@ -359,7 +243,7 @@ impl RateController {
                 }
                 // Zero-overhead windows report infinite gain; treat them
                 // as maximal demand without poisoning the EWMA.
-                Ok(_) => entry.ewma_gain = entry.ewma_gain.max(1.0 + cfg.hysteresis + 1e-9),
+                Ok(_) => entry.ewma_gain = entry.ewma_gain.max(1.0 + HYSTERESIS + 1e-9),
                 Err(_) => rejected += 1,
             }
         }
@@ -370,7 +254,7 @@ impl RateController {
                 retry_pressure: sample.retry_pressure,
                 current_interval: entry.interval,
             };
-            entry.interval = policy::next_opt_interval(&cfg, &obs);
+            entry.interval = policy::next_opt_interval(&obs);
             let wait = entry.interval.round().max(1.0) as u64;
             entry.next_due = period + wait;
         }
@@ -380,7 +264,7 @@ impl RateController {
         interval
     }
 
-    /// Snaps `peer`'s schedule back to the floor: interval `r_min`, due
+    /// Snaps `peer`'s schedule back to the floor: interval [`R_MIN`], due
     /// immediately. Drivers call this on the *neighbors* of a peer that
     /// just churned — a disturbed neighborhood needs repair now, which
     /// the static schedule gets for free by always running. Estimates
@@ -388,9 +272,8 @@ impl RateController {
     /// snaps. A peer with no entry (or a stale incarnation) gets a fresh
     /// one, which is already at the floor and due.
     pub fn snap_to_floor(&mut self, peer: PeerId, incarnation: u32, period: u64) {
-        let r_min = self.cfg.r_min;
         let entry = self.touch(peer, incarnation, period);
-        entry.interval = r_min;
+        entry.interval = R_MIN;
         entry.next_due = period;
         self.enforce_budget(Some(peer));
     }
@@ -401,7 +284,7 @@ impl RateController {
     /// moved to its new place in the eviction order.
     fn touch(&mut self, peer: PeerId, incarnation: u32, period: u64) -> &mut RateEntry {
         let id = peer.raw();
-        let fresh = RateEntry::fresh(&self.cfg, incarnation, period);
+        let fresh = RateEntry::fresh(incarnation, period);
         let entry = self.entries.entry(id).or_insert_with(|| {
             self.by_touch.insert((period, id));
             fresh
@@ -421,9 +304,8 @@ impl RateController {
     /// End-of-period maintenance: evict idle entries, enforce the byte
     /// budget, and advance the high-water mark.
     pub fn end_period(&mut self, period: u64) {
-        let idle = self.cfg.idle_evict;
         while let Some(&(touch, id)) = self.by_touch.first() {
-            if period.saturating_sub(touch) <= idle {
+            if period.saturating_sub(touch) <= IDLE_EVICT {
                 break;
             }
             self.by_touch.pop_first();
@@ -439,7 +321,7 @@ impl RateController {
     /// always a value that actually fit under the budget.
     fn enforce_budget(&mut self, keep: Option<PeerId>) {
         let keep = keep.map(PeerId::raw);
-        while self.soft_state_bytes() > self.cfg.byte_budget && self.entries.len() > 1 {
+        while self.soft_state_bytes() > BYTE_BUDGET && self.entries.len() > 1 {
             // At most one element (`keep`) stands before the victim.
             let victim = self.by_touch.iter().copied().find(|&(_, id)| {
                 #[cfg(test)]
@@ -527,7 +409,7 @@ impl RateController {
                 "controller eviction order disagrees with its entries".into(),
             ));
         }
-        if self.soft_state_bytes() > self.cfg.byte_budget {
+        if self.soft_state_bytes() > BYTE_BUDGET {
             return Err(InvariantViolation::new(
                 ViolationKind::LedgerAccounting,
                 None,
@@ -535,7 +417,7 @@ impl RateController {
                 format!(
                     "controller soft state {} bytes exceeds budget {}",
                     self.soft_state_bytes(),
-                    self.cfg.byte_budget
+                    BYTE_BUDGET
                 ),
             ));
         }
@@ -594,108 +476,25 @@ mod tests {
     }
 
     #[test]
-    fn default_config_is_valid() {
-        AutoRateConfig::default().validate().unwrap();
-    }
-
-    #[test]
-    fn validate_names_offending_parameters() {
-        let cases = [
-            (
-                AutoRateConfig {
-                    r_min: 0.5,
-                    ..Default::default()
-                },
-                "r_min",
-            ),
-            (
-                AutoRateConfig {
-                    r_max: 0.5,
-                    ..Default::default()
-                },
-                "r_max",
-            ),
-            (
-                AutoRateConfig {
-                    ewma_alpha: 0.0,
-                    ..Default::default()
-                },
-                "ewma_alpha",
-            ),
-            (
-                AutoRateConfig {
-                    step: 1.0,
-                    ..Default::default()
-                },
-                "step",
-            ),
-            (
-                AutoRateConfig {
-                    backoff: 0.9,
-                    ..Default::default()
-                },
-                "backoff",
-            ),
-            (
-                AutoRateConfig {
-                    stress_threshold: 0.0,
-                    ..Default::default()
-                },
-                "stress_threshold",
-            ),
-            (
-                AutoRateConfig {
-                    byte_budget: 0,
-                    ..Default::default()
-                },
-                "byte_budget",
-            ),
-            (
-                AutoRateConfig {
-                    idle_evict: 0,
-                    ..Default::default()
-                },
-                "idle_evict",
-            ),
-            (
-                AutoRateConfig {
-                    churn_weight: f64::NAN,
-                    ..Default::default()
-                },
-                "churn_weight",
-            ),
-        ];
-        for (cfg, want) in cases {
-            assert_eq!(cfg.validate().unwrap_err().parameter(), want);
-        }
-    }
-
-    #[test]
     fn quiet_peer_stretches_to_r_max_and_busy_peer_returns_to_r_min() {
-        let cfg = AutoRateConfig::default();
-        let mut c = RateController::new(cfg);
+        let mut c = RateController::default();
         for period in 0..40 {
             c.observe(p(0), 0, period, &quiet_sample(), true);
         }
-        assert_eq!(c.interval_of(p(0)), Some(cfg.r_max), "quiet peer coasts");
+        assert_eq!(c.interval_of(p(0)), Some(R_MAX), "quiet peer coasts");
         for period in 40..80 {
             c.observe(p(0), 0, period, &busy_sample(), true);
         }
         assert_eq!(
             c.interval_of(p(0)),
-            Some(cfg.r_min),
+            Some(R_MIN),
             "load pulls the schedule back"
         );
     }
 
     #[test]
     fn interval_never_escapes_the_window() {
-        let cfg = AutoRateConfig {
-            r_min: 2.0,
-            r_max: 5.0,
-            ..Default::default()
-        };
-        let mut c = RateController::new(cfg);
+        let mut c = RateController::default();
         for period in 0..100 {
             let s = if period % 3 == 0 {
                 busy_sample()
@@ -703,31 +502,30 @@ mod tests {
                 quiet_sample()
             };
             let iv = c.observe(p(1), 0, period, &s, true);
-            assert!((cfg.r_min..=cfg.r_max).contains(&iv), "interval {iv}");
+            assert!((R_MIN..=R_MAX).contains(&iv), "interval {iv}");
         }
     }
 
     #[test]
     fn stress_backs_off_multiplicatively() {
-        let cfg = AutoRateConfig::default();
-        let mut c = RateController::new(cfg);
-        // Load would keep the interval at r_min…
+        let mut c = RateController::default();
+        // Load would keep the interval at R_MIN…
         for period in 0..10 {
             c.observe(p(0), 0, period, &busy_sample(), true);
         }
-        assert_eq!(c.interval_of(p(0)), Some(cfg.r_min));
+        assert_eq!(c.interval_of(p(0)), Some(R_MIN));
         // …but retry pressure above the threshold stretches it anyway.
         let stressed = RateSample {
             retry_pressure: 0.5,
             ..busy_sample()
         };
         c.observe(p(0), 0, 10, &stressed, true);
-        assert_eq!(c.interval_of(p(0)), Some(cfg.r_min * cfg.backoff));
+        assert_eq!(c.interval_of(p(0)), Some(R_MIN * BACKOFF));
     }
 
     #[test]
     fn non_finite_samples_are_rejected_not_propagated() {
-        let mut c = RateController::new(AutoRateConfig::default());
+        let mut c = RateController::default();
         c.observe(p(0), 0, 0, &busy_sample(), true);
         let bad = RateSample {
             queries: f64::NAN,
@@ -743,12 +541,12 @@ mod tests {
 
     #[test]
     fn due_schedule_follows_the_interval() {
-        let mut c = RateController::new(AutoRateConfig::default());
+        let mut c = RateController::default();
         assert!(c.is_due(p(0), 0), "unknown peers are due immediately");
         for period in 0..40 {
             c.observe(p(0), 0, period, &quiet_sample(), true);
         }
-        // Interval is r_max = 8: not due again until 8 periods pass.
+        // Interval is R_MAX = 8: not due again until 8 periods pass.
         assert!(!c.is_due(p(0), 40));
         assert!(!c.is_due(p(0), 46));
         assert!(c.is_due(p(0), 47));
@@ -756,7 +554,7 @@ mod tests {
 
     #[test]
     fn skipped_periods_keep_the_schedule() {
-        let mut c = RateController::new(AutoRateConfig::default());
+        let mut c = RateController::default();
         for period in 0..40 {
             c.observe(p(0), 0, period, &quiet_sample(), true);
         }
@@ -767,45 +565,42 @@ mod tests {
         assert!(c.is_due(p(0), 47));
     }
 
+    /// [`IDLE_EVICT`] at the bound and one past it: an entry last
+    /// touched `IDLE_EVICT` periods ago survives the period's end, one
+    /// period later it is evicted.
     #[test]
     fn idle_entries_are_evicted() {
-        let cfg = AutoRateConfig {
-            idle_evict: 4,
-            ..Default::default()
-        };
-        let mut c = RateController::new(cfg);
+        let mut c = RateController::default();
         c.observe(p(0), 0, 0, &quiet_sample(), true);
-        c.observe(p(1), 0, 0, &quiet_sample(), true);
-        for period in 1..=10 {
+        for period in 0..=IDLE_EVICT + 1 {
             c.observe(p(1), 0, period, &quiet_sample(), true);
             c.end_period(period);
+            let kept = c.interval_of(p(0)).is_some();
+            assert_eq!(kept, period <= IDLE_EVICT, "period {period}");
         }
-        assert_eq!(c.interval_of(p(0)), None, "idle entry evicted");
         assert!(c.interval_of(p(1)).is_some());
         assert_eq!(c.stats().evictions, 1);
     }
 
+    /// [`BYTE_BUDGET`] at the bound and one past it: the budget holds
+    /// exactly `BYTE_BUDGET / ENTRY_BYTES` entries without an eviction,
+    /// and one more insert evicts the oldest-touched entry.
     #[test]
     fn byte_budget_is_enforced_oldest_first() {
-        let cfg = AutoRateConfig {
-            byte_budget: 4 * ENTRY_BYTES,
-            idle_evict: 1000,
-            ..Default::default()
-        };
-        let mut c = RateController::new(cfg);
-        for i in 0..10u32 {
+        let capacity = BYTE_BUDGET / ENTRY_BYTES;
+        let mut c = RateController::default();
+        for i in 0..capacity as u32 {
             c.observe(p(i), 0, u64::from(i), &quiet_sample(), true);
-            assert!(c.soft_state_bytes() <= cfg.byte_budget);
         }
+        assert_eq!(c.stats().entries, capacity);
+        assert_eq!(c.stats().evictions, 0);
+        let last = capacity as u32;
+        c.observe(p(last), 0, u64::from(last), &quiet_sample(), true);
         let stats = c.stats();
-        assert_eq!(stats.entries, 4);
-        assert_eq!(stats.evictions, 6);
-        assert!(stats.high_water_bytes <= cfg.byte_budget);
-        // Oldest-touched went first: the survivors are the newest four.
-        for i in 0..6u32 {
-            assert_eq!(c.interval_of(p(i)), None, "peer {i} should be evicted");
-        }
-        for i in 6..10u32 {
+        assert_eq!((stats.entries, stats.evictions), (capacity, 1));
+        assert!(stats.high_water_bytes <= BYTE_BUDGET);
+        assert_eq!(c.interval_of(p(0)), None, "the oldest entry went first");
+        for i in 1..=last {
             assert!(c.interval_of(p(i)).is_some(), "peer {i} should survive");
         }
     }
@@ -830,7 +625,7 @@ mod tests {
 
     #[test]
     fn budget_eviction_reads_the_front_of_the_index_not_the_map() {
-        let mut c = RateController::new(AutoRateConfig::default());
+        let mut c = RateController::default();
         crate::steps::take();
         feed_round(&mut c, 5_000, 0);
         let evictions = c.stats().evictions;
@@ -843,16 +638,15 @@ mod tests {
     /// The regime `steady_churn_5k` runs in (module docs): 5,000 alive
     /// peers against the default budget's 780 entries. Every entry is
     /// evicted before its peer is observed again, so every observation
-    /// starts from a fresh entry, nobody's interval ever leaves `r_min`
+    /// starts from a fresh entry, nobody's interval ever leaves `R_MIN`
     /// and every peer is due every round. The root package's
     /// `tests/golden.rs` pins the state this leaves (same victims, same
     /// order) as its `controller_eviction` cell.
     #[test]
     fn population_over_budget_is_due_every_round_and_never_stretches() {
-        let cfg = AutoRateConfig::default();
-        let capacity = cfg.byte_budget / ENTRY_BYTES;
+        let capacity = BYTE_BUDGET / ENTRY_BYTES;
         assert_eq!(capacity, 780);
-        let mut c = RateController::new(cfg);
+        let mut c = RateController::default();
         for period in 0..4u64 {
             assert_eq!(feed_round(&mut c, 5_000, period), 5_000, "period {period}");
             let stats = c.stats();
@@ -861,14 +655,14 @@ mod tests {
             assert_eq!(stats.soft_state_bytes, 65_520);
             for i in 0..5_000 {
                 let held = c.interval_of(p(i));
-                assert_eq!(held, (i >= 5_000 - 780).then_some(cfg.r_min), "peer {i}");
+                assert_eq!(held, (i >= 5_000 - 780).then_some(R_MIN), "peer {i}");
             }
         }
     }
 
     #[test]
     fn lifecycle_purges_and_incarnation_resets() {
-        let mut c = RateController::new(AutoRateConfig::default());
+        let mut c = RateController::default();
         for period in 0..40 {
             c.observe(p(0), 0, period, &quiet_sample(), true);
         }
@@ -886,42 +680,40 @@ mod tests {
         }
         // A new incarnation observed without an explicit purge still
         // starts fresh: estimates never cross incarnations, so one quiet
-        // decision from the r_min baseline lands at r_min × step, not
+        // decision from the R_MIN baseline lands at R_MIN × STEP, not
         // anywhere near the predecessor's stretched schedule.
-        let cfg = AutoRateConfig::default();
         c.observe(p(0), 1, 40, &quiet_sample(), true);
-        assert_eq!(c.interval_of(p(0)), Some(cfg.r_min * cfg.step));
+        assert_eq!(c.interval_of(p(0)), Some(R_MIN * STEP));
     }
 
     #[test]
     fn snap_to_floor_makes_a_stretched_peer_due_now() {
-        let cfg = AutoRateConfig::default();
-        let mut c = RateController::new(cfg);
+        let mut c = RateController::default();
         for period in 0..40 {
             c.observe(p(0), 0, period, &quiet_sample(), true);
         }
-        assert_eq!(c.interval_of(p(0)), Some(cfg.r_max));
+        assert_eq!(c.interval_of(p(0)), Some(R_MAX));
         assert!(!c.is_due(p(0), 41));
         c.snap_to_floor(p(0), 0, 41);
-        assert_eq!(c.interval_of(p(0)), Some(cfg.r_min), "schedule snapped");
+        assert_eq!(c.interval_of(p(0)), Some(R_MIN), "schedule snapped");
         assert!(c.is_due(p(0), 41), "due immediately after a snap");
         // Estimates survived: the very next quiet decision coasts again
         // (demand is still far below break-even), unlike a fresh entry
         // whose neutral prior would hold the floor.
         c.observe(p(0), 0, 41, &quiet_sample(), true);
-        assert!(c.interval_of(p(0)).unwrap() > cfg.r_min);
+        assert!(c.interval_of(p(0)).unwrap() > R_MIN);
         // A snap for an unknown peer just creates a fresh floor entry;
         // a stale incarnation is reset rather than inherited.
         c.snap_to_floor(p(7), 2, 41);
-        assert_eq!(c.interval_of(p(7)), Some(cfg.r_min));
+        assert_eq!(c.interval_of(p(7)), Some(R_MIN));
         c.snap_to_floor(p(0), 1, 42);
         assert!(c.is_due(p(0), 42));
-        assert_eq!(c.interval_of(p(0)), Some(cfg.r_min));
+        assert_eq!(c.interval_of(p(0)), Some(R_MIN));
     }
 
     #[test]
     fn audit_catches_dead_refs_and_budget_breach() {
-        let mut c = RateController::new(AutoRateConfig::default());
+        let mut c = RateController::default();
         c.observe(p(3), 7, 0, &quiet_sample(), true);
         c.audit(|_| true, |_| 7).unwrap();
         let dead = c.audit(|_| false, |_| 7).unwrap_err();
@@ -932,8 +724,8 @@ mod tests {
 
     #[test]
     fn digest_tracks_state_and_is_deterministic() {
-        let mut a = RateController::new(AutoRateConfig::default());
-        let mut b = RateController::new(AutoRateConfig::default());
+        let mut a = RateController::default();
+        let mut b = RateController::default();
         assert_eq!(a.digest(), b.digest());
         a.observe(p(0), 0, 0, &busy_sample(), true);
         assert_ne!(a.digest(), b.digest());

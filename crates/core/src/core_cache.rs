@@ -11,8 +11,8 @@
 //! table-refreshed) pairs are the ones that age out.
 //!
 //! The table is keyed by a packed `u64` (`a.raw() << 32 | b.raw()`,
-//! `a <= b`) and hashed with the vendored deterministic
-//! [`FxHasher`] — the round-plan hot path looks a pair up once per
+//! `a <= b`) and hashed with one FxHash-style multiply (`fx`) — the
+//! round-plan hot path looks a pair up once per
 //! non-adjacent neighbor pair per planning peer, and SipHash dominated
 //! that loop in profiles.
 //!
@@ -37,50 +37,10 @@
 //! drops such records and renumbers the rest.
 
 use std::collections::VecDeque;
-use std::hash::Hasher;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ace_overlay::PeerId;
 use ace_topology::Delay;
-
-/// Deterministic FxHash-style hasher (the rustc hash): multiply-rotate
-/// mixing, no per-process seed, so lookups behave identically across
-/// runs. Only packed pair keys are hashed here, which is exactly the
-/// input FxHash is good at.
-#[derive(Default)]
-pub struct FxHasher {
-    hash: u64,
-}
-
-const FX_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-
-impl FxHasher {
-    #[inline]
-    fn add_to_hash(&mut self, word: u64) {
-        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(FX_SEED);
-    }
-}
-
-impl Hasher for FxHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut buf = [0u8; 8];
-            buf[..chunk.len()].copy_from_slice(chunk);
-            self.add_to_hash(u64::from_le_bytes(buf));
-        }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        self.add_to_hash(n);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.hash
-    }
-}
 
 /// Modeled bytes per cached pair: the map entry (key + value + sequence
 /// number + bucket overhead) plus its insertion-log record. Deliberately
@@ -218,12 +178,15 @@ fn pack(a: PeerId, b: PeerId) -> u64 {
     (u64::from(lo.raw()) << 32) | u64::from(hi.raw())
 }
 
-/// Deterministic slot hash of a packed key ([`FxHasher`] over one word).
+/// Multiplier of the FxHash (rustc hash) word step.
+const FX_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+/// Deterministic slot hash of a packed key: FxHash's step over one word
+/// from a zero state, `(0.rotate_left(5) ^ key) · FX_SEED`. No
+/// per-process seed, so lookups behave identically across runs.
 #[inline]
 fn fx(key: u64) -> u64 {
-    let mut h = FxHasher::default();
-    h.write_u64(key);
-    h.finish()
+    key.wrapping_mul(FX_SEED)
 }
 
 /// Pulls the cache line holding `*v` toward cache by issuing an opaque
@@ -792,15 +755,12 @@ mod tests {
         }
     }
 
+    /// Known answers of the one-word FxHash step: the same key always
+    /// lands in the same slot, on every host.
     #[test]
     fn fx_hasher_is_deterministic() {
-        let mut a = FxHasher::default();
-        a.write_u64(0xDEAD_BEEF);
-        let mut b = FxHasher::default();
-        b.write_u64(0xDEAD_BEEF);
-        assert_eq!(a.finish(), b.finish());
-        let mut c = FxHasher::default();
-        c.write_u64(0xDEAD_BEF0);
-        assert_ne!(a.finish(), c.finish());
+        assert_eq!(fx(0), 0);
+        assert_eq!(fx(1), FX_SEED);
+        assert_eq!(fx(0xDEAD_BEEF), 0x67f3_c037_2953_771b);
     }
 }

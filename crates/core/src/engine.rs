@@ -37,7 +37,7 @@ use crate::autorate::{AutoRateConfig, ControllerStats, RateController, RateSampl
 use crate::closure::Closure;
 use crate::core_cache::{CoreCache, CoreCacheStats};
 use crate::cost_table::CostTable;
-use crate::fault::FaultConfig;
+use crate::fault::{FaultConfig, REJOIN_ATTACH};
 use crate::forward_rows::ForwardRows;
 use crate::mst::SlotEdge;
 use crate::overhead::{OverheadKind, OverheadLedger};
@@ -278,8 +278,7 @@ impl AceEngine {
     /// # Panics
     ///
     /// Panics if [`AceConfig::faults`] is set to an invalid
-    /// [`FaultConfig`] (see [`FaultConfig::validate`]) or
-    /// [`AceConfig::autorate`] to an invalid [`AutoRateConfig`].
+    /// [`FaultConfig`] (see [`FaultConfig::validate`]).
     pub fn new(peer_count: usize, cfg: AceConfig) -> Self {
         let mut cfg = cfg;
         if cfg.depth == 0 {
@@ -288,11 +287,6 @@ impl AceEngine {
         if let Some(f) = cfg.faults {
             if let Err(e) = f.validate() {
                 panic!("invalid fault config: {e}");
-            }
-        }
-        if let Some(a) = cfg.autorate {
-            if let Err(e) = a.validate() {
-                panic!("invalid autorate config: {e}");
             }
         }
         let states = (0..peer_count)
@@ -305,7 +299,7 @@ impl AceEngine {
         // budget clamp keeps tiny-budget configurations tiny.
         core_cache.reserve_pairs(peer_count.saturating_mul(48));
         AceEngine {
-            controller: cfg.autorate.map(RateController::new),
+            controller: cfg.autorate.map(|_| RateController::default()),
             pending_queries: vec![0.0; peer_count],
             pending_traffic: None,
             core_cache,
@@ -568,13 +562,12 @@ impl AceEngine {
     /// Measures `a`↔`b`, charging `ledger`. Read-only on `self` and
     /// pair-deterministic ([`ProbeModel::perturb`], the fault hashes), so
     /// plan-stage workers call it concurrently. Fault handling is delegated
-    /// to [`policy::probe_exchange_survives_faults`], the rule shared
-    /// with the async simulator: each attempt can be lost (decided by a
+    /// to [`policy::probe_exchange_survives_faults`]: each attempt can be lost (decided by a
     /// pure hash, so both endpoints and every worker schedule agree), a
     /// lost attempt wastes the request leg — charged as
     /// [`OverheadKind::ProbeRetry`], scaled by the backoff factor to
     /// model the lengthening timeout — and the prober retries up to
-    /// [`FaultConfig::max_retries`] times before giving up with `None`.
+    /// `MAX_RETRIES` times before giving up with `None`.
     /// The successful attempt is charged as a normal probe.
     fn probe_with_faults(
         &self,
@@ -1486,7 +1479,7 @@ impl AceEngine {
                 }
             } else if f.rejoins(round, p) {
                 let mut rng = StdRng::seed_from_u64(f.rejoin_seed(round, p));
-                if ov.join(p, f.rejoin_attach, &mut rng).is_ok() {
+                if ov.join(p, REJOIN_ATTACH, &mut rng).is_ok() {
                     self.on_join(p);
                     let nbrs: Vec<PeerId> = ov.neighbors(p).to_vec();
                     self.snap_neighbors(ov, &nbrs);
@@ -1824,7 +1817,7 @@ mod tests {
     fn state_digest_moves_with_every_component() {
         let (mut ov, oracle) = mismatch_env();
         let cfg = AceConfig {
-            autorate: Some(AutoRateConfig::default()),
+            autorate: Some(AutoRateConfig),
             ..tiny_cfg()
         };
         let mut ace = AceEngine::new(4, cfg);
@@ -2110,12 +2103,9 @@ mod tests {
     fn faulty(seed: u64) -> FaultConfig {
         FaultConfig {
             probe_loss: 0.15,
-            max_retries: 2,
-            backoff: 1.5,
             crash: 0.03,
             leave: 0.03,
             rejoin: 0.5,
-            rejoin_attach: 3,
             seed,
         }
     }
@@ -2145,7 +2135,6 @@ mod tests {
         let cfg = AceConfig {
             faults: Some(FaultConfig {
                 probe_loss: 0.9,
-                max_retries: 1,
                 seed: 8,
                 ..FaultConfig::default()
             }),
@@ -2164,7 +2153,7 @@ mod tests {
             .flat_map(|p| ov.neighbors(p).iter().map(move |&n| (p, n)))
             .filter(|&(p, n)| ace.probed_cost(p, n).is_none())
             .count();
-        assert!(missing > 0, "with one retry at 90% loss, some probes fail");
+        assert!(missing > 0, "at 90% loss some probes fail every retry");
         ace.check_invariants(&ov).unwrap();
     }
 
@@ -2408,7 +2397,7 @@ mod tests {
     fn lifecycle_calls_ignore_an_id_the_engine_was_not_built_for() {
         let (mut ov, oracle, mut rng) = ba_env(41);
         let cfg = AceConfig {
-            autorate: Some(AutoRateConfig::default()),
+            autorate: Some(AutoRateConfig),
             ..AceConfig::paper_default()
         };
         let mut ace = AceEngine::new(ov.peer_count(), cfg);
@@ -2513,7 +2502,7 @@ mod tests {
                 parallel: seed % 2 == 0,
                 workers: 2,
                 faults: (seed % 3 == 0).then(|| faulty(seed)),
-                autorate: (seed % 5 < 2).then(AutoRateConfig::default),
+                autorate: (seed % 5 < 2).then_some(AutoRateConfig),
                 core_cache_budget: if seed % 7 == 0 { 4096 } else { 0 },
                 ..AceConfig::paper_default()
             });

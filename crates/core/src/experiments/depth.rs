@@ -114,15 +114,12 @@ pub fn depth_sweep(cfg: &DepthSweepConfig) -> Vec<DepthPoint> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::PhysKind;
 
     fn tiny() -> DepthSweepConfig {
         DepthSweepConfig {
             scenario: ScenarioConfig {
-                phys: PhysKind::TwoLevel {
-                    as_count: 4,
-                    nodes_per_as: 40,
-                },
+                as_count: 4,
+                nodes_per_as: 40,
                 peers: 70,
                 avg_degree: 6,
                 objects: 40,

@@ -361,14 +361,11 @@ pub fn dynamic_run(cfg: &DynamicConfig) -> DynamicResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::PhysKind;
 
     fn tiny(ace: Option<AceConfig>) -> DynamicConfig {
         let scenario = ScenarioConfig {
-            phys: PhysKind::TwoLevel {
-                as_count: 4,
-                nodes_per_as: 40,
-            },
+            as_count: 4,
+            nodes_per_as: 40,
             peers: 60,
             avg_degree: 6,
             objects: 40,

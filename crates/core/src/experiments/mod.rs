@@ -24,25 +24,8 @@ use ace_overlay::{
     clustered_overlay, pref_attach_overlay, random_overlay, run_query_into, Catalog, ForwardPolicy,
     Overlay, PeerId, Placement, QueryConfig, QueryOutcome, QueryScratch, QuerySpec,
 };
-use ace_topology::generate::{ba, two_level, BaConfig, TwoLevelConfig};
+use ace_topology::generate::{two_level, TwoLevelConfig};
 use ace_topology::{DistanceOracle, DistancePlane, LandmarkOracle, NodeId};
-
-/// Which physical topology family to generate.
-#[derive(Clone, Copy, Debug)]
-pub enum PhysKind {
-    /// Two-level AS/router hierarchy (default; strongest mismatch signal).
-    TwoLevel {
-        /// Number of ASes.
-        as_count: usize,
-        /// Routers per AS.
-        nodes_per_as: usize,
-    },
-    /// Flat Barabási–Albert router graph (the paper's BRITE model).
-    Ba {
-        /// Node count.
-        nodes: usize,
-    },
-}
 
 /// Which overlay construction to use.
 #[derive(Clone, Copy, Debug, Default)]
@@ -58,11 +41,15 @@ pub enum OverlayKind {
     PrefAttach,
 }
 
-/// Full description of one simulated world.
+/// Full description of one simulated world. The physical network is a
+/// two-level AS/router hierarchy ([`two_level`]), the strongest mismatch
+/// signal.
 #[derive(Clone, Copy, Debug)]
 pub struct ScenarioConfig {
-    /// Physical topology.
-    pub phys: PhysKind,
+    /// Number of ASes of the physical network.
+    pub as_count: usize,
+    /// Routers per AS.
+    pub nodes_per_as: usize,
     /// Number of logical peers.
     pub peers: usize,
     /// Average logical degree `C` (the paper sweeps 4–10).
@@ -84,10 +71,8 @@ impl Default for ScenarioConfig {
     /// C = 6.
     fn default() -> Self {
         ScenarioConfig {
-            phys: PhysKind::TwoLevel {
-                as_count: 10,
-                nodes_per_as: 200,
-            },
+            as_count: 10,
+            nodes_per_as: 200,
             peers: 500,
             avg_degree: 6,
             overlay: OverlayKind::Clustered,
@@ -122,29 +107,14 @@ impl Scenario {
     /// Panics if there are more peers than physical nodes.
     pub fn build(cfg: &ScenarioConfig) -> Self {
         let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let graph = match cfg.phys {
-            PhysKind::TwoLevel {
-                as_count,
-                nodes_per_as,
-            } => {
-                two_level(
-                    &TwoLevelConfig {
-                        as_count,
-                        nodes_per_as,
-                        ..TwoLevelConfig::default()
-                    },
-                    &mut rng,
-                )
-                .graph
-            }
-            PhysKind::Ba { nodes } => ba(
-                &BaConfig {
-                    nodes,
-                    ..BaConfig::default()
-                },
-                &mut rng,
-            ),
-        };
+        let graph = two_level(
+            &TwoLevelConfig {
+                as_count: cfg.as_count,
+                nodes_per_as: cfg.nodes_per_as,
+            },
+            &mut rng,
+        )
+        .graph;
         assert!(
             cfg.peers <= graph.node_count(),
             "more peers ({}) than physical nodes ({})",
@@ -325,10 +295,8 @@ mod tests {
 
     fn tiny() -> ScenarioConfig {
         ScenarioConfig {
-            phys: PhysKind::TwoLevel {
-                as_count: 3,
-                nodes_per_as: 40,
-            },
+            as_count: 3,
+            nodes_per_as: 40,
             peers: 60,
             avg_degree: 4,
             objects: 50,

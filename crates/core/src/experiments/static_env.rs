@@ -190,15 +190,12 @@ pub fn static_run(cfg: &StaticConfig) -> StaticResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::PhysKind;
 
     fn tiny() -> StaticConfig {
         StaticConfig {
             scenario: ScenarioConfig {
-                phys: PhysKind::TwoLevel {
-                    as_count: 4,
-                    nodes_per_as: 50,
-                },
+                as_count: 4,
+                nodes_per_as: 50,
                 peers: 80,
                 avg_degree: 6,
                 objects: 60,

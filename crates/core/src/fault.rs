@@ -18,7 +18,18 @@ use ace_overlay::{DepartureKind, PeerId};
 
 use crate::audit::ConfigError;
 
-/// Configuration for deterministic fault injection.
+/// Retries after the first lost probe attempt before the prober gives up
+/// on the pair for this round.
+pub(crate) const MAX_RETRIES: u8 = 2;
+/// Multiplicative backoff on the charged cost of successive lost probe
+/// attempts (a longer timeout ≈ proportionally more wasted waiting).
+pub(crate) const RETRY_BACKOFF: f64 = 1.5;
+/// How many links a rejoining peer attempts to re-establish.
+pub(crate) const REJOIN_ATTACH: usize = 3;
+
+/// Configuration for deterministic fault injection in the round-based
+/// engine ([`crate::AceConfig::faults`]). The asynchronous driver's loss
+/// model is the adversarial wire ([`crate::netem`]) instead.
 ///
 /// The default is inert: no probe loss, no departures, no rejoins. All
 /// probabilities are per-decision, drawn independently via hashing.
@@ -28,13 +39,6 @@ pub struct FaultConfig {
     /// Loss is decided per `(round, pair, attempt)`, so retries of the
     /// same pair redraw independently.
     pub probe_loss: f64,
-    /// Retries after the first lost attempt before the prober gives up on
-    /// the pair for this round. `0` means one attempt, no retry.
-    pub max_retries: u8,
-    /// Multiplicative backoff on the charged cost of successive lost
-    /// attempts (a longer timeout ≈ proportionally more wasted waiting),
-    /// `>= 1`.
-    pub backoff: f64,
     /// Per-round probability that an alive peer crashes mid-round (no
     /// goodbye: partners keep their stale state).
     pub crash: f64,
@@ -43,8 +47,6 @@ pub struct FaultConfig {
     pub leave: f64,
     /// Per-round probability that a dead peer rejoins mid-round.
     pub rejoin: f64,
-    /// How many links a rejoining peer attempts to re-establish.
-    pub rejoin_attach: usize,
     /// Seed mixed into every fault hash.
     pub seed: u64,
 }
@@ -53,12 +55,9 @@ impl Default for FaultConfig {
     fn default() -> Self {
         FaultConfig {
             probe_loss: 0.0,
-            max_retries: 2,
-            backoff: 1.5,
             crash: 0.0,
             leave: 0.0,
             rejoin: 0.0,
-            rejoin_attach: 3,
             seed: 0,
         }
     }
@@ -94,12 +93,6 @@ impl FaultConfig {
                     "crash + leave must be <= 1, got {}",
                     self.crash + self.leave
                 ),
-            ));
-        }
-        if !self.backoff.is_finite() || self.backoff < 1.0 {
-            return Err(ConfigError::new(
-                "backoff",
-                format!("backoff must be >= 1, got {}", self.backoff),
             ));
         }
         Ok(())
@@ -175,7 +168,6 @@ mod tests {
             leave: 0.1,
             rejoin: 0.4,
             seed: 42,
-            ..FaultConfig::default()
         }
     }
 
@@ -248,8 +240,7 @@ mod tests {
         f.leave = 0.7;
         assert!(f.validate().is_err());
         f.leave = 0.1;
-        f.backoff = 0.5;
-        assert!(f.validate().is_err());
+        f.validate().unwrap();
     }
 
     #[test]

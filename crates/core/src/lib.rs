@@ -37,7 +37,7 @@
 //!
 //! let mut rng = StdRng::seed_from_u64(11);
 //! let topo = two_level(
-//!     &TwoLevelConfig { as_count: 4, nodes_per_as: 40, ..TwoLevelConfig::default() },
+//!     &TwoLevelConfig { as_count: 4, nodes_per_as: 40 },
 //!     &mut rng,
 //! );
 //! let oracle = DistanceOracle::new(topo.graph);

@@ -22,39 +22,17 @@ use ace_topology::{Delay, DistancePlane};
 use crate::overhead::{OverheadKind, OverheadLedger};
 use crate::probe::ProbeModel;
 
-/// LTM configuration.
-#[derive(Clone, Copy, Debug)]
-pub struct LtmConfig {
-    /// Detector TTL (the LTM paper uses 2).
-    pub detector_ttl: u8,
-    /// Delay-measurement model. LTM derives costs from one-way detector
-    /// timestamps, so noisy clocks directly skew its decisions; pass a
-    /// non-zero noise to model unsynchronized clocks.
-    pub probe: ProbeModel,
-    /// A peer never cuts below this many neighbors.
-    pub min_degree: usize,
-    /// Two-hop peers closer than `add_factor × (current max neighbor
-    /// cost)` are adopted as new neighbors.
-    pub add_factor: f64,
-    /// A direct link is cut as redundant when a relay path is at most
-    /// this factor slower (`relayed <= direct × redundancy_factor`). With
-    /// exact shortest-path delays a relay is never *strictly* faster
-    /// (triangle inequality), so redundancy — not strict dominance — is
-    /// what the detector can act on.
-    pub redundancy_factor: f64,
-}
-
-impl Default for LtmConfig {
-    fn default() -> Self {
-        LtmConfig {
-            detector_ttl: 2,
-            probe: ProbeModel::default(),
-            min_degree: 2,
-            add_factor: 0.5,
-            redundancy_factor: 1.1,
-        }
-    }
-}
+/// A peer never cuts below this many neighbors.
+const MIN_DEGREE: usize = 2;
+/// Two-hop peers closer than `ADD_FACTOR × (current max neighbor cost)`
+/// are adopted as new neighbors.
+const ADD_FACTOR: f64 = 0.5;
+/// A direct link is cut as redundant when a relay path is at most this
+/// factor slower (`relayed <= direct × REDUNDANCY_FACTOR`). With exact
+/// shortest-path delays a relay is never *strictly* faster (triangle
+/// inequality), so redundancy — not strict dominance — is what the
+/// detector can act on.
+const REDUNDANCY_FACTOR: f64 = 1.1;
 
 /// Outcome of one LTM round.
 #[derive(Clone, Debug, Default)]
@@ -73,38 +51,34 @@ pub struct LtmRoundStats {
 /// # Examples
 ///
 /// ```
-/// use ace_core::ltm::{LtmConfig, LtmEngine};
+/// use ace_core::ltm::LtmEngine;
 /// use ace_overlay::clustered_overlay;
 /// use ace_topology::generate::{two_level, TwoLevelConfig};
 /// use ace_topology::DistanceOracle;
 /// use rand::{rngs::StdRng, SeedableRng};
 ///
 /// let mut rng = StdRng::seed_from_u64(3);
-/// let topo = two_level(&TwoLevelConfig { as_count: 3, nodes_per_as: 30,
-///     ..TwoLevelConfig::default() }, &mut rng);
+/// let topo = two_level(&TwoLevelConfig { as_count: 3, nodes_per_as: 30 }, &mut rng);
 /// let oracle = DistanceOracle::new(topo.graph);
 /// let hosts = oracle.graph().nodes().take(40).collect();
 /// let mut ov = clustered_overlay(hosts, 6, 0.7, None, &mut rng);
 ///
-/// let mut ltm = LtmEngine::new(LtmConfig::default());
+/// let mut ltm = LtmEngine::default();
 /// let stats = ltm.round(&mut ov, &oracle, &mut rng);
 /// assert!(stats.overhead.total_cost() > 0.0);
 /// assert!(ov.is_connected());
 /// ```
 #[derive(Clone, Debug)]
 pub struct LtmEngine {
-    cfg: LtmConfig,
     ledger: OverheadLedger,
     detector_units: f64,
     connect_units: f64,
     disconnect_units: f64,
 }
 
-impl LtmEngine {
-    /// Creates an engine.
-    pub fn new(cfg: LtmConfig) -> Self {
+impl Default for LtmEngine {
+    fn default() -> Self {
         LtmEngine {
-            cfg,
             ledger: OverheadLedger::new(),
             // A detector carries a timestamp vector; model it as a probe
             // message (it grows by one entry per hop, negligible here).
@@ -113,7 +87,9 @@ impl LtmEngine {
             disconnect_units: Message::Disconnect.size_units(),
         }
     }
+}
 
+impl LtmEngine {
     /// Accumulated control overhead.
     pub fn ledger(&self) -> &OverheadLedger {
         &self.ledger
@@ -150,37 +126,32 @@ impl LtmEngine {
         oracle: &dyn DistancePlane,
         src: PeerId,
     ) -> (usize, usize) {
-        // Detector flood over the 2-hop (TTL) neighborhood: charge every
-        // transmission like the real flood it is.
+        // Detector flood over the 2-hop (TTL 2, as in the LTM paper)
+        // neighborhood: charge every transmission like the real flood it
+        // is.
         let nbrs: Vec<PeerId> = ov.neighbors(src).to_vec();
         let mut two_hop: Vec<(PeerId, PeerId)> = Vec::new(); // (relay, target)
         for &n in &nbrs {
             let c = ov.link_cost(oracle, src, n);
             self.ledger
                 .charge(OverheadKind::Probe, f64::from(c) * self.detector_units);
-            if self.cfg.detector_ttl >= 2 {
-                for &nn in ov.neighbors(n) {
-                    if nn == src {
-                        continue;
-                    }
-                    let c2 = ov.link_cost(oracle, n, nn);
-                    self.ledger
-                        .charge(OverheadKind::Probe, f64::from(c2) * self.detector_units);
-                    two_hop.push((n, nn));
+            for &nn in ov.neighbors(n) {
+                if nn == src {
+                    continue;
                 }
+                let c2 = ov.link_cost(oracle, n, nn);
+                self.ledger
+                    .charge(OverheadKind::Probe, f64::from(c2) * self.detector_units);
+                two_hop.push((n, nn));
             }
         }
 
         // Cut rule: a direct link src–t is inefficient if some relay path
-        // src–relay–t measured faster.
-        fn measured(
-            m: &ProbeModel,
-            ov: &Overlay,
-            oracle: &dyn DistancePlane,
-            a: PeerId,
-            b: PeerId,
-        ) -> Delay {
-            m.perturb(a, b, ov.link_cost(oracle, a, b))
+        // src–relay–t measured faster. LTM derives costs from one-way
+        // detector timestamps; the clocks here are synchronized, so the
+        // measurement is exact.
+        fn measured(ov: &Overlay, oracle: &dyn DistancePlane, a: PeerId, b: PeerId) -> Delay {
+            ProbeModel::EXACT.perturb(a, b, ov.link_cost(oracle, a, b))
         }
         let mut cut = 0;
         for &(relay, target) in &two_hop {
@@ -191,12 +162,12 @@ impl LtmEngine {
             if !ov.are_neighbors(src, relay) || !ov.are_neighbors(relay, target) {
                 continue;
             }
-            let direct = measured(&self.cfg.probe, ov, oracle, src, target);
-            let relayed = u64::from(measured(&self.cfg.probe, ov, oracle, src, relay))
-                + u64::from(measured(&self.cfg.probe, ov, oracle, relay, target));
-            if (relayed as f64) <= f64::from(direct) * self.cfg.redundancy_factor
-                && ov.degree(src) > self.cfg.min_degree
-                && ov.degree(target) > self.cfg.min_degree
+            let direct = measured(ov, oracle, src, target);
+            let relayed = u64::from(measured(ov, oracle, src, relay))
+                + u64::from(measured(ov, oracle, relay, target));
+            if (relayed as f64) <= f64::from(direct) * REDUNDANCY_FACTOR
+                && ov.degree(src) > MIN_DEGREE
+                && ov.degree(target) > MIN_DEGREE
                 && ov.disconnect(src, target).is_ok()
             {
                 let c = ov.link_cost(oracle, src, target);
@@ -208,22 +179,22 @@ impl LtmEngine {
             }
         }
 
-        // Add rule: adopt a close two-hop peer (closer than add_factor ×
+        // Add rule: adopt a close two-hop peer (closer than ADD_FACTOR ×
         // the current worst link).
         let mut added = 0;
         let worst = ov
             .neighbors(src)
             .iter()
-            .map(|&n| measured(&self.cfg.probe, ov, oracle, src, n))
+            .map(|&n| measured(ov, oracle, src, n))
             .max()
             .unwrap_or(0);
-        let threshold = (f64::from(worst) * self.cfg.add_factor) as u64;
+        let threshold = (f64::from(worst) * ADD_FACTOR) as u64;
         let mut best: Option<(Delay, PeerId)> = None;
         for &(_, target) in &two_hop {
             if target == src || ov.are_neighbors(src, target) {
                 continue;
             }
-            let d = measured(&self.cfg.probe, ov, oracle, src, target);
+            let d = measured(ov, oracle, src, target);
             if u64::from(d) < threshold && best.is_none_or(|(bd, bp)| (d, target) < (bd, bp)) {
                 best = Some((d, target));
             }
@@ -272,10 +243,7 @@ mod tests {
     #[test]
     fn cuts_inefficient_far_links() {
         let (mut ov, oracle) = env();
-        let mut ltm = LtmEngine::new(LtmConfig {
-            min_degree: 1,
-            ..LtmConfig::default()
-        });
+        let mut ltm = LtmEngine::default();
         let mut rng = StdRng::seed_from_u64(4);
         let before = ov.edge_count();
         let mut total_cut = 0;
@@ -289,18 +257,31 @@ mod tests {
         assert!(ltm.ledger().total_cost() > 0.0);
     }
 
+    /// `MIN_DEGREE` at the bound and one past it: in a triangle every
+    /// peer sits at the floor, so the redundant 0–2 link (as fast as the
+    /// relay through 1) stays; a fourth peer linked to 0 and 2 lifts both
+    /// ends one past the floor and the link is cut.
     #[test]
     fn respects_min_degree() {
-        let (mut ov, oracle) = env();
-        let mut ltm = LtmEngine::new(LtmConfig {
-            min_degree: 4,
-            ..LtmConfig::default()
-        });
-        let mut rng = StdRng::seed_from_u64(4);
-        let before = ov.edge_count();
-        let st = ltm.round(&mut ov, &oracle, &mut rng);
-        assert_eq!(st.cut, 0, "no peer has degree above the floor");
-        assert!(ov.edge_count() >= before);
+        let mut g = Graph::new(4);
+        g.add_edge(NodeId::new(0), NodeId::new(1), 1).unwrap();
+        g.add_edge(NodeId::new(1), NodeId::new(2), 1).unwrap();
+        g.add_edge(NodeId::new(1), NodeId::new(3), 100).unwrap();
+        let oracle = DistanceOracle::new(g);
+        let cuts = |fourth: bool| {
+            let mut ov = Overlay::new((0..4).map(NodeId::new).collect(), None);
+            let mut links = vec![(0, 1), (1, 2), (0, 2)];
+            if fourth {
+                links.extend([(3, 0), (3, 2)]);
+            }
+            for (a, b) in links {
+                ov.connect(PeerId::new(a), PeerId::new(b)).unwrap();
+            }
+            let mut rng = StdRng::seed_from_u64(4);
+            LtmEngine::default().round(&mut ov, &oracle, &mut rng).cut
+        };
+        assert_eq!(cuts(false), 0, "every peer at MIN_DEGREE");
+        assert!(cuts(true) >= 1, "both ends past MIN_DEGREE");
     }
 
     #[test]
@@ -315,7 +296,7 @@ mod tests {
         let mut ov = Overlay::new((0..3).map(NodeId::new).collect(), None);
         ov.connect(PeerId::new(0), PeerId::new(1)).unwrap();
         ov.connect(PeerId::new(1), PeerId::new(2)).unwrap();
-        let mut ltm = LtmEngine::new(LtmConfig::default());
+        let mut ltm = LtmEngine::default();
         let mut rng = StdRng::seed_from_u64(9);
         let st = ltm.round(&mut ov, &oracle, &mut rng);
         assert!(st.added >= 1);
@@ -326,7 +307,7 @@ mod tests {
     fn deterministic_per_seed() {
         let run = |seed| {
             let (mut ov, oracle) = env();
-            let mut ltm = LtmEngine::new(LtmConfig::default());
+            let mut ltm = LtmEngine::default();
             let mut rng = StdRng::seed_from_u64(seed);
             let st = ltm.round(&mut ov, &oracle, &mut rng);
             (st.cut, st.added, ov.edge_count())

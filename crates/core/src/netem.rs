@@ -21,7 +21,7 @@
 //! is dropped at the sender (retransmits included — a cut is a cut). The
 //! auditors use [`NetemConfig::separated_within`] to defer cross-cut
 //! disagreements until `K` optimize periods after the heal (see
-//! `AsyncConfig::repair_periods`).
+//! `protocol::REPAIR_PERIODS`).
 
 use ace_engine::digest::{fold, unit};
 use ace_overlay::PeerId;

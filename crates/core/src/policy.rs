@@ -21,9 +21,9 @@
 use ace_overlay::{IndexCache, Message, Overlay, PeerId};
 use ace_topology::Delay;
 
-use crate::autorate::AutoRateConfig;
+use crate::autorate::{BACKOFF, CHURN_WEIGHT, HYSTERESIS, R_MAX, R_MIN, STEP, STRESS_THRESHOLD};
 use crate::cost_table::CostTable;
-use crate::fault::FaultConfig;
+use crate::fault::{FaultConfig, MAX_RETRIES, RETRY_BACKOFF};
 use crate::mst::{PrimScratch, SlotEdge};
 use crate::overhead::{OverheadKind, OverheadLedger};
 
@@ -303,12 +303,10 @@ pub fn control_overhead_kind(msg: &Message) -> Option<OverheadKind> {
 /// injected loss, charging every lost attempt's wasted request traffic
 /// (`true_cost × request_units`, scaled by the backoff of the retry
 /// timeout it burned) to [`OverheadKind::ProbeRetry`]. Returns `false`
-/// when every attempt up to `max_retries` was lost — the pair gets no
+/// when every attempt up to `MAX_RETRIES` was lost — the pair gets no
 /// measurement this round. The caller charges the successful exchange
-/// itself, so the ledger's charge sequence is exactly what the drivers
-/// produced before this rule was shared: both the round-based engine and
-/// the async simulator route their probe initiations through here, which
-/// is what makes their `ProbeRetry` accounting comparable.
+/// itself. The round-based engine is the only driver with injected
+/// faults; the async simulator loses messages on its netem wire.
 pub fn probe_exchange_survives_faults(
     faults: Option<&FaultConfig>,
     round: u64,
@@ -325,9 +323,9 @@ pub fn probe_exchange_survives_faults(
     while f.probe_lost(round, a, b, attempt) {
         ledger.charge(
             OverheadKind::ProbeRetry,
-            f64::from(true_cost) * request_units * f.backoff.powi(i32::from(attempt)),
+            f64::from(true_cost) * request_units * RETRY_BACKOFF.powi(i32::from(attempt)),
         );
-        if attempt >= f.max_retries {
+        if attempt >= MAX_RETRIES {
             return false;
         }
         attempt += 1;
@@ -363,35 +361,35 @@ pub struct RateObservation {
 ///    the control plane is already struggling; stretch the interval
 ///    multiplicatively regardless of demand.
 /// 2. **Hysteresis dead-band** — demand (`ewma_gain` + weighted churn)
-///    within `±hysteresis` of the break-even 1.0 keeps the current
+///    within `±HYSTERESIS` of the break-even 1.0 keeps the current
 ///    interval: a marginal signal must not flap the schedule.
 /// 3. **Multiplicative adjustment** — demand above the band divides the
 ///    interval by `step` (optimization pays, run more often); below it
 ///    multiplies (coast).
 ///
-/// The result is always clamped to `[r_min, r_max]`, and non-finite
+/// The result is always clamped to [`R_MIN`, `R_MAX`], and non-finite
 /// observations degrade safely: a broken estimate falls back to zero
-/// demand and a broken current interval restarts from `r_max` (the
+/// demand and a broken current interval restarts from [`R_MAX`] (the
 /// cheap end — a confused controller must not spend control traffic).
-pub fn next_opt_interval(cfg: &AutoRateConfig, obs: &RateObservation) -> f64 {
-    let clamp = |v: f64| v.clamp(cfg.r_min, cfg.r_max);
+pub fn next_opt_interval(obs: &RateObservation) -> f64 {
+    let clamp = |v: f64| v.clamp(R_MIN, R_MAX);
     let sane = |v: f64| if v.is_finite() && v >= 0.0 { v } else { 0.0 };
     let current = if obs.current_interval.is_finite() {
         clamp(obs.current_interval)
     } else {
-        cfg.r_max
+        R_MAX
     };
-    if sane(obs.retry_pressure) > cfg.stress_threshold {
-        return clamp(current * cfg.backoff);
+    if sane(obs.retry_pressure) > STRESS_THRESHOLD {
+        return clamp(current * BACKOFF);
     }
-    let demand = sane(obs.ewma_gain) + cfg.churn_weight * sane(obs.ewma_churn);
-    if (demand - 1.0).abs() <= cfg.hysteresis {
+    let demand = sane(obs.ewma_gain) + CHURN_WEIGHT * sane(obs.ewma_churn);
+    if (demand - 1.0).abs() <= HYSTERESIS {
         return current;
     }
     if demand > 1.0 {
-        clamp(current / cfg.step)
+        clamp(current / STEP)
     } else {
-        clamp(current * cfg.step)
+        clamp(current * STEP)
     }
 }
 
@@ -586,42 +584,85 @@ mod tests {
 
     #[test]
     fn interval_decision_clamps_dead_bands_and_backs_off() {
-        let cfg = AutoRateConfig {
-            r_min: 1.0,
-            r_max: 8.0,
-            hysteresis: 0.25,
-            step: 2.0,
-            backoff: 3.0,
-            stress_threshold: 0.2,
-            churn_weight: 0.5,
-            ..Default::default()
+        let obs = |gain: f64, churn: f64, pressure: f64, cur: f64| {
+            next_opt_interval(&RateObservation {
+                ewma_churn: churn,
+                ewma_gain: gain,
+                retry_pressure: pressure,
+                current_interval: cur,
+            })
         };
-        let obs = |gain: f64, churn: f64, pressure: f64, cur: f64| RateObservation {
-            ewma_churn: churn,
-            ewma_gain: gain,
-            retry_pressure: pressure,
-            current_interval: cur,
-        };
-        // High gain halves the interval; low gain doubles it; both clamp.
-        assert_eq!(next_opt_interval(&cfg, &obs(3.0, 0.0, 0.0, 4.0)), 2.0);
-        assert_eq!(next_opt_interval(&cfg, &obs(3.0, 0.0, 0.0, 1.5)), 1.0);
-        assert_eq!(next_opt_interval(&cfg, &obs(0.0, 0.0, 0.0, 4.0)), 8.0);
-        assert_eq!(next_opt_interval(&cfg, &obs(0.0, 0.0, 0.0, 7.0)), 8.0);
-        // Dead-band: demand within ±0.25 of break-even keeps the current.
-        assert_eq!(next_opt_interval(&cfg, &obs(1.2, 0.0, 0.0, 4.0)), 4.0);
-        assert_eq!(next_opt_interval(&cfg, &obs(0.8, 0.0, 0.0, 4.0)), 4.0);
-        // Churn contributes weighted demand: gain 0.5 + 0.5×2 = 1.5 > band.
-        assert_eq!(next_opt_interval(&cfg, &obs(0.5, 2.0, 0.0, 4.0)), 2.0);
-        // Stress backoff dominates even maximal demand.
-        assert_eq!(next_opt_interval(&cfg, &obs(10.0, 5.0, 0.3, 2.0)), 6.0);
-        assert_eq!(next_opt_interval(&cfg, &obs(10.0, 5.0, 0.3, 7.0)), 8.0);
+        // High gain divides the interval by STEP; low gain multiplies.
+        assert_eq!(obs(3.0, 0.0, 0.0, 4.0), 4.0 / STEP);
+        assert_eq!(obs(0.0, 0.0, 0.0, 4.0), 4.0 * STEP);
+        // Dead-band: demand within ±HYSTERESIS of break-even keeps the
+        // current interval.
+        assert_eq!(obs(1.0 + HYSTERESIS, 0.0, 0.0, 4.0), 4.0);
+        assert_eq!(obs(1.0 - HYSTERESIS, 0.0, 0.0, 4.0), 4.0);
+        // Churn contributes weighted demand: 0.5 + CHURN_WEIGHT × 2 = 1.5.
+        assert_eq!(obs(0.5, 2.0, 0.0, 4.0), 4.0 / STEP);
+        // Stress backoff dominates even maximal demand, from the
+        // threshold's far side only.
+        assert_eq!(obs(10.0, 5.0, STRESS_THRESHOLD + 0.1, 2.0), 2.0 * BACKOFF);
+        assert_eq!(obs(10.0, 5.0, STRESS_THRESHOLD, 2.0), 2.0 / STEP);
         // Non-finite observations degrade safely.
-        assert_eq!(
-            next_opt_interval(&cfg, &obs(f64::NAN, f64::NAN, f64::NAN, f64::NAN)),
-            8.0
-        );
-        assert!((cfg.r_min..=cfg.r_max)
-            .contains(&next_opt_interval(&cfg, &obs(f64::INFINITY, 0.0, 0.0, 0.0))));
+        assert_eq!(obs(f64::NAN, f64::NAN, f64::NAN, f64::NAN), R_MAX);
+        assert!((R_MIN..=R_MAX).contains(&obs(f64::INFINITY, 0.0, 0.0, 0.0)));
+    }
+
+    /// `MAX_RETRIES` at the bound and one past it: an exchange whose
+    /// first `MAX_RETRIES` attempts are lost survives on its last retry,
+    /// one whose attempt `MAX_RETRIES` is lost too gives up. Every lost
+    /// attempt is charged, scaled by `RETRY_BACKOFF` per attempt.
+    #[test]
+    fn probe_exchange_retries_up_to_max_retries() {
+        let f = FaultConfig {
+            probe_loss: 0.7,
+            seed: 5,
+            ..FaultConfig::default()
+        };
+        let (a, b) = (p(0), p(1));
+        for give_up in [false, true] {
+            let round = (0..10_000)
+                .find(|&r| {
+                    (0..MAX_RETRIES).all(|k| f.probe_lost(r, a, b, k))
+                        && f.probe_lost(r, a, b, MAX_RETRIES) == give_up
+                })
+                .expect("a round with this loss pattern");
+            let mut ledger = OverheadLedger::new();
+            let survives =
+                probe_exchange_survives_faults(Some(&f), round, a, b, 10, 1.0, &mut ledger);
+            assert_eq!(survives, !give_up, "round {round}");
+            let lost = MAX_RETRIES + u8::from(give_up);
+            assert_eq!(ledger.count_of(OverheadKind::ProbeRetry), u64::from(lost));
+            let cost: f64 = (0..lost)
+                .map(|k| 10.0 * RETRY_BACKOFF.powi(i32::from(k)))
+                .sum();
+            assert_eq!(ledger.cost_of(OverheadKind::ProbeRetry), cost);
+        }
+    }
+
+    /// The `[R_MIN, R_MAX]` clamp at each bound and one past it: a
+    /// decision that lands exactly on a bound keeps it, one that would
+    /// step past it stops there, and a current interval outside the
+    /// window is pulled back in before the rule runs.
+    #[test]
+    fn interval_decision_clamps_at_r_min_and_r_max() {
+        let obs = |gain: f64, cur: f64| {
+            next_opt_interval(&RateObservation {
+                ewma_churn: 0.0,
+                ewma_gain: gain,
+                retry_pressure: 0.0,
+                current_interval: cur,
+            })
+        };
+        let (busy, quiet, neutral) = (3.0, 0.0, 1.0);
+        assert_eq!(obs(quiet, R_MAX - 1.0), R_MAX);
+        assert_eq!(obs(quiet, R_MAX), R_MAX);
+        assert_eq!(obs(neutral, R_MAX + 1.0), R_MAX);
+        assert_eq!(obs(busy, R_MIN * STEP), R_MIN);
+        assert_eq!(obs(busy, R_MIN), R_MIN);
+        assert_eq!(obs(neutral, R_MIN - 0.5), R_MIN);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! endpoints observe the same value (symmetric RTT), and runs stay
 //! reproducible.
 
+use ace_engine::digest::unit;
 use ace_engine::rng::splitmix64;
 use ace_overlay::{Overlay, PeerId};
 use ace_topology::{Delay, DistancePlane};
@@ -23,14 +24,17 @@ pub struct ProbeModel {
 impl Default for ProbeModel {
     /// Noise-free probes.
     fn default() -> Self {
-        ProbeModel {
-            noise: 0.0,
-            seed: 0,
-        }
+        ProbeModel::EXACT
     }
 }
 
 impl ProbeModel {
+    /// Noise-free probes: every measurement is the true delay.
+    pub const EXACT: ProbeModel = ProbeModel {
+        noise: 0.0,
+        seed: 0,
+    };
+
     /// Creates a probe model with the given relative noise.
     ///
     /// # Panics
@@ -65,8 +69,7 @@ impl ProbeModel {
         let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
         let h = splitmix64(self.seed ^ (u64::from(lo.raw()) << 32) ^ u64::from(hi.raw()));
         // Map hash to [-1, 1).
-        let unit = (h >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0;
-        let factor = 1.0 + self.noise * unit;
+        let factor = 1.0 + self.noise * (unit(h) * 2.0 - 1.0);
         ((f64::from(true_cost) * factor).round() as u32).max(1)
     }
 }

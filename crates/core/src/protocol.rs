@@ -52,14 +52,14 @@
 //!   or retransmitted) are delivered once — handlers never observe them;
 //! * reliable control messages (everything except `Connect`/`ConnectOk`)
 //!   are retransmitted after an exponential backoff with deterministic
-//!   jitter, up to [`AsyncConfig::retry_cap`] times, each retransmission
+//!   jitter, up to [`RETRY_CAP`] times, each retransmission
 //!   charged to the ledger ([`OverheadKind::ProbeRetry`] for probe
 //!   traffic, [`OverheadKind::ControlRetry`] for the rest) — no message
 //!   ever moves for free;
 //! * the per-cycle timer already abandons stalled cycles; under netem it
 //!   additionally runs soft-state repair: cost rows for vanished
 //!   neighbors are pruned, forward-request slots that no refresh
-//!   confirmed for [`AsyncConfig::repair_periods`] cycles expire, and
+//!   confirmed for [`REPAIR_PERIODS`] cycles expire, and
 //!   stranded on-behalf probes are written off (flushing the partial
 //!   report so the requester is not held hostage);
 //! * [`AsyncAceSim::check_invariants`] tolerates cross-peer disagreement
@@ -80,9 +80,8 @@ use ace_overlay::{ForwardPolicy, Message, Overlay, PeerId};
 use ace_topology::{Delay, DistancePlane};
 
 use crate::audit::{self, AuditView, ConfigError, Gap, InvariantViolation, ViolationKind};
-use crate::autorate::{AutoRateConfig, ControllerStats, RateController, RateSample};
+use crate::autorate::{AutoRateConfig, ControllerStats, RateController, RateSample, R_MAX};
 use crate::cost_table::CostTable;
-use crate::fault::FaultConfig;
 use crate::mst::{PrimScratch, SlotEdge};
 use crate::netem::NetemConfig;
 use crate::overhead::{OverheadKind, OverheadLedger};
@@ -90,46 +89,42 @@ use crate::peer_state::{fold_peers, fold_sorted, fold_watches, PeerState};
 use crate::policy::{self, Figure4Action, LifecycleEvent, WatchVerdict};
 use crate::probe::ProbeModel;
 
-/// Timer and retry tuning of the asynchronous driver. Hoisted out of
-/// [`ProtoConfig`] so experiments can sweep the control loop's tempo
-/// (cycle period, retry budget, backoff shape, repair horizon) as one
-/// coherent knob set.
+/// Uniform start jitter, in ticks, so nodes do not fire in lockstep.
+const START_JITTER: u64 = SimTime::from_secs(30).as_ticks();
+/// Retransmissions attempted per reliable message after the original
+/// transmission is lost or cut.
+pub const RETRY_CAP: u8 = 3;
+/// Base retransmit delay in ticks; attempt `k` waits
+/// `BACKOFF_BASE · 2^k` plus jitter.
+const BACKOFF_BASE: u64 = SimTime::from_secs(2).as_ticks();
+/// Upper bound (inclusive) on the deterministic per-retry jitter added
+/// to the backoff, in ticks.
+const BACKOFF_JITTER: u64 = SimTime::from_secs(1).as_ticks();
+/// How many cycle periods of cross-peer disagreement a wire fault may
+/// excuse before the auditor treats it as a real violation; also the
+/// horizon after which unrefreshed soft state expires.
+pub const REPAIR_PERIODS: u64 = 4;
+/// Minimum flooding links kept (scope guard, as in the engine).
+const MIN_FLOODING: usize = 2;
+
+/// Timer tuning of the asynchronous driver. The ARQ and repair tuning
+/// are the constants [`RETRY_CAP`] and [`REPAIR_PERIODS`].
 #[derive(Clone, Copy, Debug)]
 pub struct AsyncConfig {
     /// Ticks between a node's optimization cycles (paper: 30 s).
     pub cycle_period: u64,
-    /// Uniform start jitter so nodes do not fire in lockstep.
-    pub start_jitter: u64,
-    /// Retransmissions attempted per reliable message after the original
-    /// transmission is lost or cut (0 disables the ARQ layer).
-    pub retry_cap: u8,
-    /// Base retransmit delay in ticks; attempt `k` waits
-    /// `backoff_base · 2^k` plus jitter.
-    pub backoff_base: u64,
-    /// Upper bound (inclusive) on the deterministic per-retry jitter
-    /// added to the backoff, in ticks.
-    pub backoff_jitter: u64,
-    /// How many cycle periods of cross-peer disagreement a wire fault
-    /// may excuse before the auditor treats it as a real violation; also
-    /// the horizon after which unrefreshed soft state expires.
-    pub repair_periods: u64,
 }
 
 impl Default for AsyncConfig {
     fn default() -> Self {
         AsyncConfig {
             cycle_period: SimTime::from_secs(30).as_ticks(),
-            start_jitter: SimTime::from_secs(30).as_ticks(),
-            retry_cap: 3,
-            backoff_base: SimTime::from_secs(2).as_ticks(),
-            backoff_jitter: SimTime::from_secs(1).as_ticks(),
-            repair_periods: 4,
         }
     }
 }
 
 impl AsyncConfig {
-    /// Validates the timer/retry tuning.
+    /// Validates the timer tuning.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.cycle_period == 0 {
             return Err(ConfigError::new(
@@ -137,36 +132,17 @@ impl AsyncConfig {
                 "cycle_period must be at least one tick".into(),
             ));
         }
-        if self.repair_periods == 0 {
-            return Err(ConfigError::new(
-                "repair_periods",
-                "repair_periods must be >= 1 (the auditor needs a finite grace window)".into(),
-            ));
-        }
-        if self.retry_cap > 0 && self.backoff_base == 0 {
-            return Err(ConfigError::new(
-                "backoff_base",
-                "backoff_base must be >= 1 tick when retries are enabled".into(),
-            ));
-        }
         Ok(())
     }
 }
 
-/// Configuration of the asynchronous protocol.
-#[derive(Clone, Debug)]
+/// Configuration of the asynchronous protocol. Its loss model is the
+/// adversarial wire ([`ProtoConfig::netem`]); the engine's injected
+/// [`FaultConfig`](crate::FaultConfig) does not reach this driver.
+#[derive(Clone, Debug, Default)]
 pub struct ProtoConfig {
-    /// Timer and retry tuning (cycle period, ARQ backoff, repair
-    /// horizon).
+    /// Timer tuning (cycle period).
     pub timing: AsyncConfig,
-    /// Probe measurement model.
-    pub probe: ProbeModel,
-    /// Minimum flooding links kept (scope guard, as in the engine).
-    pub min_flooding: usize,
-    /// Probe-plane fault injection, applied through the same shared rule
-    /// ([`policy::probe_exchange_survives_faults`]) the round-based
-    /// engine uses — both drivers charge `ProbeRetry` identically.
-    pub faults: Option<FaultConfig>,
     /// Adversarial wire model (loss, duplication, reordering,
     /// partitions); `None` keeps the wire perfect and the simulator's
     /// behavior bit-identical to the pre-netem protocol.
@@ -180,32 +156,12 @@ pub struct ProtoConfig {
     pub autorate: Option<AutoRateConfig>,
 }
 
-impl Default for ProtoConfig {
-    fn default() -> Self {
-        ProtoConfig {
-            timing: AsyncConfig::default(),
-            probe: ProbeModel::default(),
-            min_flooding: 2,
-            faults: None,
-            netem: None,
-            autorate: None,
-        }
-    }
-}
-
 impl ProtoConfig {
-    /// Validates the whole configuration (timing, faults, netem,
-    /// autorate).
+    /// Validates the whole configuration (timing, netem).
     pub fn validate(&self) -> Result<(), ConfigError> {
         self.timing.validate()?;
-        if let Some(f) = &self.faults {
-            f.validate()?;
-        }
         if let Some(n) = &self.netem {
             n.validate()?;
-        }
-        if let Some(a) = &self.autorate {
-            a.validate()?;
         }
         Ok(())
     }
@@ -426,8 +382,8 @@ impl DrainEffects {
 
 /// Wire-level accounting of the adversarial network model. With netem
 /// off, only `sent` moves. The chaos harness holds the ledger to these
-/// numbers: `ledger.total_count() == sent + duplicated + retransmits +
-/// fault_retries` — every transmission, wasted or not, is charged.
+/// numbers: `ledger.total_count() == sent + duplicated + retransmits` —
+/// every transmission, wasted or not, is charged.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NetemStats {
     /// Logical control messages handed to the wire (originals only).
@@ -442,9 +398,6 @@ pub struct NetemStats {
     pub retransmits: u64,
     /// Deliveries suppressed by the receiver's dedup filter.
     pub deduped: u64,
-    /// Probe attempts written off by the injected probe-loss rule
-    /// (charged as `ProbeRetry`, same as the sync engine).
-    pub fault_retries: u64,
     /// Forward-request slots expired for lack of refresh.
     pub expired_forwards: u64,
     /// Stranded on-behalf probes written off by their server.
@@ -465,8 +418,7 @@ pub struct NetemStats {
 /// use rand::{rngs::StdRng, SeedableRng};
 ///
 /// let mut rng = StdRng::seed_from_u64(4);
-/// let topo = two_level(&TwoLevelConfig { as_count: 3, nodes_per_as: 30,
-///     ..TwoLevelConfig::default() }, &mut rng);
+/// let topo = two_level(&TwoLevelConfig { as_count: 3, nodes_per_as: 30 }, &mut rng);
 /// let oracle = DistanceOracle::new(topo.graph);
 /// let hosts = oracle.graph().nodes().take(30).collect();
 /// let ov = clustered_overlay(hosts, 6, 0.7, None, &mut rng);
@@ -552,7 +504,7 @@ impl AsyncAceSim {
             .collect();
         let incarnations = vec![0; nodes.len()];
         let peer_count = nodes.len();
-        let controller = cfg.autorate.map(RateController::new);
+        let controller = cfg.autorate.map(|_| RateController::default());
         let mut sim = AsyncAceSim {
             overlay,
             nodes,
@@ -580,7 +532,7 @@ impl AsyncAceSim {
         };
         let peers: Vec<PeerId> = sim.overlay.alive_peers().collect();
         for p in peers {
-            let jitter = sim.rng.gen_range(0..=sim.cfg.timing.start_jitter.max(1));
+            let jitter = sim.rng.gen_range(0..=START_JITTER);
             sim.queue.push(
                 SimTime::from_ticks(jitter),
                 NetEvent::OptimizeTimer {
@@ -833,7 +785,7 @@ impl AsyncAceSim {
         if let Some(c) = &mut self.controller {
             c.on_lifecycle(peer, event);
         }
-        let jitter = self.rng.gen_range(0..=self.cfg.timing.start_jitter.max(1));
+        let jitter = self.rng.gen_range(0..=START_JITTER);
         let inc = self.incarnations[peer.index()];
         let gen = self.timer_gens[peer.index()];
         self.queue.push(
@@ -1075,17 +1027,15 @@ impl AsyncAceSim {
     /// The auditor's repair window: how long a wire fault may excuse
     /// cross-peer disagreement. Repairs ride the per-peer timer chain,
     /// so when the rate controller may stretch that chain the window
-    /// stretches with it — a peer optimizing every `r_max` periods
+    /// stretches with it — a peer optimizing every [`R_MAX`] periods
     /// legitimately refreshes (and re-requests, and expires) soft state
     /// that much more slowly.
     fn repair_window(&self) -> u64 {
-        let stretch = self
-            .cfg
-            .autorate
-            .map(|a| a.r_max.ceil() as u64)
-            .unwrap_or(1)
-            .max(1);
-        self.cfg.timing.repair_periods * self.cfg.timing.cycle_period * stretch
+        let stretch = match self.cfg.autorate {
+            Some(_) => R_MAX.ceil() as u64,
+            None => 1,
+        };
+        REPAIR_PERIODS * self.cfg.timing.cycle_period * stretch
     }
 
     /// Records the auditor tolerance for a tracked message the wire
@@ -1117,15 +1067,11 @@ impl AsyncAceSim {
         attempt: u8,
         msg: Message,
     ) {
-        if attempt >= self.cfg.timing.retry_cap || !reliable(&msg) {
+        if attempt >= RETRY_CAP || !reliable(&msg) {
             return;
         }
-        let backoff = self
-            .cfg
-            .timing
-            .backoff_base
-            .saturating_mul(1u64 << u32::from(attempt).min(20));
-        let delay = backoff + net.retry_jitter(seq, attempt, self.cfg.timing.backoff_jitter);
+        let backoff = BACKOFF_BASE << attempt;
+        let delay = backoff + net.retry_jitter(seq, attempt, BACKOFF_JITTER);
         self.queue.push(
             self.now + delay,
             NetEvent::Retransmit {
@@ -1301,15 +1247,7 @@ impl AsyncAceSim {
             if nbrs.is_empty() {
                 self.nodes[peer.index()].cycle_open = false;
             } else {
-                let round = self.nodes[peer.index()].cycles_done;
                 for n in nbrs {
-                    if !self.probe_survives_faults(oracle, peer, n, round) {
-                        // Same semantics as the engine: a pair whose
-                        // every probe attempt was lost gets no table
-                        // entry this cycle.
-                        self.nodes[peer.index()].peer.table.remove(n);
-                        continue;
-                    }
                     let nonce = self.fresh_nonce();
                     self.nodes[peer.index()].pending_probes.insert(
                         nonce,
@@ -1321,20 +1259,9 @@ impl AsyncAceSim {
                     );
                     self.send(oracle, peer, n, Message::Probe { nonce });
                 }
-                // Every neighbor probe written off by fault injection:
-                // phase 1 is (vacuously) complete.
-                let node = &self.nodes[peer.index()];
-                if node.cycle_open
-                    && !node
-                        .pending_probes
-                        .values()
-                        .any(|pp| matches!(pp.purpose, ProbePurpose::Neighbor))
-                {
-                    self.exchange_tables(oracle, peer);
-                }
             }
             // The timer chain's tempo: a controller stretches the
-            // reschedule by the peer's decided interval (≥ r_min ≥ 1
+            // reschedule by the peer's decided interval (≥ R_MIN ≥ 1
             // base period); without one the chain keeps the static
             // `cycle_period` exactly as before.
             let factor = self
@@ -1348,37 +1275,6 @@ impl AsyncAceSim {
             self.queue
                 .push(next, NetEvent::OptimizeTimer { peer, inc, gen });
         }
-    }
-
-    /// Applies the shared probe-loss rule
-    /// ([`policy::probe_exchange_survives_faults`]) at probe-initiation
-    /// time, charging every written-off attempt to `ProbeRetry` exactly
-    /// as the sync engine does. Returns false when the injected faults
-    /// ate the whole exchange.
-    fn probe_survives_faults(
-        &mut self,
-        oracle: &dyn DistancePlane,
-        from: PeerId,
-        to: PeerId,
-        round: u64,
-    ) -> bool {
-        if self.cfg.faults.is_none() {
-            return true;
-        }
-        let true_cost = self.overlay.link_cost(oracle, from, to);
-        let request_units = Message::Probe { nonce: 0 }.size_units();
-        let before = self.ledger.count_of(OverheadKind::ProbeRetry);
-        let survives = policy::probe_exchange_survives_faults(
-            self.cfg.faults.as_ref(),
-            round,
-            from,
-            to,
-            true_cost,
-            request_units,
-            &mut self.ledger,
-        );
-        self.netem_stats.fault_retries += self.ledger.count_of(OverheadKind::ProbeRetry) - before;
-        survives
     }
 
     /// Per-timer soft-state repair, active only under the adversarial
@@ -1522,10 +1418,8 @@ impl AsyncAceSim {
             return; // stale reply from an abandoned cycle
         };
         debug_assert_eq!(target, from);
-        let measured = self
-            .cfg
-            .probe
-            .perturb(to, from, self.overlay.link_cost(oracle, to, from));
+        let measured =
+            ProbeModel::EXACT.perturb(to, from, self.overlay.link_cost(oracle, to, from));
         match purpose {
             ProbePurpose::Neighbor => {
                 if self.overlay.are_neighbors(to, from) {
@@ -1629,16 +1523,7 @@ impl AsyncAceSim {
                 None => unknown.push(t),
             }
         }
-        // Injected probe loss can write off some (or all) of the fresh
-        // measurements before they start, same rule as phase 1.
-        let round = self.nodes[to.index()].cycles_done;
-        let mut probed: Vec<PeerId> = Vec::new();
-        for t in unknown {
-            if self.probe_survives_faults(oracle, to, t, round) {
-                probed.push(t);
-            }
-        }
-        if probed.is_empty() {
+        if unknown.is_empty() {
             self.send(
                 oracle,
                 to,
@@ -1650,9 +1535,9 @@ impl AsyncAceSim {
             );
             return;
         }
-        let count = probed.len();
+        let count = unknown.len();
         self.nodes[to.index()].serving.insert(from, (known, count));
-        for t in probed {
+        for t in unknown {
             let nonce = self.fresh_nonce();
             self.nodes[to.index()].pending_probes.insert(
                 nonce,
@@ -1701,7 +1586,7 @@ impl AsyncAceSim {
             &members,
             &edges,
             nbrs,
-            self.cfg.min_flooding,
+            MIN_FLOODING,
             |n| node.peer.table.get(n),
             &mut PrimScratch::default(),
             &mut Vec::new(),
@@ -1840,10 +1725,6 @@ impl AsyncAceSim {
             return;
         }
         let (near, far_near) = candidates[self.rng.gen_range(0..candidates.len())];
-        let round = self.nodes[peer.index()].cycles_done;
-        if !self.probe_survives_faults(oracle, peer, near, round) {
-            return; // injected loss ate the candidate probe; retry next cycle
-        }
         let nonce = self.fresh_nonce();
         self.nodes[peer.index()].pending_probes.insert(
             nonce,
@@ -1921,7 +1802,7 @@ impl AsyncAceSim {
     /// engine demands exact agreement, the simulator excuses a stale or
     /// unmirrored pair exactly while the notifying message is still on
     /// the wire (tracked per `InFlightKind`), a destroyed copy is within
-    /// its repair window ([`AsyncConfig::repair_periods`]), or a
+    /// its repair window ([`REPAIR_PERIODS`]), or a
     /// scheduled partition separated the pair within that window — the
     /// chaos harness re-checks strictly once the window past the last
     /// heal has elapsed. Violations are typed ([`InvariantViolation`]);
@@ -2167,6 +2048,7 @@ impl ForwardPolicy for AsyncForward<'_> {
 mod tests {
     use super::*;
     use crate::audit::provoke::{self, Clause, StatesMut};
+    use crate::autorate::{BYTE_BUDGET, R_MIN};
     use crate::netem::{Partition, PartitionKind};
     use ace_overlay::{clustered_overlay, run_query, FloodAll, QueryConfig};
     use ace_topology::generate::{two_level, TwoLevelConfig};
@@ -2178,7 +2060,6 @@ mod tests {
             &TwoLevelConfig {
                 as_count: 5,
                 nodes_per_as: 60,
-                ..TwoLevelConfig::default()
             },
             &mut rng,
         );
@@ -2436,45 +2317,41 @@ mod tests {
     }
 
     /// Quiet adaptive run: every interval stays inside the window, most
-    /// peers stretch off the r_min floor (nothing creates demand), and
+    /// peers stretch off the R_MIN floor (nothing creates demand), and
     /// the stretched chain completes fewer cycles — i.e. spends less
     /// control overhead — than the static chain over the same horizon.
     #[test]
     fn adaptive_timer_chain_stretches_quiet_peers_and_stays_bounded() {
         let cfg = ProtoConfig {
-            autorate: Some(AutoRateConfig::default()),
+            autorate: Some(AutoRateConfig),
             ..ProtoConfig::default()
         };
         let (oracle, ov) = world(50, 13);
         let mut sim = AsyncAceSim::new(ov, cfg, 14);
         // A measured flood/ACE gap with zero query arrivals is evidence
         // of zero realized gain — the cue to coast. (Without any
-        // measurement the demand-neutral prior holds r_min.)
+        // measurement the demand-neutral prior holds R_MIN.)
         sim.note_traffic(100.0, 40.0);
         sim.run_until(&oracle, SimTime::from_secs(600));
         sim.check_invariants().unwrap();
 
         let ctrl = sim.controller().expect("controller enabled");
-        let rcfg = *ctrl.config();
         let stats = sim.controller_stats();
         assert!(stats.entries > 0, "controller never observed a peer");
         assert!(
-            stats.high_water_bytes <= rcfg.byte_budget,
-            "high water {} over budget {}",
-            stats.high_water_bytes,
-            rcfg.byte_budget
+            stats.high_water_bytes <= BYTE_BUDGET,
+            "high water {} over budget {BYTE_BUDGET}",
+            stats.high_water_bytes
         );
         let (mut stretched, mut alive) = (0usize, 0usize);
         for p in sim.overlay().alive_peers() {
             alive += 1;
             if let Some(iv) = ctrl.interval_of(p) {
                 assert!(
-                    (rcfg.r_min..=rcfg.r_max).contains(&iv),
-                    "interval {iv} escapes [{}, {}]",
-                    rcfg.r_min,
-                    rcfg.r_max
+                    (R_MIN..=R_MAX).contains(&iv),
+                    "interval {iv} escapes [{R_MIN}, {R_MAX}]"
                 );
-                if iv > rcfg.r_min {
+                if iv > R_MIN {
                     stretched += 1;
                 }
             }
@@ -2502,12 +2379,12 @@ mod tests {
     }
 
     /// Harness-reported demand (queries + a measured flood/ACE gap)
-    /// pulls intervals back toward r_min, and churn purges controller
+    /// pulls intervals back toward R_MIN, and churn purges controller
     /// entries without tripping the auditor.
     #[test]
     fn fed_demand_pulls_intervals_down_and_churn_purges_cleanly() {
         let cfg = ProtoConfig {
-            autorate: Some(AutoRateConfig::default()),
+            autorate: Some(AutoRateConfig),
             ..ProtoConfig::default()
         };
         let (oracle, ov) = world(40, 17);
@@ -2516,7 +2393,6 @@ mod tests {
         // realized gain) stretches everyone off the floor.
         sim.note_traffic(12.0, 4.0);
         sim.run_until(&oracle, SimTime::from_secs(600));
-        let rcfg = *sim.controller().unwrap().config();
         let mean_interval = |s: &AsyncAceSim| {
             let c = s.controller().unwrap();
             let (mut sum, mut n) = (0.0, 0usize);
@@ -2529,7 +2405,7 @@ mod tests {
             sum / n.max(1) as f64
         };
         let quiet_mean = mean_interval(&sim);
-        assert!(quiet_mean > rcfg.r_min, "warm-up never stretched");
+        assert!(quiet_mean > R_MIN, "warm-up never stretched");
 
         // Sustained demand: plenty of queries per peer per window and a
         // clearly profitable flood-vs-ACE gap.
@@ -2566,7 +2442,7 @@ mod tests {
     fn adaptive_runs_are_deterministic_and_static_digest_is_preserved() {
         let run = |adaptive: bool| {
             let cfg = ProtoConfig {
-                autorate: adaptive.then(AutoRateConfig::default),
+                autorate: adaptive.then_some(AutoRateConfig),
                 ..ProtoConfig::default()
             };
             let (oracle, ov) = world(40, 19);
@@ -2827,7 +2703,7 @@ mod tests {
         assert_eq!(
             ledger.count_of(OverheadKind::ProbeRetry),
             0,
-            "faults default off: no probe retries charged"
+            "perfect wire: no probe retries charged"
         );
         assert_eq!(
             ledger.count_of(OverheadKind::ControlRetry),
@@ -3010,42 +2886,59 @@ mod tests {
         // real sender never produces. Idempotence is the contract here.
     }
 
-    /// Probe-loss faults flow through the same `policy` rule as the sync
-    /// engine: every written-off attempt is charged to `ProbeRetry`, and
-    /// with the wire itself perfect (netem off) the ledger's retry count
-    /// matches the fault counter exactly.
+    /// [`RETRY_CAP`] at the bound and one past it: a reliable message
+    /// lost on attempt `RETRY_CAP - 1` is retransmitted once more, one
+    /// lost on attempt `RETRY_CAP` is not, and a best-effort `Connect`
+    /// never is.
     #[test]
-    fn async_probe_faults_charge_the_shared_retry_ledger() {
-        let (oracle, ov) = world(50, 81);
+    fn arq_retransmits_up_to_retry_cap() {
+        let (_, ov) = world(10, 111);
+        let net = NetemConfig::default();
         let cfg = ProtoConfig {
-            faults: Some(FaultConfig {
-                probe_loss: 0.15,
-                ..FaultConfig::default()
-            }),
+            netem: Some(net.clone()),
             ..ProtoConfig::default()
         };
-        let mut sim = AsyncAceSim::new(ov, cfg, 82);
-        sim.run_until(&oracle, SimTime::from_secs(300));
-        let retries = sim.ledger().count_of(OverheadKind::ProbeRetry);
-        assert!(retries > 0, "15% probe loss over 10 cycles never retried");
-        assert_eq!(
-            retries,
-            sim.netem_stats().fault_retries,
-            "every ProbeRetry charge is a counted fault write-off"
-        );
-        assert_eq!(
-            sim.ledger().count_of(OverheadKind::ControlRetry),
-            0,
-            "perfect wire: no ARQ retransmissions"
-        );
-        assert!(sim.overlay().is_connected());
-        sim.check_invariants().unwrap();
+        let mut sim = AsyncAceSim::new(ov, cfg, 112);
+        let (a, b) = (PeerId::new(0), PeerId::new(1));
+        let probe = Message::Probe { nonce: 0 };
+        let queued = sim.queue.len();
+        sim.schedule_retransmit(&net, a, b, 1, RETRY_CAP - 1, probe.clone());
+        assert_eq!(sim.queue.len(), queued + 1, "last retry is scheduled");
+        sim.schedule_retransmit(&net, a, b, 1, RETRY_CAP, probe);
+        assert_eq!(sim.queue.len(), queued + 1, "no retry past the cap");
+        sim.schedule_retransmit(&net, a, b, 2, 0, Message::Connect);
+        assert_eq!(sim.queue.len(), queued + 1, "Connect is best-effort");
+    }
+
+    /// [`REPAIR_PERIODS`] at the bound and one past it: a destroyed
+    /// `Disconnect` excuses the endpoints' disagreement for exactly
+    /// `REPAIR_PERIODS` cycle periods (`R_MAX` times that with the rate
+    /// controller on), and not one tick longer.
+    #[test]
+    fn wire_drop_cover_lasts_repair_periods() {
+        for autorate in [None, Some(AutoRateConfig)] {
+            let (_, ov) = world(10, 113);
+            let cfg = ProtoConfig {
+                netem: Some(NetemConfig::default()),
+                autorate,
+                ..ProtoConfig::default()
+            };
+            let stretch = if autorate.is_some() { R_MAX as u64 } else { 1 };
+            let window = REPAIR_PERIODS * cfg.timing.cycle_period * stretch;
+            let mut sim = AsyncAceSim::new(ov, cfg, 114);
+            let (a, b) = (PeerId::new(0), PeerId::new(1));
+            sim.note_wire_drop(a, b, &Message::Disconnect, None);
+            sim.now = SimTime::from_ticks(window);
+            assert!(sim.cut_cover(a, b), "covered at the bound");
+            sim.now = SimTime::from_ticks(window + 1);
+            assert!(!sim.cut_cover(a, b), "uncovered one tick past it");
+        }
     }
 
     /// A lossy, duplicating, reordering wire: the protocol still
     /// converges, the dedup filter and ARQ visibly engage, and the
     /// chaos ledger identity holds — every transmission (original,
-    /// duplicate, retransmission, fault write-off) is charged.
+    /// duplicate, retransmission) is charged.
     #[test]
     fn lossy_wire_converges_and_accounts_every_copy() {
         let (oracle, ov) = world(60, 91);
@@ -3068,7 +2961,7 @@ mod tests {
         assert!(st.deduped > 0, "duplicates never suppressed");
         assert_eq!(
             sim.ledger().total_count(),
-            st.sent + st.duplicated + st.retransmits + st.fault_retries,
+            st.sent + st.duplicated + st.retransmits,
             "chaos ledger identity"
         );
         assert!(
@@ -3103,7 +2996,7 @@ mod tests {
             }),
             ..ProtoConfig::default()
         };
-        let repair = cfg.timing.repair_periods * cfg.timing.cycle_period;
+        let repair = REPAIR_PERIODS * cfg.timing.cycle_period;
         let mut sim = AsyncAceSim::new(ov, cfg, 103);
         // Mid-partition: messages die crossing the cut, auditor stays
         // green thanks to the deferral windows.

@@ -7,17 +7,15 @@
 //! byte footprint with oldest-first eviction, and `RoundStats` exposes
 //! the cache counters so a soak can watch it.
 
-use ace_core::experiments::{PhysKind, Scenario, ScenarioConfig};
+use ace_core::experiments::{Scenario, ScenarioConfig};
 use ace_core::{AceConfig, AceEngine, FaultConfig};
 
 const BUDGET: usize = 4 * 1024; // ~85 pairs — tiny on purpose
 
 fn churn_world() -> Scenario {
     Scenario::build(&ScenarioConfig {
-        phys: PhysKind::TwoLevel {
-            as_count: 4,
-            nodes_per_as: 30,
-        },
+        as_count: 4,
+        nodes_per_as: 30,
         peers: 80,
         avg_degree: 5,
         objects: 20,
@@ -52,12 +50,9 @@ fn soak(parallel: bool, churn: bool) {
             parallel,
             faults: churn.then_some(FaultConfig {
                 probe_loss: 0.05,
-                max_retries: 2,
-                backoff: 1.5,
                 crash: 0.04,
                 leave: 0.04,
                 rejoin: 0.5,
-                rejoin_attach: 3,
                 seed: 5,
             }),
             core_cache_budget: BUDGET,

@@ -16,7 +16,7 @@
 //! Runs in CI's debug `churn` leg too, where every `round` audits the
 //! engine.
 
-use ace_core::experiments::{PhysKind, Scenario, ScenarioConfig};
+use ace_core::experiments::{Scenario, ScenarioConfig};
 use ace_core::{policy, AceConfig, AceEngine, AutoRateConfig, FaultConfig};
 use ace_overlay::{Overlay, PeerId};
 use proptest::prelude::*;
@@ -25,10 +25,8 @@ use rand::{Rng, SeedableRng};
 
 fn world(seed: u64, peers: usize) -> Scenario {
     Scenario::build(&ScenarioConfig {
-        phys: PhysKind::TwoLevel {
-            as_count: 5,
-            nodes_per_as: 40,
-        },
+        as_count: 5,
+        nodes_per_as: 40,
         peers,
         avg_degree: 5,
         objects: 20,
@@ -41,12 +39,9 @@ fn world(seed: u64, peers: usize) -> Scenario {
 fn faults(seed: u64) -> FaultConfig {
     FaultConfig {
         probe_loss: 0.15,
-        max_retries: 2,
-        backoff: 1.5,
         crash: 0.03,
         leave: 0.03,
         rejoin: 0.4,
-        rejoin_attach: 3,
         seed,
     }
 }
@@ -112,7 +107,7 @@ proptest! {
             workers: 2,
             depth: 1 + (seed % 5 == 4) as u8,
             faults: with_faults.then(|| faults(seed)),
-            autorate: (!raw && seed % 3 == 1).then(AutoRateConfig::default),
+            autorate: (!raw && seed % 3 == 1).then_some(AutoRateConfig),
             ..AceConfig::paper_default()
         });
         let mut script_rng = StdRng::seed_from_u64(seed ^ 0xF0_4A2D);

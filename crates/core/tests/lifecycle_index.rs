@@ -17,7 +17,7 @@
 //! Runs in CI's debug `churn-faults` job, where every `round` also
 //! audits the indexes under `debug_assert`.
 
-use ace_core::experiments::{PhysKind, Scenario, ScenarioConfig};
+use ace_core::experiments::{Scenario, ScenarioConfig};
 use ace_core::{AceConfig, AceEngine, AutoRateConfig, FaultConfig};
 use ace_overlay::{Overlay, PeerId};
 use ace_topology::Delay;
@@ -137,7 +137,8 @@ proptest! {
     fn lifecycle_events_match_retain_over_everyone(seed in 0u64..1_000_000) {
         let peers = 30 + (seed % 51) as usize;
         let mut w = Scenario::build(&ScenarioConfig {
-            phys: PhysKind::TwoLevel { as_count: 4, nodes_per_as: 30 },
+            as_count: 4,
+            nodes_per_as: 30,
             peers,
             avg_degree: 4 + (seed % 3) as usize,
             objects: 10,
@@ -151,15 +152,12 @@ proptest! {
             depth: 1 + (seed % 4 == 3) as u8,
             faults: (seed % 3 == 0).then_some(FaultConfig {
                 probe_loss: 0.1,
-                max_retries: 2,
-                backoff: 1.5,
                 crash: 0.03,
                 leave: 0.03,
                 rejoin: 0.4,
-                rejoin_attach: 3,
                 seed,
             }),
-            autorate: (seed % 5 < 2).then(AutoRateConfig::default),
+            autorate: (seed % 5 < 2).then_some(AutoRateConfig),
             // ~40 pairs: budget eviction interleaves with the purges.
             core_cache_budget: if seed % 7 == 0 { 2048 } else { 0 },
             ..AceConfig::paper_default()

@@ -15,7 +15,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use ace_core::experiments::{PhysKind, Scenario, ScenarioConfig};
+use ace_core::experiments::{Scenario, ScenarioConfig};
 use ace_core::{AceConfig, AceEngine};
 
 struct CountingAlloc;
@@ -46,10 +46,8 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 #[test]
 fn steady_state_plan_pass_allocates_nothing() {
     let mut w = Scenario::build(&ScenarioConfig {
-        phys: PhysKind::TwoLevel {
-            as_count: 4,
-            nodes_per_as: 30,
-        },
+        as_count: 4,
+        nodes_per_as: 30,
         peers: 60,
         avg_degree: 5,
         objects: 20,

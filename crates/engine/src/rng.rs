@@ -2,8 +2,8 @@
 //!
 //! Implemented here (rather than pulling `rand_distr`) to keep the
 //! dependency set minimal: exponential and normal draws for inter-arrival
-//! and lifetime models, Zipf for content popularity, Pareto for heavy-tail
-//! session experiments, plus distinct-sampling helpers.
+//! and lifetime models, Zipf for content popularity, plus
+//! distinct-sampling helpers.
 
 use rand::Rng;
 
@@ -50,17 +50,6 @@ pub fn clamped_normal<R: Rng + ?Sized>(
 ) -> f64 {
     assert!(lo <= hi, "empty clamp range");
     normal(rng, mean, std_dev).clamp(lo, hi)
-}
-
-/// Draws from a Pareto distribution with scale `x_min` and shape `alpha`.
-///
-/// # Panics
-///
-/// Panics unless `x_min > 0` and `alpha > 0`.
-pub fn pareto<R: Rng + ?Sized>(rng: &mut R, x_min: f64, alpha: f64) -> f64 {
-    assert!(x_min > 0.0 && alpha > 0.0);
-    let u: f64 = rng.gen::<f64>();
-    x_min / (1.0 - u).powf(1.0 / alpha)
 }
 
 /// Precomputed Zipf sampler over ranks `0..n` with exponent `s`.
@@ -200,15 +189,6 @@ mod tests {
             let v = clamped_normal(&mut r, 0.0, 100.0, -1.0, 1.0);
             assert!((-1.0..=1.0).contains(&v));
         }
-    }
-
-    #[test]
-    fn pareto_is_heavy_tailed() {
-        let mut r = rng();
-        let xs: Vec<f64> = (0..20_000).map(|_| pareto(&mut r, 1.0, 1.5)).collect();
-        assert!(xs.iter().all(|&x| x >= 1.0));
-        let big = xs.iter().filter(|&&x| x > 10.0).count();
-        assert!(big > 100, "tail count {big}"); // ~ n * 10^-1.5 ≈ 630
     }
 
     #[test]

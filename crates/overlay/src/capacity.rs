@@ -50,42 +50,27 @@ pub fn assign_capacities<R: Rng + ?Sized>(
         .collect()
 }
 
-/// Configuration of the Gia-style adaptation.
-#[derive(Clone, Copy, Debug)]
-pub struct GiaConfig {
-    /// Satisfaction threshold in `(0, 1]`: a peer below it keeps seeking
-    /// better neighbors.
-    pub satisfaction_target: f64,
-    /// Degree floor (peers never drop below this many links).
-    pub min_degree: usize,
-    /// Degree allowed per unit of `log10(capacity) + 1`.
-    pub degree_per_level: usize,
-}
+/// Satisfaction threshold in `(0, 1]`: a peer below it keeps seeking
+/// better neighbors.
+const SATISFACTION_TARGET: f64 = 0.8;
+/// Degree floor (peers never drop below this many links).
+const MIN_DEGREE: usize = 3;
+/// Degree allowed per unit of `log10(capacity) + 1`.
+const DEGREE_PER_LEVEL: usize = 3;
 
-impl Default for GiaConfig {
-    fn default() -> Self {
-        GiaConfig {
-            satisfaction_target: 0.8,
-            min_degree: 3,
-            degree_per_level: 3,
-        }
-    }
-}
-
-/// The Gia adaptation state: capacities plus the config.
+/// The Gia adaptation state: the per-peer capacities.
 ///
 /// # Examples
 ///
 /// ```
-/// use ace_overlay::{assign_capacities, random_overlay, GiaAdaptation, GiaConfig,
-///                   GNUTELLA_CAPACITY_MIX};
+/// use ace_overlay::{assign_capacities, random_overlay, GiaAdaptation, GNUTELLA_CAPACITY_MIX};
 /// use ace_topology::NodeId;
 /// use rand::{rngs::StdRng, SeedableRng};
 ///
 /// let mut rng = StdRng::seed_from_u64(2);
 /// let mut ov = random_overlay((0..100).map(NodeId::new).collect(), 6, None, &mut rng);
 /// let caps = assign_capacities(100, &GNUTELLA_CAPACITY_MIX, &mut rng);
-/// let gia = GiaAdaptation::new(caps, GiaConfig::default());
+/// let gia = GiaAdaptation::new(caps);
 /// let before = gia.capacity_degree_correlation(&ov).unwrap();
 /// for _ in 0..5 { gia.round(&mut ov, &mut rng); }
 /// assert!(gia.capacity_degree_correlation(&ov).unwrap() >= before);
@@ -93,7 +78,6 @@ impl Default for GiaConfig {
 #[derive(Clone, Debug)]
 pub struct GiaAdaptation {
     capacities: Vec<f64>,
-    cfg: GiaConfig,
 }
 
 impl GiaAdaptation {
@@ -101,14 +85,13 @@ impl GiaAdaptation {
     ///
     /// # Panics
     ///
-    /// Panics on non-positive capacities or an invalid config.
-    pub fn new(capacities: Vec<f64>, cfg: GiaConfig) -> Self {
+    /// Panics on non-positive capacities.
+    pub fn new(capacities: Vec<f64>) -> Self {
         assert!(
             capacities.iter().all(|&c| c > 0.0),
             "capacities must be positive"
         );
-        assert!(cfg.satisfaction_target > 0.0 && cfg.satisfaction_target <= 1.0);
-        GiaAdaptation { capacities, cfg }
+        GiaAdaptation { capacities }
     }
 
     /// A peer's capacity. Peers beyond the assigned population (ids
@@ -122,7 +105,7 @@ impl GiaAdaptation {
     /// Gia's max-degree budget for a peer (scales with log capacity).
     pub fn max_degree(&self, p: PeerId) -> usize {
         let level = self.capacity(p).log10().max(0.0) as usize + 1;
-        (self.cfg.degree_per_level * level).max(self.cfg.min_degree + 1)
+        (DEGREE_PER_LEVEL * level).max(MIN_DEGREE + 1)
     }
 
     /// Gia's satisfaction level: how much neighbor capacity (shared over
@@ -152,7 +135,7 @@ impl GiaAdaptation {
         }
         // Capacity-biased sampling urn.
         for &p in &alive {
-            if self.satisfaction(ov, p) >= self.cfg.satisfaction_target {
+            if self.satisfaction(ov, p) >= SATISFACTION_TARGET {
                 continue;
             }
             // Pick a target with probability ∝ capacity (rejection sample).
@@ -184,7 +167,7 @@ impl GiaAdaptation {
                     .neighbors(t)
                     .iter()
                     .copied()
-                    .filter(|&v| v != p && ov.degree(v) > self.cfg.min_degree)
+                    .filter(|&v| v != p && ov.degree(v) > MIN_DEGREE)
                     .min_by(|&a, &b| {
                         self.capacity(a)
                             .partial_cmp(&self.capacity(b))
@@ -245,7 +228,7 @@ mod tests {
         let hosts = (0..n as u32).map(NodeId::new).collect();
         let ov = random_overlay(hosts, 6, None, &mut rng);
         let caps = assign_capacities(n, &GNUTELLA_CAPACITY_MIX, &mut rng);
-        (ov, GiaAdaptation::new(caps, GiaConfig::default()), rng)
+        (ov, GiaAdaptation::new(caps), rng)
     }
 
     /// Regression: `capacity()` used to index the fixed-size capacity
@@ -300,13 +283,13 @@ mod tests {
 
     #[test]
     fn degree_budget_scales_with_capacity() {
-        let gia = GiaAdaptation::new(vec![1.0, 10_000.0], GiaConfig::default());
+        let gia = GiaAdaptation::new(vec![1.0, 10_000.0]);
         assert!(gia.max_degree(PeerId::new(1)) > 3 * gia.max_degree(PeerId::new(0)) / 2);
     }
 
     #[test]
     #[should_panic(expected = "positive")]
     fn rejects_zero_capacity() {
-        GiaAdaptation::new(vec![0.0], GiaConfig::default());
+        GiaAdaptation::new(vec![0.0]);
     }
 }

@@ -9,7 +9,7 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use ace_engine::rng::{clamped_normal, exponential, pareto};
+use ace_engine::rng::{clamped_normal, exponential};
 use ace_engine::SimTime;
 
 /// A peer session-lifetime distribution.
@@ -27,18 +27,6 @@ pub enum LifetimeModel {
         std_secs: f64,
         /// Minimum lifetime in seconds (avoids zero-length sessions).
         min_secs: f64,
-    },
-    /// Memoryless sessions.
-    Exponential {
-        /// Mean lifetime in seconds.
-        mean_secs: f64,
-    },
-    /// Heavy-tailed sessions (a few peers stay for a very long time).
-    Pareto {
-        /// Minimum lifetime in seconds.
-        min_secs: f64,
-        /// Tail exponent (> 1 for finite mean).
-        alpha: f64,
     },
 }
 
@@ -61,8 +49,6 @@ impl LifetimeModel {
                 std_secs,
                 min_secs,
             } => clamped_normal(rng, mean_secs, std_secs, min_secs, f64::INFINITY),
-            LifetimeModel::Exponential { mean_secs } => exponential(rng, mean_secs).max(1.0),
-            LifetimeModel::Pareto { min_secs, alpha } => pareto(rng, min_secs, alpha),
         };
         SimTime::from_ticks((secs * SimTime::TICKS_PER_SECOND as f64).round() as u64)
     }
@@ -182,20 +168,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         for _ in 0..2000 {
             assert!(m.sample(&mut rng).as_secs_f64() >= 5.0);
-        }
-    }
-
-    #[test]
-    fn exponential_and_pareto_sample_positive() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let e = LifetimeModel::Exponential { mean_secs: 100.0 };
-        let p = LifetimeModel::Pareto {
-            min_secs: 60.0,
-            alpha: 1.5,
-        };
-        for _ in 0..500 {
-            assert!(e.sample(&mut rng).as_ticks() > 0);
-            assert!(p.sample(&mut rng).as_secs_f64() >= 60.0);
         }
     }
 

@@ -63,7 +63,7 @@ mod serve;
 mod two_tier;
 mod walk;
 
-pub use capacity::{assign_capacities, GiaAdaptation, GiaConfig, GNUTELLA_CAPACITY_MIX};
+pub use capacity::{assign_capacities, GiaAdaptation, GNUTELLA_CAPACITY_MIX};
 pub use churn::{DepartureKind, DepartureModel, LifetimeModel, QueryRate};
 pub use content::{Catalog, ObjectId, Placement};
 pub use hpf::{HpfWeight, PartialFlood};
@@ -82,5 +82,5 @@ pub use serve::{
     serve_batch, serve_sequential, zipf_workload, BatchOutcome, LatencyHistogram, QuerySpec,
     ServeConfig, ServeReport,
 };
-pub use two_tier::{TierRole, TwoTierConfig, TwoTierNetwork};
+pub use two_tier::{TierRole, TwoTierNetwork, CORE_DEGREE};
 pub use walk::{random_walk_query, random_walk_query_traced, WalkConfig, WalkOutcome};

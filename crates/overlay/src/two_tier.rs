@@ -16,28 +16,10 @@ use ace_topology::{Delay, DistancePlane, NodeId};
 use crate::network::{clustered_overlay, Overlay};
 use crate::peer::PeerId;
 
-/// Parameters for [`TwoTierNetwork::build`].
-#[derive(Clone, Copy, Debug)]
-pub struct TwoTierConfig {
-    /// Fraction of peers promoted to supernodes (KaZaA-like: ~5–15%).
-    pub supernode_fraction: f64,
-    /// Average degree of the supernode core overlay.
-    pub core_degree: usize,
-    /// When true, leaves attach to the physically closest supernode
-    /// (capacity-aware KaZaA behavior); when false, to a random one (the
-    /// mismatch-prone default).
-    pub locality_aware_attach: bool,
-}
-
-impl Default for TwoTierConfig {
-    fn default() -> Self {
-        TwoTierConfig {
-            supernode_fraction: 0.1,
-            core_degree: 6,
-            locality_aware_attach: false,
-        }
-    }
-}
+/// Fraction of peers promoted to supernodes (KaZaA-like: ~5–15%).
+const SUPERNODE_FRACTION: f64 = 0.1;
+/// Average degree of the supernode core overlay.
+pub const CORE_DEGREE: usize = 6;
 
 /// Role of one input host in a built [`TwoTierNetwork`] — the mapping
 /// from the flat host list passed to [`TwoTierNetwork::build`] back into
@@ -64,21 +46,17 @@ pub struct TwoTierNetwork {
 }
 
 impl TwoTierNetwork {
-    /// Splits `hosts` into supernodes and leaves and wires both tiers.
+    /// Promotes a tenth of `hosts` (at least two) to supernodes wired as a
+    /// core of average degree [`CORE_DEGREE`], and attaches every other
+    /// host as a leaf of a random supernode (the mismatch-prone KaZaA
+    /// default).
     ///
     /// # Panics
     ///
-    /// Panics if fewer than 2 supernodes would result or the fraction is
-    /// outside `(0, 1]`.
-    pub fn build<R: Rng + ?Sized>(
-        hosts: Vec<NodeId>,
-        cfg: &TwoTierConfig,
-        oracle: &dyn DistancePlane,
-        rng: &mut R,
-    ) -> Self {
-        assert!(cfg.supernode_fraction > 0.0 && cfg.supernode_fraction <= 1.0);
+    /// Panics if no host would be left over as a leaf.
+    pub fn build<R: Rng + ?Sized>(hosts: Vec<NodeId>, rng: &mut R) -> Self {
         let n = hosts.len();
-        let sn_count = ((n as f64 * cfg.supernode_fraction).round() as usize).max(2);
+        let sn_count = ((n as f64 * SUPERNODE_FRACTION).round() as usize).max(2);
         assert!(sn_count < n, "need at least one leaf");
 
         let sn_picks = sample_distinct(rng, n, sn_count);
@@ -100,20 +78,10 @@ impl TwoTierNetwork {
             }
         }
 
-        let core = clustered_overlay(sn_hosts, cfg.core_degree, 0.7, None, rng);
-
-        // Attach leaves.
+        let core = clustered_overlay(sn_hosts, CORE_DEGREE, 0.7, None, rng);
         let assignment: Vec<PeerId> = leaf_hosts
             .iter()
-            .map(|&h| {
-                if cfg.locality_aware_attach {
-                    core.peers()
-                        .min_by_key(|&sn| (oracle.distance(h, core.host(sn)), sn))
-                        .expect("core is non-empty")
-                } else {
-                    PeerId::new(rng.gen_range(0..core.peer_count() as u32))
-                }
-            })
+            .map(|_| PeerId::new(rng.gen_range(0..core.peer_count() as u32)))
             .collect();
         TwoTierNetwork {
             core,
@@ -137,15 +105,12 @@ impl TwoTierNetwork {
     /// one — the supernode-state purge of the churn taxonomy: when a
     /// supernode leaves (or crashes and the loss is detected), its
     /// leaves' index entries die with it, and each orphan re-publishes
-    /// to a new supernode. Attachment follows `locality_aware` just as
-    /// at build time. Returns the re-attached leaf indices; leaves stay
-    /// orphaned (assignment unchanged) only when no live supernode
-    /// remains.
+    /// to a random surviving supernode, as at build time. Returns the
+    /// re-attached leaf indices; leaves stay orphaned (assignment
+    /// unchanged) only when no live supernode remains.
     pub fn reattach_leaves<R: Rng + ?Sized>(
         &mut self,
         departed: PeerId,
-        locality_aware: bool,
-        oracle: &dyn DistancePlane,
         rng: &mut R,
     ) -> Vec<usize> {
         let survivors: Vec<PeerId> = self
@@ -161,17 +126,7 @@ impl TwoTierNetwork {
             if self.assignment[leaf] != departed {
                 continue;
             }
-            let new_sn = if locality_aware {
-                let h = self.leaf_hosts[leaf];
-                survivors
-                    .iter()
-                    .copied()
-                    .min_by_key(|&sn| (oracle.distance(h, self.core.host(sn)), sn))
-                    .expect("survivors is non-empty")
-            } else {
-                survivors[rng.gen_range(0..survivors.len())]
-            };
-            self.assignment[leaf] = new_sn;
+            self.assignment[leaf] = survivors[rng.gen_range(0..survivors.len())];
             moved.push(leaf);
         }
         moved
@@ -197,8 +152,7 @@ impl TwoTierNetwork {
         oracle.distance(self.leaf_hosts[leaf], self.core.host(self.assignment[leaf]))
     }
 
-    /// Mean access-link cost over all leaves — the metric that
-    /// locality-aware attachment improves.
+    /// Mean access-link cost over all leaves.
     pub fn mean_access_cost(&self, oracle: &dyn DistancePlane) -> f64 {
         if self.leaf_hosts.is_empty() {
             return 0.0;
@@ -248,7 +202,6 @@ mod tests {
             &TwoLevelConfig {
                 as_count: 4,
                 nodes_per_as: 60,
-                ..TwoLevelConfig::default()
             },
             &mut rng,
         );
@@ -258,9 +211,9 @@ mod tests {
 
     #[test]
     fn build_splits_tiers_correctly() {
-        let (oracle, hosts) = world();
+        let (_, hosts) = world();
         let mut rng = StdRng::seed_from_u64(9);
-        let tt = TwoTierNetwork::build(hosts, &TwoTierConfig::default(), &oracle, &mut rng);
+        let tt = TwoTierNetwork::build(hosts, &mut rng);
         assert_eq!(tt.supernode_count(), 12);
         assert_eq!(tt.leaf_count(), 108);
         assert!(tt.core.is_connected());
@@ -270,41 +223,10 @@ mod tests {
     }
 
     #[test]
-    fn locality_aware_attachment_shortens_access_links() {
-        let (oracle, hosts) = world();
-        let mut rng = StdRng::seed_from_u64(10);
-        let random = TwoTierNetwork::build(
-            hosts.clone(),
-            &TwoTierConfig {
-                locality_aware_attach: false,
-                ..TwoTierConfig::default()
-            },
-            &oracle,
-            &mut rng,
-        );
-        let mut rng = StdRng::seed_from_u64(10);
-        let near = TwoTierNetwork::build(
-            hosts,
-            &TwoTierConfig {
-                locality_aware_attach: true,
-                ..TwoTierConfig::default()
-            },
-            &oracle,
-            &mut rng,
-        );
-        assert!(
-            near.mean_access_cost(&oracle) < 0.5 * random.mean_access_cost(&oracle),
-            "near {} vs random {}",
-            near.mean_access_cost(&oracle),
-            random.mean_access_cost(&oracle)
-        );
-    }
-
-    #[test]
     fn leaf_query_floods_core_and_pays_access() {
         let (oracle, hosts) = world();
         let mut rng = StdRng::seed_from_u64(11);
-        let tt = TwoTierNetwork::build(hosts, &TwoTierConfig::default(), &oracle, &mut rng);
+        let tt = TwoTierNetwork::build(hosts, &mut rng);
         let qc = QueryConfig {
             ttl: 32,
             stop_at_responder: false,
@@ -316,10 +238,10 @@ mod tests {
 
     #[test]
     fn roles_partition_the_input_hosts() {
-        let (oracle, hosts) = world();
+        let (_, hosts) = world();
         let n = hosts.len();
         let mut rng = StdRng::seed_from_u64(13);
-        let tt = TwoTierNetwork::build(hosts, &TwoTierConfig::default(), &oracle, &mut rng);
+        let tt = TwoTierNetwork::build(hosts, &mut rng);
         let mut sn_seen = vec![false; tt.supernode_count()];
         let mut leaf_seen = vec![false; tt.leaf_count()];
         for i in 0..n {
@@ -345,7 +267,7 @@ mod tests {
     fn departed_supernode_leaves_reattach_to_survivors() {
         let (oracle, hosts) = world();
         let mut rng = StdRng::seed_from_u64(14);
-        let mut tt = TwoTierNetwork::build(hosts, &TwoTierConfig::default(), &oracle, &mut rng);
+        let mut tt = TwoTierNetwork::build(hosts, &mut rng);
         let dead = tt.supernode_of(0);
         let orphans = (0..tt.leaf_count())
             .filter(|&l| tt.supernode_of(l) == dead)
@@ -357,7 +279,7 @@ mod tests {
         let (outcome, total) = tt.query_from_leaf(&oracle, 0, &qc, &FloodAll, |_| true);
         assert_eq!((outcome.scope, outcome.messages), (0, 0));
         assert_eq!(total, f64::from(tt.access_cost(&oracle, 0)));
-        let moved = tt.reattach_leaves(dead, true, &oracle, &mut rng);
+        let moved = tt.reattach_leaves(dead, &mut rng);
         assert_eq!(moved.len(), orphans);
         for l in 0..tt.leaf_count() {
             let sn = tt.supernode_of(l);
@@ -365,22 +287,15 @@ mod tests {
             assert!(tt.core.is_alive(sn), "leaf {l} attached to dead core");
         }
         // Idempotent: nothing left to move.
-        assert!(tt.reattach_leaves(dead, true, &oracle, &mut rng).is_empty());
+        assert!(tt.reattach_leaves(dead, &mut rng).is_empty());
     }
 
+    /// Two hosts make the two-supernode minimum and leave no leaf.
     #[test]
     #[should_panic(expected = "at least one leaf")]
     fn rejects_all_supernodes() {
-        let (oracle, hosts) = world();
+        let (_, hosts) = world();
         let mut rng = StdRng::seed_from_u64(12);
-        TwoTierNetwork::build(
-            hosts,
-            &TwoTierConfig {
-                supernode_fraction: 1.0,
-                ..TwoTierConfig::default()
-            },
-            &oracle,
-            &mut rng,
-        );
+        TwoTierNetwork::build(hosts[..2].to_vec(), &mut rng);
     }
 }

@@ -15,16 +15,14 @@ use ace_topology::{Delay, DistancePlane};
 use crate::network::Overlay;
 use crate::peer::PeerId;
 
-/// Parameters of a k-walker search.
+/// Parameters of a k-walker search. Walkers never step straight back
+/// where they came from while the peer has another neighbor.
 #[derive(Clone, Copy, Debug)]
 pub struct WalkConfig {
     /// Number of parallel walkers.
     pub walkers: usize,
     /// Maximum hops per walker.
     pub max_hops: usize,
-    /// Walkers avoid stepping straight back where they came from when the
-    /// peer has another neighbor.
-    pub avoid_backtrack: bool,
 }
 
 impl Default for WalkConfig {
@@ -34,7 +32,6 @@ impl Default for WalkConfig {
         WalkConfig {
             walkers: 16,
             max_hops: 64,
-            avoid_backtrack: true,
         }
     }
 }
@@ -182,11 +179,7 @@ where
             if nbrs.is_empty() {
                 break;
             }
-            let next = if cfg.avoid_backtrack {
-                choose_step(nbrs, prev, rng)
-            } else {
-                nbrs[rng.gen_range(0..nbrs.len())]
-            };
+            let next = choose_step(nbrs, prev, rng);
             let cost = overlay.link_cost(oracle, at, next);
             on_hop(at, next, cost);
             out.traffic_cost += f64::from(cost);
@@ -260,7 +253,6 @@ mod tests {
         let cfg = WalkConfig {
             walkers: 3,
             max_hops: 10,
-            avoid_backtrack: true,
         };
         let out = random_walk_query(&ov, &oracle, PeerId::new(0), &cfg, |_| false, &mut rng);
         assert!(!out.found());
@@ -275,7 +267,6 @@ mod tests {
         let cfg = WalkConfig {
             walkers: 1,
             max_hops: 100,
-            avoid_backtrack: true,
         };
         let out = random_walk_query(&ov, &oracle, PeerId::new(0), &cfg, |_| true, &mut rng);
         assert_eq!(out.messages, 1, "first step lands on a responder");
@@ -283,7 +274,7 @@ mod tests {
 
     #[test]
     fn no_backtrack_walk_on_line_advances() {
-        // On a path graph with avoid_backtrack the single walker must
+        // On a path graph without backtracking the single walker must
         // march forward deterministically from an endpoint.
         let mut g = Graph::new(5);
         for i in 1..5u32 {
@@ -298,7 +289,6 @@ mod tests {
         let cfg = WalkConfig {
             walkers: 1,
             max_hops: 10,
-            avoid_backtrack: true,
         };
         let out = random_walk_query(
             &ov,
@@ -312,7 +302,7 @@ mod tests {
         assert_eq!(out.messages, 4);
     }
 
-    /// Regression: `avoid_backtrack` used to rejection-sample (`loop {
+    /// Regression: backtrack avoidance used to rejection-sample (`loop {
     /// draw; retry if == prev }`), consuming a *variable* number of RNG
     /// values per hop — on this ring every non-source hop retries with
     /// probability 1/2, so the stream position after a walk depended on
@@ -327,7 +317,6 @@ mod tests {
         let cfg = WalkConfig {
             walkers: 4,
             max_hops: 25,
-            avoid_backtrack: true,
         };
         let out = random_walk_query(&ov, &oracle, PeerId::new(0), &cfg, |_| false, &mut rng);
         assert_eq!(out.messages, 100);
@@ -369,7 +358,6 @@ mod tests {
         let cfg = WalkConfig {
             walkers: 2,
             max_hops: 12,
-            avoid_backtrack: true,
         };
         let mut hops = 0u64;
         let mut cost = 0.0f64;

@@ -13,6 +13,16 @@ use serde::{Deserialize, Serialize};
 use super::{ba, ba_into, BaConfig, DelayModel};
 use crate::graph::{Graph, NodeId};
 
+/// Intra-AS router links added per node after the seed (BA model).
+const INTRA_EDGES_PER_NODE: usize = 2;
+/// AS-level links added per AS after the seed (BA model over ASes).
+const INTER_EDGES_PER_AS: usize = 2;
+/// Delay model for intra-AS links (short: 0.1–1 ms).
+const INTRA_DELAYS: DelayModel = DelayModel::Uniform { lo: 1, hi: 10 };
+/// Delay model for inter-AS links (long: 10–40 ms) — a WAN-vs-LAN ratio
+/// of ~40×.
+const INTER_DELAYS: DelayModel = DelayModel::Uniform { lo: 100, hi: 400 };
+
 /// Parameters for the [`two_level`] generator.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct TwoLevelConfig {
@@ -20,27 +30,14 @@ pub struct TwoLevelConfig {
     pub as_count: usize,
     /// Router nodes per AS (>= 3).
     pub nodes_per_as: usize,
-    /// Intra-AS router links added per node after the seed (BA model).
-    pub intra_edges_per_node: usize,
-    /// AS-level links added per AS after the seed (BA model over ASes).
-    pub inter_edges_per_as: usize,
-    /// Delay model for intra-AS links (short).
-    pub intra_delays: DelayModel,
-    /// Delay model for inter-AS links (long).
-    pub inter_delays: DelayModel,
 }
 
 impl Default for TwoLevelConfig {
-    /// 20 ASes × 500 routers (10,000 nodes); intra links 0.1–1 ms, inter
-    /// links 10–40 ms — a WAN-vs-LAN ratio of ~40×.
+    /// 20 ASes × 500 routers (10,000 nodes).
     fn default() -> Self {
         TwoLevelConfig {
             as_count: 20,
             nodes_per_as: 500,
-            intra_edges_per_node: 2,
-            inter_edges_per_as: 2,
-            intra_delays: DelayModel::Uniform { lo: 1, hi: 10 },
-            inter_delays: DelayModel::Uniform { lo: 100, hi: 400 },
         }
     }
 }
@@ -73,10 +70,10 @@ impl TwoLevelTopology {
 /// Generates a connected two-level AS/router topology.
 ///
 /// Each AS's internal router graph is Barabási–Albert with
-/// `intra_edges_per_node` and `intra_delays`. The AS-level graph is also
-/// Barabási–Albert (over ASes, `inter_edges_per_as` per AS); every AS-level
+/// `INTRA_EDGES_PER_NODE` and `INTRA_DELAYS`. The AS-level graph is also
+/// Barabási–Albert (over ASes, `INTER_EDGES_PER_AS` per AS); every AS-level
 /// edge becomes one router-level link between random gateway routers of the
-/// two ASes, weighted by `inter_delays`.
+/// two ASes, weighted by `INTER_DELAYS`.
 ///
 /// # Examples
 ///
@@ -85,7 +82,7 @@ impl TwoLevelTopology {
 /// use rand::{rngs::StdRng, SeedableRng};
 ///
 /// let mut rng = StdRng::seed_from_u64(1);
-/// let cfg = TwoLevelConfig { as_count: 4, nodes_per_as: 30, ..TwoLevelConfig::default() };
+/// let cfg = TwoLevelConfig { as_count: 4, nodes_per_as: 30 };
 /// let topo = two_level(&cfg, &mut rng);
 /// assert_eq!(topo.graph.node_count(), 120);
 /// assert!(topo.graph.is_connected());
@@ -110,8 +107,8 @@ pub fn two_level<R: Rng + ?Sized>(cfg: &TwoLevelConfig, rng: &mut R) -> TwoLevel
         let intra_cfg = BaConfig {
             nodes: cfg.nodes_per_as,
             seed_nodes: 3.min(cfg.nodes_per_as),
-            edges_per_node: cfg.intra_edges_per_node.clamp(1, 3.min(cfg.nodes_per_as)),
-            delays: cfg.intra_delays,
+            edges_per_node: INTRA_EDGES_PER_NODE.clamp(1, 3.min(cfg.nodes_per_as)),
+            delays: INTRA_DELAYS,
         };
         ba_into(&intra_cfg, rng, &mut g, base);
         for i in 0..cfg.nodes_per_as {
@@ -123,8 +120,8 @@ pub fn two_level<R: Rng + ?Sized>(cfg: &TwoLevelConfig, rng: &mut R) -> TwoLevel
     let backbone_cfg = BaConfig {
         nodes: cfg.as_count,
         seed_nodes: 2.min(cfg.as_count),
-        edges_per_node: cfg.inter_edges_per_as.clamp(1, 2.min(cfg.as_count)),
-        delays: cfg.inter_delays,
+        edges_per_node: INTER_EDGES_PER_AS.clamp(1, 2.min(cfg.as_count)),
+        delays: INTER_DELAYS,
     };
     let backbone = ba(&backbone_cfg, rng);
     for e in backbone.edges() {
@@ -150,7 +147,6 @@ mod tests {
             &TwoLevelConfig {
                 as_count: 5,
                 nodes_per_as: 40,
-                ..TwoLevelConfig::default()
             },
             &mut rng,
         )

@@ -18,9 +18,9 @@
 //!    and at build time the same rows calibrate the observed coordinate
 //!    error (see [`HybridOracle::calibration`]).
 //! 3. **`exact_forced`** — members whose converged Vivaldi confidence
-//!    error exceeds [`HybridConfig::error_threshold`] are badly embedded;
-//!    their queries are answered exactly (rows precomputed at build, count
-//!    capped by [`HybridConfig::forced_cap`], worst errors first).
+//!    error exceeds [`ERROR_THRESHOLD`] are badly embedded; their queries
+//!    are answered exactly (rows precomputed at build, count capped by
+//!    [`FORCED_CAP`], worst errors first).
 //!
 //! Queries touching nodes outside the member set fall through to a
 //! row-capped exact [`DistanceOracle`] (**`exact_fallback`**).
@@ -29,7 +29,7 @@
 //!
 //! Anchor choice, coordinate initialization, training-partner picks, the
 //! audit set and calibration pairs all derive from one
-//! [`ace_engine::digest::fold`] off [`HybridConfig::seed`] — the fold the
+//! [`ace_engine::digest::fold`] off [`SEED`] — the fold the
 //! fault and netem layers draw from too — so two runs (and any worker-thread interleaving)
 //! see identical state. `distance(a, b)` is a pure function of that state
 //! and the pair: tier counters use relaxed atomics and never influence
@@ -39,8 +39,8 @@
 //!
 //! A full Vivaldi embedding samples random member pairs, which would pull
 //! one Dijkstra row per member — exactly the cost wall this type exists to
-//! avoid. Instead members train against a small set of *anchor* members
-//! (default 64): each round, every member springs toward one hash-picked
+//! avoid. Instead members train against a small set of [`ANCHORS`]
+//! *anchor* members: each round, every member springs toward one hash-picked
 //! anchor using the anchor's exact projected row. Anchors train against
 //! each other the same way. Total exact work is `anchors + audit + forced`
 //! Dijkstras, independent of member count; the spring step itself is
@@ -54,56 +54,33 @@ use crate::graph::{Delay, Graph, NodeId};
 use crate::oracle::DistanceOracle;
 use crate::plane::{DistancePlane, PlaneStats};
 use crate::sssp::{self, RadixHeap, UNREACHABLE};
-use crate::vivaldi::spring_update;
+use crate::vivaldi::{spring_update, DIMS};
 
-/// Parameters of the hybrid oracle. `Default` is tuned for the scale
-/// bench: coordinate answers for almost everything, a few dozen exact
-/// rows total regardless of member count.
-#[derive(Clone, Copy, Debug)]
-pub struct HybridConfig {
-    /// Root of the hash chain driving every random-looking decision.
-    pub seed: u64,
-    /// Euclidean dimensions of the embedding.
-    pub dims: usize,
-    /// Training rounds (each member springs once per round).
-    pub rounds: usize,
-    /// Vivaldi error-weighting constant `c_e` (0 < c_e < 1).
-    pub ce: f64,
-    /// Vivaldi timestep constant `c_c` (0 < c_c < 1).
-    pub cc: f64,
-    /// Anchor members used as training partners (clamped to member count).
-    pub anchors: usize,
-    /// Members whose pairs are answered exactly as an audit sample.
-    pub audit_sources: usize,
-    /// Converged confidence error above which a member's queries are
-    /// forced onto the exact tier.
-    pub error_threshold: f64,
-    /// Upper bound on forced-exact members (worst errors first), bounding
-    /// build-time Dijkstra work no matter how badly an embedding went.
-    pub forced_cap: usize,
-    /// Row-cache capacity of the non-member exact fallback oracle.
-    pub fallback_rows: usize,
-    /// Calibration pairs measured at build time.
-    pub calibration_samples: usize,
-}
+/// Root of the hash chain driving every random-looking decision.
+const SEED: u64 = 0xACE5_CA1E;
+/// Training rounds (each member springs once per round).
+const ROUNDS: usize = 192;
+/// Anchor members used as training partners (clamped to member count).
+const ANCHORS: usize = 64;
+/// Members whose pairs are answered exactly as an audit sample.
+const AUDIT_SOURCES: usize = 16;
+/// Converged confidence error above which a member's queries are forced
+/// onto the exact tier.
+const ERROR_THRESHOLD: f64 = 0.5;
+/// Upper bound on forced-exact members (worst errors first), bounding
+/// build-time Dijkstra work no matter how badly an embedding went.
+const FORCED_CAP: usize = 64;
+/// Row-cache capacity of the non-member exact fallback oracle.
+const FALLBACK_ROWS: usize = 32;
+/// Calibration pairs measured at build time.
+const CALIBRATION_SAMPLES: usize = 1024;
 
-impl Default for HybridConfig {
-    fn default() -> Self {
-        HybridConfig {
-            seed: 0xACE5_CA1E,
-            dims: 3,
-            rounds: 192,
-            ce: 0.25,
-            cc: 0.25,
-            anchors: 64,
-            audit_sources: 16,
-            error_threshold: 0.5,
-            forced_cap: 64,
-            fallback_rows: 32,
-            calibration_samples: 1024,
-        }
-    }
-}
+/// Parameters of the hybrid oracle: none are left to set. The plane is
+/// tuned for the scale bench by the constants of this module —
+/// coordinate answers for almost everything, a few dozen exact rows total
+/// regardless of member count — and the Vivaldi spring constants.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct HybridConfig;
 
 /// Observed coordinate accuracy, measured at build time against the audit
 /// rows (relative error of the coordinate estimate vs. truth).
@@ -142,10 +119,10 @@ const TIER_FORCED: u8 = 2;
 /// use rand::{rngs::StdRng, SeedableRng};
 ///
 /// let mut rng = StdRng::seed_from_u64(7);
-/// let cfg = TwoLevelConfig { as_count: 4, nodes_per_as: 50, ..TwoLevelConfig::default() };
+/// let cfg = TwoLevelConfig { as_count: 4, nodes_per_as: 50 };
 /// let topo = two_level(&cfg, &mut rng);
 /// let members: Vec<NodeId> = topo.graph.nodes().step_by(2).collect();
-/// let oracle = HybridOracle::build(topo.graph, &members, &HybridConfig::default());
+/// let oracle = HybridOracle::build(topo.graph, &members, &HybridConfig);
 /// let d = oracle.distance(members[0], members[1]);
 /// assert!(d > 0);
 /// assert!(oracle.plane_stats().total() >= 1);
@@ -157,8 +134,7 @@ pub struct HybridOracle {
     members: Vec<NodeId>,
     /// Graph node -> member slot ([`NOT_MEMBER`] when outside the set).
     member_slot: Vec<u32>,
-    dims: usize,
-    /// Flattened member coordinates (`members.len() * dims`).
+    /// Flattened member coordinates (`members.len() * DIMS`).
     coords: Vec<f64>,
     /// Per-member tier tag.
     tier: Vec<u8>,
@@ -191,6 +167,23 @@ fn sample_slots(seed: u64, tag: u64, n: usize, k: usize) -> Vec<u32> {
     }
     pool.truncate(k);
     pool
+}
+
+/// The coord-tier member slots whose converged confidence error exceeds
+/// [`ERROR_THRESHOLD`], worst first (ties to the lower slot), at most
+/// [`FORCED_CAP`] of them.
+fn forced_slots(tier: &[u8], error: &[f64]) -> Vec<u32> {
+    let mut worst: Vec<u32> = (0..tier.len() as u32)
+        .filter(|&s| tier[s as usize] == TIER_COORD && error[s as usize] > ERROR_THRESHOLD)
+        .collect();
+    worst.sort_by(|&a, &b| {
+        error[b as usize]
+            .partial_cmp(&error[a as usize])
+            .expect("finite errors")
+            .then(a.cmp(&b))
+    });
+    worst.truncate(FORCED_CAP);
+    worst
 }
 
 /// Runs one Dijkstra per source on worker threads (sources are
@@ -232,20 +225,17 @@ fn member_rows(graph: &Graph, members: &[NodeId], sources: &[NodeId]) -> Vec<Del
 impl HybridOracle {
     /// Builds the hybrid plane over `members` (the overlay's peer hosts).
     ///
-    /// Runs `anchors + audit_sources + |forced|` Dijkstras (parallelized
-    /// across cores) and `rounds * members` spring updates; afterwards a
+    /// Runs `ANCHORS + AUDIT_SOURCES + |forced|` Dijkstras (parallelized
+    /// across cores) and `ROUNDS * members` spring updates; afterwards a
     /// query costs `O(dims)` on the coordinate tier and `O(1)` on the
     /// exact tiers.
     ///
     /// # Panics
     ///
-    /// Panics if fewer than two members, a member is out of range or
-    /// duplicated, or the configuration is invalid.
-    pub fn build(graph: Graph, members: &[NodeId], cfg: &HybridConfig) -> Self {
+    /// Panics if fewer than two members, or a member is out of range or
+    /// duplicated.
+    pub fn build(graph: Graph, members: &[NodeId], _: &HybridConfig) -> Self {
         assert!(members.len() >= 2, "need at least two members to embed");
-        assert!(cfg.dims >= 1, "need at least one dimension");
-        assert!(cfg.ce > 0.0 && cfg.ce < 1.0 && cfg.cc > 0.0 && cfg.cc < 1.0);
-        assert!(cfg.anchors >= 2, "need at least two anchors to train");
         let n = graph.node_count();
         let mut member_slot = vec![NOT_MEMBER; n];
         for (slot, m) in members.iter().enumerate() {
@@ -260,20 +250,20 @@ impl HybridOracle {
         // Anchors: a deterministic spread of members, rows computed once
         // and projected onto the member set (the full rows are dropped, so
         // peak memory is one full row per worker thread).
-        let anchor_slots = sample_slots(cfg.seed, 0xA0C0, members.len(), cfg.anchors);
+        let anchor_slots = sample_slots(SEED, 0xA0C0, members.len(), ANCHORS);
         let anchor_nodes: Vec<NodeId> = anchor_slots.iter().map(|&s| members[s as usize]).collect();
         let anchor_rows = member_rows(&graph, members, &anchor_nodes);
 
         // Anchor-trained Vivaldi embedding (see module docs).
-        let dims = cfg.dims;
+        let dims = DIMS;
         let mut coords: Vec<f64> = (0..members.len() * dims)
-            .map(|i| unit(fold(HASH_SEED, &[cfg.seed, 0x1417, i as u64])) * 2.0 - 1.0)
+            .map(|i| unit(fold(HASH_SEED, &[SEED, 0x1417, i as u64])) * 2.0 - 1.0)
             .collect();
         let mut error = vec![1.0f64; members.len()];
-        let mut partner = vec![0.0f64; dims];
-        for round in 0..cfg.rounds {
+        let mut partner = [0.0f64; DIMS];
+        for round in 0..ROUNDS {
             for m in 0..members.len() {
-                let pick = (fold(HASH_SEED, &[cfg.seed, 0x9A1C, round as u64, m as u64]) as usize)
+                let pick = (fold(HASH_SEED, &[SEED, 0x9A1C, round as u64, m as u64]) as usize)
                     % anchor_slots.len();
                 let a_slot = anchor_slots[pick] as usize;
                 if a_slot == m {
@@ -292,8 +282,6 @@ impl HybridOracle {
                     f64::from(rtt),
                     &mut ei,
                     ej,
-                    cfg.ce,
-                    cfg.cc,
                 );
                 error[m] = ei;
             }
@@ -302,20 +290,11 @@ impl HybridOracle {
         // Tier tags: audit sample first (it wins ties), then the worst
         // embedded members up to the forced cap.
         let mut tier = vec![TIER_COORD; members.len()];
-        let audit_slots = sample_slots(cfg.seed, 0xAD17, members.len(), cfg.audit_sources);
+        let audit_slots = sample_slots(SEED, 0xAD17, members.len(), AUDIT_SOURCES);
         for &s in &audit_slots {
             tier[s as usize] = TIER_AUDIT;
         }
-        let mut worst: Vec<u32> = (0..members.len() as u32)
-            .filter(|&s| tier[s as usize] == TIER_COORD && error[s as usize] > cfg.error_threshold)
-            .collect();
-        worst.sort_by(|&a, &b| {
-            error[b as usize]
-                .partial_cmp(&error[a as usize])
-                .expect("finite errors")
-                .then(a.cmp(&b))
-        });
-        worst.truncate(cfg.forced_cap);
+        let worst = forced_slots(&tier, &error);
         for &s in &worst {
             tier[s as usize] = TIER_FORCED;
         }
@@ -346,11 +325,11 @@ impl HybridOracle {
             }
             d2.sqrt()
         };
-        let mut errs: Vec<f64> = Vec::with_capacity(cfg.calibration_samples);
-        for k in 0..cfg.calibration_samples {
+        let mut errs: Vec<f64> = Vec::with_capacity(CALIBRATION_SAMPLES);
+        for k in 0..CALIBRATION_SAMPLES {
             let src = audit_slots
-                [(fold(HASH_SEED, &[cfg.seed, 0xCA11, k as u64]) as usize) % audit_slots.len()];
-            let dst = (fold(HASH_SEED, &[cfg.seed, 0xCA12, k as u64]) as usize) % members.len();
+                [(fold(HASH_SEED, &[SEED, 0xCA11, k as u64]) as usize) % audit_slots.len()];
+            let dst = (fold(HASH_SEED, &[SEED, 0xCA12, k as u64]) as usize) % members.len();
             if src as usize == dst {
                 continue;
             }
@@ -370,10 +349,9 @@ impl HybridOracle {
         };
 
         HybridOracle {
-            fallback: DistanceOracle::with_capacity(graph, cfg.fallback_rows.max(1)),
+            fallback: DistanceOracle::with_capacity(graph, FALLBACK_ROWS),
             members: members.to_vec(),
             member_slot,
-            dims,
             coords,
             tier,
             row_of,
@@ -409,7 +387,7 @@ impl HybridOracle {
 
     /// Coordinate-tier estimate between two member slots.
     fn coord_distance(&self, i: usize, j: usize) -> Delay {
-        let d = self.dims;
+        let d = DIMS;
         let (ci, cj) = (
             &self.coords[i * d..i * d + d],
             &self.coords[j * d..j * d + d],
@@ -485,7 +463,6 @@ mod tests {
             &TwoLevelConfig {
                 as_count: 5,
                 nodes_per_as: 40,
-                ..TwoLevelConfig::default()
             },
             &mut rng,
         );
@@ -496,8 +473,8 @@ mod tests {
     #[test]
     fn answers_are_deterministic_and_symmetric_on_coord_tier() {
         let (g, members) = world();
-        let a = HybridOracle::build(g.clone(), &members, &HybridConfig::default());
-        let b = HybridOracle::build(g, &members, &HybridConfig::default());
+        let a = HybridOracle::build(g.clone(), &members, &HybridConfig);
+        let b = HybridOracle::build(g, &members, &HybridConfig);
         for i in (0..members.len()).step_by(7) {
             for j in (0..members.len()).step_by(11) {
                 let (x, y) = (members[i], members[j]);
@@ -512,7 +489,7 @@ mod tests {
     fn audit_tier_is_exact() {
         let (g, members) = world();
         let exact = DistanceOracle::new(g.clone());
-        let hybrid = HybridOracle::build(g, &members, &HybridConfig::default());
+        let hybrid = HybridOracle::build(g, &members, &HybridConfig);
         let mut audited = 0;
         for &m in &members {
             let slot = hybrid.member_slot[m.index()];
@@ -528,7 +505,7 @@ mod tests {
                 );
             }
         }
-        assert_eq!(audited, HybridConfig::default().audit_sources);
+        assert_eq!(audited, AUDIT_SOURCES);
         let stats = hybrid.plane_stats();
         assert!(stats.exact_sampled > 0);
     }
@@ -537,7 +514,7 @@ mod tests {
     fn coord_tier_tracks_truth_within_calibration() {
         let (g, members) = world();
         let exact = DistanceOracle::new(g.clone());
-        let hybrid = HybridOracle::build(g, &members, &HybridConfig::default());
+        let hybrid = HybridOracle::build(g, &members, &HybridConfig);
         let cal = hybrid.calibration();
         assert!(cal.samples > 500, "calibration starved: {}", cal.samples);
         assert!(
@@ -573,7 +550,7 @@ mod tests {
         let exact = DistanceOracle::new(g.clone());
         // Odd nodes are not members (members are the even step_by(2) set).
         let outsider = NodeId::new(1);
-        let hybrid = HybridOracle::build(g, &members, &HybridConfig::default());
+        let hybrid = HybridOracle::build(g, &members, &HybridConfig);
         assert_eq!(
             hybrid.distance(outsider, members[4]),
             exact.distance(outsider, members[4])
@@ -583,19 +560,20 @@ mod tests {
 
     #[test]
     fn forced_tier_respects_cap_and_threshold() {
+        // Every coord member over the threshold: the cap bounds the set,
+        // worst first; audit members and errors at the threshold stay out.
+        let n = FORCED_CAP + 10;
+        let mut tier = vec![TIER_COORD; n];
+        tier[n - 1] = TIER_AUDIT;
+        let mut error: Vec<f64> = (0..n).map(|s| ERROR_THRESHOLD + 1.0 + s as f64).collect();
+        let forced = forced_slots(&tier, &error);
+        assert_eq!(forced.len(), FORCED_CAP);
+        assert_eq!(forced[0], n as u32 - 2, "worst coord member first");
+        error.fill(ERROR_THRESHOLD);
+        assert!(forced_slots(&tier, &error).is_empty());
+        // A converged embedding should force almost nothing.
         let (g, members) = world();
-        // Absurdly tight threshold: every member would qualify, so the cap
-        // must bound the forced set.
-        let cfg = HybridConfig {
-            error_threshold: 0.0,
-            forced_cap: 5,
-            ..HybridConfig::default()
-        };
-        let hybrid = HybridOracle::build(g.clone(), &members, &cfg);
-        assert_eq!(hybrid.forced_members(), 5);
-        // Loose threshold: a converged embedding should force almost
-        // nothing.
-        let loose = HybridOracle::build(g, &members, &HybridConfig::default());
+        let loose = HybridOracle::build(g, &members, &HybridConfig);
         assert!(
             loose.forced_members() <= members.len() / 4,
             "too many forced members: {}",
@@ -606,7 +584,7 @@ mod tests {
     #[test]
     fn tier_counters_partition_all_queries() {
         let (g, members) = world();
-        let hybrid = HybridOracle::build(g, &members, &HybridConfig::default());
+        let hybrid = HybridOracle::build(g, &members, &HybridConfig);
         let mut queries = 0u64;
         for i in (0..members.len()).step_by(2) {
             for j in (i + 1..members.len()).step_by(9) {
@@ -623,6 +601,6 @@ mod tests {
     #[should_panic(expected = "two members")]
     fn rejects_single_member() {
         let (g, members) = world();
-        let _ = HybridOracle::build(g, &members[..1], &HybridConfig::default());
+        let _ = HybridOracle::build(g, &members[..1], &HybridConfig);
     }
 }

@@ -23,7 +23,7 @@
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
 //! let mut rng = StdRng::seed_from_u64(7);
-//! let cfg = TwoLevelConfig { as_count: 4, nodes_per_as: 50, ..TwoLevelConfig::default() };
+//! let cfg = TwoLevelConfig { as_count: 4, nodes_per_as: 50 };
 //! let topo = two_level(&cfg, &mut rng);
 //! let oracle = DistanceOracle::new(topo.graph.clone());
 //!

@@ -24,20 +24,20 @@ use crate::NodeId;
 /// sensitivity but fails well before estimates become useless.
 pub const VIVALDI_MEDIAN_ERROR_BUDGET: f64 = 0.40;
 
+/// Euclidean dimensions of every embedding (the paper found 2–3
+/// adequate).
+pub(crate) const DIMS: usize = 3;
+/// Error-weighting constant `c_e` of the spring step (0 < c_e < 1).
+const CE: f64 = 0.25;
+/// Timestep constant `c_c` of the spring step (0 < c_c < 1).
+const CC: f64 = 0.25;
+
 /// One Vivaldi spring-relaxation step: nudges coordinate `ci` toward (or
 /// away from) `cj` so their Euclidean distance tracks the measured `rtt`,
 /// and updates node `i`'s confidence error `ei` (Dabek et al., Fig. 3).
 /// Shared by the full [`VivaldiCoords`] embedding and the hybrid oracle's
 /// anchor-trained embedding so the two cannot drift apart.
-pub(crate) fn spring_update(
-    ci: &mut [f64],
-    cj: &[f64],
-    rtt: f64,
-    ei: &mut f64,
-    ej: f64,
-    ce: f64,
-    cc: f64,
-) {
+pub(crate) fn spring_update(ci: &mut [f64], cj: &[f64], rtt: f64, ei: &mut f64, ej: f64) {
     let mut dist2 = 0.0;
     for (a, b) in ci.iter().zip(cj.iter()) {
         let diff = a - b;
@@ -46,8 +46,8 @@ pub(crate) fn spring_update(
     let dist = dist2.sqrt();
     let w = *ei / (*ei + ej).max(1e-12);
     let es = (dist - rtt).abs() / rtt;
-    *ei = es * ce * w + *ei * (1.0 - ce * w);
-    let delta = cc * w;
+    *ei = es * CE * w + *ei * (1.0 - CE * w);
+    let delta = CC * w;
     // Move along the spring force.
     for (d, a) in ci.iter_mut().enumerate() {
         let dir = if dist > 1e-9 {
@@ -64,27 +64,17 @@ pub(crate) fn spring_update(
     }
 }
 
-/// Parameters of the Vivaldi embedding.
+/// Parameters of the Vivaldi embedding. The dimensions and spring
+/// constants are fixed (`DIMS`, `CE`, `CC`).
 #[derive(Clone, Copy, Debug)]
 pub struct VivaldiConfig {
-    /// Euclidean dimensions (2–5 typical; the paper found 2–3 adequate).
-    pub dims: usize,
     /// Update rounds; each round every node samples one measurement.
     pub rounds: usize,
-    /// Error-weighting constant `c_e` (0 < c_e < 1).
-    pub ce: f64,
-    /// Timestep constant `c_c` (0 < c_c < 1).
-    pub cc: f64,
 }
 
 impl Default for VivaldiConfig {
     fn default() -> Self {
-        VivaldiConfig {
-            dims: 3,
-            rounds: 64,
-            ce: 0.25,
-            cc: 0.25,
-        }
+        VivaldiConfig { rounds: 64 }
     }
 }
 
@@ -105,7 +95,7 @@ impl VivaldiCoords {
     ///
     /// # Panics
     ///
-    /// Panics if fewer than 2 nodes or an invalid configuration.
+    /// Panics if fewer than 2 nodes.
     pub fn compute<R: Rng + ?Sized>(
         oracle: &DistanceOracle,
         nodes: &[NodeId],
@@ -113,11 +103,9 @@ impl VivaldiCoords {
         rng: &mut R,
     ) -> Self {
         assert!(nodes.len() >= 2, "need at least two nodes to embed");
-        assert!(cfg.dims >= 1, "need at least one dimension");
-        assert!(cfg.ce > 0.0 && cfg.ce < 1.0 && cfg.cc > 0.0 && cfg.cc < 1.0);
         let n = nodes.len();
         let mut coords: Vec<Vec<f64>> = (0..n)
-            .map(|_| (0..cfg.dims).map(|_| rng.gen_range(-1.0..1.0)).collect())
+            .map(|_| (0..DIMS).map(|_| rng.gen_range(-1.0..1.0)).collect())
             .collect();
         let mut error = vec![1.0f64; n];
 
@@ -143,7 +131,7 @@ impl VivaldiCoords {
                 };
                 let (ei, ej) = (error[i], error[j]);
                 let mut ei_new = ei;
-                spring_update(ci, cj, rtt, &mut ei_new, ej, cfg.ce, cfg.cc);
+                spring_update(ci, cj, rtt, &mut ei_new, ej);
                 error[i] = ei_new;
             }
         }
@@ -231,7 +219,6 @@ mod tests {
             &TwoLevelConfig {
                 as_count: 5,
                 nodes_per_as: 40,
-                ..TwoLevelConfig::default()
             },
             &mut rng,
         );
@@ -243,10 +230,7 @@ mod tests {
     fn embedding_converges_to_useful_accuracy() {
         let (oracle, nodes) = world();
         let mut rng = StdRng::seed_from_u64(6);
-        let cfg = VivaldiConfig {
-            rounds: 128,
-            ..VivaldiConfig::default()
-        };
+        let cfg = VivaldiConfig { rounds: 128 };
         let v = VivaldiCoords::compute(&oracle, &nodes, &cfg, &mut rng);
         let err = v.median_relative_error(&oracle, 400, &mut rng);
         assert!(err < 0.5, "median relative error {err}");
@@ -265,25 +249,10 @@ mod tests {
     fn more_rounds_do_not_hurt() {
         let (oracle, nodes) = world();
         let mut rng = StdRng::seed_from_u64(7);
-        let short = VivaldiCoords::compute(
-            &oracle,
-            &nodes,
-            &VivaldiConfig {
-                rounds: 8,
-                ..VivaldiConfig::default()
-            },
-            &mut rng,
-        );
+        let short = VivaldiCoords::compute(&oracle, &nodes, &VivaldiConfig { rounds: 8 }, &mut rng);
         let mut rng2 = StdRng::seed_from_u64(7);
-        let long = VivaldiCoords::compute(
-            &oracle,
-            &nodes,
-            &VivaldiConfig {
-                rounds: 128,
-                ..VivaldiConfig::default()
-            },
-            &mut rng2,
-        );
+        let long =
+            VivaldiCoords::compute(&oracle, &nodes, &VivaldiConfig { rounds: 128 }, &mut rng2);
         let mut erng = StdRng::seed_from_u64(8);
         let e_short = short.median_relative_error(&oracle, 300, &mut erng);
         let mut erng = StdRng::seed_from_u64(8);
@@ -305,10 +274,7 @@ mod tests {
     fn near_pairs_estimated_closer_than_far_pairs() {
         let (oracle, nodes) = world();
         let mut rng = StdRng::seed_from_u64(10);
-        let cfg = VivaldiConfig {
-            rounds: 128,
-            ..VivaldiConfig::default()
-        };
+        let cfg = VivaldiConfig { rounds: 128 };
         let v = VivaldiCoords::compute(&oracle, &nodes, &cfg, &mut rng);
         // Average same-AS estimate vs cross-AS estimate (nodes are spaced
         // evenly, 20 per AS after the step_by).
@@ -343,10 +309,7 @@ mod tests {
     fn median_error_stays_within_recorded_budget() {
         let (oracle, nodes) = world();
         let mut rng = StdRng::seed_from_u64(6);
-        let cfg = VivaldiConfig {
-            rounds: 128,
-            ..VivaldiConfig::default()
-        };
+        let cfg = VivaldiConfig { rounds: 128 };
         let v = VivaldiCoords::compute(&oracle, &nodes, &cfg, &mut rng);
         let err = v.median_relative_error(&oracle, 400, &mut rng);
         assert!(

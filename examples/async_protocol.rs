@@ -19,7 +19,6 @@ fn main() {
         &TwoLevelConfig {
             as_count: 6,
             nodes_per_as: 100,
-            ..TwoLevelConfig::default()
         },
         &mut rng,
     );

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example depth_tradeoff [R]`
 
-use ace_core::experiments::{depth_sweep, DepthSweepConfig, PhysKind, ScenarioConfig};
+use ace_core::experiments::{depth_sweep, DepthSweepConfig, ScenarioConfig};
 use ace_core::min_effective_depth;
 
 fn main() {
@@ -15,10 +15,8 @@ fn main() {
 
     let cfg = DepthSweepConfig {
         scenario: ScenarioConfig {
-            phys: PhysKind::TwoLevel {
-                as_count: 6,
-                nodes_per_as: 100,
-            },
+            as_count: 6,
+            nodes_per_as: 100,
             peers: 250,
             avg_degree: 6,
             seed: 31,

@@ -5,15 +5,13 @@
 //!
 //! Run with: `cargo run --release --example file_sharing`
 
-use ace_core::experiments::{dynamic_run, DynamicConfig, PhysKind, ScenarioConfig};
+use ace_core::experiments::{dynamic_run, DynamicConfig, ScenarioConfig};
 use ace_core::AceConfig;
 
 fn main() {
     let scenario = ScenarioConfig {
-        phys: PhysKind::TwoLevel {
-            as_count: 8,
-            nodes_per_as: 150,
-        },
+        as_count: 8,
+        nodes_per_as: 150,
         peers: 400,
         avg_degree: 6,
         objects: 800,

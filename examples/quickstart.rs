@@ -20,7 +20,6 @@ fn main() {
         &TwoLevelConfig {
             as_count: 8,
             nodes_per_as: 100,
-            ..TwoLevelConfig::default()
         },
         &mut rng,
     );

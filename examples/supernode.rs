@@ -6,7 +6,7 @@
 //! Run with: `cargo run --release --example supernode`
 
 use ace_core::{AceConfig, AceEngine, AceForward};
-use ace_overlay::{FloodAll, QueryConfig, TwoTierConfig, TwoTierNetwork};
+use ace_overlay::{FloodAll, QueryConfig, TwoTierNetwork};
 use ace_topology::generate::{two_level, TwoLevelConfig};
 use ace_topology::DistanceOracle;
 use rand::rngs::StdRng;
@@ -18,14 +18,13 @@ fn main() {
         &TwoLevelConfig {
             as_count: 8,
             nodes_per_as: 120,
-            ..TwoLevelConfig::default()
         },
         &mut rng,
     );
     let oracle = DistanceOracle::new(topo.graph);
     let hosts = oracle.graph().nodes().take(400).collect();
 
-    let mut net = TwoTierNetwork::build(hosts, &TwoTierConfig::default(), &oracle, &mut rng);
+    let mut net = TwoTierNetwork::build(hosts, &mut rng);
     println!(
         "two-tier network: {} supernodes, {} leaves, mean access link {:.0}",
         net.supernode_count(),

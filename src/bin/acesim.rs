@@ -12,9 +12,7 @@
 use std::collections::HashMap;
 use std::process::ExitCode;
 
-use ace_core::experiments::{
-    dynamic_run, static_run, DynamicConfig, PhysKind, ScenarioConfig, StaticConfig,
-};
+use ace_core::experiments::{dynamic_run, static_run, DynamicConfig, ScenarioConfig, StaticConfig};
 use ace_core::{AceConfig, ReplacePolicy};
 use ace_topology::generate::{ba, two_level, BaConfig, TwoLevelConfig};
 use ace_topology::{analysis, Graph};
@@ -105,7 +103,6 @@ fn cmd_generate(flags: &HashMap<String, String>) -> Result<(), String> {
                 &TwoLevelConfig {
                     as_count: 10,
                     nodes_per_as: per_as,
-                    ..TwoLevelConfig::default()
                 },
                 &mut rng,
             )
@@ -179,10 +176,8 @@ fn cmd_optimize(flags: &HashMap<String, String>) -> Result<(), String> {
     };
     let cfg = StaticConfig {
         scenario: ScenarioConfig {
-            phys: PhysKind::TwoLevel {
-                as_count: 10,
-                nodes_per_as: (peers * 5 / 10).max(20),
-            },
+            as_count: 10,
+            nodes_per_as: (peers * 5 / 10).max(20),
             peers,
             avg_degree: degree,
             seed,
@@ -236,10 +231,8 @@ fn cmd_dynamic(flags: &HashMap<String, String>) -> Result<(), String> {
         .then(|| get_at_least(flags, "cache", 0, 1))
         .transpose()?;
     let scenario = ScenarioConfig {
-        phys: PhysKind::TwoLevel {
-            as_count: 8,
-            nodes_per_as: (peers / 2).max(20),
-        },
+        as_count: 8,
+        nodes_per_as: (peers / 2).max(20),
         peers,
         seed,
         ..ScenarioConfig::default()

@@ -7,8 +7,7 @@
 //! * [`topology`] — physical-network substrate (generators, shortest paths);
 //! * [`engine`] — discrete-event simulation core;
 //! * [`overlay`] — Gnutella-like overlay, churn, content, flooding search;
-//! * [`core`] — ACE itself (cost tables, closures, trees, reconnection);
-//! * [`metrics`] — statistics and experiment records.
+//! * [`core`] — ACE itself (cost tables, closures, trees, reconnection).
 //!
 //! See the repository README for a tour and `crates/bench` for the
 //! figure-reproduction harness.
@@ -18,6 +17,5 @@
 
 pub use ace_core as core;
 pub use ace_engine as engine;
-pub use ace_metrics as metrics;
 pub use ace_overlay as overlay;
 pub use ace_topology as topology;

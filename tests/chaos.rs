@@ -11,14 +11,14 @@
 //! * the auditor green again after the last partition heals plus a full
 //!   repair window — soft-state refresh must actually reconcile;
 //! * the chaos ledger identity: every transmission the wire carried —
-//!   original, injected duplicate, ARQ retransmission or fault
-//!   write-off — appears in the overhead ledger, wasted or not.
+//!   original, injected duplicate or ARQ retransmission — appears in
+//!   the overhead ledger, wasted or not.
 //!
 //! On failure proptest shrinks toward a minimal wire + churn schedule
 //! and persists the seed in `chaos.proptest-regressions`.
 
-use ace_core::experiments::{PhysKind, Scenario, ScenarioConfig};
-use ace_core::protocol::{AsyncAceSim, ProtoConfig};
+use ace_core::experiments::{Scenario, ScenarioConfig};
+use ace_core::protocol::{AsyncAceSim, ProtoConfig, REPAIR_PERIODS};
 use ace_core::{NetemConfig, Partition, PartitionKind};
 use ace_engine::SimTime;
 use ace_overlay::PeerId;
@@ -71,7 +71,8 @@ proptest! {
         ops in arb_ops(),
     ) {
         let scenario = ScenarioConfig {
-            phys: PhysKind::TwoLevel { as_count: 4, nodes_per_as: 60 },
+            as_count: 4,
+            nodes_per_as: 60,
             peers: 50,
             avg_degree: 6,
             objects: 20,
@@ -92,7 +93,7 @@ proptest! {
             ..ProtoConfig::default()
         };
         let period = cfg.timing.cycle_period;
-        let repair = cfg.timing.repair_periods * period;
+        let repair = REPAIR_PERIODS * period;
         let mut sim = AsyncAceSim::new(s.overlay, cfg, seed ^ 0xc4a0);
         let oracle = s.oracle;
 
@@ -141,12 +142,11 @@ proptest! {
         let st = *sim.netem_stats();
         prop_assert_eq!(
             sim.ledger().total_count(),
-            st.sent + st.duplicated + st.retransmits + st.fault_retries,
-            "chaos ledger identity: sent {} dup {} rtx {} fault {}",
+            st.sent + st.duplicated + st.retransmits,
+            "chaos ledger identity: sent {} dup {} rtx {}",
             st.sent,
             st.duplicated,
-            st.retransmits,
-            st.fault_retries
+            st.retransmits
         );
     }
 }

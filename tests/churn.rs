@@ -1,15 +1,13 @@
 //! Integration tests for the dynamic (churning) environment.
 
-use ace_core::experiments::{dynamic_run, DynamicConfig, PhysKind, ScenarioConfig};
+use ace_core::experiments::{dynamic_run, DynamicConfig, ScenarioConfig};
 use ace_core::{AceConfig, FaultConfig, OverheadKind};
 use ace_overlay::{DepartureModel, LifetimeModel, QueryRate};
 
 fn base(seed: u64, ace: Option<AceConfig>) -> DynamicConfig {
     let scenario = ScenarioConfig {
-        phys: PhysKind::TwoLevel {
-            as_count: 4,
-            nodes_per_as: 50,
-        },
+        as_count: 4,
+        nodes_per_as: 50,
         peers: 80,
         avg_degree: 6,
         objects: 60,
@@ -100,10 +98,8 @@ fn forwarding_survives_unannounced_crashes() {
     use rand::Rng;
 
     let scenario = ScenarioConfig {
-        phys: PhysKind::TwoLevel {
-            as_count: 4,
-            nodes_per_as: 50,
-        },
+        as_count: 4,
+        nodes_per_as: 50,
         peers: 80,
         avg_degree: 6,
         objects: 40,
@@ -194,10 +190,8 @@ fn faulty_rounds_hold_invariants_explicitly() {
 
     for workers in [1usize, 4] {
         let scenario = ScenarioConfig {
-            phys: PhysKind::TwoLevel {
-                as_count: 4,
-                nodes_per_as: 50,
-            },
+            as_count: 4,
+            nodes_per_as: 50,
             peers: 80,
             avg_degree: 6,
             objects: 40,
@@ -211,12 +205,9 @@ fn faulty_rounds_hold_invariants_explicitly() {
             workers,
             faults: Some(FaultConfig {
                 probe_loss: 0.2,
-                max_retries: 2,
-                backoff: 1.5,
                 crash: 0.02,
                 leave: 0.02,
                 rejoin: 0.4,
-                rejoin_attach: 3,
                 seed: 91,
             }),
             ..AceConfig::paper_default()

@@ -3,7 +3,7 @@
 use ace_core::experiments::differential::DEFAULT_BAND as DIFF_BAND;
 use ace_core::experiments::{
     differential_run, ChurnKind as DiffChurnKind, ChurnStep, DifferentialConfig, OverlayKind,
-    PhysKind, Scenario, ScenarioConfig,
+    Scenario, ScenarioConfig,
 };
 use ace_core::mst::{kruskal, prim, prim_heap, ClosureEdge};
 use ace_core::{AceConfig, AceEngine, AceForward, Closure, FaultConfig};
@@ -21,10 +21,8 @@ fn arb_scenario() -> impl Strategy<Value = ScenarioConfig> {
         0usize..3,
     )
         .prop_map(|(ases, peers, degree, seed, kind)| ScenarioConfig {
-            phys: PhysKind::TwoLevel {
-                as_count: ases,
-                nodes_per_as: 50,
-            },
+            as_count: ases,
+            nodes_per_as: 50,
             peers,
             avg_degree: degree,
             overlay: match kind {
@@ -182,7 +180,7 @@ proptest! {
     fn random_walk_accounting_is_consistent(cfg in arb_scenario(), walkers in 1usize..8, hops in 1usize..40) {
         use ace_overlay::{random_walk_query, WalkConfig};
         let mut s = Scenario::build(&cfg);
-        let wc = WalkConfig { walkers, max_hops: hops, avoid_backtrack: true };
+        let wc = WalkConfig { walkers, max_hops: hops };
         let out = random_walk_query(&s.overlay, &s.oracle, PeerId::new(0), &wc, |_| false, &mut s.rng);
         prop_assert!(out.messages <= (walkers * hops) as u64);
         prop_assert!(out.peers_visited as u64 <= out.messages + 1);
@@ -193,10 +191,10 @@ proptest! {
     /// cover the whole core.
     #[test]
     fn two_tier_structure_is_sound(cfg in arb_scenario()) {
-        use ace_overlay::{TwoTierConfig, TwoTierNetwork};
+        use ace_overlay::TwoTierNetwork;
         let mut s = Scenario::build(&cfg);
         let hosts: Vec<_> = s.overlay.peers().map(|p| s.overlay.host(p)).collect();
-        let tt = TwoTierNetwork::build(hosts, &TwoTierConfig::default(), &s.oracle, &mut s.rng);
+        let tt = TwoTierNetwork::build(hosts, &mut s.rng);
         prop_assert!(tt.core.is_connected());
         prop_assert_eq!(tt.leaf_count() + tt.supernode_count(), cfg.peers);
         let qc = QueryConfig { ttl: 32, stop_at_responder: false };
@@ -289,7 +287,8 @@ proptest! {
         fault_seed in any::<u64>(),
     ) {
         let scenario = ScenarioConfig {
-            phys: PhysKind::TwoLevel { as_count: 3, nodes_per_as: 40 },
+            as_count: 3,
+            nodes_per_as: 40,
             peers: 50,
             avg_degree: 5,
             objects: 20,
@@ -299,12 +298,9 @@ proptest! {
         };
         let faults = FaultConfig {
             probe_loss: 0.15,
-            max_retries: 2,
-            backoff: 1.5,
             crash: 0.03,
             leave: 0.03,
             rejoin: 0.5,
-            rejoin_attach: 3,
             seed: fault_seed,
         };
         let run = |workers: usize| {
@@ -346,7 +342,8 @@ proptest! {
     ) {
         use ace_core::AutoRateConfig;
         let scenario = ScenarioConfig {
-            phys: PhysKind::TwoLevel { as_count: 3, nodes_per_as: 40 },
+            as_count: 3,
+            nodes_per_as: 40,
             peers: 50,
             avg_degree: 5,
             objects: 20,
@@ -356,12 +353,9 @@ proptest! {
         };
         let faults = FaultConfig {
             probe_loss: 0.15,
-            max_retries: 2,
-            backoff: 1.5,
             crash: 0.03,
             leave: 0.03,
             rejoin: 0.5,
-            rejoin_attach: 3,
             seed: fault_seed,
         };
         let run = |workers: usize| {
@@ -370,7 +364,7 @@ proptest! {
                 parallel: true,
                 workers,
                 faults: Some(faults),
-                autorate: Some(AutoRateConfig::default()),
+                autorate: Some(AutoRateConfig),
                 ..AceConfig::paper_default()
             };
             let mut ace = AceEngine::new(s.overlay.peer_count(), cfg);
@@ -395,7 +389,7 @@ proptest! {
     }
 
     /// Whatever churn interleaving hits the controller, its soft state
-    /// stays bounded: every interval inside the clamped `[r_min, r_max]`
+    /// stays bounded: every interval inside the clamped `[R_MIN, R_MAX]`
     /// window, bytes never past the budget, and the invariant auditor
     /// (dead-incarnation refs, budget accounting) stays green.
     #[test]
@@ -403,12 +397,12 @@ proptest! {
         cfg in arb_scenario(),
         ops in arb_churn_ops(),
     ) {
+        use ace_core::autorate::{BYTE_BUDGET, R_MAX, R_MIN};
         use ace_core::AutoRateConfig;
-        let auto = AutoRateConfig::default();
         let mut s = Scenario::build(&cfg);
         let mut ace = AceEngine::new(
             s.overlay.peer_count(),
-            AceConfig { autorate: Some(auto), ..AceConfig::paper_default() },
+            AceConfig { autorate: Some(AutoRateConfig), ..AceConfig::paper_default() },
         );
         ace.note_traffic(100.0, 40.0);
         ace.round(&mut s.overlay, &s.oracle, &mut s.rng);
@@ -451,14 +445,14 @@ proptest! {
             for p in s.overlay.peers() {
                 if let Some(iv) = ctrl.interval_of(p) {
                     prop_assert!(
-                        (auto.r_min..=auto.r_max).contains(&iv),
-                        "interval {} escaped [{}, {}]", iv, auto.r_min, auto.r_max
+                        (R_MIN..=R_MAX).contains(&iv),
+                        "interval {} escaped [{}, {}]", iv, R_MIN, R_MAX
                     );
                 }
             }
             let stats = ace.controller_stats();
-            prop_assert!(stats.soft_state_bytes <= auto.byte_budget);
-            prop_assert!(stats.high_water_bytes <= auto.byte_budget);
+            prop_assert!(stats.soft_state_bytes <= BYTE_BUDGET);
+            prop_assert!(stats.high_water_bytes <= BYTE_BUDGET);
             if let Err(e) = ace.check_invariants(&s.overlay) {
                 prop_assert!(false, "engine auditor failed: {}", e);
             }
@@ -496,7 +490,8 @@ proptest! {
     ) {
         let cfg = DifferentialConfig {
             scenario: ScenarioConfig {
-                phys: PhysKind::TwoLevel { as_count: 4, nodes_per_as: 60 },
+                as_count: 4,
+                nodes_per_as: 60,
                 peers,
                 avg_degree: 6,
                 objects: 30,
@@ -590,7 +585,7 @@ proptest! {
         use ace_overlay::{random_walk_query, WalkConfig};
 
         let s = Scenario::build(&cfg);
-        let wc = WalkConfig { walkers, max_hops, avoid_backtrack: true };
+        let wc = WalkConfig { walkers, max_hops };
         let mut rng = StdRng::seed_from_u64(wseed);
         let mut probe = rng.clone();
         let out = random_walk_query(&s.overlay, &s.oracle, PeerId::new(0), &wc,

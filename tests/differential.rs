@@ -12,15 +12,13 @@
 
 use ace_core::experiments::differential::{DEFAULT_BAND, LOSSY_WIRE_MAX_LOSS};
 use ace_core::experiments::{
-    differential_run, ChurnKind, ChurnStep, DifferentialConfig, PhysKind, ScenarioConfig,
+    differential_run, ChurnKind, ChurnStep, DifferentialConfig, ScenarioConfig,
 };
 
 fn scenario(peers: usize, seed: u64) -> ScenarioConfig {
     ScenarioConfig {
-        phys: PhysKind::TwoLevel {
-            as_count: 4,
-            nodes_per_as: 60,
-        },
+        as_count: 4,
+        nodes_per_as: 60,
         peers,
         avg_degree: 6,
         objects: 30,

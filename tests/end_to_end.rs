@@ -2,17 +2,15 @@
 //! overlay → ACE optimization → measured search behavior.
 
 use ace_core::experiments::{
-    measure_queries, static_run, OverlayKind, PhysKind, Scenario, ScenarioConfig, StaticConfig,
+    measure_queries, static_run, OverlayKind, Scenario, ScenarioConfig, StaticConfig,
 };
 use ace_core::{AceConfig, AceEngine, AceForward, ReplacePolicy};
 use ace_overlay::{zipf_workload, FloodAll};
 
 fn small_world(seed: u64) -> ScenarioConfig {
     ScenarioConfig {
-        phys: PhysKind::TwoLevel {
-            as_count: 5,
-            nodes_per_as: 60,
-        },
+        as_count: 5,
+        nodes_per_as: 60,
         peers: 100,
         avg_degree: 6,
         overlay: OverlayKind::Clustered,

@@ -35,7 +35,7 @@
 
 use ace_bench::figures::FIGURES;
 use ace_bench::Scale;
-use ace_core::experiments::{PhysKind, Scenario, ScenarioConfig};
+use ace_core::experiments::{Scenario, ScenarioConfig};
 use ace_core::{
     AceConfig, AceEngine, AceForward, AutoRateConfig, FaultConfig, RateController, RateSample,
     ReplacePolicy, RoundStats,
@@ -122,10 +122,8 @@ golden! {
 /// under `peers` peers.
 fn world(as_count: usize, nodes_per_as: usize, peers: usize, seed: u64) -> Scenario {
     Scenario::build(&ScenarioConfig {
-        phys: PhysKind::TwoLevel {
-            as_count,
-            nodes_per_as,
-        },
+        as_count,
+        nodes_per_as,
         peers,
         avg_degree: 5,
         objects: 20,
@@ -138,12 +136,9 @@ fn world(as_count: usize, nodes_per_as: usize, peers: usize, seed: u64) -> Scena
 fn faults(seed: u64) -> FaultConfig {
     FaultConfig {
         probe_loss: 0.15,
-        max_retries: 2,
-        backoff: 1.5,
         crash: 0.03,
         leave: 0.03,
         rejoin: 0.4,
-        rejoin_attach: 3,
         seed,
     }
 }
@@ -225,7 +220,7 @@ fn schedule(depth: u8, with_faults: bool, autorate: bool, parallel: bool, worker
                     depth,
                     policy,
                     faults: with_faults.then(|| faults(seed)),
-                    autorate: autorate.then(AutoRateConfig::default),
+                    autorate: autorate.then_some(AutoRateConfig),
                     parallel,
                     workers,
                     ..AceConfig::paper_default()
@@ -524,7 +519,7 @@ fn joins() -> u64 {
 /// 5,000 peers fed for four periods into a controller that holds 780:
 /// every period evicts down to the budget.
 fn evictions() -> u64 {
-    let mut c = RateController::new(AutoRateConfig::default());
+    let mut c = RateController::default();
     let sample = RateSample {
         overhead: 5000.0,
         ..RateSample::default()

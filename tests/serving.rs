@@ -2,7 +2,7 @@
 //! determinism against the sequential single-query path, and the
 //! dead-source skip contract under engine-level churn.
 
-use ace_core::experiments::{OverlayKind, PhysKind, Scenario, ScenarioConfig};
+use ace_core::experiments::{OverlayKind, Scenario, ScenarioConfig};
 use ace_core::{AceConfig, AceEngine, AceForward};
 use ace_overlay::{
     serve_batch, serve_sequential, zipf_workload, FloodAll, QueryConfig, ServeConfig,
@@ -22,10 +22,8 @@ fn arb_world() -> impl Strategy<Value = (ScenarioConfig, u8)> {
         .prop_map(|(ases, peers, degree, seed, kind, ttl)| {
             (
                 ScenarioConfig {
-                    phys: PhysKind::TwoLevel {
-                        as_count: ases,
-                        nodes_per_as: 40,
-                    },
+                    as_count: ases,
+                    nodes_per_as: 40,
                     peers,
                     avg_degree: degree,
                     overlay: match kind {

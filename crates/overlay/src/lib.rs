@@ -15,8 +15,8 @@
 //!   here; ACE's tree policy lives in `ace-core`) — and its two drivers:
 //!   [`run_query`] / [`run_query_into`] measure one query (scope, traffic
 //!   cost, duplicates, response time, per-peer arrivals), and
-//!   [`serve_batch`] serves a workload (SoA per-slot state, bitset
-//!   duplicate-drop, worker shards with per-peer inbox accounting),
+//!   [`serve_batch`] serves a workload (SoA per-slot state, worker
+//!   shards with per-peer inbox accounting),
 //!   bit-identical to a sequential single-query sweep for any worker
 //!   count;
 //! * [`run_query_traced`] — the kernel's per-transmission tracer, which
@@ -54,6 +54,8 @@ mod churn;
 mod content;
 mod hpf;
 mod index_cache;
+#[cfg(test)]
+mod kernel_model;
 mod link_load;
 mod message;
 mod network;

@@ -10,13 +10,20 @@
 //!
 //! One kernel, two drivers, one tracer. [`propagate`] is the only
 //! propagation loop in the workspace: it owns the event heap and its
-//! order, TTL, responder handling and the per-query totals, and asks its
-//! caller two things — *was this arrival the first at that peer?* (the
-//! caller owns the visited set) and *here is a transmission and its
-//! cost*. [`run_query_into`] drives it with arrival times as the visited
-//! set, [`crate::serve_batch`] with a per-shard bitset; per-link load is
-//! what [`run_query_traced`]'s `on_send` sees, an output of the kernel
-//! rather than a policy wrapped around it.
+//! order, the visited set, TTL, responder handling and the per-query
+//! totals, and tells its caller two things — *this peer received the
+//! query, first or not* and *here is a transmission and its cost*. The
+//! kernel owns the visited set; the drivers record receipts:
+//! [`run_query_into`] keeps first-arrival times and parents,
+//! [`crate::serve_batch`] per-peer inbox counts and a hop histogram.
+//! Per-link load is what [`run_query_traced`]'s `on_send` sees, an output
+//! of the kernel rather than a policy wrapped around it.
+//!
+//! A transmission is queued only while it can still be a first arrival:
+//! one to a peer that was already reached, or that arrives no earlier
+//! than a message already queued for that peer, is a duplicate the
+//! moment it is sent, and is counted (and reported) then instead of
+//! being popped later only to be dropped.
 //!
 //! A source that is not alive (departed, or out of range) propagates
 //! nothing: the single-query entry points leave a freshly reset outcome
@@ -203,13 +210,19 @@ impl QueryOutcome {
 /// `(arrival, tie-break seq, to, from, remaining TTL)`.
 type QueryEvent = Reverse<(SimTime, u64, u32, u32, u8)>;
 
-/// Reusable buffers of the propagation kernel: the event heap and the
-/// per-hop forwarding-target list. One scratch amortizes all transient
-/// allocations across the thousands of queries a measurement sweep runs.
+/// Reusable buffers of the propagation kernel: the event heap, the
+/// per-hop forwarding-target list and the per-peer visited state. One
+/// scratch amortizes all transient allocations across the thousands of
+/// queries a measurement sweep runs.
 #[derive(Clone, Debug, Default)]
 pub struct QueryScratch {
     heap: BinaryHeap<QueryEvent>,
     targets: Vec<PeerId>,
+    /// Peers whose first arrival has popped, one bit per peer.
+    seen: Vec<u64>,
+    /// Per peer, the earliest arrival time still queued (`SimTime::MAX`
+    /// when none is).
+    best: Vec<SimTime>,
 }
 
 impl QueryScratch {
@@ -232,15 +245,31 @@ pub(crate) struct QueryTotals {
     pub responders_hit: usize,
 }
 
+/// Word index and mask of peer `i` in a one-bit-per-peer set.
+#[inline]
+fn bit(i: usize) -> (usize, u64) {
+    (i / 64, 1u64 << (i % 64))
+}
+
 /// The propagation kernel: spreads one query from `source` under `policy`
 /// in arrival-time order and returns its totals, or `None` — nothing
 /// propagated, neither callback called — when `source` is not alive.
 ///
-/// `first_arrival(to, from, t)` reports every receipt (`from` is `None`
-/// for the source's own t = 0 event) and answers whether it was the first
-/// at `to`; the caller owns the visited set. `on_send(from, to, cost)`
-/// reports every transmission — duplicates-to-be included — in send
-/// order, after the kernel has charged it.
+/// `on_receipt(to, from, t, first)` reports every receipt (`from` is
+/// `None` for the source's own t = 0 event); `first` is true exactly once
+/// per reached peer, at its first arrival, and those calls come in
+/// arrival order. A duplicate is reported when the kernel knows it is
+/// one: at send time when the target was already reached or already has
+/// a message queued that arrives no later, otherwise when it pops.
+/// `on_send(from, to, cost)` reports every transmission — duplicates
+/// included — in send order, after the kernel has charged it.
+///
+/// Why eliding a send is exact: the heap pops in non-decreasing
+/// `(time, seq)` order and `seq` grows with every push, so a message to a
+/// peer that already popped, or one arriving no earlier than a message
+/// queued before it, can only ever pop as a duplicate. Everything the
+/// first arrivals decide — scope, TTL, forwarding, responders, send
+/// order — is therefore what pushing every message would decide.
 ///
 /// Totals live in locals and the kernel is inlined into each driver so
 /// the callbacks compile down to the field updates they are: flooding is
@@ -255,20 +284,30 @@ pub(crate) fn propagate<P, F, A, S>(
     policy: &P,
     mut is_responder: F,
     scratch: &mut QueryScratch,
-    mut first_arrival: A,
+    mut on_receipt: A,
     mut on_send: S,
 ) -> Option<QueryTotals>
 where
     P: ForwardPolicy + ?Sized,
     F: FnMut(PeerId) -> bool,
-    A: FnMut(PeerId, Option<PeerId>, SimTime) -> bool,
+    A: FnMut(PeerId, Option<PeerId>, SimTime, bool),
     S: FnMut(PeerId, PeerId, Delay),
 {
     if !overlay.is_alive(source) {
         return None;
     }
-    let QueryScratch { heap, targets } = scratch;
+    let QueryScratch {
+        heap,
+        targets,
+        seen,
+        best,
+    } = scratch;
+    let peers = overlay.peer_count();
     heap.clear();
+    seen.clear();
+    seen.resize(peers.div_ceil(64), 0);
+    best.clear();
+    best.resize(peers, SimTime::MAX);
     let (mut scope, mut responders_hit) = (0usize, 0usize);
     let (mut messages, mut duplicates) = (0u64, 0u64);
     let mut traffic_cost = 0.0f64;
@@ -276,6 +315,7 @@ where
     let mut first_responder = None;
     let mut seq = 0u64;
     // Source "receives" its own query at t=0 with the full TTL.
+    best[source.index()] = SimTime::ZERO;
     heap.push(Reverse((
         SimTime::ZERO,
         seq,
@@ -287,10 +327,14 @@ where
     while let Some(Reverse((t, _, to, from, ttl))) = heap.pop() {
         let peer = PeerId::new(to);
         let from_peer = (to != from).then(|| PeerId::new(from));
-        if !first_arrival(peer, from_peer, t) {
+        let (word, mask) = bit(peer.index());
+        let first = seen[word] & mask == 0;
+        on_receipt(peer, from_peer, t, first);
+        if !first {
             duplicates += 1;
             continue;
         }
+        seen[word] |= mask;
         scope += 1;
 
         let mut stop_here = false;
@@ -314,14 +358,18 @@ where
             traffic_cost += f64::from(cost); // query = 1.0 size units
             messages += 1;
             on_send(peer, target, cost);
+            let at = t + u64::from(cost);
+            let (word, mask) = bit(target.index());
+            if seen[word] & mask != 0 || at >= best[target.index()] {
+                // Already reached, or beaten by a message queued earlier
+                // (smaller seq) that arrives no later: a certain duplicate.
+                duplicates += 1;
+                on_receipt(target, Some(peer), at, false);
+                continue;
+            }
+            best[target.index()] = at;
             seq += 1;
-            heap.push(Reverse((
-                t + u64::from(cost),
-                seq,
-                target.raw(),
-                peer.raw(),
-                ttl - 1,
-            )));
+            heap.push(Reverse((at, seq, target.raw(), peer.raw(), ttl - 1)));
         }
     }
     Some(QueryTotals {
@@ -429,8 +477,9 @@ pub fn run_query_into<P, F>(
 }
 
 /// The single-query driver behind every `run_query*` entry point: the
-/// kernel with `out.arrivals` as the visited set. Returns the totals it
-/// wrote into `out`, `None` (and `out` freshly reset) for a dead source.
+/// kernel, recording each first arrival's time and sender into `out`.
+/// Returns the totals it wrote into `out`, `None` (and `out` freshly
+/// reset) for a dead source.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn query_into<P, F, S>(
     overlay: &Overlay,
@@ -457,13 +506,11 @@ where
         policy,
         is_responder,
         scratch,
-        |to, from, t| {
-            let first = out.arrivals[to.index()].is_none();
+        |to, from, t, first| {
             if first {
                 out.arrivals[to.index()] = Some(t);
                 out.parents[to.index()] = from;
             }
-            first
         },
         |from, to, cost| {
             out.sent_by[from.index()] += 1;
@@ -710,57 +757,59 @@ mod tests {
 
     /// One scratch + outcome pair must serve a whole sweep even when the
     /// overlays change size mid-sweep: `QueryOutcome::reset` rewrites the
-    /// per-peer vectors, so shrinking to 3 peers and growing back to 6
-    /// leaves no stale `arrivals`/`parents`/`sent_by` entries observable.
+    /// per-peer vectors, and the kernel's per-peer `seen` and `best`
+    /// arrays live in the scratch. Carried from a 300-peer overlay to a
+    /// 40-peer one, back to 300, and through a query from a departed
+    /// source, it must give every query exactly the outcome a fresh
+    /// scratch gives: a `best` entry or `seen` bit left over from a
+    /// larger or earlier query would elide a first arrival.
     #[test]
     fn scratch_reuse_across_different_peer_counts_leaves_no_stale_state() {
-        let sizes = [6u32, 3, 5, 6];
+        use crate::kernel_model::outcome_key;
+        use crate::network::random_overlay;
+        use ace_topology::generate::{ba, BaConfig};
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+
         let mut scratch = QueryScratch::new();
-        let mut out = QueryOutcome::default();
-        for &n in &sizes {
-            // Line overlay of n peers on a line physical net.
-            let mut g = Graph::new(n as usize);
-            for i in 1..n {
-                g.add_edge(NodeId::new(i - 1), NodeId::new(i), 10).unwrap();
-            }
-            let oracle = DistanceOracle::new(g);
-            let mut ov = Overlay::new((0..n).map(NodeId::new).collect(), None);
-            for i in 1..n {
-                ov.connect(PeerId::new(i - 1), PeerId::new(i)).unwrap();
-            }
-            run_query_into(
-                &ov,
-                &oracle,
-                PeerId::new(0),
-                &QueryConfig::default(),
-                &FloodAll,
-                |_| false,
-                &mut scratch,
-                &mut out,
+        let mut reused = QueryOutcome::default();
+        for (peers, seed) in [(300usize, 1u64), (40, 2), (300, 3)] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let phys = ba(
+                &BaConfig {
+                    nodes: peers * 2,
+                    ..BaConfig::default()
+                },
+                &mut rng,
             );
-            let fresh = run_query(
-                &ov,
-                &oracle,
-                PeerId::new(0),
-                &QueryConfig::default(),
-                &FloodAll,
-                |_| false,
-            );
-            // Sized exactly to this overlay, not a previous (larger) one.
-            assert_eq!(out.arrivals.len(), n as usize);
-            assert_eq!(out.parents.len(), n as usize);
-            assert_eq!(out.sent_by.len(), n as usize);
-            // And bit-identical to a from-scratch run: nothing leaked.
-            assert_eq!(out.scope, fresh.scope);
-            assert_eq!(out.arrivals, fresh.arrivals);
-            assert_eq!(out.parents, fresh.parents);
-            assert_eq!(out.sent_by, fresh.sent_by);
-            assert_eq!(out.traffic_cost, fresh.traffic_cost);
-            assert_eq!(out.messages, fresh.messages);
-            assert_eq!(out.duplicates, fresh.duplicates);
-            assert_eq!(out.first_response, fresh.first_response);
-            assert_eq!(out.first_responder, fresh.first_responder);
-            assert_eq!(out.responders_hit, fresh.responders_hit);
+            let oracle = DistanceOracle::new(phys);
+            let hosts = oracle.graph().nodes().take(peers).collect();
+            let mut ov = random_overlay(hosts, 4, None, &mut rng);
+            let dead = PeerId::new(7);
+            ov.leave(dead).unwrap();
+            let cfg = QueryConfig::default();
+            let responds = |p: PeerId| p.raw() % 11 == 5;
+            for source in [0u32, 7, 1, 39, peers as u32 - 1].map(PeerId::new) {
+                let fresh = run_query(&ov, &oracle, source, &cfg, &FloodAll, responds);
+                run_query_into(
+                    &ov,
+                    &oracle,
+                    source,
+                    &cfg,
+                    &FloodAll,
+                    responds,
+                    &mut scratch,
+                    &mut reused,
+                );
+                // Bit-identical to a from-scratch run, per-peer vectors
+                // sized to this overlay: nothing leaked.
+                assert_eq!(
+                    outcome_key(&reused),
+                    outcome_key(&fresh),
+                    "{peers} peers, source {source:?}"
+                );
+                assert_eq!(fresh.scope == 0, source == dead);
+            }
         }
     }
 

@@ -3,16 +3,16 @@
 //! [`crate::run_query_into`] measures *one* query; this module drives a whole
 //! workload through the overlay and reports its simulated totals. Both
 //! are drivers over the one propagation kernel in `search.rs` — same
-//! loop, same event order, same totals — and differ only in the visited
-//! set they hand it. The design:
+//! loop, same event order, same totals — and differ only in what they
+//! record of the receipts it reports. The design:
 //!
 //! * **SoA batch state** — per-query measurements live in flat arrays of
 //!   [`BatchOutcome`], indexed by query slot, instead of one
 //!   [`QueryOutcome`] struct per query;
-//! * **bitset duplicate-drop** — a shard's visited set is one bit per
-//!   peer instead of the single-query driver's `Vec<Option<SimTime>>`
-//!   (the arrival *time* is only ever needed at first receipt, when the
-//!   kernel hands it over anyway);
+//! * **receipts, not a visited set** — the kernel owns the visited set
+//!   and drops a certain duplicate when it is sent; a shard only counts
+//!   the receipts it reports (every one into the inbox, each first
+//!   arrival's delay into the hop histogram);
 //! * **worker-sharded forwarding** — the workload is cut into
 //!   fixed-size shards of [`ServeConfig::chunk`] query slots, and shards
 //!   are distributed over the PR 1 worker pool
@@ -440,10 +440,9 @@ where
     report
 }
 
-/// Runs one shard of slots on the calling worker thread: the kernel with
-/// a visited bitset (one bit per peer, cleared per slot), counting every
-/// receipt into the shard's inbox and every first receipt's delay into
-/// its hop histogram.
+/// Runs one shard of slots on the calling worker thread: the kernel,
+/// counting every receipt into the shard's inbox and every first
+/// receipt's delay into its hop histogram.
 fn run_shard<P, R>(
     overlay: &Overlay,
     plane: &dyn DistancePlane,
@@ -458,7 +457,6 @@ where
 {
     let peers = overlay.peer_count();
     let mut scratch = QueryScratch::new();
-    let mut visited = vec![0u64; peers.div_ceil(64)];
     let mut out = ShardOut {
         outcome: BatchOutcome::with_capacity(specs.len()),
         inbox: vec![0u64; peers],
@@ -466,7 +464,6 @@ where
         response: LatencyHistogram::new(),
     };
     for spec in specs {
-        visited.fill(0);
         let totals = propagate(
             overlay,
             plane,
@@ -475,18 +472,13 @@ where
             policy,
             |p| is_responder(spec.object, p),
             &mut scratch,
-            |to, from, t| {
-                let word = &mut visited[to.index() / 64];
-                let bit = 1u64 << (to.index() % 64);
-                let first = *word & bit == 0;
-                *word |= bit;
+            |to, from, t, first| {
                 if from.is_some() {
                     out.inbox[to.index()] += 1;
                     if first {
                         out.hop.record(t.as_ticks());
                     }
                 }
-                first
             },
             |_, _, _| {},
         );
@@ -538,11 +530,14 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hpf::{HpfWeight, PartialFlood};
+    use crate::kernel_model::{reference_query, SmallWorld};
     use crate::network::random_overlay;
     use crate::search::FloodAll;
     use ace_engine::rng::splitmix64;
     use ace_topology::generate::{ba, BaConfig};
     use ace_topology::{DistanceOracle, NodeId};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -763,6 +758,88 @@ mod tests {
         // Hop latencies on the line are 10, 20, 30 ticks; p50 rounds into
         // the 20-tick bucket, which is exact at this magnitude.
         assert_eq!(report.hop_latency.quantile(0.5), Some(20));
+    }
+
+    /// `serve_batch` of one query from every source (out-of-range and
+    /// departed ones included) against the push-every-message model
+    /// (`kernel_model`): same digest, same inbox loads and the same
+    /// histogram buckets, so a duplicate dropped at send time is still
+    /// counted once, at the peer it was sent to.
+    fn check_batch<P: ForwardPolicy + Sync>(
+        w: &SmallWorld,
+        policy: &P,
+        cfg: &ServeConfig,
+    ) -> Result<(), String> {
+        let n = w.overlay.peer_count() as u32;
+        let specs: Vec<QuerySpec> = (0..=n)
+            .map(|s| QuerySpec {
+                source: PeerId::new(s),
+                object: 0,
+            })
+            .collect();
+        let responds = |_: ObjectId, p: PeerId| w.is_responder(p);
+        let report = serve_batch(&w.overlay, &w.oracle, policy, &specs, &responds, cfg);
+
+        let mut want = BatchOutcome::default();
+        let mut inbox = vec![0u64; n as usize];
+        let (mut hop, mut response) = (LatencyHistogram::new(), LatencyHistogram::new());
+        for spec in &specs {
+            let model = reference_query(
+                &w.overlay,
+                &w.oracle,
+                spec.source,
+                &cfg.query,
+                policy,
+                |p| w.is_responder(p),
+                |to, from, t, first| {
+                    if from.is_some() {
+                        inbox[to.index()] += 1;
+                        if first {
+                            hop.record(t.as_ticks());
+                        }
+                    }
+                },
+                |_, _, _| {},
+            );
+            if let Some(rtt) = model.as_ref().and_then(|o| o.first_response) {
+                response.record(rtt.as_ticks());
+            }
+            want.push(model.map(|o| QueryTotals {
+                scope: o.scope,
+                traffic_cost: o.traffic_cost,
+                messages: o.messages,
+                duplicates: o.duplicates,
+                first_response: o.first_response,
+                first_responder: o.first_responder,
+                responders_hit: o.responders_hit,
+            }));
+        }
+        prop_assert_eq!(report.digest(), want.digest());
+        prop_assert_eq!(&report.inbox_load, &inbox);
+        prop_assert_eq!(&report.hop_latency.counts, &hop.counts);
+        prop_assert_eq!(&report.response_latency.counts, &response.counts);
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn batch_matches_the_push_every_message_model(
+            seed in any::<u64>(),
+            ttl in 0u8..=4,
+            stop in any::<bool>(),
+            chunk in 1usize..=5,
+        ) {
+            let w = SmallWorld::draw(seed);
+            let cfg = ServeConfig {
+                query: QueryConfig { ttl, stop_at_responder: stop },
+                workers: 2,
+                chunk,
+            };
+            check_batch(&w, &FloodAll, &cfg)?;
+            check_batch(&w, &PartialFlood::new(&w.oracle, 0.5, 1, HpfWeight::Cheapest), &cfg)?;
+        }
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! ACE against, used by the landmark ablation experiment.
 
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 
@@ -58,12 +59,39 @@ pub struct DistanceOracle {
     evictions: AtomicU64,
 }
 
+/// Hasher of the row map's `u32` source ids: one multiply by the 64-bit
+/// golden ratio, folded so the bucket bits see every key bit (all keys
+/// of one shard share their low bits). Keys are node ids, not
+/// adversarial input, so SipHash's flooding resistance buys nothing.
+#[derive(Default)]
+struct SourceHasher(u64);
+
+impl Hasher for SourceHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u32(u32::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, key: u32) {
+        let h = (self.0 ^ u64::from(key)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A cached row: claimed when its miss starts, filled when Dijkstra ends.
+type RowCell = Arc<OnceLock<Arc<Vec<Delay>>>>;
+
 /// One cache shard. A row is present in `rows` from the moment some
 /// thread claims the miss; the `OnceLock` fills in once its Dijkstra
 /// finishes, and late arrivals block there instead of recomputing.
 #[derive(Debug)]
 struct Shard {
-    rows: HashMap<u32, Arc<OnceLock<Arc<Vec<Delay>>>>>,
+    rows: HashMap<u32, RowCell, BuildHasherDefault<SourceHasher>>,
     /// Insertion order for FIFO eviction.
     order: VecDeque<u32>,
     /// This shard's slice of the global row budget (FIFO-evicts beyond it).
@@ -103,7 +131,7 @@ impl DistanceOracle {
             shards: (0..shard_count)
                 .map(|i| {
                     RwLock::new(Shard {
-                        rows: HashMap::new(),
+                        rows: HashMap::default(),
                         order: VecDeque::new(),
                         capacity: base + usize::from(i < extra),
                     })
@@ -123,6 +151,11 @@ impl DistanceOracle {
     /// Shortest-path delay between `a` and `b` ([`sssp::UNREACHABLE`] when
     /// disconnected).
     ///
+    /// A hit on a filled row is answered inside the shard's read lock by
+    /// indexing the row, with no `Arc` clone; anything else (a cold or
+    /// in-flight row) goes through [`Self::distances_from`]. Either way
+    /// the call counts exactly one hit or one miss.
+    ///
     /// # Panics
     ///
     /// Panics if either node is out of range.
@@ -130,16 +163,32 @@ impl DistanceOracle {
         if a == b {
             return 0;
         }
+        {
+            let guard = self.shard(a).read().expect("oracle shard poisoned");
+            if let Some(row) = guard.rows.get(&a.raw()).and_then(|cell| cell.get()) {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return row[b.index()];
+            }
+        }
         self.distances_from(a)[b.index()]
     }
 
-    /// Full distance row from `src`, computing and caching it on first use.
-    pub fn distances_from(&self, src: NodeId) -> Arc<Vec<Delay>> {
+    /// The shard caching `src`'s row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` is out of range.
+    fn shard(&self, src: NodeId) -> &RwLock<Shard> {
         assert!(
             src.index() < self.graph.node_count(),
             "source {src:?} out of range"
         );
-        let shard = &self.shards[src.index() % self.shards.len()];
+        &self.shards[src.index() % self.shards.len()]
+    }
+
+    /// Full distance row from `src`, computing and caching it on first use.
+    pub fn distances_from(&self, src: NodeId) -> Arc<Vec<Delay>> {
+        let shard = self.shard(src);
 
         // Fast path: shared lock, row already claimed (and usually filled).
         let existing = {

@@ -1,13 +1,17 @@
 //! Reference model of the query kernel, for tests only.
 //!
 //! [`reference_query`] is the textbook event loop the kernel is an
-//! optimization of: every transmission goes onto the heap, and the
-//! visited check happens when it pops. The kernel drops a certain
-//! duplicate at send time instead (see `search::propagate`); the
+//! optimization of: every transmission goes onto a `BinaryHeap` keyed by
+//! `(time, push counter)`, each send is priced through the plane, and the
+//! visited check happens when a message pops. It is the kernel's
+//! pop-order reference too: the kernel pops a stable radix queue with no
+//! push counter, prices a batch's sends from a table built once, and
+//! drops a certain duplicate at send time (see `search::propagate`). The
 //! proptests here and in `serve.rs` hold it to this model field for
-//! field, on small random overlays built to produce the cases that
-//! optimization could get wrong: zero-cost links between peers on one
-//! host, equal arrival times from different senders, low TTLs,
+//! field and send for send, on small random overlays built to produce
+//! the cases those optimizations could get wrong: zero-cost links between
+//! peers on one host, equal arrival times from different senders, wide
+//! link weights that reach the queue's high buckets, low TTLs,
 //! responders that stop the query, dead and out-of-range sources, and a
 //! partial forwarding policy beside blind flooding.
 
@@ -110,8 +114,10 @@ pub(crate) fn outcome_key(
 
 /// A small random world drawn from `seed`: 2–12 peers on 1–8 physical
 /// hosts (so peers often share a host and the link between them costs
-/// 0), physical weights 1–3 (so arrival times tie often), a random
-/// overlay wiring, a few departed peers and a random responder set.
+/// 0), physical weights 1–3 (so arrival times tie often) or, in about one
+/// world in four, 1–2^20 (so arrivals spread over the kernel queue's high
+/// buckets), a random overlay wiring, a few departed peers and a random
+/// responder set.
 pub(crate) struct SmallWorld {
     pub overlay: Overlay,
     pub oracle: DistanceOracle,
@@ -122,11 +128,12 @@ impl SmallWorld {
     pub(crate) fn draw(seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let hosts = rng.gen_range(1..=8u32);
+        let max_weight: Delay = if rng.gen_bool(0.25) { 1 << 20 } else { 3 };
         let mut graph = Graph::new(hosts as usize);
         for h in 1..hosts {
             // A random spanning tree keeps every host reachable ...
             let parent = rng.gen_range(0..h);
-            let w = rng.gen_range(1..=3);
+            let w = rng.gen_range(1..=max_weight);
             graph
                 .add_edge(NodeId::new(parent), NodeId::new(h), w)
                 .unwrap();
@@ -134,7 +141,8 @@ impl SmallWorld {
         for _ in 0..hosts {
             // ... and a few chords make unequal routes of equal length.
             let (a, b) = (rng.gen_range(0..hosts), rng.gen_range(0..hosts));
-            let _ = graph.add_edge(NodeId::new(a), NodeId::new(b), rng.gen_range(1..=3));
+            let w = rng.gen_range(1..=max_weight);
+            let _ = graph.add_edge(NodeId::new(a), NodeId::new(b), w);
         }
         let oracle = DistanceOracle::new(graph);
         let peers = rng.gen_range(2..=12u32);
@@ -257,11 +265,14 @@ mod tests {
         }
     }
 
-    /// The model itself sees what the kernel is built to skip: ties,
-    /// zero-cost links and duplicates all occur across the drawn worlds.
+    /// The model itself sees what the kernel is built to skip, and what
+    /// its queue must order: ties, zero-cost links, duplicates and wide
+    /// link costs (past 2^16 ticks, so refills run from high buckets) all
+    /// occur across the drawn worlds.
     #[test]
     fn drawn_worlds_cover_ties_zero_cost_links_and_duplicates() {
         let (mut ties, mut zero_cost, mut duplicates) = (false, false, false);
+        let mut wide = false;
         for seed in 0..200 {
             let w = SmallWorld::draw(seed);
             let mut arrivals = Vec::new();
@@ -273,12 +284,15 @@ mod tests {
                 &FloodAll,
                 |_| false,
                 |to, _, t, _| arrivals.push((to, t)),
-                |_, _, c| zero_cost |= c == 0,
+                |_, _, c| {
+                    zero_cost |= c == 0;
+                    wide |= c >= 1 << 16;
+                },
             );
             arrivals.sort_unstable();
             ties |= arrivals.windows(2).any(|p| p[0] == p[1]);
             duplicates |= out.is_some_and(|o| o.duplicates > 0);
         }
-        assert!(ties && zero_cost && duplicates);
+        assert!(ties && zero_cost && duplicates && wide);
     }
 }

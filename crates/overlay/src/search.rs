@@ -9,28 +9,30 @@
 //! cost and the first-responder response time.
 //!
 //! One kernel, two drivers, one tracer. [`propagate`] is the only
-//! propagation loop in the workspace: it owns the event heap and its
+//! propagation loop in the workspace: it owns the arrival queue and its
 //! order, the visited set, TTL, responder handling and the per-query
-//! totals, and tells its caller two things — *this peer received the
-//! query, first or not* and *here is a transmission and its cost*. The
-//! kernel owns the visited set; the drivers record receipts:
-//! [`run_query_into`] keeps first-arrival times and parents,
-//! [`crate::serve_batch`] per-peer inbox counts and a hop histogram.
-//! Per-link load is what [`run_query_traced`]'s `on_send` sees, an output
-//! of the kernel rather than a policy wrapped around it.
+//! totals. It asks its caller one thing — *the price of this link* — and
+//! tells it two — *this peer received the query, first or not* and *here
+//! is a transmission and its cost*. The kernel owns the visited set; the
+//! drivers price links and record receipts: [`run_query_into`] prices
+//! each send through the distance plane and keeps first-arrival times
+//! and parents, [`crate::serve_batch`] prices each overlay link once per
+//! batch and keeps per-peer inbox counts and a hop histogram. Per-link
+//! load is what [`run_query_traced`]'s `on_send` sees, an output of the
+//! kernel rather than a policy wrapped around it.
 //!
-//! A transmission is queued only while it can still be a first arrival:
-//! one to a peer that was already reached, or that arrives no earlier
-//! than a message already queued for that peer, is a duplicate the
-//! moment it is sent, and is counted (and reported) then instead of
-//! being popped later only to be dropped.
+//! The queue is a stable monotone radix queue: it pops in non-decreasing
+//! arrival time and, among equal times, in push order — the order a
+//! binary heap keyed by `(time, push counter)` would give, without the
+//! counter or the sifts. A transmission is queued only while it can
+//! still be a first arrival: one to a peer that was already reached, or
+//! that arrives no earlier than a message pushed before it for that
+//! peer, is a duplicate the moment it is sent, and is counted (and
+//! reported) then instead of being popped later only to be dropped.
 //!
 //! A source that is not alive (departed, or out of range) propagates
 //! nothing: the single-query entry points leave a freshly reset outcome
 //! (scope 0), the batch drivers record the slot as skipped.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 use ace_engine::SimTime;
 use ace_topology::{Delay, DistancePlane};
@@ -206,17 +208,13 @@ impl QueryOutcome {
     }
 }
 
-/// Heap entry of the propagation simulation:
-/// `(arrival, tie-break seq, to, from, remaining TTL)`.
-type QueryEvent = Reverse<(SimTime, u64, u32, u32, u8)>;
-
-/// Reusable buffers of the propagation kernel: the event heap, the
+/// Reusable buffers of the propagation kernel: the arrival queue, the
 /// per-hop forwarding-target list and the per-peer visited state. One
 /// scratch amortizes all transient allocations across the thousands of
 /// queries a measurement sweep runs.
 #[derive(Clone, Debug, Default)]
 pub struct QueryScratch {
-    heap: BinaryHeap<QueryEvent>,
+    queue: ArrivalQueue,
     targets: Vec<PeerId>,
     /// Peers whose first arrival has popped, one bit per peer.
     seen: Vec<u64>,
@@ -251,34 +249,162 @@ fn bit(i: usize) -> (usize, u64) {
     (i / 64, 1u64 << (i % 64))
 }
 
+/// One queued transmission: arrival time, target, sender, remaining TTL.
+#[derive(Clone, Copy, Debug)]
+struct Arrival {
+    t: SimTime,
+    to: u32,
+    from: u32,
+    ttl: u8,
+}
+
+/// Buckets of an [`ArrivalQueue`]: one for keys equal to the last popped
+/// key, plus one per bit of a `u64` tick key.
+const QUEUE_BUCKETS: usize = u64::BITS as usize + 1;
+
+/// Bucket of `key` when `last` was the last key popped.
+#[inline]
+fn bucket_of(key: u64, last: u64) -> usize {
+    (u64::BITS - (key ^ last).leading_zeros()) as usize
+}
+
+/// The kernel's event queue: a stable monotone radix queue of
+/// [`Arrival`]s keyed by arrival tick, popping in `(time, push order)`.
+///
+/// Every pushed key must be at least the last popped one, which the
+/// kernel guarantees (`t + cost >= t`). Key `k` lives in bucket
+/// `64 - (k ^ last).leading_zeros()`: bucket 0 holds keys equal to
+/// `last`, and bucket `i > 0` the keys whose highest bit differing from
+/// `last` is bit `i - 1`, so every key in a bucket is below every key in
+/// a higher one. Bucket 0 is drained from a front cursor. When it runs
+/// dry, the lowest non-empty bucket is emptied in order into the (empty)
+/// buckets below it, `last` becoming its smallest key.
+///
+/// Stable: equal keys always share a bucket, each bucket receives its
+/// entries in push order (a push appends; a refill appends a whole
+/// bucket's entries, in order, to buckets that were empty), and bucket 0
+/// pops first in, first out. So ties pop in push order, which is the
+/// `(time, seq)` order of a binary heap with a push counter, and no
+/// counter is needed. Unlike `ace_topology::sssp`'s radix heap, which
+/// pops ties in any order and drops stale entries while it refills, this
+/// queue pops every entry it was given.
+#[derive(Clone, Debug)]
+struct ArrivalQueue {
+    buckets: [Vec<Arrival>; QUEUE_BUCKETS],
+    /// Bit `i` is set iff `buckets[i]` holds an entry not yet popped.
+    mask: u128,
+    /// Entries of bucket 0 before this index have popped.
+    front: usize,
+    /// The last popped key; every queued key is `>= last`.
+    last: u64,
+}
+
+impl Default for ArrivalQueue {
+    fn default() -> Self {
+        ArrivalQueue {
+            buckets: std::array::from_fn(|_| Vec::new()),
+            mask: 0,
+            front: 0,
+            last: 0,
+        }
+    }
+}
+
+impl ArrivalQueue {
+    /// Empties the queue, keeping the buckets' capacity.
+    fn clear(&mut self) {
+        for bucket in &mut self.buckets {
+            bucket.clear();
+        }
+        self.mask = 0;
+        self.front = 0;
+        self.last = 0;
+    }
+
+    #[inline]
+    fn push(&mut self, e: Arrival) {
+        let key = e.t.as_ticks();
+        debug_assert!(key >= self.last, "arrival queue keys must be monotone");
+        let b = bucket_of(key, self.last);
+        self.buckets[b].push(e);
+        self.mask |= 1 << b;
+    }
+
+    /// Pops the earliest entry; among equal times, the first pushed.
+    #[inline]
+    fn pop(&mut self) -> Option<Arrival> {
+        if self.mask & 1 == 0 {
+            if self.mask == 0 {
+                return None;
+            }
+            self.refill();
+        }
+        let bucket = &mut self.buckets[0];
+        let e = bucket[self.front];
+        self.front += 1;
+        if self.front == bucket.len() {
+            bucket.clear();
+            self.front = 0;
+            self.mask &= !1;
+        }
+        Some(e)
+    }
+
+    /// Moves the lowest non-empty bucket, in order, into the buckets
+    /// below it; its smallest key becomes `last` and lands in bucket 0.
+    fn refill(&mut self) {
+        let ArrivalQueue {
+            buckets,
+            mask,
+            last,
+            ..
+        } = self;
+        let i = mask.trailing_zeros() as usize;
+        *mask &= !(1 << i);
+        let (lower, rest) = buckets.split_at_mut(i);
+        let bucket = &mut rest[0];
+        *last = bucket
+            .iter()
+            .map(|e| e.t.as_ticks())
+            .min()
+            .expect("a masked bucket is non-empty");
+        for e in bucket.drain(..) {
+            let b = bucket_of(e.t.as_ticks(), *last);
+            lower[b].push(e);
+            *mask |= 1 << b;
+        }
+    }
+}
+
 /// The propagation kernel: spreads one query from `source` under `policy`
 /// in arrival-time order and returns its totals, or `None` — nothing
-/// propagated, neither callback called — when `source` is not alive.
+/// propagated, no callback called — when `source` is not alive.
 ///
-/// `on_receipt(to, from, t, first)` reports every receipt (`from` is
-/// `None` for the source's own t = 0 event); `first` is true exactly once
-/// per reached peer, at its first arrival, and those calls come in
-/// arrival order. A duplicate is reported when the kernel knows it is
-/// one: at send time when the target was already reached or already has
-/// a message queued that arrives no later, otherwise when it pops.
-/// `on_send(from, to, cost)` reports every transmission — duplicates
-/// included — in send order, after the kernel has charged it.
+/// `price(from, to)` is the link cost of a transmission; the kernel asks
+/// once per send. `on_receipt(to, from, t, first)` reports every receipt
+/// (`from` is `None` for the source's own t = 0 event); `first` is true
+/// exactly once per reached peer, at its first arrival, and those calls
+/// come in arrival order. A duplicate is reported when the kernel knows
+/// it is one: at send time when the target was already reached or
+/// already has a message queued that arrives no later, otherwise when it
+/// pops. `on_send(from, to, cost)` reports every transmission —
+/// duplicates included — in send order, after the kernel has charged it.
 ///
-/// Why eliding a send is exact: the heap pops in non-decreasing
-/// `(time, seq)` order and `seq` grows with every push, so a message to a
-/// peer that already popped, or one arriving no earlier than a message
-/// queued before it, can only ever pop as a duplicate. Everything the
-/// first arrivals decide — scope, TTL, forwarding, responders, send
-/// order — is therefore what pushing every message would decide.
+/// Why eliding a send is exact: the queue pops in non-decreasing time
+/// and, among equal times, in push order, so a message to a peer that
+/// already popped, or one arriving no earlier than a message pushed
+/// before it, can only ever pop as a duplicate. Everything the first
+/// arrivals decide — scope, TTL, forwarding, responders, send order — is
+/// therefore what pushing every message would decide.
 ///
 /// Totals live in locals and the kernel is inlined into each driver so
 /// the callbacks compile down to the field updates they are: flooding is
 /// three-quarters duplicate receipts, so this loop is the serving cost.
 #[inline]
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn propagate<P, F, A, S>(
+pub(crate) fn propagate<C, P, F, A, S>(
     overlay: &Overlay,
-    plane: &dyn DistancePlane,
+    mut price: C,
     source: PeerId,
     config: &QueryConfig,
     policy: &P,
@@ -288,6 +414,7 @@ pub(crate) fn propagate<P, F, A, S>(
     mut on_send: S,
 ) -> Option<QueryTotals>
 where
+    C: FnMut(PeerId, PeerId) -> Delay,
     P: ForwardPolicy + ?Sized,
     F: FnMut(PeerId) -> bool,
     A: FnMut(PeerId, Option<PeerId>, SimTime, bool),
@@ -297,13 +424,13 @@ where
         return None;
     }
     let QueryScratch {
-        heap,
+        queue,
         targets,
         seen,
         best,
     } = scratch;
     let peers = overlay.peer_count();
-    heap.clear();
+    queue.clear();
     seen.clear();
     seen.resize(peers.div_ceil(64), 0);
     best.clear();
@@ -313,18 +440,16 @@ where
     let mut traffic_cost = 0.0f64;
     let mut first_response: Option<SimTime> = None;
     let mut first_responder = None;
-    let mut seq = 0u64;
     // Source "receives" its own query at t=0 with the full TTL.
     best[source.index()] = SimTime::ZERO;
-    heap.push(Reverse((
-        SimTime::ZERO,
-        seq,
-        source.raw(),
-        source.raw(),
-        config.ttl,
-    )));
+    queue.push(Arrival {
+        t: SimTime::ZERO,
+        to: source.raw(),
+        from: source.raw(),
+        ttl: config.ttl,
+    });
 
-    while let Some(Reverse((t, _, to, from, ttl))) = heap.pop() {
+    while let Some(Arrival { t, to, from, ttl }) = queue.pop() {
         let peer = PeerId::new(to);
         let from_peer = (to != from).then(|| PeerId::new(from));
         let (word, mask) = bit(peer.index());
@@ -354,22 +479,26 @@ where
         policy.forward_targets_into(overlay, peer, from_peer, targets);
         for &target in targets.iter() {
             debug_assert!(overlay.are_neighbors(peer, target));
-            let cost = overlay.link_cost(plane, peer, target);
+            let cost = price(peer, target);
             traffic_cost += f64::from(cost); // query = 1.0 size units
             messages += 1;
             on_send(peer, target, cost);
             let at = t + u64::from(cost);
             let (word, mask) = bit(target.index());
             if seen[word] & mask != 0 || at >= best[target.index()] {
-                // Already reached, or beaten by a message queued earlier
-                // (smaller seq) that arrives no later: a certain duplicate.
+                // Already reached, or beaten by a message pushed earlier
+                // that arrives no later: a certain duplicate.
                 duplicates += 1;
                 on_receipt(target, Some(peer), at, false);
                 continue;
             }
             best[target.index()] = at;
-            seq += 1;
-            heap.push(Reverse((at, seq, target.raw(), peer.raw(), ttl - 1)));
+            queue.push(Arrival {
+                t: at,
+                to: target.raw(),
+                from: peer.raw(),
+                ttl: ttl - 1,
+            });
         }
     }
     Some(QueryTotals {
@@ -500,7 +629,7 @@ where
     out.reset(overlay.peer_count());
     let totals = propagate(
         overlay,
-        oracle,
+        |a, b| overlay.link_cost(oracle, a, b),
         source,
         config,
         policy,
@@ -531,6 +660,9 @@ where
 mod tests {
     use super::*;
     use ace_topology::{DistanceOracle, Graph, NodeId};
+    use proptest::prelude::*;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
     /// Line physical net 0-1-2-3 (weight 10 each); overlay mirrors it.
     fn line_env() -> (Overlay, DistanceOracle) {
@@ -884,6 +1016,66 @@ mod tests {
         let plain = run_query(&ov, &oracle, PeerId::new(0), &qc, &FloodAll, |_| false);
         assert_eq!(plain.arrivals, out.arrivals);
         assert_eq!(plain.traffic_cost, out.traffic_cost);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The kernel's queue pops exactly as a `BinaryHeap` keyed by
+        /// `(time, push counter)` does, through interleaved pushes and
+        /// pops with monotone keys: equal-key runs (at the last pop and at
+        /// the last push), gaps of 1–3 ticks, and jumps of log-uniform
+        /// size up to 2^40 and over the whole `u64` range, so all 65
+        /// buckets fill and deep refills move runs of ties. One queue
+        /// serves every run, cleared (often while non-empty) in between.
+        #[test]
+        fn arrival_queue_pops_in_time_then_push_order(
+            ops in proptest::collection::vec((0u8..12, any::<u64>()), 1..600),
+        ) {
+            let mut queue = ArrivalQueue::default();
+            let mut heap = BinaryHeap::new();
+            let (mut popped, mut pushed, mut seq) = (0u64, 0u64, 0u32);
+            let pop_both = |queue: &mut ArrivalQueue, heap: &mut BinaryHeap<_>| {
+                let want = heap.pop().map(|Reverse(e)| e);
+                let got = queue.pop().map(|e| (e.t.as_ticks(), e.to));
+                prop_assert_eq!(got, want);
+                Ok(got)
+            };
+            for (op, r) in ops {
+                match op {
+                    0..=3 => {
+                        if let Some((t, _)) = pop_both(&mut queue, &mut heap)? {
+                            popped = t;
+                        }
+                    }
+                    11 => {
+                        queue.clear();
+                        heap.clear();
+                        (popped, pushed) = (0, 0);
+                    }
+                    _ => {
+                        let key = match op {
+                            4 | 5 => popped,
+                            6 => pushed.max(popped),
+                            7 | 8 => popped.saturating_add(1 + r % 3),
+                            // Log-uniform jumps: below 2^0..=2^40, then anywhere.
+                            9 => popped.saturating_add((r >> 6) & ((1 << (r % 41)) - 1)),
+                            _ => popped.saturating_add(r >> (r % 64)),
+                        };
+                        seq += 1;
+                        pushed = key;
+                        heap.push(Reverse((key, seq)));
+                        queue.push(Arrival {
+                            t: SimTime::from_ticks(key),
+                            to: seq,
+                            from: 0,
+                            ttl: 0,
+                        });
+                    }
+                }
+            }
+            while pop_both(&mut queue, &mut heap)?.is_some() {}
+        }
     }
 
     /// Skip-and-count: a departed or out-of-range source propagates

@@ -13,6 +13,13 @@
 //!   and drops a certain duplicate when it is sent; a shard only counts
 //!   the receipts it reports (every one into the inbox, each first
 //!   arrival's delay into the hop histogram);
+//! * **links priced once** — before sharding, the batch prices every
+//!   directed overlay link through the distance plane into one table
+//!   (per peer, its neighbors and their costs side by side), which every
+//!   shard reads; a send looks its cost up in the sender's row instead of
+//!   asking the plane. The overlay and the plane are borrowed immutably
+//!   for the whole call and a distance is a pure function of its pair, so
+//!   the table holds exactly what the plane would answer;
 //! * **worker-sharded forwarding** — the workload is cut into
 //!   fixed-size shards of [`ServeConfig::chunk`] query slots, and shards
 //!   are distributed over the PR 1 worker pool
@@ -37,7 +44,7 @@ use rand::Rng;
 use ace_engine::digest::Digest;
 use ace_engine::pool::{effective_workers, plan_parallel};
 use ace_engine::SimTime;
-use ace_topology::DistancePlane;
+use ace_topology::{Delay, DistancePlane};
 
 use crate::content::{Catalog, ObjectId};
 use crate::network::Overlay;
@@ -348,6 +355,49 @@ impl ServeReport {
     }
 }
 
+/// The cost of every directed overlay link, priced once per batch: per
+/// peer, its neighbors and their [`Overlay::link_cost`] side by side, one
+/// row after another (CSR).
+struct LinkPrices {
+    /// Peer `p`'s row is `links[start[p]..start[p + 1]]`.
+    start: Vec<usize>,
+    links: Vec<(PeerId, Delay)>,
+}
+
+impl LinkPrices {
+    /// Prices every link of `overlay`: Σ degree = 2 × `edge_count` calls
+    /// of `plane.distance`.
+    fn new(overlay: &Overlay, plane: &dyn DistancePlane) -> Self {
+        let mut start = Vec::with_capacity(overlay.peer_count() + 1);
+        let mut links = Vec::with_capacity(2 * overlay.edge_count());
+        start.push(0);
+        for p in overlay.peers() {
+            let row = overlay.neighbors(p);
+            links.extend(row.iter().map(|&n| (n, overlay.link_cost(plane, p, n))));
+            start.push(links.len());
+        }
+        LinkPrices { start, links }
+    }
+
+    /// The cost of `from → to`, read from `from`'s row. A pair that is not
+    /// a link (a policy breaking the neighbors-only contract, which the
+    /// kernel's debug check reports) is priced through the plane.
+    #[inline]
+    fn price(
+        &self,
+        overlay: &Overlay,
+        plane: &dyn DistancePlane,
+        from: PeerId,
+        to: PeerId,
+    ) -> Delay {
+        let row = &self.links[self.start[from.index()]..self.start[from.index() + 1]];
+        match row.iter().find(|&&(n, _)| n == to) {
+            Some(&(_, cost)) => cost,
+            None => overlay.link_cost(plane, from, to),
+        }
+    }
+}
+
 /// One worker shard's output, merged into the report in shard order.
 struct ShardOut {
     outcome: BatchOutcome,
@@ -360,8 +410,10 @@ struct ShardOut {
 ///
 /// Every slot runs the same kernel as [`crate::run_query_into`] — one
 /// loop, so the same event ordering and measurements — checked by the
-/// digest equivalence with [`serve_sequential`]. Slots whose source is
-/// dead are skipped and counted.
+/// digest equivalence with [`serve_sequential`]. Every directed overlay
+/// link is priced through `plane` once per call, before any slot runs,
+/// and the shards share that table (see the module docs). Slots whose
+/// source is dead are skipped and counted.
 pub fn serve_batch<P, R>(
     overlay: &Overlay,
     plane: &dyn DistancePlane,
@@ -382,11 +434,13 @@ where
     let peers = overlay.peer_count();
     let shards = specs.len().div_ceil(chunk);
     let workers = effective_workers(cfg.workers);
+    let prices = LinkPrices::new(overlay, plane);
 
     let mut shard_outs = plan_parallel(shards, workers, |s| {
         let lo = s * chunk;
         let hi = (lo + chunk).min(specs.len());
-        run_shard(overlay, plane, policy, &specs[lo..hi], is_responder, cfg)
+        let specs = &specs[lo..hi];
+        run_shard(overlay, plane, &prices, policy, specs, is_responder, cfg)
     });
 
     let mut outcome = BatchOutcome::with_capacity(specs.len());
@@ -441,11 +495,13 @@ where
 }
 
 /// Runs one shard of slots on the calling worker thread: the kernel,
-/// counting every receipt into the shard's inbox and every first
-/// receipt's delay into its hop histogram.
+/// pricing sends from the batch's `prices`, counting every receipt into
+/// the shard's inbox and every first receipt's delay into its hop
+/// histogram.
 fn run_shard<P, R>(
     overlay: &Overlay,
     plane: &dyn DistancePlane,
+    prices: &LinkPrices,
     policy: &P,
     specs: &[QuerySpec],
     is_responder: &R,
@@ -466,7 +522,7 @@ where
     for spec in specs {
         let totals = propagate(
             overlay,
-            plane,
+            |from, to| prices.price(overlay, plane, from, to),
             spec.source,
             &cfg.query,
             policy,
@@ -536,10 +592,11 @@ mod tests {
     use crate::search::FloodAll;
     use ace_engine::rng::splitmix64;
     use ace_topology::generate::{ba, BaConfig};
-    use ace_topology::{DistanceOracle, NodeId};
+    use ace_topology::{DistanceOracle, Graph, NodeId};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn world(peers: usize, seed: u64) -> (Overlay, DistanceOracle, StdRng) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -731,7 +788,7 @@ mod tests {
     fn inbox_load_counts_every_receipt() {
         // Line 0-1-2-3: peer 1 and 2 receive exactly one transmission
         // each; 3 receives one; source 0 receives none.
-        let mut g = ace_topology::Graph::new(4);
+        let mut g = Graph::new(4);
         for i in 1..4u32 {
             g.add_edge(NodeId::new(i - 1), NodeId::new(i), 10).unwrap();
         }
@@ -758,6 +815,64 @@ mod tests {
         // Hop latencies on the line are 10, 20, 30 ticks; p50 rounds into
         // the 20-tick bucket, which is exact at this magnitude.
         assert_eq!(report.hop_latency.quantile(0.5), Some(20));
+    }
+
+    /// A plane that counts its `distance` calls.
+    struct CountingPlane<'a> {
+        inner: &'a DistanceOracle,
+        calls: AtomicU64,
+    }
+
+    impl DistancePlane for CountingPlane<'_> {
+        fn graph(&self) -> &Graph {
+            self.inner.graph()
+        }
+
+        fn distance(&self, a: NodeId, b: NodeId) -> Delay {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            self.inner.distance(a, b)
+        }
+    }
+
+    /// A batch asks the plane once per directed overlay link — 2 ×
+    /// `edge_count` calls — whatever it serves and however many workers
+    /// serve it, not once per send, and its report is still the
+    /// sequential sweep's.
+    #[test]
+    fn a_batch_prices_each_overlay_link_once() {
+        let (mut ov, oracle, mut rng) = world(60, 3);
+        ov.leave(PeerId::new(5)).unwrap();
+        let (_cat, specs) = workload(&ov, &mut rng, 300);
+        let links = 2 * ov.edge_count() as u64;
+        for count in [0, 1, 37, 300] {
+            let specs = &specs[..count];
+            let sequential = serve_sequential(
+                &ov,
+                &oracle,
+                &FloodAll,
+                specs,
+                &holder,
+                &ServeConfig::default(),
+            );
+            for workers in [1, 2, 4] {
+                let plane = CountingPlane {
+                    inner: &oracle,
+                    calls: AtomicU64::new(0),
+                };
+                let cfg = ServeConfig {
+                    workers,
+                    chunk: 16,
+                    ..ServeConfig::default()
+                };
+                let report = serve_batch(&ov, &plane, &FloodAll, specs, &holder, &cfg);
+                let calls = plane.calls.into_inner();
+                assert_eq!(calls, links, "{count} queries, {workers} workers");
+                assert_eq!(report.digest(), sequential.digest());
+                if count == 300 {
+                    assert!(report.messages > links, "sends outnumber links");
+                }
+            }
+        }
     }
 
     /// `serve_batch` of one query from every source (out-of-range and

@@ -42,7 +42,7 @@ use crate::forward_rows::ForwardRows;
 use crate::mst::SlotEdge;
 use crate::overhead::{OverheadKind, OverheadLedger};
 use crate::peer_state::{fold_peers, fold_sorted, fold_watches, PeerState};
-use crate::plan::{KnownSnap, PlanScratch};
+use crate::plan::{KnownSnap, PlanScratch, NO_PARENT};
 use crate::policy::{self, Figure4Action, LifecycleEvent, WatchVerdict};
 use crate::probe::ProbeModel;
 use crate::reverse_refs::ReverseRefs;
@@ -659,24 +659,42 @@ impl AceEngine {
     /// table size per relay hop, in member (BFS) order — hop-1 members
     /// are plain [`OverheadKind::TableExchange`], deeper members are
     /// [`OverheadKind::ClosureRelay`].
+    ///
+    /// Each member's link to its BFS parent is priced once, into
+    /// `scratch.uplink_cost`; every relay path through it reads that
+    /// price. A parent precedes its children in BFS order, so a path's
+    /// prices are all known when it is walked. Each hop is still its own
+    /// charge, in walk order, so the ledger's float sums are the per-hop
+    /// loop's.
     fn charge_closure_exchange(
         &self,
         ov: &Overlay,
         oracle: &dyn DistancePlane,
-        scratch: &PlanScratch,
+        scratch: &mut PlanScratch,
         ledger: &mut OverheadLedger,
     ) {
-        for i in 1..scratch.members.len() {
-            let w = scratch.members[i];
-            let units = self.states[w.index()].table.message_size_units();
-            let kind = if scratch.hops[i] <= 1 {
+        let PlanScratch {
+            members,
+            hops,
+            parent,
+            uplink_cost,
+            ..
+        } = scratch;
+        uplink_cost.clear();
+        uplink_cost.push(0); // the source relays nothing
+        for i in 1..members.len() {
+            let up = members[parent[i] as usize];
+            uplink_cost.push(ov.link_cost(oracle, members[i], up));
+            let units = self.states[members[i].index()].table.message_size_units();
+            let kind = if hops[i] <= 1 {
                 OverheadKind::TableExchange
             } else {
                 OverheadKind::ClosureRelay
             };
-            for (from, to) in scratch.relay_hops(i as u32) {
-                let cost = ov.link_cost(oracle, from, to);
-                ledger.charge(kind, f64::from(cost) * units);
+            let mut hop = i;
+            while parent[hop] != NO_PARENT {
+                ledger.charge(kind, f64::from(uplink_cost[hop]) * units);
+                hop = parent[hop] as usize;
             }
         }
     }
@@ -1771,6 +1789,7 @@ mod tests {
     use ace_topology::{DistanceOracle, Graph, NodeId};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     /// The paper's Figure 2: peers 0,1 at "MSU", peers 2,3 at "Tsinghua";
     /// physical: 0-1 cheap (1), 2-3 cheap (1), 1-2 expensive (100).
@@ -1944,6 +1963,107 @@ mod tests {
         let h1 = mk(1);
         let h2 = mk(2);
         assert!(h2 > h1, "h=2 overhead {h2} vs h=1 {h1}");
+    }
+
+    /// Counts the plane's answers, so a test can count what a stage prices.
+    struct CountingPlane<'a> {
+        inner: &'a DistanceOracle,
+        calls: AtomicU64,
+    }
+
+    impl CountingPlane<'_> {
+        fn take_calls(&self) -> u64 {
+            self.calls.swap(0, Ordering::Relaxed)
+        }
+    }
+
+    impl DistancePlane for CountingPlane<'_> {
+        fn graph(&self) -> &Graph {
+            self.inner.graph()
+        }
+
+        fn distance(&self, a: NodeId, b: NodeId) -> Delay {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            self.inner.distance(a, b)
+        }
+    }
+
+    /// The closure exchange as it was before uplinks were priced once:
+    /// every relay hop asks the plane. It is the reference for the
+    /// ledger the exchange must still produce.
+    fn per_hop_exchange(
+        ace: &AceEngine,
+        ov: &Overlay,
+        oracle: &dyn DistancePlane,
+        scratch: &PlanScratch,
+        ledger: &mut OverheadLedger,
+    ) {
+        for i in 1..scratch.members.len() {
+            let units = ace.states[scratch.members[i].index()]
+                .table
+                .message_size_units();
+            let kind = if scratch.hops[i] <= 1 {
+                OverheadKind::TableExchange
+            } else {
+                OverheadKind::ClosureRelay
+            };
+            let mut hop = i;
+            while scratch.parent[hop] != NO_PARENT {
+                let up = scratch.parent[hop] as usize;
+                let cost = ov.link_cost(oracle, scratch.members[hop], scratch.members[up]);
+                ledger.charge(kind, f64::from(cost) * units);
+                hop = up;
+            }
+        }
+    }
+
+    /// The closure exchange asks the plane once per non-source member —
+    /// for its link to its BFS parent — where the per-hop loop asks once
+    /// per relay hop, and it charges the per-hop loop's ledger bit for
+    /// bit.
+    #[test]
+    fn closure_exchange_prices_each_member_uplink_once() {
+        for depth in 1..=3u8 {
+            let (mut ov, oracle, mut rng) = ba_env(11);
+            let mut ace = AceEngine::new(
+                ov.peer_count(),
+                AceConfig {
+                    depth,
+                    ..AceConfig::paper_default()
+                },
+            );
+            ace.round(&mut ov, &oracle, &mut rng);
+            let plane = CountingPlane {
+                inner: &oracle,
+                calls: AtomicU64::new(0),
+            };
+            let mut scratch = PlanScratch::default();
+            let (mut ledger, mut reference) = (OverheadLedger::new(), OverheadLedger::new());
+            let (mut priced, mut relay_hops) = (0u64, 0u64);
+            for peer in ov.alive_peers() {
+                scratch.collect_closure(&ov, peer, depth);
+                ace.charge_closure_exchange(&ov, &plane, &mut scratch, &mut ledger);
+                let members = scratch.members.len() as u64;
+                assert_eq!(plane.take_calls(), members - 1, "h={depth} peer {peer:?}");
+                per_hop_exchange(&ace, &ov, &plane, &scratch, &mut reference);
+                let hops: u64 = scratch.hops[1..].iter().map(|&h| u64::from(h)).sum();
+                assert_eq!(plane.take_calls(), hops, "h={depth} peer {peer:?}");
+                (priced, relay_hops) = (priced + members - 1, relay_hops + hops);
+            }
+            for kind in OverheadKind::ALL {
+                assert_eq!(ledger.count_of(kind), reference.count_of(kind), "{kind:?}");
+                assert_eq!(
+                    ledger.cost_of(kind).to_bits(),
+                    reference.cost_of(kind).to_bits(),
+                    "h={depth} {kind:?}"
+                );
+            }
+            if depth == 1 {
+                assert_eq!(priced, relay_hops);
+            } else {
+                assert!(priced < relay_hops, "h={depth}: {priced} vs {relay_hops}");
+            }
+        }
     }
 
     #[test]

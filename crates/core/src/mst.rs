@@ -1,10 +1,12 @@
 //! Minimum spanning trees over closures (ACE phase 2).
 //!
 //! The paper builds a Prim MST over the source's h-neighbor closure and
-//! forwards queries only to the source's direct tree neighbors. Prim is
-//! implemented both in the paper's `O(m²)` dense form and with a binary
-//! heap; Kruskal is provided as an independent cross-check for the
-//! property tests.
+//! forwards queries only to the source's direct tree neighbors. The one
+//! Prim the drivers run is [`PrimScratch::root_tree_neighbors`]: slot
+//! space, reusable arenas, a fringe scan, and a stop once the root's
+//! tree neighbors are all known. [`prim`] (the paper's `O(m²)` dense
+//! form) and [`prim_heap`] build whole trees and are its references;
+//! Kruskal is an independent weight cross-check for the property tests.
 
 use std::collections::HashMap;
 
@@ -262,17 +264,23 @@ pub struct SlotEdge {
 }
 
 /// Reusable state for the slot-space Prim. One instance lives in each
-/// worker's `PlanScratch`; arenas are cleared (keeping capacity)
-/// between peers instead of reallocated.
+/// worker's `PlanScratch` (and one in `AsyncAceSim`); arenas are cleared
+/// (keeping capacity) between peers instead of reallocated.
 ///
-/// Closures are small (a dozen to a few dozen members), so the MST
-/// uses a *dense* Prim — per-slot best-candidate arrays and an
-/// `O(members)` argmin scan per step — instead of a binary heap: at
-/// this size the heap's allocation-free push/pop traffic still costs
-/// several times the flat scans, and the plan stage runs one MST per
-/// planning peer per round.
+/// Closures run from a dozen members at h = 1 to about 40 at h = 2 (the
+/// paper's depth sweep goes to h = 3). The MST keeps per-slot
+/// best-candidate arrays and a *fringe* of the slots that have a
+/// candidate but are not in the tree yet; each step scans the fringe,
+/// not every slot, for the least candidate. At this size the scan
+/// beats a binary heap's push/pop traffic, and the plan stage runs one
+/// MST per planning peer per round.
+///
+/// Only the root's tree neighbors are wanted, so the scan stops as soon
+/// as no fringe slot can still join the tree through the root (see
+/// [`PrimScratch::root_tree_neighbors`]).
 #[derive(Clone, Debug, Default)]
 pub struct PrimScratch {
+    /// Closure edges per slot, `(other slot, cost)`, both directions.
     adj: Vec<Vec<(u32, Delay)>>,
     /// Cheapest known connecting edge per slot: cost and tree-side
     /// endpoint, lexicographically minimal as `(cost, from)` —
@@ -280,6 +288,10 @@ pub struct PrimScratch {
     best_cost: Vec<Delay>,
     best_from: Vec<u32>,
     in_tree: Vec<bool>,
+    /// Slots with a candidate edge that are not in the tree yet, in no
+    /// particular order: a slot joins when it first gets a candidate and
+    /// leaves (`swap_remove`) when it is picked.
+    fringe: Vec<u32>,
 }
 
 /// `best_from` sentinel: no candidate edge reaches the slot yet.
@@ -294,9 +306,16 @@ impl PrimScratch {
     ///
     /// The heap pops the globally least `(cost, raw, slot, from)`
     /// entry among slots not yet in the tree; keeping only the per-slot
-    /// `(cost, from)`-minimal candidate and scanning for the least
-    /// `(cost, raw, slot, from)` key selects the identical sequence,
-    /// because `raw` and `slot` are constants of the slot.
+    /// `(cost, from)`-minimal candidate and scanning the fringe for the
+    /// least `(cost << 32) | raw` key selects the identical sequence,
+    /// because members are distinct peers, so `raw` names the slot.
+    ///
+    /// Only the root's own relaxation sets `from == root`, and the root
+    /// is in the tree before any other slot. So the fringe slots whose
+    /// candidate comes from the root are the only ones that can still
+    /// become root tree neighbors; once none is left, every later pick
+    /// joins through another slot, and the scan stops there with the
+    /// same output as spanning the whole component.
     ///
     /// # Panics
     ///
@@ -321,6 +340,7 @@ impl PrimScratch {
         self.best_cost.resize(n, Delay::MAX);
         self.best_from.clear();
         self.best_from.resize(n, NO_EDGE);
+        self.fringe.clear();
         for e in edges {
             let (i, j) = (e.a as usize, e.b as usize);
             assert!(i < n && j < n, "edge slot out of range");
@@ -332,38 +352,48 @@ impl PrimScratch {
             best_cost,
             best_from,
             in_tree,
+            fringe,
         } = self;
-        in_tree[root as usize] = true;
-        for &(j, c) in &adj[root as usize] {
-            let j = j as usize;
-            if (c, root) < (best_cost[j], best_from[j]) {
-                best_cost[j] = c;
-                best_from[j] = root;
-            }
-        }
         let start = out.len();
+        // Fringe slots whose candidate edge comes from the root.
+        let mut via_root = 0usize;
+        let mut j = root;
+        in_tree[j as usize] = true;
         loop {
-            let mut pick: Option<(Delay, u32, u32, u32)> = None;
-            for j in 0..n {
-                if in_tree[j] || best_from[j] == NO_EDGE {
-                    continue;
-                }
-                let key = (best_cost[j], members[j].raw(), j as u32, best_from[j]);
-                if pick.is_none_or(|p| key < p) {
-                    pick = Some(key);
-                }
-            }
-            let Some((_, _, j, from)) = pick else { break };
-            in_tree[j as usize] = true;
-            if from == root {
-                out.push(members[j as usize]);
-            }
             for &(k, c) in &adj[j as usize] {
                 let k = k as usize;
-                if !in_tree[k] && (c, j) < (best_cost[k], best_from[k]) {
-                    best_cost[k] = c;
-                    best_from[k] = j;
+                // In-tree slots are skipped from the root's relaxation on,
+                // so a root self-loop never puts the root on the fringe.
+                if in_tree[k] || (c, j) >= (best_cost[k], best_from[k]) {
+                    continue;
                 }
+                if best_from[k] == NO_EDGE {
+                    fringe.push(k as u32);
+                } else if best_from[k] == root {
+                    via_root -= 1;
+                }
+                if j == root {
+                    via_root += 1;
+                }
+                best_cost[k] = c;
+                best_from[k] = j;
+            }
+            if via_root == 0 {
+                break;
+            }
+            let (mut at, mut least) = (0, u64::MAX);
+            for (f, &s) in fringe.iter().enumerate() {
+                let s = s as usize;
+                let key = (u64::from(best_cost[s]) << 32) | u64::from(members[s].raw());
+                if key < least {
+                    (at, least) = (f, key);
+                }
+            }
+            j = fringe.swap_remove(at);
+            in_tree[j as usize] = true;
+            if best_from[j as usize] == root {
+                via_root -= 1;
+                out.push(members[j as usize]);
             }
         }
         out[start..].sort_unstable();
@@ -487,28 +517,51 @@ mod tests {
     }
 
     /// The drivers run only the slot-space Prim; `prim_heap` is its
-    /// reference. Few distinct costs force ties, and shuffled ids make
-    /// the `(cost, raw id, slot, from)` key orders disagree.
+    /// reference. Sizes reach h = 3 closures. Narrow costs (1–4) force
+    /// ties, wide ones use the whole `Delay` range, and shuffled ids make
+    /// the `(cost, raw id, slot, from)` key orders disagree. Every case
+    /// also gets a root self-loop, a self-loop elsewhere and a parallel
+    /// root edge whose cheaper copy comes second; half the cases split
+    /// the slots into parts no edge joins, and the root is any slot.
     #[test]
     fn slot_prim_root_neighbors_match_heap_prim() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(17);
         let mut scratch = PrimScratch::default();
         let mut out = Vec::new();
-        for _ in 0..400 {
-            let n = rng.gen_range(1..12u32);
+        for case in 0..600 {
+            let n = rng.gen_range(1..=120u32);
             let mut members: Vec<PeerId> = (0..n).map(|i| p(i * 3 + 1)).collect();
             for i in (1..members.len()).rev() {
                 members.swap(i, rng.gen_range(0..=i));
             }
+            let max_cost = if case % 2 == 0 { 4 } else { Delay::MAX };
+            // Slots in different parts share no edge.
+            let parts = if case % 4 < 2 {
+                1
+            } else {
+                rng.gen_range(2..=4u32)
+            };
+            let part = |s: u32| s % parts;
+            let root = rng.gen_range(0..n);
             let mut slot_edges = Vec::new();
-            for _ in 0..rng.gen_range(0..3 * n) {
+            for _ in 0..rng.gen_range(0..=4 * n) {
                 let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
-                if a != b {
-                    let cost = rng.gen_range(1..4);
+                if part(a) == part(b) {
+                    let cost = rng.gen_range(1..=max_cost);
                     slot_edges.push(SlotEdge { a, b, cost });
                 }
             }
+            let (other, cost) = (rng.gen_range(0..n), rng.gen_range(1..=max_cost));
+            let mut extra = vec![(root, root, cost), (other, other, cost)];
+            if part(other) == part(root) && other != root {
+                extra.extend([(root, other, cost), (other, root, rng.gen_range(1..=cost))]);
+            }
+            slot_edges.extend(
+                extra
+                    .into_iter()
+                    .map(|(a, b, cost)| SlotEdge { a, b, cost }),
+            );
             let edges: Vec<ClosureEdge> = slot_edges
                 .iter()
                 .map(|e| ClosureEdge {
@@ -518,12 +571,13 @@ mod tests {
                 })
                 .collect();
             out.clear();
-            scratch.root_tree_neighbors(&members, &slot_edges, 0, &mut out);
-            let heap = prim_heap(members[0], &members, &edges);
+            scratch.root_tree_neighbors(&members, &slot_edges, root, &mut out);
+            let root = members[root as usize];
+            let heap = prim_heap(root, &members, &edges);
             assert_eq!(
                 out,
-                heap.tree_neighbors(members[0]),
-                "{members:?} {slot_edges:?}"
+                heap.tree_neighbors(root),
+                "case {case}: {members:?} {slot_edges:?}"
             );
         }
     }

@@ -38,6 +38,10 @@ pub struct PlanScratch {
     /// BFS parent slot per member ([`NO_PARENT`] for the source) — the
     /// relay path along which a member's table reaches the source.
     pub parent: Vec<u32>,
+    /// Cost of each member's link to its BFS parent (0 for the source),
+    /// priced once per plan by the closure exchange and read by every
+    /// relay path that crosses the link.
+    pub uplink_cost: Vec<Delay>,
     /// Peer index → slot, valid only where `mark` carries the current
     /// epoch.
     slot_of: Vec<u32>,
@@ -133,17 +137,6 @@ impl PlanScratch {
         self.mark[peer.index()] == self.epoch
     }
 
-    /// Walks the relay path of the member at `slot` back to the source,
-    /// yielding each hop as a `(from, to)` pair — the same edge sequence
-    /// `Closure::relay_path(member).windows(2)` produces.
-    #[inline]
-    pub fn relay_hops(&self, slot: u32) -> RelayHops<'_> {
-        RelayHops {
-            scratch: self,
-            cur: slot,
-        }
-    }
-
     /// Collects the closure's overlay-internal edges into `self.edges`
     /// (slot space), in the same order `Closure::internal_edges`
     /// enumerates them: members in discovery order, each member's
@@ -169,28 +162,6 @@ impl PlanScratch {
                 }
             }
         }
-    }
-}
-
-/// Iterator over a member's relay-path hops; see
-/// [`PlanScratch::relay_hops`].
-pub struct RelayHops<'a> {
-    scratch: &'a PlanScratch,
-    cur: u32,
-}
-
-impl Iterator for RelayHops<'_> {
-    type Item = (PeerId, PeerId);
-
-    fn next(&mut self) -> Option<(PeerId, PeerId)> {
-        let parent = self.scratch.parent[self.cur as usize];
-        if parent == NO_PARENT {
-            return None;
-        }
-        let from = self.scratch.members[self.cur as usize];
-        let to = self.scratch.members[parent as usize];
-        self.cur = parent;
-        Some((from, to))
     }
 }
 
@@ -259,9 +230,14 @@ mod tests {
                 for (i, &m) in scratch.members.iter().enumerate() {
                     assert_eq!(Some(scratch.hops[i]), reference.hop_of(m));
                     assert_eq!(scratch.slot(m), Some(i as u32));
-                    // Relay hops must walk the same BFS parent chain.
+                    // The parent chain is the relay path the closure
+                    // exchange walks.
                     let mut path = vec![m];
-                    path.extend(scratch.relay_hops(i as u32).map(|(_, to)| to));
+                    let mut hop = i;
+                    while scratch.parent[hop] != NO_PARENT {
+                        hop = scratch.parent[hop] as usize;
+                        path.push(scratch.members[hop]);
+                    }
                     assert_eq!(path, reference.relay_path(m).unwrap());
                 }
                 assert!(

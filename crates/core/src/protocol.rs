@@ -486,6 +486,10 @@ pub struct AsyncAceSim {
     /// complement); transient, cleared on use, never part of the digest.
     flood_scratch: Vec<PeerId>,
     nonflood_scratch: Vec<PeerId>,
+    /// Reusable tree-step state (Prim arenas, scope-guard padding
+    /// candidates); transient, never part of the digest.
+    prim_scratch: PrimScratch,
+    extras_scratch: Vec<(Delay, PeerId)>,
 }
 
 impl AsyncAceSim {
@@ -529,6 +533,8 @@ impl AsyncAceSim {
             timer_gens: vec![0; peer_count],
             flood_scratch: Vec::new(),
             nonflood_scratch: Vec::new(),
+            prim_scratch: PrimScratch::default(),
+            extras_scratch: Vec::new(),
         };
         let peers: Vec<PeerId> = sim.overlay.alive_peers().collect();
         for p in peers {
@@ -1588,8 +1594,8 @@ impl AsyncAceSim {
             nbrs,
             MIN_FLOODING,
             |n| node.peer.table.get(n),
-            &mut PrimScratch::default(),
-            &mut Vec::new(),
+            &mut self.prim_scratch,
+            &mut self.extras_scratch,
             &mut new_tree,
         );
         let old_tree = std::mem::take(&mut self.nodes[peer.index()].peer.own_tree);

@@ -8,8 +8,7 @@
 //! deterministic exact tiers) and records, in simulated units only:
 //!
 //! * the **engine state digest** after the seeded rounds at each
-//!   population — the CI drift gate ([`check`]), asserted equal across
-//!   every [`WORKER_SWEEP`] count;
+//!   population, asserted equal across every [`WORKER_SWEEP`] count;
 //! * **tier hit rates** of the hybrid plane
 //!   ([`PlaneStats`](ace_topology::PlaneStats)) and its build-time
 //!   [calibration](ace_topology::HybridOracle::calibration);
@@ -18,6 +17,9 @@
 //!   exact costs, must land within [`DEFAULT_BAND`] of each other — the
 //!   differential harness's yardstick applied across planes instead of
 //!   across engines.
+//!
+//! The CI drift gate ([`check`]) compares a regenerated point with the
+//! committed one field for field.
 //!
 //! Wall time, memory and the worker pool's speedup at these populations
 //! are the repo benchmark's job (`cold_scale_20k`'s setup, round-rate
@@ -30,7 +32,7 @@ use ace_topology::generate::{two_level, TwoLevelConfig};
 use ace_topology::{DistanceOracle, DistancePlane, Graph, HybridConfig, HybridOracle, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 /// The curve's populations with their two-level physical dimensions
 /// `(peers, as_count, nodes_per_as)` — five physical routers per peer,
@@ -162,21 +164,38 @@ impl ScaleBench {
     }
 }
 
-/// The `--check` rule: `point`'s engine state digest must equal the
-/// committed baseline's, bit for bit — the rounds are fully seeded and
-/// worker-count invariant, so drift is a behavior change, not noise.
-/// Returns the failures; empty means the gate holds.
+/// The `--check` rule: `point` must equal the committed baseline's point
+/// field for field — world size, tier traffic, calibration and the
+/// engine state digest. The rounds are fully seeded and worker-count
+/// invariant, so drift is a behavior change, not noise. Returns the
+/// failures, naming the first field that differs; empty means the gate
+/// holds.
 pub fn check(point: &ScalePoint, baseline: &ScaleBench) -> Vec<String> {
     let Some(base) = baseline.point(point.peers) else {
         return vec![format!("baseline has no {}-peer point", point.peers)];
     };
-    if point.state_digest != base.state_digest {
-        return vec![format!(
-            "DIGEST DRIFT — measured {:#018x}, baseline {:#018x}; round behavior changed",
-            point.state_digest, base.state_digest
-        )];
+    match first_difference("", &point.to_value(), &base.to_value()) {
+        Some((field, got, want)) => vec![format!(
+            "POINT DRIFT at `{field}` — measured {got}, baseline {want}; round behavior changed"
+        )],
+        None => Vec::new(),
     }
-    Vec::new()
+}
+
+/// The dotted path of the first field where two serialized records of
+/// one type differ, with both sides printed as JSON.
+fn first_difference(path: &str, a: &Value, b: &Value) -> Option<(String, String, String)> {
+    match (a, b) {
+        (Value::Object(fa), Value::Object(fb)) => fa
+            .iter()
+            .zip(fb)
+            .find_map(|((k, x), (_, y))| first_difference(&format!("{path}.{k}"), x, y)),
+        _ if a == b => None,
+        _ => {
+            let json = |v| serde_json::to_string(v).expect("a value prints");
+            Some((path.trim_start_matches('.').to_string(), json(a), json(b)))
+        }
+    }
 }
 
 /// Draws `k` distinct physical hosts via a partial Fisher–Yates shuffle.
@@ -371,8 +390,21 @@ mod tests {
             assert_eq!(check(point, &baseline), Vec::<String>::new());
             let mut drifted = point.clone();
             drifted.state_digest ^= 1;
-            assert_one_failure(&check(&drifted, &baseline), "DIGEST DRIFT");
+            assert_one_failure(&check(&drifted, &baseline), "POINT DRIFT at `state_digest`");
         }
+    }
+
+    #[test]
+    fn check_compares_every_field_of_the_point() {
+        let baseline: ScaleBench = committed("BENCH_scale.json");
+        let mut point = baseline.points[1].clone();
+        point.tiers.coord += 1;
+        let failures = check(&point, &baseline);
+        assert_one_failure(&failures, "POINT DRIFT at `tiers.coord`");
+        assert!(failures[0].contains(&format!("measured {}", point.tiers.coord)));
+        point = baseline.points[1].clone();
+        point.calibration.p90 *= 1.5;
+        assert_one_failure(&check(&point, &baseline), "`calibration.p90`");
     }
 
     #[test]

@@ -1130,7 +1130,11 @@ impl AsyncAceSim {
         })
     }
 
-    /// Runs the protocol until `until` (absolute simulation time).
+    /// Runs the protocol until `until` (absolute simulation time); an
+    /// `until` already past leaves the clock where it is. The queue's
+    /// `peek_time` leaves its base at the last pop, so events the caller
+    /// schedules after `until` but before the earliest pending one still
+    /// pop first.
     pub fn run_until(&mut self, oracle: &dyn DistancePlane, until: SimTime) {
         while let Some(t) = self.queue.peek_time() {
             if t > until {
@@ -1204,7 +1208,9 @@ impl AsyncAceSim {
                 }
             }
         }
-        self.now = until;
+        // Never backwards: a push at `now + d` must not precede the last
+        // pop (the event queue's one precondition).
+        self.now = self.now.max(until);
     }
 
     /// Final delivery step behind the freshness check: the per-sender
@@ -2090,6 +2096,22 @@ mod tests {
         for p in sim.overlay().alive_peers() {
             assert!(sim.tree_built(p), "{p} never built a tree");
         }
+        sim.check_invariants().unwrap();
+    }
+
+    /// A bound earlier than the clock does not rewind it, so a peer that
+    /// joins afterwards schedules after the events already delivered.
+    #[test]
+    fn run_until_an_earlier_bound_keeps_the_clock() {
+        let (oracle, ov) = world(60, 1);
+        let mut sim = AsyncAceSim::new(ov, ProtoConfig::default(), 2);
+        sim.run_until(&oracle, SimTime::from_secs(120));
+        sim.run_until(&oracle, SimTime::from_secs(30));
+        assert_eq!(sim.now(), SimTime::from_secs(120));
+        sim.peer_leave(&oracle, PeerId::new(3));
+        sim.peer_join(PeerId::new(3), 3);
+        sim.run_until(&oracle, SimTime::from_secs(200));
+        assert_eq!(sim.now(), SimTime::from_secs(200));
         sim.check_invariants().unwrap();
     }
 

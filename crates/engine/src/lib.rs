@@ -1,9 +1,10 @@
 //! # ace-engine — discrete-event simulation core
 //!
 //! Shared simulation machinery for the ACE reproduction: integer
-//! [`SimTime`], a deterministic [`EventQueue`] (time ties broken by
-//! insertion order), the [`run_until`] driver, the deterministic
-//! fork-join worker pool ([`pool`]) shared by the round pipeline and the
+//! [`SimTime`], the deterministic [`EventQueue`] every simulator runs on
+//! (a stable radix queue: time ties pop in push order, and no event may
+//! be pushed earlier than the last one popped), the deterministic fork-join
+//! worker pool ([`pool`]) shared by the round pipeline and the
 //! query-serving engine, the random distributions ([`rng`]) behind
 //! the paper's workload and churn models, and the one stable fingerprint
 //! fold ([`digest`]) behind every state digest and golden pin.
@@ -16,7 +17,7 @@
 //! A tiny simulation that schedules a message ping-pong:
 //!
 //! ```
-//! use ace_engine::{run_until, EventQueue, SimTime};
+//! use ace_engine::{EventQueue, SimTime};
 //!
 //! #[derive(Debug)]
 //! enum Ev { Ping(u32), Pong(u32) }
@@ -24,11 +25,13 @@
 //! let mut q = EventQueue::new();
 //! q.push(SimTime::ZERO, Ev::Ping(0));
 //! let mut pongs = 0;
-//! run_until(&mut q, SimTime::from_millis(10), |now, ev, q| match ev {
-//!     Ev::Ping(i) if i < 3 => q.push(now + 5, Ev::Pong(i)),
-//!     Ev::Ping(_) => {}
-//!     Ev::Pong(i) => { pongs += 1; q.push(now + 5, Ev::Ping(i + 1)); }
-//! });
+//! while let Some((now, ev)) = q.pop() {
+//!     match ev {
+//!         Ev::Ping(i) if i < 3 => q.push(now + 5, Ev::Pong(i)),
+//!         Ev::Ping(_) => {}
+//!         Ev::Pong(i) => { pongs += 1; q.push(now + 5, Ev::Ping(i + 1)); }
+//!     }
+//! }
 //! assert_eq!(pongs, 3);
 //! ```
 
@@ -41,5 +44,5 @@ mod queue;
 pub mod rng;
 mod time;
 
-pub use queue::{run_until, EventQueue};
+pub use queue::EventQueue;
 pub use time::SimTime;

@@ -21,10 +21,10 @@
 //! load is what [`run_query_traced`]'s `on_send` sees, an output of the
 //! kernel rather than a policy wrapped around it.
 //!
-//! The queue is a stable monotone radix queue: it pops in non-decreasing
-//! arrival time and, among equal times, in push order — the order a
-//! binary heap keyed by `(time, push counter)` would give, without the
-//! counter or the sifts. A transmission is queued only while it can
+//! The queue is the engine's [`EventQueue`]: it pops in non-decreasing
+//! arrival time and, among equal times, in push order, and the kernel
+//! meets its one precondition (a send arrives at `t + cost >= t`, never
+//! before the pop that sent it). A transmission is queued only while it can
 //! still be a first arrival: one to a peer that was already reached, or
 //! that arrives no earlier than a message pushed before it for that
 //! peer, is a duplicate the moment it is sent, and is counted (and
@@ -34,7 +34,7 @@
 //! nothing: the single-query entry points leave a freshly reset outcome
 //! (scope 0), the batch drivers record the slot as skipped.
 
-use ace_engine::SimTime;
+use ace_engine::{EventQueue, SimTime};
 use ace_topology::{Delay, DistancePlane};
 
 use crate::network::Overlay;
@@ -214,7 +214,7 @@ impl QueryOutcome {
 /// queries a measurement sweep runs.
 #[derive(Clone, Debug, Default)]
 pub struct QueryScratch {
-    queue: ArrivalQueue,
+    queue: EventQueue<Hop>,
     targets: Vec<PeerId>,
     /// Peers whose first arrival has popped, one bit per peer.
     seen: Vec<u64>,
@@ -249,131 +249,13 @@ fn bit(i: usize) -> (usize, u64) {
     (i / 64, 1u64 << (i % 64))
 }
 
-/// One queued transmission: arrival time, target, sender, remaining TTL.
+/// One queued transmission, keyed by its arrival time: target, sender,
+/// remaining TTL.
 #[derive(Clone, Copy, Debug)]
-struct Arrival {
-    t: SimTime,
+struct Hop {
     to: u32,
     from: u32,
     ttl: u8,
-}
-
-/// Buckets of an [`ArrivalQueue`]: one for keys equal to the last popped
-/// key, plus one per bit of a `u64` tick key.
-const QUEUE_BUCKETS: usize = u64::BITS as usize + 1;
-
-/// Bucket of `key` when `last` was the last key popped.
-#[inline]
-fn bucket_of(key: u64, last: u64) -> usize {
-    (u64::BITS - (key ^ last).leading_zeros()) as usize
-}
-
-/// The kernel's event queue: a stable monotone radix queue of
-/// [`Arrival`]s keyed by arrival tick, popping in `(time, push order)`.
-///
-/// Every pushed key must be at least the last popped one, which the
-/// kernel guarantees (`t + cost >= t`). Key `k` lives in bucket
-/// `64 - (k ^ last).leading_zeros()`: bucket 0 holds keys equal to
-/// `last`, and bucket `i > 0` the keys whose highest bit differing from
-/// `last` is bit `i - 1`, so every key in a bucket is below every key in
-/// a higher one. Bucket 0 is drained from a front cursor. When it runs
-/// dry, the lowest non-empty bucket is emptied in order into the (empty)
-/// buckets below it, `last` becoming its smallest key.
-///
-/// Stable: equal keys always share a bucket, each bucket receives its
-/// entries in push order (a push appends; a refill appends a whole
-/// bucket's entries, in order, to buckets that were empty), and bucket 0
-/// pops first in, first out. So ties pop in push order, which is the
-/// `(time, seq)` order of a binary heap with a push counter, and no
-/// counter is needed. Unlike `ace_topology::sssp`'s radix heap, which
-/// pops ties in any order and drops stale entries while it refills, this
-/// queue pops every entry it was given.
-#[derive(Clone, Debug)]
-struct ArrivalQueue {
-    buckets: [Vec<Arrival>; QUEUE_BUCKETS],
-    /// Bit `i` is set iff `buckets[i]` holds an entry not yet popped.
-    mask: u128,
-    /// Entries of bucket 0 before this index have popped.
-    front: usize,
-    /// The last popped key; every queued key is `>= last`.
-    last: u64,
-}
-
-impl Default for ArrivalQueue {
-    fn default() -> Self {
-        ArrivalQueue {
-            buckets: std::array::from_fn(|_| Vec::new()),
-            mask: 0,
-            front: 0,
-            last: 0,
-        }
-    }
-}
-
-impl ArrivalQueue {
-    /// Empties the queue, keeping the buckets' capacity.
-    fn clear(&mut self) {
-        for bucket in &mut self.buckets {
-            bucket.clear();
-        }
-        self.mask = 0;
-        self.front = 0;
-        self.last = 0;
-    }
-
-    #[inline]
-    fn push(&mut self, e: Arrival) {
-        let key = e.t.as_ticks();
-        debug_assert!(key >= self.last, "arrival queue keys must be monotone");
-        let b = bucket_of(key, self.last);
-        self.buckets[b].push(e);
-        self.mask |= 1 << b;
-    }
-
-    /// Pops the earliest entry; among equal times, the first pushed.
-    #[inline]
-    fn pop(&mut self) -> Option<Arrival> {
-        if self.mask & 1 == 0 {
-            if self.mask == 0 {
-                return None;
-            }
-            self.refill();
-        }
-        let bucket = &mut self.buckets[0];
-        let e = bucket[self.front];
-        self.front += 1;
-        if self.front == bucket.len() {
-            bucket.clear();
-            self.front = 0;
-            self.mask &= !1;
-        }
-        Some(e)
-    }
-
-    /// Moves the lowest non-empty bucket, in order, into the buckets
-    /// below it; its smallest key becomes `last` and lands in bucket 0.
-    fn refill(&mut self) {
-        let ArrivalQueue {
-            buckets,
-            mask,
-            last,
-            ..
-        } = self;
-        let i = mask.trailing_zeros() as usize;
-        *mask &= !(1 << i);
-        let (lower, rest) = buckets.split_at_mut(i);
-        let bucket = &mut rest[0];
-        *last = bucket
-            .iter()
-            .map(|e| e.t.as_ticks())
-            .min()
-            .expect("a masked bucket is non-empty");
-        for e in bucket.drain(..) {
-            let b = bucket_of(e.t.as_ticks(), *last);
-            lower[b].push(e);
-            *mask |= 1 << b;
-        }
-    }
 }
 
 /// The propagation kernel: spreads one query from `source` under `policy`
@@ -442,14 +324,16 @@ where
     let mut first_responder = None;
     // Source "receives" its own query at t=0 with the full TTL.
     best[source.index()] = SimTime::ZERO;
-    queue.push(Arrival {
-        t: SimTime::ZERO,
-        to: source.raw(),
-        from: source.raw(),
-        ttl: config.ttl,
-    });
+    queue.push(
+        SimTime::ZERO,
+        Hop {
+            to: source.raw(),
+            from: source.raw(),
+            ttl: config.ttl,
+        },
+    );
 
-    while let Some(Arrival { t, to, from, ttl }) = queue.pop() {
+    while let Some((t, Hop { to, from, ttl })) = queue.pop() {
         let peer = PeerId::new(to);
         let from_peer = (to != from).then(|| PeerId::new(from));
         let (word, mask) = bit(peer.index());
@@ -493,12 +377,14 @@ where
                 continue;
             }
             best[target.index()] = at;
-            queue.push(Arrival {
-                t: at,
-                to: target.raw(),
-                from: peer.raw(),
-                ttl: ttl - 1,
-            });
+            queue.push(
+                at,
+                Hop {
+                    to: target.raw(),
+                    from: peer.raw(),
+                    ttl: ttl - 1,
+                },
+            );
         }
     }
     Some(QueryTotals {
@@ -660,9 +546,6 @@ where
 mod tests {
     use super::*;
     use ace_topology::{DistanceOracle, Graph, NodeId};
-    use proptest::prelude::*;
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
 
     /// Line physical net 0-1-2-3 (weight 10 each); overlay mirrors it.
     fn line_env() -> (Overlay, DistanceOracle) {
@@ -1016,66 +899,6 @@ mod tests {
         let plain = run_query(&ov, &oracle, PeerId::new(0), &qc, &FloodAll, |_| false);
         assert_eq!(plain.arrivals, out.arrivals);
         assert_eq!(plain.traffic_cost, out.traffic_cost);
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
-
-        /// The kernel's queue pops exactly as a `BinaryHeap` keyed by
-        /// `(time, push counter)` does, through interleaved pushes and
-        /// pops with monotone keys: equal-key runs (at the last pop and at
-        /// the last push), gaps of 1–3 ticks, and jumps of log-uniform
-        /// size up to 2^40 and over the whole `u64` range, so all 65
-        /// buckets fill and deep refills move runs of ties. One queue
-        /// serves every run, cleared (often while non-empty) in between.
-        #[test]
-        fn arrival_queue_pops_in_time_then_push_order(
-            ops in proptest::collection::vec((0u8..12, any::<u64>()), 1..600),
-        ) {
-            let mut queue = ArrivalQueue::default();
-            let mut heap = BinaryHeap::new();
-            let (mut popped, mut pushed, mut seq) = (0u64, 0u64, 0u32);
-            let pop_both = |queue: &mut ArrivalQueue, heap: &mut BinaryHeap<_>| {
-                let want = heap.pop().map(|Reverse(e)| e);
-                let got = queue.pop().map(|e| (e.t.as_ticks(), e.to));
-                prop_assert_eq!(got, want);
-                Ok(got)
-            };
-            for (op, r) in ops {
-                match op {
-                    0..=3 => {
-                        if let Some((t, _)) = pop_both(&mut queue, &mut heap)? {
-                            popped = t;
-                        }
-                    }
-                    11 => {
-                        queue.clear();
-                        heap.clear();
-                        (popped, pushed) = (0, 0);
-                    }
-                    _ => {
-                        let key = match op {
-                            4 | 5 => popped,
-                            6 => pushed.max(popped),
-                            7 | 8 => popped.saturating_add(1 + r % 3),
-                            // Log-uniform jumps: below 2^0..=2^40, then anywhere.
-                            9 => popped.saturating_add((r >> 6) & ((1 << (r % 41)) - 1)),
-                            _ => popped.saturating_add(r >> (r % 64)),
-                        };
-                        seq += 1;
-                        pushed = key;
-                        heap.push(Reverse((key, seq)));
-                        queue.push(Arrival {
-                            t: SimTime::from_ticks(key),
-                            to: seq,
-                            from: 0,
-                            ttl: 0,
-                        });
-                    }
-                }
-            }
-            while pop_both(&mut queue, &mut heap)?.is_some() {}
-        }
     }
 
     /// Skip-and-count: a departed or out-of-range source propagates

@@ -1,9 +1,12 @@
 //! `repro` — the one entry point of the reproduction harness: the
 //! paper's tables and figures from [`ace_bench::figures::FIGURES`] (each
 //! selected row runs **once** and emits the requested records), the
-//! committed `BENCH_*.json` curves with their `--check` gates (the
-//! rules are the `check` functions of `ace_bench::{scale, qps, matrix,
-//! soak}`), and the three [`ace_bench::smoke::SMOKES`]. `USAGE` is the
+//! committed `BENCH_*.json` curves with their `--check` gates, and the
+//! three [`ace_bench::smoke::SMOKES`]. A gate compares the regenerated
+//! record whole with its committed counterpart through
+//! [`ace_bench::diff`], then applies that module's `floors`; a full
+//! regeneration writes its `BENCH_*.json` only when every record clears
+//! its floors. `USAGE` is the
 //! reference; anything it does not list — an unknown sub-command, record
 //! id or flag, a flag without its value, an unparsable value, an
 //! unreadable baseline — is a one-line error plus the usage on stderr
@@ -37,7 +40,8 @@ USAGE:
 Records are written to target/experiments/<id>.json at the scale picked by
 QUICK=1 (smoke) or FULL=1 (the paper's 20k routers). Without --point / --slice
 the bench commands measure the full curve and write BENCH_<name>.json in the
-working directory; --check exits 1 when the measured subset fails its gate.";
+working directory, unless a record fails its floors (exit 1); --check exits 1
+when the measured subset differs from the committed record or fails a floor.";
 
 /// Argv, parsed once.
 #[derive(Default)]
@@ -127,25 +131,25 @@ fn save(path: &str, text: String) -> Result<(), String> {
     Ok(())
 }
 
-/// The shared tail of the four bench commands: print the `--check`
-/// verdict, then the `--json` line. `false` (exit 1) when the gate failed.
-fn finish<T: Serialize>(args: &Args, measured: &T, failures: Option<Vec<String>>) -> bool {
+/// The shared tail of the four bench commands: print the `--json` line
+/// (so a failed gate still shows what it measured), then each failure of
+/// the `--check` gate or of the floors. `false` (exit 1) when any failed.
+fn finish<T: Serialize>(args: &Args, measured: &T, failures: &[String]) -> bool {
     let cmd = &args.words[0];
-    if let Some(failures) = failures {
-        for f in &failures {
-            eprintln!("[repro {cmd}: CHECK FAILED — {f}]");
-        }
-        if !failures.is_empty() {
-            return false;
-        }
-        let path = args.check.as_deref().unwrap_or_default();
-        eprintln!("[repro {cmd}: check OK — every gate holds against {path}]");
-    }
     if args.json {
         println!(
             "{}",
             serde_json::to_string(measured).expect("bench types serialize")
         );
+    }
+    for f in failures {
+        eprintln!("[repro {cmd}: CHECK FAILED — {f}]");
+    }
+    if !failures.is_empty() {
+        return false;
+    }
+    if let Some(path) = &args.check {
+        eprintln!("[repro {cmd}: check OK — every gate holds against {path}]");
     }
     true
 }
@@ -182,16 +186,14 @@ fn scale_cmd(args: &Args) -> Result<bool, String> {
             })
             .collect();
         eprintln!("[repro scale: running 800-peer cross-plane band]");
-        let band = scale::run_band();
-        assert!(
-            band.within_band,
-            "hybrid plane fell outside the documented reduction band: {band:?}"
-        );
         let bench = ScaleBench {
             rounds: SCALE_ROUNDS,
             points,
-            band,
+            band: scale::run_band(),
         };
+        if !finish(args, &bench, &scale::floors(&bench)) {
+            return Ok(false);
+        }
         let json = serde_json::to_string_pretty(&bench).expect("bench types serialize");
         return save("BENCH_scale.json", json).map(|()| true);
     };
@@ -206,8 +208,8 @@ fn scale_cmd(args: &Args) -> Result<bool, String> {
         "[repro scale: {peers} peers — state digest {:#018x}]",
         point.state_digest
     );
-    let failures = baseline.map(|b| scale::check(&point, &b));
-    Ok(finish(args, &point, failures))
+    let failures = baseline.map_or_else(Vec::new, |b| scale::check(&point, &b));
+    Ok(finish(args, &point, &failures))
 }
 
 fn qps_cmd(args: &Args) -> Result<bool, String> {
@@ -225,6 +227,18 @@ fn qps_cmd(args: &Args) -> Result<bool, String> {
             chunk: ServeConfig::default().chunk,
             points,
         };
+        let failures: Vec<String> = bench
+            .points
+            .iter()
+            .flat_map(|p| {
+                qps::floors(p)
+                    .into_iter()
+                    .map(move |f| format!("{} peers: {f}", p.peers))
+            })
+            .collect();
+        if !finish(args, &bench, &failures) {
+            return Ok(false);
+        }
         let json = serde_json::to_string_pretty(&bench).expect("bench types serialize");
         return save("BENCH_qps.json", json).map(|()| true);
     };
@@ -244,8 +258,8 @@ fn qps_cmd(args: &Args) -> Result<bool, String> {
         point.traffic_ratio,
         point.scope_ratio
     );
-    let failures = baseline.map(|b| qps::check(&point, &b));
-    Ok(finish(args, &point, failures))
+    let failures = baseline.map_or_else(Vec::new, |b| qps::check(&point, &b));
+    Ok(finish(args, &point, &failures))
 }
 
 fn matrix_cmd(args: &Args) -> Result<bool, String> {
@@ -296,8 +310,12 @@ fn matrix_cmd(args: &Args) -> Result<bool, String> {
             on.traffic_total / off.traffic_total.max(1e-9),
         );
     }
-    let failures = baseline.map(|b| matrix::check(&bench, &b));
-    if !finish(args, &bench, failures) {
+    let failures = match (&baseline, args.slice) {
+        (Some(b), _) => matrix::check(&bench, b),
+        (None, false) => matrix::floors(&bench),
+        (None, true) => Vec::new(),
+    };
+    if !finish(args, &bench, &failures) {
         return Ok(false);
     }
     if !args.slice {
@@ -327,8 +345,8 @@ fn soak_cmd(args: &Args) -> Result<bool, String> {
         let baseline: Option<SoakBench> = args.baseline()?;
         let sev = soak::severity_named(soak::SLICE_SEVERITY).expect("slice severity on the grid");
         let report = run(&sev);
-        let failures = baseline.map(|b| soak::check(&report, &b));
-        return Ok(finish(args, &report, failures));
+        let failures = baseline.map_or_else(Vec::new, |b| soak::check(&report, &b));
+        return Ok(finish(args, &report, &failures));
     }
     args.accept(&[], 0)?;
     let bench = SoakBench {
@@ -338,6 +356,18 @@ fn soak_cmd(args: &Args) -> Result<bool, String> {
         queries_per_window: params.queries_per_window,
         severities: soak::severities().iter().map(run).collect(),
     };
+    let failures: Vec<String> = bench
+        .severities
+        .iter()
+        .flat_map(|r| {
+            soak::floors(r)
+                .into_iter()
+                .map(move |f| format!("{}: {f}", r.name))
+        })
+        .collect();
+    if !finish(args, &bench, &failures) {
+        return Ok(false);
+    }
     let json = serde_json::to_string_pretty(&bench).expect("bench types serialize");
     save("BENCH_soak.json", json + "\n").map(|()| true)
 }

@@ -47,6 +47,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
+use crate::diff;
 use crate::scale::build_world_sized;
 
 /// Zipf skews of the query workload: a mild head and a heavy head,
@@ -355,45 +356,65 @@ impl MatrixBench {
     }
 }
 
+/// `strategy zipf=… r=… ace=…`, a cell's key in failure lines.
+fn cell_key(c: &CellResult) -> String {
+    format!(
+        "{} zipf={} r={} ace={}",
+        c.strategy.name(),
+        c.zipf,
+        c.replicas,
+        c.ace
+    )
+}
+
 /// The `--check` rule: every measured cell must exist in the committed
-/// artifact with the same digest (digests are parameter-derived, so a
+/// artifact, and the measured run must equal its committed counterpart
+/// in every field ([`diff`]) — the top-level `peers`, `queries_per_cell`
+/// and `rounds`, and each cell against the committed cell with the same
+/// `(strategy, zipf, replicas, ace)`. Seeds are parameter-derived, so a
 /// slice reproduces the committed cells exactly regardless of which
-/// other cells ran), clear its strategy's [`recall_floor`], and ACE
-/// must not raise traffic in any `(off, on)` pair. Returns the
+/// other cells ran. The run must also clear [`floors`]. Returns the
 /// failures; empty means the gate holds.
 pub fn check(measured: &MatrixBench, baseline: &MatrixBench) -> Vec<String> {
     let mut failures = Vec::new();
-    let key = |c: &CellResult| {
-        format!(
-            "{} zipf={} r={} ace={}",
-            c.strategy.name(),
-            c.zipf,
-            c.replicas,
-            c.ace
-        )
-    };
+    let mut cells = Vec::with_capacity(measured.cells.len());
     for c in &measured.cells {
         match baseline.cell(c.strategy, c.zipf, c.replicas, c.ace) {
-            None => failures.push(format!("{}: missing from the committed artifact", key(c))),
-            Some(b) if b.digest != c.digest => failures.push(format!(
-                "{}: digest drifted (committed {:#x}, measured {:#x})",
-                key(c),
-                b.digest,
-                c.digest
+            Some(b) => cells.push(*b),
+            None => failures.push(format!(
+                "{}: missing from the committed artifact",
+                cell_key(c)
             )),
-            Some(_) => {}
         }
+    }
+    if failures.is_empty() {
+        let committed = MatrixBench {
+            cells,
+            ..baseline.clone()
+        };
+        failures.extend(diff(&measured.to_value(), &committed.to_value()));
+    }
+    failures.extend(floors(measured));
+    failures
+}
+
+/// The matrix's claims: every cell clears its strategy's
+/// [`recall_floor`], and ACE does not raise traffic in any `(off, on)`
+/// pair. Returns the failures; empty means both hold.
+pub fn floors(bench: &MatrixBench) -> Vec<String> {
+    let mut failures = Vec::new();
+    for c in &bench.cells {
         let floor = recall_floor(c.strategy);
         if c.recall < floor {
             failures.push(format!(
                 "{}: recall {:.3} below the {} floor {floor}",
-                key(c),
+                cell_key(c),
                 c.recall,
                 c.strategy.name()
             ));
         }
     }
-    for (off, on) in measured.ace_pairs() {
+    for (off, on) in bench.ace_pairs() {
         if on.traffic_total > off.traffic_total {
             failures.push(format!(
                 "{} zipf={} r={}: ACE increased traffic ({:.1} -> {:.1})",
@@ -935,7 +956,17 @@ mod tests {
 
         let mut drifted = baseline.clone();
         drifted.cells[5].digest ^= 1;
-        assert_one_failure(&check(&drifted, &baseline), "digest drifted");
+        assert_one_failure(&check(&drifted, &baseline), "DRIFT at `$.cells[5].digest`");
+
+        // A slice is compared with its committed cells, every field.
+        let mut slice = baseline.clone();
+        slice.cells.retain(|c| c.zipf == ZIPF_POINTS[0]);
+        assert_eq!(check(&slice, &baseline), Vec::<String>::new());
+        slice.cells[3].link_max_messages += 1;
+        assert_one_failure(
+            &check(&slice, &baseline),
+            "DRIFT at `$.cells[3].link_max_messages`",
+        );
 
         let mut shrunk = baseline.clone();
         let gone = shrunk.cells.remove(7);
@@ -943,30 +974,32 @@ mod tests {
         assert_one_failure(&failures, "missing from the committed artifact");
         assert!(failures[0].starts_with(gone.strategy.name()));
 
+        // Each strategy's recall floor binds at its value exactly.
         for strategy in Strategy::ALL {
+            let i = baseline.cells.iter().position(|c| c.strategy == strategy);
+            let i = i.expect("every strategy is in the matrix");
             let mut low = baseline.clone();
-            let cell = low
-                .cells
-                .iter_mut()
-                .find(|c| c.strategy == strategy)
-                .expect("every strategy is in the matrix");
-            cell.recall = recall_floor(strategy) - 0.001;
-            assert_one_failure(&check(&low, &baseline), "recall");
+            low.cells[i].recall = recall_floor(strategy);
+            assert_eq!(floors(&low), Vec::<String>::new());
+            low.cells[i].recall -= 0.001;
+            assert_one_failure(&floors(&low), "recall");
         }
     }
 
+    /// Equal traffic in an `(off, on)` pair passes; one more unit fails.
     #[test]
-    fn check_catches_an_ace_pair_that_raised_traffic() {
-        let baseline: MatrixBench = committed("BENCH_matrix.json");
-        let mut raised = baseline.clone();
+    fn floors_catch_an_ace_pair_that_raised_traffic() {
+        let mut raised: MatrixBench = committed("BENCH_matrix.json");
         let off_total = raised.cells.iter().find(|c| !c.ace).unwrap().traffic_total;
         let on = raised
             .cells
-            .iter_mut()
-            .find(|c| c.ace)
+            .iter()
+            .position(|c| c.ace)
             .expect("matrix has ACE cells");
-        on.traffic_total = off_total + 1.0;
-        assert_one_failure(&check(&raised, &baseline), "ACE increased traffic");
+        raised.cells[on].traffic_total = off_total;
+        assert_eq!(floors(&raised), Vec::<String>::new());
+        raised.cells[on].traffic_total += 1.0;
+        assert_one_failure(&floors(&raised), "ACE increased traffic");
     }
 
     #[test]

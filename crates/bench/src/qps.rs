@@ -16,12 +16,14 @@
 
 use ace_core::{AceConfig, AceEngine, AceForward};
 use ace_overlay::{
-    serve_batch, zipf_workload, Catalog, FloodAll, ForwardPolicy, Placement, QueryConfig,
+    serve_batch, zipf_workload, Catalog, FloodAll, ForwardPolicy, Overlay, Placement, QueryConfig,
     QuerySpec, ServeConfig, ServeReport,
 };
-use ace_topology::{DistancePlane, HybridConfig, HybridOracle, NodeId};
+use ace_topology::{DistancePlane, Graph, HybridConfig, HybridOracle, NodeId};
+use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
+use crate::diff;
 use crate::scale::build_world;
 
 /// Populations served; both are scale-curve points so the worlds are
@@ -140,25 +142,27 @@ impl QpsBench {
 }
 
 /// Share of flooding's mean search scope the optimized side must keep
-/// for [`check`] to pass — the paper's scope-retention claim.
+/// for [`floors`] to pass — the paper's scope-retention claim.
 pub const SCOPE_FLOOR: f64 = 0.9;
 
-/// The `--check` rule, over simulated quantities only: the serving
-/// digests must equal the committed baseline's (they are deterministic,
-/// so drift means the serving semantics changed), the traffic ratio must
-/// still be a reduction, and the scope ratio must clear [`SCOPE_FLOOR`].
-/// Returns the failures; empty means the gate holds.
+/// The `--check` rule: `point` must equal the committed point with the
+/// same population in every field ([`diff`]; the serving sides are
+/// deterministic, so drift means the serving semantics changed), and it
+/// must clear [`floors`]. Returns the failures; empty means the gate
+/// holds.
 pub fn check(point: &QpsPoint, baseline: &QpsBench) -> Vec<String> {
     let Some(base) = baseline.point(point.peers) else {
         return vec![format!("baseline has no {}-peer point", point.peers)];
     };
+    let drift = diff(&point.to_value(), &base.to_value());
+    drift.into_iter().chain(floors(point)).collect()
+}
+
+/// The paper's claims on one point, over simulated quantities only: the
+/// traffic ratio must still be a reduction, and the scope ratio must
+/// clear [`SCOPE_FLOOR`]. Returns the failures; empty means both hold.
+pub fn floors(point: &QpsPoint) -> Vec<String> {
     let mut failures = Vec::new();
-    if point.flood.digest != base.flood.digest || point.ace.digest != base.ace.digest {
-        failures.push(format!(
-            "serving digests drifted from the baseline (flood {} vs {}, ace {} vs {})",
-            point.flood.digest, base.flood.digest, point.ace.digest, base.ace.digest
-        ));
-    }
     if point.traffic_ratio >= 1.0 {
         failures.push(format!(
             "ACE stopped reducing per-query traffic (ratio {:.3})",
@@ -175,7 +179,7 @@ pub fn check(point: &QpsPoint, baseline: &QpsBench) -> Vec<String> {
 }
 
 fn serve_side<P: ForwardPolicy + Sync + ?Sized>(
-    overlay: &ace_overlay::Overlay,
+    overlay: &Overlay,
     plane: &dyn DistancePlane,
     policy: &P,
     placement: &Placement,
@@ -201,13 +205,18 @@ fn serve_side<P: ForwardPolicy + Sync + ?Sized>(
 /// Measures one population: same world and hybrid plane as the scale
 /// curve, one Zipf workload, served by both sides.
 pub fn run_point(peers: usize) -> QpsPoint {
-    let (graph, overlay, mut rng) = build_world(peers, SEED);
+    let (graph, overlay, rng) = build_world(peers, SEED);
+    serve_point(graph, overlay, rng, queries_for(peers))
+}
+
+/// Serves `queries` Zipf queries on `overlay` by flooding, then the same
+/// workload after [`QPS_ROUNDS`] ACE rounds by tree forwarding.
+fn serve_point(graph: Graph, overlay: Overlay, mut rng: StdRng, queries: usize) -> QpsPoint {
     let members: Vec<NodeId> = overlay.peers().map(|p| overlay.host(p)).collect();
     let plane = HybridOracle::build(graph, &members, &HybridConfig);
 
     let catalog = Catalog::new(OBJECTS, ZIPF);
     let placement = Placement::random(OBJECTS, REPLICAS, &overlay, &mut rng);
-    let queries = queries_for(peers);
     let specs = zipf_workload(&overlay, &catalog, queries, &mut rng);
 
     // Unoptimized side: blind flooding on the initial overlay.
@@ -236,7 +245,7 @@ pub fn run_point(peers: usize) -> QpsPoint {
     let flood = QpsSide::from_report(&flood_report);
     let ace_side = QpsSide::from_report(&ace_report);
     QpsPoint {
-        peers,
+        peers: optimized.peer_count(),
         queries,
         traffic_ratio: ace_side.traffic_per_query / flood.traffic_per_query.max(1e-9),
         scope_ratio: ace_side.mean_scope / flood.mean_scope.max(1e-9),
@@ -257,29 +266,35 @@ mod tests {
             assert_eq!(check(point, &baseline), Vec::<String>::new());
             let mut flood = point.clone();
             flood.flood.digest ^= 1;
-            assert_one_failure(&check(&flood, &baseline), "digests drifted");
+            assert_one_failure(&check(&flood, &baseline), "DRIFT at `$.flood.digest`");
             let mut ace = point.clone();
             ace.ace.digest ^= 1;
-            assert_one_failure(&check(&ace, &baseline), "digests drifted");
+            assert_one_failure(&check(&ace, &baseline), "DRIFT at `$.ace.digest`");
+            // A leaf no digest covers.
+            let mut p99 = point.clone();
+            p99.ace.hop_p99_ms += 0.5;
+            assert_one_failure(&check(&p99, &baseline), "DRIFT at `$.ace.hop_p99_ms`");
         }
         let mut missing = baseline.points[0].clone();
         missing.peers = 123;
         assert_one_failure(&check(&missing, &baseline), "no 123-peer point");
     }
 
-    /// The scope floor binds at 0.9 exactly.
+    /// The scope floor binds at 0.9 exactly; traffic must stay under 1.
     #[test]
-    fn check_catches_scope_under_the_floor_and_lost_traffic_reduction() {
+    fn floors_catch_scope_under_the_floor_and_lost_traffic_reduction() {
         let baseline: QpsBench = committed("BENCH_qps.json");
         let mut point = baseline.points[0].clone();
         point.scope_ratio = SCOPE_FLOOR;
-        assert_eq!(check(&point, &baseline), Vec::<String>::new());
+        assert_eq!(floors(&point), Vec::<String>::new());
         point.scope_ratio = 0.89;
-        assert_one_failure(&check(&point, &baseline), "kept 0.890 of flooding's");
+        assert_one_failure(&floors(&point), "kept 0.890 of flooding's");
 
         point.scope_ratio = 1.0;
+        point.traffic_ratio = 0.999;
+        assert_eq!(floors(&point), Vec::<String>::new());
         point.traffic_ratio = 1.0;
-        assert_one_failure(&check(&point, &baseline), "stopped reducing");
+        assert_one_failure(&floors(&point), "stopped reducing");
     }
 
     /// A miniature point (not a committed population): the optimized side
@@ -314,53 +329,9 @@ mod tests {
         assert_eq!(a.ace.digest, b.ace.digest);
     }
 
-    /// Test-only variant of [`run_point`] on an arbitrary (small)
-    /// population with a custom query count.
+    /// [`serve_point`] on a small world (not a committed population).
     fn run_point_sized(peers: usize, queries: usize) -> QpsPoint {
-        use ace_overlay::clustered_overlay;
-        use ace_topology::generate::{two_level, TwoLevelConfig};
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-
-        let mut rng = StdRng::seed_from_u64(7);
-        let topo = two_level(
-            &TwoLevelConfig {
-                as_count: 4,
-                nodes_per_as: 200,
-            },
-            &mut rng,
-        );
-        let hosts = topo.graph.nodes().take(peers).collect();
-        let overlay = clustered_overlay(hosts, 6, 0.7, Some(12), &mut rng);
-        let members: Vec<NodeId> = overlay.peers().map(|p| overlay.host(p)).collect();
-        let plane = HybridOracle::build(topo.graph, &members, &HybridConfig);
-
-        let catalog = Catalog::new(OBJECTS, ZIPF);
-        let placement = Placement::random(OBJECTS, REPLICAS, &overlay, &mut rng);
-        let specs = zipf_workload(&overlay, &catalog, queries, &mut rng);
-
-        let flood_report = serve_side(&overlay, &plane, &FloodAll, &placement, &specs);
-        let mut optimized = overlay;
-        let mut ace = AceEngine::new(optimized.peer_count(), AceConfig::paper_default());
-        for _ in 0..QPS_ROUNDS {
-            ace.round(&mut optimized, &plane, &mut rng);
-        }
-        let ace_report = serve_side(
-            &optimized,
-            &plane,
-            &AceForward::new(&ace),
-            &placement,
-            &specs,
-        );
-        let flood = QpsSide::from_report(&flood_report);
-        let ace_side = QpsSide::from_report(&ace_report);
-        QpsPoint {
-            peers,
-            queries,
-            traffic_ratio: ace_side.traffic_per_query / flood.traffic_per_query.max(1e-9),
-            scope_ratio: ace_side.mean_scope / flood.mean_scope.max(1e-9),
-            flood,
-            ace: ace_side,
-        }
+        let (graph, overlay, rng) = crate::scale::build_world_sized(peers, 4, 200, 7);
+        serve_point(graph, overlay, rng, queries)
     }
 }

@@ -18,8 +18,9 @@
 //!   differential harness's yardstick applied across planes instead of
 //!   across engines.
 //!
-//! The CI drift gate ([`check`]) compares a regenerated point with the
-//! committed one field for field.
+//! The CI gate ([`check`]) compares a regenerated point with the
+//! committed one whole, through [`crate::diff`]; a regenerated curve is
+//! written only when it clears [`floors`].
 //!
 //! Wall time, memory and the worker pool's speedup at these populations
 //! are the repo benchmark's job (`cold_scale_20k`'s setup, round-rate
@@ -32,7 +33,9 @@ use ace_topology::generate::{two_level, TwoLevelConfig};
 use ace_topology::{DistanceOracle, DistancePlane, Graph, HybridConfig, HybridOracle, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
+
+use crate::diff;
 
 /// The curve's populations with their two-level physical dimensions
 /// `(peers, as_count, nodes_per_as)` — five physical routers per peer,
@@ -164,38 +167,30 @@ impl ScaleBench {
     }
 }
 
-/// The `--check` rule: `point` must equal the committed baseline's point
-/// field for field — world size, tier traffic, calibration and the
-/// engine state digest. The rounds are fully seeded and worker-count
-/// invariant, so drift is a behavior change, not noise. Returns the
-/// failures, naming the first field that differs; empty means the gate
-/// holds.
+/// The `--check` rule: `point` must equal the committed point with the
+/// same population in every field ([`diff`]) — world size, tier traffic,
+/// calibration and the engine state digest. A point carries no floor of
+/// its own (the curve's one floor, the cross-plane band, is measured by
+/// the full run). Returns the failures; empty means the gate holds.
 pub fn check(point: &ScalePoint, baseline: &ScaleBench) -> Vec<String> {
-    let Some(base) = baseline.point(point.peers) else {
-        return vec![format!("baseline has no {}-peer point", point.peers)];
-    };
-    match first_difference("", &point.to_value(), &base.to_value()) {
-        Some((field, got, want)) => vec![format!(
-            "POINT DRIFT at `{field}` — measured {got}, baseline {want}; round behavior changed"
-        )],
-        None => Vec::new(),
+    match baseline.point(point.peers) {
+        Some(base) => diff(&point.to_value(), &base.to_value())
+            .into_iter()
+            .collect(),
+        None => vec![format!("baseline has no {}-peer point", point.peers)],
     }
 }
 
-/// The dotted path of the first field where two serialized records of
-/// one type differ, with both sides printed as JSON.
-fn first_difference(path: &str, a: &Value, b: &Value) -> Option<(String, String, String)> {
-    match (a, b) {
-        (Value::Object(fa), Value::Object(fb)) => fa
-            .iter()
-            .zip(fb)
-            .find_map(|((k, x), (_, y))| first_difference(&format!("{path}.{k}"), x, y)),
-        _ if a == b => None,
-        _ => {
-            let json = |v| serde_json::to_string(v).expect("a value prints");
-            Some((path.trim_start_matches('.').to_string(), json(a), json(b)))
-        }
+/// The floor a regenerated curve must clear before it is written: the
+/// 800-peer cross-plane band holds ([`ScaleBand::within_band`]).
+pub fn floors(bench: &ScaleBench) -> Vec<String> {
+    if bench.band.within_band {
+        return Vec::new();
     }
+    vec![format!(
+        "hybrid plane fell outside the documented reduction band: {:?}",
+        bench.band
+    )]
 }
 
 /// Draws `k` distinct physical hosts via a partial Fisher–Yates shuffle.
@@ -390,7 +385,7 @@ mod tests {
             assert_eq!(check(point, &baseline), Vec::<String>::new());
             let mut drifted = point.clone();
             drifted.state_digest ^= 1;
-            assert_one_failure(&check(&drifted, &baseline), "POINT DRIFT at `state_digest`");
+            assert_one_failure(&check(&drifted, &baseline), "DRIFT at `$.state_digest`");
         }
     }
 
@@ -400,11 +395,11 @@ mod tests {
         let mut point = baseline.points[1].clone();
         point.tiers.coord += 1;
         let failures = check(&point, &baseline);
-        assert_one_failure(&failures, "POINT DRIFT at `tiers.coord`");
+        assert_one_failure(&failures, "DRIFT at `$.tiers.coord`");
         assert!(failures[0].contains(&format!("measured {}", point.tiers.coord)));
         point = baseline.points[1].clone();
         point.calibration.p90 *= 1.5;
-        assert_one_failure(&check(&point, &baseline), "`calibration.p90`");
+        assert_one_failure(&check(&point, &baseline), "`$.calibration.p90`");
     }
 
     #[test]
@@ -413,6 +408,14 @@ mod tests {
         let mut point = baseline.points[0].clone();
         point.peers = 123;
         assert_one_failure(&check(&point, &baseline), "no 123-peer point");
+    }
+
+    #[test]
+    fn floors_catch_a_band_violation() {
+        let mut bench: ScaleBench = committed("BENCH_scale.json");
+        assert_eq!(floors(&bench), Vec::<String>::new());
+        bench.band.within_band = false;
+        assert_one_failure(&floors(&bench), "outside the documented reduction band");
     }
 
     #[test]

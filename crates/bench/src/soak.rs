@@ -34,6 +34,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
+use crate::diff;
+
 /// World seed shared by every severity (per-arm streams derive from it).
 pub const SOAK_SEED: u64 = 47;
 
@@ -251,48 +253,54 @@ pub const RETENTION_FLOOR: f64 = 0.95;
 /// one (the churn snap-to-floor is what buys this).
 pub const FINAL_RETENTION_FLOOR: f64 = 1.0;
 
-/// The `--check` rule for one measured severity: both arms' digests
-/// must equal the committed baseline's (everything is simulated and
-/// seeded, so drift means the protocol or controller semantics changed,
-/// not that the runner was slow), the adaptive arm must retain
-/// [`RETENTION_FLOOR`] of the static arm's traffic reduction over the
-/// soak and [`FINAL_RETENTION_FLOOR`] of it at the end, spend no more
-/// control overhead than the static arm, leak no controller entry and
-/// stay inside its byte budget, and both arms must pass the post-settle
-/// invariant audit. Returns the failures; empty means the gate holds.
+/// The `--check` rule for one measured severity: it must equal the
+/// committed severity with the same name in every field ([`diff`];
+/// everything is simulated and seeded, so drift means the protocol or
+/// controller semantics changed, not that the runner was slow), and it
+/// must clear [`floors`]. Returns the failures; empty means the gate
+/// holds.
 pub fn check(report: &SeverityReport, baseline: &SoakBench) -> Vec<String> {
     let Some(base) = baseline.severity(&report.name) else {
         return vec![format!("baseline has no severity {:?}", report.name)];
     };
+    let drift = diff(&report.to_value(), &base.to_value());
+    drift.into_iter().chain(floors(report)).collect()
+}
+
+/// The controller's claims on one severity: both arms pass the
+/// post-settle invariant audit, the adaptive arm spends no more control
+/// overhead than the static arm, leaks no controller entry and stays
+/// inside its byte budget. On [`SLICE_SEVERITY`] only — the churn+chaos
+/// severity the acceptance claim is about — the adaptive arm must also
+/// retain [`RETENTION_FLOOR`] of the static arm's traffic reduction over
+/// the soak and [`FINAL_RETENTION_FLOOR`] of it at the end. Returns the
+/// failures; empty means every claim holds.
+pub fn floors(report: &SeverityReport) -> Vec<String> {
     let mut failures = Vec::new();
-    for (label, arm, base_arm) in [
-        ("static", &report.static_arm, &base.static_arm),
-        ("adaptive", &report.adaptive_arm, &base.adaptive_arm),
+    for (label, arm) in [
+        ("static", &report.static_arm),
+        ("adaptive", &report.adaptive_arm),
     ] {
-        if arm.digest != base_arm.digest {
-            failures.push(format!(
-                "{label} digest drifted ({} vs {})",
-                arm.digest, base_arm.digest
-            ));
-        }
         if !arm.invariants_ok {
             failures.push(format!(
                 "{label} arm failed the post-settle invariant audit"
             ));
         }
     }
-    if report.retention < RETENTION_FLOOR {
-        failures.push(format!(
-            "adaptive arm retains {:.3} of the static reduction (floor {RETENTION_FLOOR})",
-            report.retention
-        ));
-    }
-    if report.retention_final < FINAL_RETENTION_FLOOR {
-        failures.push(format!(
-            "adaptive arm ends the soak at {:.3} of the static reduction \
-             (floor {FINAL_RETENTION_FLOOR})",
-            report.retention_final
-        ));
+    if report.name == SLICE_SEVERITY {
+        if report.retention < RETENTION_FLOOR {
+            failures.push(format!(
+                "adaptive arm retains {:.3} of the static reduction (floor {RETENTION_FLOOR})",
+                report.retention
+            ));
+        }
+        if report.retention_final < FINAL_RETENTION_FLOOR {
+            failures.push(format!(
+                "adaptive arm ends the soak at {:.3} of the static reduction \
+                 (floor {FINAL_RETENTION_FLOOR})",
+                report.retention_final
+            ));
+        }
     }
     if report.overhead_ratio > 1.0 {
         failures.push(format!(
@@ -581,15 +589,25 @@ mod tests {
     use super::*;
     use crate::{assert_one_failure, committed};
 
-    /// `check` on the committed slice severity with one field moved.
-    fn check_with(mutate: impl FnOnce(&mut SeverityReport)) -> Vec<String> {
+    /// The committed slice severity with one field moved.
+    fn storm_with(mutate: impl FnOnce(&mut SeverityReport)) -> SeverityReport {
         let baseline: SoakBench = committed("BENCH_soak.json");
         let mut report = baseline
             .severity(SLICE_SEVERITY)
             .expect("slice severity is committed")
             .clone();
         mutate(&mut report);
-        check(&report, &baseline)
+        report
+    }
+
+    /// `check` on the committed slice severity with one field moved.
+    fn check_with(mutate: impl FnOnce(&mut SeverityReport)) -> Vec<String> {
+        check(&storm_with(mutate), &committed("BENCH_soak.json"))
+    }
+
+    /// `floors` on the committed slice severity with one field moved.
+    fn floors_with(mutate: impl FnOnce(&mut SeverityReport)) -> Vec<String> {
+        floors(&storm_with(mutate))
     }
 
     #[test]
@@ -597,11 +615,15 @@ mod tests {
         assert_eq!(check_with(|_| {}), Vec::<String>::new());
         assert_one_failure(
             &check_with(|r| r.static_arm.digest ^= 1),
-            "static digest drifted",
+            "DRIFT at `$.static_arm.digest`",
         );
         assert_one_failure(
             &check_with(|r| r.adaptive_arm.digest ^= 1),
-            "adaptive digest drifted",
+            "DRIFT at `$.adaptive_arm.digest`",
+        );
+        assert_one_failure(
+            &check_with(|r| r.adaptive_arm.windows[4].interval_mean += 0.25),
+            "DRIFT at `$.adaptive_arm.windows[4].interval_mean`",
         );
         assert_one_failure(
             &check_with(|r| r.name = "typhoon".into()),
@@ -609,40 +631,45 @@ mod tests {
         );
     }
 
+    /// Each floor at its bound holds, and one step past it fails.
     #[test]
-    fn check_catches_each_controller_regression() {
-        assert_eq!(check_with(|r| r.retention = 0.95), Vec::<String>::new());
-        assert_one_failure(&check_with(|r| r.retention = 0.949), "retains 0.949");
+    fn floors_catch_each_controller_regression() {
+        assert_eq!(floors_with(|r| r.retention = 0.95), Vec::<String>::new());
+        assert_one_failure(&floors_with(|r| r.retention = 0.949), "retains 0.949");
         assert_eq!(
-            check_with(|r| r.retention_final = 1.0),
+            floors_with(|r| r.retention_final = 1.0),
             Vec::<String>::new()
         );
         assert_one_failure(
-            &check_with(|r| r.retention_final = 0.999),
+            &floors_with(|r| r.retention_final = 0.999),
             "ends the soak at 0.999",
         );
-        assert_eq!(check_with(|r| r.overhead_ratio = 1.0), Vec::<String>::new());
-        assert_one_failure(
-            &check_with(|r| r.overhead_ratio = 1.001),
-            "more control overhead than static",
+        assert_eq!(
+            floors_with(|r| r.overhead_ratio = 1.0),
+            Vec::<String>::new()
         );
         assert_one_failure(
-            &check_with(|r| r.adaptive_arm.leaked_entries = 1),
+            &floors_with(|r| r.overhead_ratio = 1.001),
+            "more control overhead",
+        );
+        assert_one_failure(
+            &floors_with(|r| r.adaptive_arm.leaked_entries = 1),
             "1 controller entries leaked",
         );
+        let budget = |extra: usize| {
+            move |r: &mut SeverityReport| {
+                let c = &mut r.adaptive_arm.controller;
+                c.high_water_bytes = c.byte_budget + extra;
+            }
+        };
+        assert_eq!(floors_with(budget(0)), Vec::<String>::new());
+        assert_one_failure(&floors_with(budget(1)), "breached budget");
         assert_one_failure(
-            &check_with(|r| {
-                r.adaptive_arm.controller.high_water_bytes =
-                    r.adaptive_arm.controller.byte_budget + 1
-            }),
-            "breached budget",
-        );
-        assert_one_failure(
-            &check_with(|r| r.static_arm.invariants_ok = false),
+            &floors_with(|r| r.static_arm.invariants_ok = false),
             "static arm failed the post-settle invariant audit",
         );
         assert_one_failure(
-            &check_with(|r| r.adaptive_arm.invariants_ok = false),
+            &floors_with(|r| r.adaptive_arm.invariants_ok = false),
             "adaptive arm failed the post-settle invariant audit",
         );
     }

@@ -5,7 +5,7 @@
 
 use std::fmt::Write as _;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A rectangular table of strings with a header row.
 ///
@@ -19,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// let text = t.render();
 /// assert!(text.contains("traffic"));
 /// ```
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize)]
 pub struct Table {
     headers: Vec<String>,
     rows: Vec<Vec<String>>,

@@ -5,10 +5,10 @@
 //! size units`, the same currency as query traffic, so gains and costs
 //! are directly comparable.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Category of ACE control traffic.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize)]
 pub enum OverheadKind {
     /// Phase-1/3 delay probes and their replies.
     Probe,
@@ -65,7 +65,7 @@ impl OverheadKind {
 /// assert_eq!(l.total_cost(), 20.0);
 /// assert_eq!(l.count_of(OverheadKind::Probe), 2);
 /// ```
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize)]
 pub struct OverheadLedger {
     cost: [f64; 6],
     count: [u64; 6],

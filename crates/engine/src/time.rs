@@ -7,7 +7,7 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A point in simulation time (tenths of a millisecond since start).
 ///
@@ -19,9 +19,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(t.as_ticks(), 20);
 /// assert_eq!(t.to_string(), "2.0ms");
 /// ```
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default, Serialize)]
 pub struct SimTime(u64);
 
 impl SimTime {

@@ -7,13 +7,13 @@
 //! leaves.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use ace_engine::rng::{clamped_normal, exponential};
 use ace_engine::SimTime;
 
 /// A peer session-lifetime distribution.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Serialize)]
 pub enum LifetimeModel {
     /// Normal(mean, std) clamped to at least `min_secs` — the paper's model
     /// (mean 600 s, variance = mean/2 ⇒ std = √300 s ≈ 17.3 s... the paper
@@ -62,7 +62,7 @@ impl LifetimeModel {
 /// entries and forward requests immediately, while a crash leaves that
 /// state to rot until the survivors' next probe round notices the links
 /// are gone.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize)]
 pub enum DepartureKind {
     /// Clean shutdown: goodbye/disconnect messages reach every partner.
     Graceful,
@@ -71,7 +71,7 @@ pub enum DepartureKind {
 }
 
 /// Mix of graceful leaves and silent crashes among peer departures.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Serialize)]
 pub struct DepartureModel {
     /// Fraction of departures that are crashes, in `[0, 1]`.
     pub crash_fraction: f64,
@@ -116,7 +116,7 @@ impl DepartureModel {
 }
 
 /// Poisson query arrivals at a fixed per-peer rate.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Serialize)]
 pub struct QueryRate {
     /// Queries per minute per peer.
     pub per_minute: f64,

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Identifier of a logical peer in the overlay.
 ///
@@ -18,9 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(p.index(), 7);
 /// assert_eq!(p.to_string(), "p7");
 /// ```
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default, Serialize)]
 pub struct PeerId(u32);
 
 impl PeerId {

@@ -2,13 +2,13 @@
 //! the paper's BRITE physical topologies.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use super::DelayModel;
 use crate::graph::{Graph, NodeId};
 
 /// Parameters for the [`ba`] generator.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Serialize)]
 pub struct BaConfig {
     /// Total number of nodes (>= `seed_nodes`).
     pub nodes: usize,

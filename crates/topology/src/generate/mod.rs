@@ -24,12 +24,12 @@ pub use random::{gnm, watts_strogatz, GnmConfig, WattsStrogatzConfig};
 pub use two_level::{two_level, TwoLevelConfig, TwoLevelTopology};
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::graph::Delay;
 
 /// How the generators assign link delays.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize)]
 pub enum DelayModel {
     /// Every link gets the same delay.
     Constant(Delay),

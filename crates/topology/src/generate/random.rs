@@ -7,13 +7,13 @@
 //! analysis module distinguishes the three families.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use super::DelayModel;
 use crate::graph::{Graph, NodeId};
 
 /// Parameters for [`gnm`].
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Serialize)]
 pub struct GnmConfig {
     /// Number of nodes.
     pub nodes: usize,
@@ -55,7 +55,7 @@ pub fn gnm<R: Rng + ?Sized>(cfg: &GnmConfig, rng: &mut R) -> Graph {
 }
 
 /// Parameters for [`watts_strogatz`].
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Serialize)]
 pub struct WattsStrogatzConfig {
     /// Number of nodes (>= 3).
     pub nodes: usize,

@@ -8,7 +8,7 @@
 //! is exactly what makes overlay mismatch expensive.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use super::{ba, ba_into, BaConfig, DelayModel};
 use crate::graph::{Graph, NodeId};
@@ -24,7 +24,7 @@ const INTRA_DELAYS: DelayModel = DelayModel::Uniform { lo: 1, hi: 10 };
 const INTER_DELAYS: DelayModel = DelayModel::Uniform { lo: 100, hi: 400 };
 
 /// Parameters for the [`two_level`] generator.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Serialize)]
 pub struct TwoLevelConfig {
     /// Number of autonomous systems (>= 2).
     pub as_count: usize,
@@ -43,7 +43,7 @@ impl Default for TwoLevelConfig {
 }
 
 /// A generated two-level topology: the router graph plus each node's AS.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct TwoLevelTopology {
     /// The flat router-level graph.
     pub graph: Graph,

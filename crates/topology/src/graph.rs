@@ -41,9 +41,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(n.index(), 3);
 /// assert_eq!(n.to_string(), "n3");
 /// ```
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default, Serialize)]
 pub struct NodeId(u32);
 
 impl NodeId {
@@ -83,7 +81,7 @@ impl From<u32> for NodeId {
 pub type Delay = u32;
 
 /// A single undirected edge with its weight.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize)]
 pub struct Edge {
     /// One endpoint (always the smaller id after normalization).
     pub a: NodeId,
@@ -554,8 +552,11 @@ impl Deserialize for Graph {
                 .map(|(_, v)| v)
                 .ok_or_else(|| serde::DeError::new(format!("Graph: missing field {name}")))
         };
-        let nodes = usize::from_value(field("nodes")?)?;
-        let mut g = Graph::new(nodes);
+        // A count `NodeId` cannot address is refused before anything is
+        // allocated for it.
+        let nodes = u32::from_value(field("nodes")?)
+            .map_err(|e| serde::DeError::new(format!("Graph: nodes: {e}")))?;
+        let mut g = Graph::new(nodes as usize);
         let edges = field("edges")?
             .as_array()
             .ok_or_else(|| serde::DeError::new("Graph: edges must be an array"))?;
@@ -751,5 +752,18 @@ mod tests {
         want.sort_by_key(|e| (e.a, e.b));
         got.sort_by_key(|e| (e.a, e.b));
         assert_eq!(want, got);
+    }
+
+    #[test]
+    fn from_value_rejects_a_node_count_no_node_id_addresses() {
+        use serde::Deserialize as _;
+        for nodes in [u64::MAX, (1 << 32) + 1] {
+            let v = serde::Value::Object(vec![
+                ("nodes".to_string(), serde::Value::UInt(nodes)),
+                ("edges".to_string(), serde::Value::Array(Vec::new())),
+            ]);
+            let err = Graph::from_value(&v).expect_err("an unaddressable count is refused");
+            assert!(err.to_string().contains("Graph: nodes"), "{err}");
+        }
     }
 }

@@ -10,24 +10,26 @@
 //! * Figures 7–8 — static traffic / response vs optimization steps (§5.1);
 //! * Figures 9–10 — dynamic traffic / response under churn (§5.2);
 //! * Figures 11–16 — closure-depth and frequency-ratio tradeoffs (§5.3);
-//! * extensions/ablations — index caching (§5.2), replacement policies
-//!   (§6), landmark clustering (§2), phase contributions, TTL and overlay
-//!   families.
+//! * records beyond the paper, each a claim about ACE itself — index
+//!   caching (§5.2), the asynchronous protocol, replacement policies (§6),
+//!   landmark clustering and estimator noise (§2), phase contributions,
+//!   TTL, the scope guard, overlay families and forwarding load.
+//!
+//! Walks and the supernode core are measured by the scenario matrix
+//! ([`crate::matrix`]), not here.
 
 use ace_core::experiments::{
     depth_sweep, dynamic_run, landmark_overlay, measure_queries, static_run, DepthPoint,
     DepthSweepConfig, DynamicConfig, OverlayKind, Scenario, ScenarioConfig, StaticConfig,
     StaticResult,
 };
-use ace_core::ltm::LtmEngine;
 use ace_core::protocol::{AsyncAceSim, AsyncForward, ProtoConfig};
 use ace_core::{AceConfig, AceEngine, AceForward, OverheadKind, ProbeModel, ReplacePolicy};
 use ace_engine::pool::{effective_workers, plan_parallel};
 use ace_engine::rng::sample_distinct;
 use ace_overlay::{
-    assign_capacities, random_overlay, random_walk_query, run_query, run_query_traced,
-    zipf_workload, FloodAll, ForwardPolicy, GiaAdaptation, HpfWeight, Overlay, PartialFlood,
-    PeerId, QueryConfig, QuerySpec, TwoTierNetwork, WalkConfig, GNUTELLA_CAPACITY_MIX,
+    random_overlay, run_query, run_query_traced, zipf_workload, FloodAll, ForwardPolicy, Overlay,
+    PeerId, QueryConfig, QuerySpec,
 };
 use ace_topology::{
     DistanceOracle, DistancePlane, Graph, LandmarkOracle, NodeId, VivaldiConfig, VivaldiCoords,
@@ -63,7 +65,7 @@ pub struct Figure {
 }
 
 /// The whole evaluation, in the order `repro all` walks it.
-pub const FIGURES: [Figure; 20] = [
+pub const FIGURES: [Figure; 15] = [
     Figure {
         ids: &["table01_02"],
         about: "Tables 1-2: query paths and costs on closure trees (§3.4)",
@@ -99,31 +101,6 @@ pub const FIGURES: [Figure; 20] = [
         ids: &["ext_async_churn"],
         about: "the asynchronous protocol under churn, path stretch",
         run: ext_async_churn,
-    },
-    Figure {
-        ids: &["ext_search_strategies"],
-        about: "flooding, HPF, k-walkers and ACE trees",
-        run: ext_search_strategies,
-    },
-    Figure {
-        ids: &["ext_supernode"],
-        about: "ACE applied to a KaZaA-style supernode core",
-        run: ext_supernode,
-    },
-    Figure {
-        ids: &["ext_random_walk"],
-        about: "k-walker random walks before and after matching",
-        run: ext_random_walk,
-    },
-    Figure {
-        ids: &["baseline_gia"],
-        about: "Gia capacity adaptation alongside ACE's physical matching",
-        run: baseline_gia,
-    },
-    Figure {
-        ids: &["baseline_ltm"],
-        about: "ACE vs LTM (detector-based matching) vs blind flooding",
-        run: baseline_ltm,
     },
     Figure {
         ids: &["ablation_policies"],
@@ -987,187 +964,6 @@ pub fn ablation_overlays(scale: Scale) -> Records {
     vec![(rec, vec![t])]
 }
 
-/// Baseline comparison against LTM (Location-aware Topology Matching,
-/// the authors' companion scheme the paper's §2 discusses): LTM keeps
-/// flooding but cuts redundant/slow links via TTL-2 detectors; ACE
-/// replaces flooding with spanning trees plus reconnection.
-pub fn baseline_ltm(scale: Scale) -> Records {
-    let scenario_cfg = base_scenario(scale, 6, 133);
-
-    // Arm 1: untouched flooding.
-    let mut s0 = Scenario::build(&scenario_cfg);
-    let specs = zipf_workload(&s0.overlay, &s0.catalog, scale.samples(), &mut s0.rng);
-    let flood = measure_queries(
-        &s0.overlay,
-        &s0.oracle,
-        &s0.placement,
-        &specs,
-        32,
-        &FloodAll,
-    );
-
-    // Arm 2: LTM-optimized topology, still flooding.
-    let mut s1 = Scenario::build(&scenario_cfg);
-    let mut ltm = LtmEngine::default();
-    for _ in 0..scale.steps() {
-        ltm.round(&mut s1.overlay, &s1.oracle, &mut s1.rng);
-    }
-    let ltm_sample = measure_queries(
-        &s1.overlay,
-        &s1.oracle,
-        &s1.placement,
-        &specs,
-        32,
-        &FloodAll,
-    );
-    let ltm_overhead = ltm.ledger().total_cost();
-
-    // Arm 3: ACE.
-    let mut s2 = Scenario::build(&scenario_cfg);
-    let mut ace = AceEngine::new(s2.overlay.peer_count(), AceConfig::paper_default());
-    for _ in 0..scale.steps() {
-        ace.round(&mut s2.overlay, &s2.oracle, &mut s2.rng);
-    }
-    let ace_sample = measure_queries(
-        &s2.overlay,
-        &s2.oracle,
-        &s2.placement,
-        &specs,
-        32,
-        &AceForward::new(&ace),
-    );
-    let ace_overhead = ace.ledger().total_cost();
-
-    let mut rec = ExperimentRecord::new(
-        "baseline_ltm",
-        "ACE vs LTM (location-aware topology matching) vs blind flooding",
-    );
-    rec.param("peers", scale.peers())
-        .param("C", 6)
-        .param("steps", scale.steps());
-    let mut t = Table::new([
-        "scheme",
-        "traffic/query",
-        "response ms",
-        "scope",
-        "total overhead",
-    ]);
-    t.row([
-        "blind flooding".to_string(),
-        f1(flood.traffic),
-        f1(flood.response_ms),
-        f1(flood.scope),
-        "0".to_string(),
-    ]);
-    t.row([
-        "LTM + flooding".to_string(),
-        f1(ltm_sample.traffic),
-        f1(ltm_sample.response_ms),
-        f1(ltm_sample.scope),
-        f1(ltm_overhead),
-    ]);
-    t.row([
-        "ACE".to_string(),
-        f1(ace_sample.traffic),
-        f1(ace_sample.response_ms),
-        f1(ace_sample.scope),
-        f1(ace_overhead),
-    ]);
-    rec.param(
-        "ltm_reduction",
-        pct(1.0 - ltm_sample.traffic / flood.traffic),
-    );
-    rec.param(
-        "ace_reduction",
-        pct(1.0 - ace_sample.traffic / flood.traffic),
-    );
-    let mut series = NamedSeries::new("traffic: flood/LTM/ACE");
-    series.push(0.0, flood.traffic);
-    series.push(1.0, ltm_sample.traffic);
-    series.push(2.0, ace_sample.traffic);
-    rec.add_series(series);
-    vec![(rec, vec![t])]
-}
-
-/// Extension: ACE also helps non-flooding search — k-walker random walks
-/// (the paper's reference \[10\]) on the original vs the ACE-matched
-/// topology. Walks do not use spanning trees, so any improvement comes
-/// purely from phase 3's physical rewiring.
-pub fn ext_random_walk(scale: Scale) -> Records {
-    let scenario_cfg = base_scenario(scale, 6, 141);
-    let mut s = Scenario::build(&scenario_cfg);
-    let specs = zipf_workload(&s.overlay, &s.catalog, scale.samples(), &mut s.rng);
-    let cfg = WalkConfig::default();
-
-    let walk_avg = |s: &mut Scenario, label: &str| {
-        let (mut traffic, mut resp, mut found) = (0.0, 0.0, 0u64);
-        for &QuerySpec {
-            source: src,
-            object: obj,
-        } in &specs
-        {
-            let out = random_walk_query(
-                &s.overlay,
-                &s.oracle,
-                src,
-                &cfg,
-                |p| s.placement.is_holder(obj, p),
-                &mut s.rng,
-            );
-            traffic += out.traffic_cost;
-            if let Some(rt) = out.first_response {
-                resp += rt.as_millis_f64();
-                found += 1;
-            }
-        }
-        let n = specs.len() as f64;
-        let _ = label;
-        (
-            traffic / n,
-            if found > 0 { resp / found as f64 } else { 0.0 },
-            found as f64 / n,
-        )
-    };
-
-    let (t_before, r_before, hit_before) = walk_avg(&mut s, "before");
-    let mut ace = AceEngine::new(s.overlay.peer_count(), AceConfig::paper_default());
-    for _ in 0..scale.steps() {
-        ace.round(&mut s.overlay, &s.oracle, &mut s.rng);
-    }
-    let (t_after, r_after, hit_after) = walk_avg(&mut s, "after");
-
-    let mut rec = ExperimentRecord::new(
-        "ext_random_walk",
-        "k-walker random-walk search before vs after ACE topology matching",
-    );
-    rec.param("peers", scale.peers())
-        .param("walkers", cfg.walkers)
-        .param("max_hops", cfg.max_hops);
-    let mut t = Table::new(["topology", "walk traffic", "walk response ms", "hit rate"]);
-    t.row([
-        "original".to_string(),
-        f1(t_before),
-        f1(r_before),
-        pct(hit_before),
-    ]);
-    t.row([
-        "ACE-matched".to_string(),
-        f1(t_after),
-        f1(r_after),
-        pct(hit_after),
-    ]);
-    rec.param("traffic_reduction", pct(1.0 - t_after / t_before));
-    rec.param(
-        "response_reduction",
-        pct(1.0 - r_after / r_before.max(1e-9)),
-    );
-    let mut series = NamedSeries::new("walk traffic: before/after");
-    series.push(0.0, t_before);
-    series.push(1.0, t_after);
-    rec.add_series(series);
-    vec![(rec, vec![t])]
-}
-
 /// Extension: the asynchronous protocol under churn — peers crash and
 /// rejoin mid-cycle while the message-level implementation keeps
 /// optimizing. Reports the traffic trajectory and the path *stretch*
@@ -1261,76 +1057,6 @@ pub fn ext_async_churn(scale: Scale) -> Records {
     vec![(rec, vec![t])]
 }
 
-/// Baseline/composition with Gia-style capacity adaptation (the paper's
-/// reference \[4\]): Gia matches capacities, ACE matches physical
-/// distances; the experiment shows the two address orthogonal problems
-/// and compose.
-pub fn baseline_gia(scale: Scale) -> Records {
-    let scenario_cfg = base_scenario(scale, 6, 201);
-    let mut s = Scenario::build(&scenario_cfg);
-    let specs = zipf_workload(&s.overlay, &s.catalog, scale.samples(), &mut s.rng);
-    let caps = assign_capacities(s.overlay.peer_count(), &GNUTELLA_CAPACITY_MIX, &mut s.rng);
-    let gia = GiaAdaptation::new(caps);
-
-    let mut rows: Vec<(String, f64, f64, f64)> = Vec::new(); // name, traffic, corr, scope
-    let flood = measure_queries(&s.overlay, &s.oracle, &s.placement, &specs, 32, &FloodAll);
-    rows.push((
-        "original, flooding".into(),
-        flood.traffic,
-        gia.capacity_degree_correlation(&s.overlay).unwrap_or(0.0),
-        flood.scope,
-    ));
-
-    // Gia alone.
-    for _ in 0..scale.steps() {
-        gia.round(&mut s.overlay, &mut s.rng);
-    }
-    let gia_sample = measure_queries(&s.overlay, &s.oracle, &s.placement, &specs, 32, &FloodAll);
-    rows.push((
-        "Gia capacity adaptation, flooding".into(),
-        gia_sample.traffic,
-        gia.capacity_degree_correlation(&s.overlay).unwrap_or(0.0),
-        gia_sample.scope,
-    ));
-
-    // Gia + ACE composed (alternating rounds on the same overlay).
-    let mut ace = AceEngine::new(s.overlay.peer_count(), AceConfig::paper_default());
-    for _ in 0..scale.steps() {
-        ace.round(&mut s.overlay, &s.oracle, &mut s.rng);
-        gia.round(&mut s.overlay, &mut s.rng);
-    }
-    let both = measure_queries(
-        &s.overlay,
-        &s.oracle,
-        &s.placement,
-        &specs,
-        32,
-        &AceForward::new(&ace),
-    );
-    rows.push((
-        "Gia + ACE composed".into(),
-        both.traffic,
-        gia.capacity_degree_correlation(&s.overlay).unwrap_or(0.0),
-        both.scope,
-    ));
-
-    let mut rec = ExperimentRecord::new(
-        "baseline_gia",
-        "Capacity matching (Gia) vs physical matching (ACE): orthogonal, composable",
-    );
-    rec.param("peers", scale.peers()).param("C", 6);
-    let mut t = Table::new(["system", "traffic/query", "capacity-degree corr", "scope"]);
-    let mut series = NamedSeries::new("traffic");
-    let mut corr_series = NamedSeries::new("capacity-degree correlation");
-    for (i, (name, traffic, corr, scope)) in rows.iter().enumerate() {
-        t.row([name.clone(), f1(*traffic), f3(*corr), f1(*scope)]);
-        series.push(i as f64, *traffic);
-        corr_series.push(i as f64, *corr);
-    }
-    rec.add_series(series).add_series(corr_series);
-    vec![(rec, vec![t])]
-}
-
 /// Extension: round-synchronous harness vs the message-level asynchronous
 /// protocol implementation — same world, same budget of optimization
 /// cycles. Validates that ACE's gains survive real message delays, stale
@@ -1412,192 +1138,6 @@ pub fn ext_async(scale: Scale) -> Records {
     series.push(0.0, flood.traffic);
     series.push(1.0, sync_sample.traffic);
     series.push(2.0, async_sample.traffic);
-    rec.add_series(series);
-    vec![(rec, vec![t])]
-}
-
-/// Extension: head-to-head search strategies — blind flooding, HPF-style
-/// partial flooding (the authors' ICPP'03 scheme), k-walker random walks,
-/// and ACE tree forwarding — all on the same ACE-matched world.
-pub fn ext_search_strategies(scale: Scale) -> Records {
-    let scenario_cfg = base_scenario(scale, 6, 181);
-    let mut s = Scenario::build(&scenario_cfg);
-    let specs = zipf_workload(&s.overlay, &s.catalog, scale.samples(), &mut s.rng);
-    let mut ace = AceEngine::new(s.overlay.peer_count(), AceConfig::paper_default());
-    for _ in 0..scale.steps() {
-        ace.round(&mut s.overlay, &s.oracle, &mut s.rng);
-    }
-
-    let flood = measure_queries(&s.overlay, &s.oracle, &s.placement, &specs, 32, &FloodAll);
-    let hpf_policy = PartialFlood::new(&s.oracle, 0.5, 2, HpfWeight::Cheapest);
-    let hpf = measure_queries(&s.overlay, &s.oracle, &s.placement, &specs, 32, &hpf_policy);
-    let tree = measure_queries(
-        &s.overlay,
-        &s.oracle,
-        &s.placement,
-        &specs,
-        32,
-        &AceForward::new(&ace),
-    );
-    // Random walks measured separately (not a ForwardPolicy propagation).
-    let (mut w_traffic, mut w_resp, mut w_hits) = (0.0, 0.0, 0u64);
-    let wcfg = WalkConfig::default();
-    for &QuerySpec {
-        source: src,
-        object: obj,
-    } in &specs
-    {
-        let out = random_walk_query(
-            &s.overlay,
-            &s.oracle,
-            src,
-            &wcfg,
-            |p| s.placement.is_holder(obj, p),
-            &mut s.rng,
-        );
-        w_traffic += out.traffic_cost;
-        if let Some(rt) = out.first_response {
-            w_resp += rt.as_millis_f64();
-            w_hits += 1;
-        }
-    }
-    let n = specs.len() as f64;
-    let walks = (
-        w_traffic / n,
-        if w_hits > 0 {
-            w_resp / w_hits as f64
-        } else {
-            0.0
-        },
-        w_hits as f64 / n,
-    );
-
-    let mut rec = ExperimentRecord::new(
-        "ext_search_strategies",
-        "Search strategies on the ACE-matched overlay: flooding vs HPF vs walks vs trees",
-    );
-    rec.param("peers", scale.peers()).param("C", 6);
-    let mut t = Table::new([
-        "strategy",
-        "traffic/query",
-        "response ms",
-        "scope",
-        "success",
-    ]);
-    t.row([
-        "blind flooding".to_string(),
-        f1(flood.traffic),
-        f1(flood.response_ms),
-        f1(flood.scope),
-        pct(flood.success),
-    ]);
-    t.row([
-        "HPF partial flooding (50%)".to_string(),
-        f1(hpf.traffic),
-        f1(hpf.response_ms),
-        f1(hpf.scope),
-        pct(hpf.success),
-    ]);
-    t.row([
-        "16-walker random walk".to_string(),
-        f1(walks.0),
-        f1(walks.1),
-        "-".to_string(),
-        pct(walks.2),
-    ]);
-    t.row([
-        "ACE tree forwarding".to_string(),
-        f1(tree.traffic),
-        f1(tree.response_ms),
-        f1(tree.scope),
-        pct(tree.success),
-    ]);
-    let mut series = NamedSeries::new("traffic: flood/hpf/walk/tree");
-    for (i, v) in [flood.traffic, hpf.traffic, walks.0, tree.traffic]
-        .into_iter()
-        .enumerate()
-    {
-        series.push(i as f64, v);
-    }
-    rec.add_series(series);
-    vec![(rec, vec![t])]
-}
-
-/// Extension: the KaZaA-style two-tier architecture from the paper's
-/// introduction — queries flood among supernodes only — and ACE applied
-/// to that supernode core. Shows the mismatch problem (and ACE's fix)
-/// lives at whichever tier does the flooding.
-pub fn ext_supernode(scale: Scale) -> Records {
-    let scenario_cfg = base_scenario(scale, 6, 171);
-    let mut s = Scenario::build(&scenario_cfg);
-    let hosts: Vec<NodeId> = s.overlay.peers().map(|p| s.overlay.host(p)).collect();
-    let qc = QueryConfig {
-        ttl: 32,
-        stop_at_responder: false,
-    };
-    let samples = scale.samples();
-
-    // Flat Gnutella reference on the same hosts.
-    let specs = zipf_workload(&s.overlay, &s.catalog, samples, &mut s.rng);
-    let flat = measure_queries(&s.overlay, &s.oracle, &s.placement, &specs, 32, &FloodAll);
-
-    // Two-tier network (random attach, the mismatch-prone default).
-    let mut tt = TwoTierNetwork::build(hosts, &mut s.rng);
-    let leaves: Vec<usize> = (0..samples)
-        .map(|_| s.rng.gen_range(0..tt.leaf_count()))
-        .collect();
-    let measure_tt = |tt: &TwoTierNetwork, policy: &dyn ForwardPolicy, rng_leaves: &[usize]| {
-        let mut total = 0.0;
-        let mut scope = 0.0;
-        for &l in rng_leaves {
-            let (outcome, cost) = tt.query_from_leaf(&s.oracle, l, &qc, policy, |_| false);
-            total += cost;
-            scope += outcome.scope as f64;
-        }
-        (
-            total / rng_leaves.len() as f64,
-            scope / rng_leaves.len() as f64,
-        )
-    };
-    let (tt_flood, tt_scope) = measure_tt(&tt, &FloodAll, &leaves);
-
-    // ACE on the supernode core.
-    let mut ace = AceEngine::new(tt.core.peer_count(), AceConfig::paper_default());
-    let mut arng = StdRng::seed_from_u64(172);
-    for _ in 0..scale.steps() {
-        ace.round(&mut tt.core, &s.oracle, &mut arng);
-    }
-    let fwd = AceForward::new(&ace);
-    let (tt_ace, tt_ace_scope) = measure_tt(&tt, &fwd, &leaves);
-
-    let mut rec = ExperimentRecord::new(
-        "ext_supernode",
-        "Two-tier (KaZaA-style) supernode core, with and without ACE",
-    );
-    rec.param("peers", scale.peers())
-        .param("supernodes", tt.supernode_count())
-        .param("leaves", tt.leaf_count());
-    let mut t = Table::new(["system", "traffic/query", "flooding scope"]);
-    t.row([
-        "flat Gnutella (all peers flood)".to_string(),
-        f1(flat.traffic),
-        f1(flat.scope),
-    ]);
-    t.row([
-        "two-tier, flooding core".to_string(),
-        f1(tt_flood),
-        f1(tt_scope),
-    ]);
-    t.row([
-        "two-tier, ACE-optimized core".to_string(),
-        f1(tt_ace),
-        f1(tt_ace_scope),
-    ]);
-    rec.param("core_reduction", pct(1.0 - tt_ace / tt_flood));
-    let mut series = NamedSeries::new("traffic: flat/two-tier/two-tier+ACE");
-    series.push(0.0, flat.traffic);
-    series.push(1.0, tt_flood);
-    series.push(2.0, tt_ace);
     rec.add_series(series);
     vec![(rec, vec![t])]
 }

@@ -68,7 +68,6 @@ pub mod experiments;
 mod fault;
 mod forward_rows;
 mod forwarding;
-pub mod ltm;
 pub mod mst;
 pub mod netem;
 mod optrate;

@@ -8,6 +8,10 @@
 //! nothing. This module implements the per-hop partial forwarding policy;
 //! the periodic re-issue loop is the caller's (it is just repeated
 //! queries with increasing `fraction`).
+//!
+//! HPF is the query kernel's non-flooding policy in tests: the golden
+//! `kernel_*` cells, the reference model and the serving proptests run it
+//! through both drivers. No record compares it with ACE.
 
 use ace_topology::DistancePlane;
 

@@ -11,8 +11,9 @@
 //! * [`Message`] — Gnutella-style messages and their wire sizes (ACE's
 //!   overhead accounting is size-aware);
 //! * one query-propagation kernel (`search.rs`) — time-ordered, generic
-//!   over a [`ForwardPolicy`] (blind [`FloodAll`] and [`PartialFlood`]
-//!   here; ACE's tree policy lives in `ace-core`) — and its two drivers:
+//!   over a [`ForwardPolicy`] (blind [`FloodAll`] here, and HPF's
+//!   [`PartialFlood`], the kernel tests' non-flooding policy; ACE's tree
+//!   policy lives in `ace-core`) — and its two drivers:
 //!   [`run_query`] / [`run_query_into`] measure one query (scope, traffic
 //!   cost, duplicates, response time, per-peer arrivals), and
 //!   [`serve_batch`] serves a workload (SoA per-slot state, worker
@@ -49,7 +50,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod capacity;
 mod churn;
 mod content;
 mod hpf;
@@ -65,7 +65,6 @@ mod serve;
 mod two_tier;
 mod walk;
 
-pub use capacity::{assign_capacities, GiaAdaptation, GNUTELLA_CAPACITY_MIX};
 pub use churn::{DepartureKind, DepartureModel, LifetimeModel, QueryRate};
 pub use content::{Catalog, ObjectId, Placement};
 pub use hpf::{HpfWeight, PartialFlood};

@@ -26,7 +26,7 @@
 //! * `kernel_*`: the query-propagation kernel through both drivers, one
 //!   cell per (peers, policy), over 3 seeds × ttl ∈ {1, 3, 7} ×
 //!   `stop_at_responder` × worker counts × chunk sizes.
-//! * `figure_records`: the 27 quick-scale figure records' JSON, in
+//! * `figure_records`: the 22 quick-scale figure records' JSON, in
 //!   `figures::FIGURES` order (debug and release builds agree).
 //! * `join_targets`: which targets `Overlay::join` picks over a seeded
 //!   churn script.
@@ -111,7 +111,7 @@ golden! {
     kernel_200_cheapest = 0x7f4c_a275_c159_7921: kernel(200, Some((0.5, 2, HpfWeight::Cheapest)));
     kernel_200_highest_degree = 0x210e_feb5_af6a_d263: kernel(200, Some((0.6, 1, HpfWeight::HighestDegree)));
 
-    figure_records = 0x6b52_ed42_f7c5_90ac: records();
+    figure_records = 0x43c1_d1da_2985_45bb: records();
     join_targets = 0x403d_61f4_283c_0bb1: joins();
     controller_eviction = 0xe8ec_1bce_b6e8_3cbe: evictions();
 }
@@ -458,12 +458,12 @@ fn kernel_cell<P: ForwardPolicy + Sync>(
 
 // ----- the rest --------------------------------------------------------------
 
-/// The 27 quick-scale records' JSON in table order; each row emits
+/// The 22 quick-scale records' JSON in table order; each row emits
 /// exactly the ids it advertises, and Figure 7 has one falling curve per
 /// C and a row per step.
 fn records() -> u64 {
     let ids: Vec<&str> = FIGURES.iter().flat_map(|f| f.ids).copied().collect();
-    assert_eq!(ids.len(), 27);
+    assert_eq!(ids.len(), 22);
     for (i, id) in ids.iter().enumerate() {
         assert!(!ids[..i].contains(id), "record id {id} appears twice");
     }

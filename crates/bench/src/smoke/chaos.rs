@@ -17,20 +17,46 @@
 //!
 //! Severities at or below the documented differential loss threshold
 //! ([`LOSSY_WIRE_MAX_LOSS`]) are asserted; harsher ones are report-only.
+//!
+//! The `lifecycle` rows run the `calm` and `storm` wires again under a
+//! seeded leave/rejoin script applied between cycle periods through
+//! [`AsyncAceSim::peer_leave`] and [`AsyncAceSim::peer_join`], audit the
+//! overlay and the protocol after every period — the shared clauses
+//! include [`ViolationKind::ForwardBlackHole`], so an alive peer with
+//! neighbors but no forward target fails the run — and assert the same
+//! direction, scope floor and ledger identity as the asserted severities.
+//!
 //! Any auditor violation or ledger identity mismatch panics (non-zero
 //! exit). The summary is returned as the JSON `repro smoke chaos` writes
 //! to `CHAOS.json`.
+//!
+//! [`ViolationKind::ForwardBlackHole`]: ace_core::ViolationKind::ForwardBlackHole
 
 use ace_core::experiments::differential::LOSSY_WIRE_MAX_LOSS;
 use ace_core::experiments::{Scenario, ScenarioConfig};
 use ace_core::protocol::{AsyncAceSim, AsyncForward, ProtoConfig, REPAIR_PERIODS};
 use ace_core::{NetemConfig, Partition, PartitionKind};
+use ace_engine::digest::{fold, unit};
 use ace_engine::SimTime;
 use ace_overlay::{run_query, FloodAll, PeerId, QueryConfig};
+use ace_topology::DistancePlane;
 use serde::Serialize;
 
 const SEEDS: u64 = 3;
 const SCOPE_FLOOR: f64 = 0.9;
+
+/// The wires the lifecycle rows rerun under churn.
+const LIFECYCLE_WIRES: [&str; 2] = ["calm", "storm"];
+/// Per-period chance that an alive peer leaves: a 2 % crash rate and a
+/// 2 % graceful-leave rate folded into one, since the async driver's
+/// one departure call is the graceful leave.
+const LEAVE: f64 = 0.04;
+/// Per-period chance that a departed peer rejoins.
+const REJOIN: f64 = 0.3;
+/// Links a rejoining peer attempts.
+const REJOIN_ATTACH: usize = 3;
+/// Seed of the lifecycle script's hashed draws.
+const CHURN_SEED: u64 = 0x6c69_6665_6379_636c;
 
 struct Severity {
     name: &'static str,
@@ -107,11 +133,39 @@ struct SeverityReport {
 }
 
 #[derive(Serialize)]
+struct LifecycleRunReport {
+    seed: u64,
+    left: usize,
+    rejoined: usize,
+    final_alive: usize,
+    /// ACE traffic over flooding traffic, both on the final overlay.
+    reduction: f64,
+    scope_frac: f64,
+    heal_periods: u64,
+    sent: u64,
+    lost: u64,
+    duplicated: u64,
+    retransmits: u64,
+    state_digest: u64,
+}
+
+#[derive(Serialize)]
+struct LifecycleReport {
+    wire: &'static str,
+    leave: f64,
+    rejoin: f64,
+    mean_reduction: f64,
+    max_heal_periods: u64,
+    runs: Vec<LifecycleRunReport>,
+}
+
+#[derive(Serialize)]
 struct Summary {
     seeds: u64,
     loss_threshold: f64,
     scope_floor: f64,
     severities: Vec<SeverityReport>,
+    lifecycle: Vec<LifecycleReport>,
 }
 
 const QC: QueryConfig = QueryConfig {
@@ -120,16 +174,49 @@ const QC: QueryConfig = QueryConfig {
 };
 
 struct Outcome {
+    /// ACE traffic over flooding the starting overlay.
     reduction: f64,
+    /// ACE traffic over flooding the final overlay.
+    live_reduction: f64,
     scope_frac: f64,
     total_cost: f64,
     heal_periods: u64,
+    left: usize,
+    rejoined: usize,
     sim: AsyncAceSim,
 }
 
+/// One period's lifecycle script: in peer-id order, an alive peer
+/// leaves with [`LEAVE`] and a departed one rejoins with [`REJOIN`], each
+/// a hashed draw of `(seed, period, peer)`. Peer 0, the measuring
+/// source, stays. Returns how many left and how many rejoined.
+fn churn(
+    sim: &mut AsyncAceSim,
+    oracle: &dyn DistancePlane,
+    seed: u64,
+    period: u64,
+) -> (usize, usize) {
+    let draw =
+        |kind: u64, p: PeerId| unit(fold(CHURN_SEED, &[seed, kind, period, u64::from(p.raw())]));
+    let (mut left, mut rejoined) = (0, 0);
+    let peers: Vec<PeerId> = sim.overlay().peers().skip(1).collect();
+    for p in peers {
+        if sim.overlay().is_alive(p) {
+            if draw(1, p) < LEAVE && sim.peer_leave(oracle, p) {
+                left += 1;
+            }
+        } else if draw(2, p) < REJOIN && sim.peer_join(p, REJOIN_ATTACH) {
+            rejoined += 1;
+        }
+    }
+    (left, rejoined)
+}
+
 /// One full run: world `seed`, the given wire, driven past the last heal
-/// plus a repair window, measured from peer 0.
-fn run_world(seed: u64, netem: Option<NetemConfig>) -> Outcome {
+/// plus a repair window, measured from peer 0. With `lifecycle`, the
+/// [`churn`] script runs between the cycle periods of the adversity
+/// window, and the overlay and protocol are audited after each period.
+fn run_world(seed: u64, netem: Option<NetemConfig>, lifecycle: bool) -> Outcome {
     let scenario = ScenarioConfig {
         as_count: 4,
         nodes_per_as: 60,
@@ -158,10 +245,24 @@ fn run_world(seed: u64, netem: Option<NetemConfig>) -> Outcome {
     // wires run a flat 240 s of adversity instead), then measure the
     // heal: periods until every alive peer completes a *fresh* full
     // cycle with the auditor green and its tree rebuilt.
-    sim.run_until(
-        &oracle,
-        SimTime::from_ticks(heal.max(SimTime::from_secs(240).as_ticks())),
-    );
+    let end = heal.max(SimTime::from_secs(240).as_ticks());
+    let (mut left, mut rejoined) = (0, 0);
+    if lifecycle {
+        for k in 0..end / period {
+            if k > 0 {
+                let (l, r) = churn(&mut sim, &oracle, seed, k);
+                left += l;
+                rejoined += r;
+            }
+            sim.run_until(&oracle, SimTime::from_ticks((k + 1) * period));
+            sim.overlay()
+                .check_invariants()
+                .unwrap_or_else(|e| panic!("seed {seed} period {k}: overlay invariant: {e}"));
+            sim.check_invariants()
+                .unwrap_or_else(|e| panic!("seed {seed} period {k}: auditor: {e}"));
+        }
+    }
+    sim.run_until(&oracle, SimTime::from_ticks(end));
     let mark = sim.min_cycles_done();
     let healed = |sim: &AsyncAceSim| {
         sim.min_cycles_done() > mark
@@ -202,10 +303,44 @@ fn run_world(seed: u64, netem: Option<NetemConfig>) -> Outcome {
     );
     Outcome {
         reduction: after.traffic_cost / before.traffic_cost,
+        live_reduction: after.traffic_cost / flood_now.traffic_cost,
         scope_frac: after.scope as f64 / flood_now.scope.max(1) as f64,
         total_cost: sim.ledger().total_cost(),
         heal_periods,
+        left,
+        rejoined,
         sim,
+    }
+}
+
+/// The direction and scope-floor asserts every asserted row shares.
+fn assert_converged(row: &str, seed: u64, reduction: f64, scope_frac: f64) {
+    assert!(
+        reduction < 1.0,
+        "{row} seed {seed}: optimization direction lost ({reduction:.3})"
+    );
+    assert!(
+        scope_frac >= SCOPE_FLOOR,
+        "{row} seed {seed}: scope collapsed ({scope_frac:.3})"
+    );
+}
+
+/// `sev`'s wire for world `seed`.
+fn wire(sev: &Severity, seed: u64) -> NetemConfig {
+    NetemConfig {
+        loss: sev.loss,
+        duplicate: sev.duplicate,
+        reorder_jitter: sev.jitter_ticks,
+        partitions: sev
+            .partition
+            .iter()
+            .map(|&(start, duration, kind)| Partition {
+                start,
+                duration,
+                kind,
+            })
+            .collect(),
+        seed: seed ^ 0x3141,
     }
 }
 
@@ -216,36 +351,10 @@ pub fn run() -> String {
         let asserted = sev.loss <= LOSSY_WIRE_MAX_LOSS;
         let mut runs = Vec::new();
         for seed in 0..SEEDS {
-            let netem = NetemConfig {
-                loss: sev.loss,
-                duplicate: sev.duplicate,
-                reorder_jitter: sev.jitter_ticks,
-                partitions: sev
-                    .partition
-                    .iter()
-                    .map(|&(start, duration, kind)| Partition {
-                        start,
-                        duration,
-                        kind,
-                    })
-                    .collect(),
-                seed: seed ^ 0x3141,
-            };
-            let base = run_world(seed, None);
-            let chaos = run_world(seed, Some(netem));
+            let base = run_world(seed, None, false);
+            let chaos = run_world(seed, Some(wire(&sev, seed)), false);
             if asserted {
-                assert!(
-                    chaos.reduction < 1.0,
-                    "{} seed {seed}: optimization direction lost ({:.3})",
-                    sev.name,
-                    chaos.reduction
-                );
-                assert!(
-                    chaos.scope_frac >= SCOPE_FLOOR,
-                    "{} seed {seed}: scope collapsed ({:.3})",
-                    sev.name,
-                    chaos.scope_frac
-                );
+                assert_converged(sev.name, seed, chaos.reduction, chaos.scope_frac);
             }
             let st = *chaos.sim.netem_stats();
             runs.push(RunReport {
@@ -293,6 +402,58 @@ pub fn run() -> String {
         loss_threshold: LOSSY_WIRE_MAX_LOSS,
         scope_floor: SCOPE_FLOOR,
         severities: reports,
+        lifecycle: lifecycle_rows(),
     };
     serde_json::to_string_pretty(&summary).expect("serialize chaos smoke")
+}
+
+/// The `calm` and `storm` wires under the [`churn`] script.
+fn lifecycle_rows() -> Vec<LifecycleReport> {
+    let mut reports = Vec::new();
+    let (mut departures, mut rejoins) = (0, 0);
+    for sev in severities()
+        .into_iter()
+        .filter(|s| LIFECYCLE_WIRES.contains(&s.name))
+    {
+        let mut runs = Vec::new();
+        for seed in 0..SEEDS {
+            let run = run_world(seed, Some(wire(&sev, seed)), true);
+            let row = format!("{} lifecycle", sev.name);
+            assert_converged(&row, seed, run.live_reduction, run.scope_frac);
+            departures += run.left;
+            rejoins += run.rejoined;
+            let st = *run.sim.netem_stats();
+            runs.push(LifecycleRunReport {
+                seed,
+                left: run.left,
+                rejoined: run.rejoined,
+                final_alive: run.sim.overlay().alive_count(),
+                reduction: run.live_reduction,
+                scope_frac: run.scope_frac,
+                heal_periods: run.heal_periods,
+                sent: st.sent,
+                lost: st.lost,
+                duplicated: st.duplicated,
+                retransmits: st.retransmits,
+                state_digest: run.sim.state_digest(),
+            });
+        }
+        let n = runs.len() as f64;
+        let report = LifecycleReport {
+            wire: sev.name,
+            leave: LEAVE,
+            rejoin: REJOIN,
+            mean_reduction: runs.iter().map(|r| r.reduction).sum::<f64>() / n,
+            max_heal_periods: runs.iter().map(|r| r.heal_periods).max().unwrap_or(0),
+            runs,
+        };
+        eprintln!(
+            "[repro smoke chaos {} lifecycle: mean reduction {:.3} heal <= {} periods]",
+            report.wire, report.mean_reduction, report.max_heal_periods
+        );
+        reports.push(report);
+    }
+    assert!(departures > 0, "no peer left across the lifecycle rows");
+    assert!(rejoins > 0, "no peer rejoined across the lifecycle rows");
+    reports
 }

@@ -2,7 +2,7 @@
 //! paper's tables and figures from [`ace_bench::figures::FIGURES`] (each
 //! selected row runs **once** and emits the requested records), the
 //! committed `BENCH_*.json` curves with their `--check` gates, and the
-//! three [`ace_bench::smoke::SMOKES`]. A gate compares the regenerated
+//! two [`ace_bench::smoke::SMOKES`]. A gate compares the regenerated
 //! record whole with its committed counterpart through
 //! [`ace_bench::diff`], then applies that module's `floors`; a full
 //! regeneration writes its `BENCH_*.json` only when every record clears
@@ -35,7 +35,7 @@ USAGE:
   repro qps    [--point N [--json] [--check FILE]]
   repro matrix [--slice] [--json] [--check FILE]
   repro soak   [--slice [--json] [--check FILE]]
-  repro smoke fault|diff|chaos   rewrite FAULT_SMOKE / DIFFERENTIAL / CHAOS.json
+  repro smoke diff|chaos         rewrite DIFFERENTIAL / CHAOS.json
 
 Records are written to target/experiments/<id>.json at the scale picked by
 QUICK=1 (smoke) or FULL=1 (the paper's 20k routers). Without --point / --slice
@@ -403,7 +403,7 @@ fn smoke_cmd(args: &Args) -> Result<bool, String> {
     let smoke = SMOKES
         .iter()
         .find(|s| s.name == name)
-        .ok_or_else(|| format!("'smoke' takes fault, diff or chaos, not '{name}'"))?;
+        .ok_or_else(|| format!("'smoke' takes diff or chaos, not '{name}'"))?;
     save(smoke.artifact, (smoke.run)()).map(|()| true)
 }
 

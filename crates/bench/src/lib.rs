@@ -5,7 +5,7 @@
 //! requested records' tables and writes each
 //! [`ExperimentRecord`] JSON under `target/experiments/`.
 //! The committed `BENCH_*.json` curves ([`scale`], [`qps`], [`matrix`],
-//! [`soak`]) and the three [`smoke`] artifacts are regenerated by the
+//! [`soak`]) and the two [`smoke`] artifacts are regenerated by the
 //! same binary. A curve's CI gate compares a regenerated record with its
 //! committed counterpart whole, through the one [`diff`], and then
 //! applies that module's `floors`; a full regeneration is written only

@@ -1,10 +1,9 @@
-//! The three smoke artifacts CI regenerates and diffs: each run audits
+//! The two smoke artifacts CI regenerates and diffs: each run audits
 //! its worlds as it goes (any violation panics) and returns the JSON
 //! summary whose committed copy must not move.
 
 mod chaos;
 mod diff;
-mod fault;
 
 /// One smoke: `repro smoke <name>` rewrites `artifact` in the working
 /// directory with what `run` returns.
@@ -18,12 +17,7 @@ pub struct Smoke {
 }
 
 /// Every smoke, in CI order.
-pub const SMOKES: [Smoke; 3] = [
-    Smoke {
-        name: "fault",
-        artifact: "FAULT_SMOKE.json",
-        run: fault::run,
-    },
+pub const SMOKES: [Smoke; 2] = [
     Smoke {
         name: "diff",
         artifact: "DIFFERENTIAL.json",

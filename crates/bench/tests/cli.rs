@@ -185,7 +185,7 @@ fn docs_cite_only_records_that_run() {
         subs.extend(operands(&tokens, 1).iter().flat_map(|w| w.split('|')));
     }
     let expected = [
-        "list", "all", "scale", "qps", "matrix", "soak", "smoke", "fault", "diff", "chaos",
+        "list", "all", "scale", "qps", "matrix", "soak", "smoke", "diff", "chaos",
     ];
     assert_eq!(subs, expected, "{usage}");
     let known: Vec<&str> = FIGURES

@@ -2,8 +2,7 @@
 //!
 //! The invariant auditors ([`AceEngine::check_invariants`],
 //! [`AsyncAceSim::check_invariants`]), the config validators
-//! ([`FaultConfig::validate`], [`AsyncConfig::validate`],
-//! [`NetemConfig::validate`]) and the differential equivalence judge
+//! ([`AsyncConfig::validate`], [`NetemConfig::validate`]) and the differential equivalence judge
 //! ([`DifferentialOutcome::check_equivalence`]) used to return bare
 //! `String`s, which forced the chaos harness to
 //! pattern-match error *messages* to decide which violations a lossy or
@@ -23,7 +22,6 @@
 //!
 //! [`AceEngine::check_invariants`]: crate::AceEngine::check_invariants
 //! [`AsyncAceSim::check_invariants`]: crate::protocol::AsyncAceSim::check_invariants
-//! [`FaultConfig::validate`]: crate::FaultConfig::validate
 //! [`AsyncConfig::validate`]: crate::protocol::AsyncConfig::validate
 //! [`NetemConfig::validate`]: crate::netem::NetemConfig::validate
 //! [`DifferentialOutcome::check_equivalence`]: crate::experiments::differential::DifferentialOutcome::check_equivalence

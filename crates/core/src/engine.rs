@@ -29,7 +29,7 @@ use rand::{Rng, SeedableRng};
 use ace_engine::digest::Digest;
 use ace_engine::pool::{self, plan_parallel_scratch, ScratchPool};
 
-use ace_overlay::{DepartureKind, Message, Overlay, OverlayError, PeerId};
+use ace_overlay::{Message, Overlay, OverlayError, PeerId};
 use ace_topology::{Delay, DistancePlane};
 
 use crate::audit::{self, AuditView, Gap, InvariantViolation, ViolationKind};
@@ -37,12 +37,11 @@ use crate::autorate::{AutoRateConfig, ControllerStats, RateController, RateSampl
 use crate::closure::Closure;
 use crate::core_cache::{CoreCache, CoreCacheStats};
 use crate::cost_table::CostTable;
-use crate::fault::{FaultConfig, REJOIN_ATTACH};
 use crate::forward_rows::ForwardRows;
 use crate::mst::SlotEdge;
 use crate::overhead::{OverheadKind, OverheadLedger};
 use crate::peer_state::{fold_peers, fold_sorted, fold_watches, PeerState};
-use crate::plan::{KnownSnap, PlanScratch, NO_PARENT};
+use crate::plan::{PlanScratch, NO_PARENT};
 use crate::policy::{self, Figure4Action, LifecycleEvent, WatchVerdict};
 use crate::probe::ProbeModel;
 use crate::reverse_refs::ReverseRefs;
@@ -88,11 +87,6 @@ pub struct AceConfig {
     /// Worker threads for the parallel pipeline; `0` means one per
     /// available core. Has no effect on results — only on wall time.
     pub workers: usize,
-    /// Deterministic fault injection (probe loss, crashes, mid-round
-    /// departures); `None` disables all faults. Fault decisions are pure
-    /// hashes, so they preserve the parallel pipeline's bit-identical
-    /// worker-count guarantee.
-    pub faults: Option<FaultConfig>,
     /// Autonomic per-peer optimization-rate control
     /// ([`crate::autorate`]); `None` keeps the static every-round
     /// schedule (and folds no controller word into the state digest).
@@ -119,7 +113,6 @@ impl AceConfig {
             min_flooding: 2,
             parallel: false,
             workers: 0,
-            faults: None,
             autorate: None,
             core_cache_budget: 0,
         }
@@ -162,12 +155,6 @@ pub struct RoundStats {
     pub added: usize,
     /// Number of spanning trees (re)built.
     pub trees_built: usize,
-    /// Peers that crashed mid-round (injected faults; no goodbye).
-    pub crashed: usize,
-    /// Peers that left gracefully mid-round (injected faults).
-    pub left: usize,
-    /// Dead peers that rejoined mid-round (injected faults).
-    pub rejoined: usize,
     /// Control-traffic overhead incurred during the round.
     pub overhead: OverheadLedger,
     /// Always 0: both schedules plan every due peer's tree. It counted
@@ -252,11 +239,9 @@ pub struct AceEngine {
     /// and the serial round path.
     scratch: ScratchPool<PlanScratch>,
     ledger: OverheadLedger,
-    /// Completed optimization rounds; indexes the fault hash streams so
-    /// every round draws fresh (but reproducible) fault decisions.
+    /// Completed optimization rounds: the rate controller's period.
     rounds_run: u64,
     probe_units: f64,
-    probe_req_units: f64,
     connect_units: f64,
     disconnect_units: f64,
     notify_units: f64,
@@ -274,20 +259,10 @@ pub struct AceEngine {
 impl AceEngine {
     /// Creates engine state for `peer_count` peers. A `depth` of 0 is
     /// normalized to 1.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`AceConfig::faults`] is set to an invalid
-    /// [`FaultConfig`] (see [`FaultConfig::validate`]).
     pub fn new(peer_count: usize, cfg: AceConfig) -> Self {
         let mut cfg = cfg;
         if cfg.depth == 0 {
             cfg.depth = 1;
-        }
-        if let Some(f) = cfg.faults {
-            if let Err(e) = f.validate() {
-                panic!("invalid fault config: {e}");
-            }
         }
         let states = (0..peer_count)
             .map(|i| PeerState::new(PeerId::new(i as u32)))
@@ -312,7 +287,6 @@ impl AceEngine {
             rounds_run: 0,
             probe_units: Message::Probe { nonce: 0 }.size_units()
                 + Message::ProbeReply { nonce: 0 }.size_units(),
-            probe_req_units: Message::Probe { nonce: 0 }.size_units(),
             connect_units: Message::Connect.size_units() + Message::ConnectOk.size_units(),
             disconnect_units: Message::Disconnect.size_units(),
             notify_units: Message::Ping.size_units(),
@@ -384,11 +358,7 @@ impl AceEngine {
             return;
         };
         let period = self.rounds_run;
-        let churn = (stats.crashed + stats.left + stats.rejoined) as f64;
         let total = stats.overhead.total_cost();
-        let retry = stats.overhead.cost_of(OverheadKind::ProbeRetry)
-            + stats.overhead.cost_of(OverheadKind::ControlRetry);
-        let retry_pressure = if total > 0.0 { retry / total } else { 0.0 };
         let (flood, ace) = self.pending_traffic.unwrap_or((0.0, 0.0));
         let alive: Vec<PeerId> = ov.alive_peers().collect();
         let per_peer_overhead = if alive.is_empty() {
@@ -398,13 +368,16 @@ impl AceEngine {
         };
         for p in alive {
             let queries = self.pending_queries.get(p.index()).copied().unwrap_or(0.0);
+            // The lifecycle hooks count no churn for the controller
+            // (DESIGN §16.2), and the engine's perfect wire never
+            // retries.
             let sample = RateSample {
                 queries,
-                churn_events: churn,
+                churn_events: 0.0,
                 flood_traffic: flood,
                 ace_traffic: ace,
                 overhead: per_peer_overhead,
-                retry_pressure,
+                retry_pressure: 0.0,
             };
             // The engine has no incarnation numbers: lifecycle purges
             // already cleared departed entries, so incarnation 0 stands
@@ -502,25 +475,6 @@ impl AceEngine {
         self.pending_queries[peer.index()] = 0.0;
     }
 
-    /// Local churn response: with a controller, each disturbed
-    /// neighbor's schedule snaps back to the floor
-    /// ([`RateController::snap_to_floor`]) so the next round
-    /// re-optimizes the neighborhood instead of coasting through it on a
-    /// stretched interval — the static schedule gets exactly that for
-    /// free by always running. The sync engine has a single incarnation
-    /// (0) per peer; fault injection runs serially in both round paths,
-    /// so the snaps are worker-count invariant.
-    fn snap_neighbors(&mut self, ov: &Overlay, neighbors: &[PeerId]) {
-        let Some(c) = self.controller.as_mut() else {
-            return;
-        };
-        for &n in neighbors {
-            if ov.is_alive(n) {
-                c.snap_to_floor(n, 0, self.rounds_run);
-            }
-        }
-    }
-
     /// Rebuilds the reverse references from the states once stale and
     /// repeated records make up half of them. Only valid between
     /// mutations — every list in place — so the two stages that create
@@ -559,38 +513,22 @@ impl AceEngine {
         self.rows.invalidate(b);
     }
 
-    /// Measures `a`↔`b`, charging `ledger`. Read-only on `self` and
-    /// pair-deterministic ([`ProbeModel::perturb`], the fault hashes), so
-    /// plan-stage workers call it concurrently. Fault handling is delegated
-    /// to [`policy::probe_exchange_survives_faults`]: each attempt can be lost (decided by a
-    /// pure hash, so both endpoints and every worker schedule agree), a
-    /// lost attempt wastes the request leg — charged as
-    /// [`OverheadKind::ProbeRetry`], scaled by the backoff factor to
-    /// model the lengthening timeout — and the prober retries up to
-    /// `MAX_RETRIES` times before giving up with `None`.
-    /// The successful attempt is charged as a normal probe.
-    fn probe_with_faults(
+    /// Measures `a`↔`b`, charging one probe exchange to `ledger`.
+    /// Read-only on `self` and pair-deterministic
+    /// ([`ProbeModel::perturb`]), so plan-stage workers call it
+    /// concurrently. The round engine models a perfect wire: every
+    /// probe is answered.
+    fn probe(
         &self,
         ov: &Overlay,
         oracle: &dyn DistancePlane,
         ledger: &mut OverheadLedger,
         a: PeerId,
         b: PeerId,
-    ) -> Option<Delay> {
+    ) -> Delay {
         let true_cost = ov.link_cost(oracle, a, b);
-        if !policy::probe_exchange_survives_faults(
-            self.cfg.faults.as_ref(),
-            self.rounds_run,
-            a,
-            b,
-            true_cost,
-            self.probe_req_units,
-            ledger,
-        ) {
-            return None;
-        }
         ledger.charge(OverheadKind::Probe, f64::from(true_cost) * self.probe_units);
-        Some(self.cfg.probe.perturb(a, b, true_cost))
+        self.cfg.probe.perturb(a, b, true_cost)
     }
 
     /// Per-peer state is indexed by peer id: name a size mismatch here
@@ -607,9 +545,7 @@ impl AceEngine {
     /// Phase 1: probe all current neighbors of `peer` and refresh its
     /// neighbor cost table. Stale entries (ex-neighbors) are dropped —
     /// from the cost table and from the forward-request list, which is
-    /// where references to crashed partners go to die. A neighbor whose
-    /// probe is lost to fault injection on every retry gets no table
-    /// entry this round.
+    /// where references to crashed partners go to die.
     ///
     /// # Panics
     ///
@@ -634,21 +570,14 @@ impl AceEngine {
             // Only the lower-id endpoint pays for the shared probe; both
             // ends learn the (symmetric) RTT from the same exchange.
             let measured = if peer < n || self.states[n.index()].table.get(peer).is_none() {
-                self.probe_with_faults(ov, oracle, &mut ledger, peer, n)
+                self.probe(ov, oracle, &mut ledger, peer, n)
             } else {
-                Some(
-                    self.cfg
-                        .probe
-                        .perturb(peer, n, ov.link_cost(oracle, peer, n)),
-                )
+                self.cfg
+                    .probe
+                    .perturb(peer, n, ov.link_cost(oracle, peer, n))
             };
-            match measured {
-                Some(m) => {
-                    if self.states[peer.index()].table.set(n, m) {
-                        self.referrers.push(peer, n);
-                    }
-                }
-                None => self.states[peer.index()].table.remove(n),
+            if self.states[peer.index()].table.set(n, measured) {
+                self.referrers.push(peer, n);
             }
         }
         self.ledger = ledger;
@@ -744,15 +673,13 @@ impl AceEngine {
         self.charge_closure_exchange(ov, oracle, scratch, ledger);
         // Prim MST over the closure subgraph. Edge costs come from the
         // members' exchanged tables, falling back to a charged probe when
-        // neither endpoint has reported the link yet (`None` — probe lost
-        // to fault injection — drops the edge and the MST routes around
-        // it).
+        // neither endpoint has reported the link yet.
         scratch.collect_internal_edges(ov, |a, b| {
             self.states[a.index()]
                 .table
                 .get(b)
                 .or_else(|| self.states[b.index()].table.get(a))
-                .or_else(|| self.probe_with_faults(ov, oracle, ledger, a, b))
+                .unwrap_or_else(|| self.probe(ov, oracle, ledger, a, b))
         });
         // Besides the logical links, the peer knows the cost between *any
         // pair* of its direct neighbors (§3.3 phase 1): it ships its
@@ -765,16 +692,14 @@ impl AceEngine {
         scratch.core_probes.clear();
         for k in 0..scratch.pairs.len() {
             let (a, b) = scratch.pairs[k];
-            let cost = scratch.core_costs[k].or_else(|| {
-                let c = self.probe_with_faults(ov, oracle, ledger, a, b)?;
+            let cost = scratch.core_costs[k].unwrap_or_else(|| {
+                let c = self.probe(ov, oracle, ledger, a, b);
                 scratch.core_probes.push((a, b, c));
-                Some(c)
+                c
             });
-            if let Some(cost) = cost {
-                let sa = scratch.slot(a).expect("direct neighbor is a member");
-                let sb = scratch.slot(b).expect("direct neighbor is a member");
-                scratch.edges.push(SlotEdge { a: sa, b: sb, cost });
-            }
+            let sa = scratch.slot(a).expect("direct neighbor is a member");
+            let sb = scratch.slot(b).expect("direct neighbor is a member");
+            scratch.edges.push(SlotEdge { a: sa, b: sb, cost });
         }
         policy::tree_with_scope_guard_scratch(
             peer,
@@ -789,25 +714,16 @@ impl AceEngine {
         );
     }
 
-    /// The table of `w` that `peer`'s closure exchange delivered: from the
-    /// fault-time snapshot stage A took, else the live table of a current
-    /// neighbor — what the serial schedule reads, and the planned one too
-    /// when nothing can mutate tables between its stages (no clone).
-    fn known_table<'a>(
-        &'a self,
-        ov: &Overlay,
-        peer: PeerId,
-        snap: Option<&'a KnownSnap>,
-        w: PeerId,
-    ) -> Option<&'a CostTable> {
-        match snap {
-            Some(snap) => snap.get(w),
-            None => (w == peer || ov.are_neighbors(peer, w)).then(|| &self.states[w.index()].table),
-        }
+    /// The table of `w` that `peer`'s closure exchange delivered: the live
+    /// table of a current neighbor. Nothing mutates tables between the
+    /// planned schedule's two stages, so both schedules read it live.
+    fn known_table(&self, ov: &Overlay, peer: PeerId, w: PeerId) -> Option<&CostTable> {
+        (w == peer || ov.are_neighbors(peer, w)).then(|| &self.states[w.index()].table)
     }
 
-    /// `peer`'s recorded cost to its neighbor `n`, or — when the probe was
-    /// lost this round — what the probe model would have measured.
+    /// `peer`'s recorded cost to its neighbor `n`, or — for a neighbor
+    /// that connected after `peer`'s phase 1 this round — what the probe
+    /// model would have measured.
     fn link_cost_estimate(
         &self,
         ov: &Overlay,
@@ -923,7 +839,7 @@ impl AceEngine {
         for (far, near) in watches {
             // `far`'s table is only visible while it is a neighbor (it
             // arrived with the closure exchange); until then, keep watching.
-            let far_table = self.known_table(ov, peer, None, far);
+            let far_table = self.known_table(ov, peer, far);
             match policy::triage_watch(ov, peer, far, near, &own_tree, far_table) {
                 WatchVerdict::Expire => {}
                 WatchVerdict::Keep => keep.push((far, near)),
@@ -945,13 +861,11 @@ impl AceEngine {
     /// returned for [`Self::commit_proposal`]. Read-only on `self`. The
     /// serial schedule passes the round's shared `rng`, the planned one
     /// each peer's own seed-derived stream.
-    #[allow(clippy::too_many_arguments)]
     fn plan_phase3<R: Rng + ?Sized>(
         &self,
         ov: &Overlay,
         oracle: &dyn DistancePlane,
         peer: PeerId,
-        known: Option<&KnownSnap>,
         scratch: &mut PlanScratch,
         ledger: &mut OverheadLedger,
         rng: &mut R,
@@ -993,20 +907,18 @@ impl AceEngine {
 
         // Candidates: B's neighbors (from the table it exchanged) that we
         // don't already know directly.
-        let far_table = self.known_table(ov, peer, known, far)?;
+        let far_table = self.known_table(ov, peer, far)?;
         policy::phase3_candidates_into(ov, peer, far_table, candidates);
         if candidates.is_empty() {
             return None;
         }
 
-        // Probe the candidate(s): CH. Lost probes drop the candidate.
+        // Probe the candidate(s): CH.
         let (near, near_cost, far_near_cost) = match self.cfg.policy {
             ReplacePolicy::Closest => {
                 let mut best: Option<(Delay, PeerId, Delay)> = None;
                 for &(h, bh) in candidates.iter() {
-                    let Some(ch) = self.probe_with_faults(ov, oracle, ledger, peer, h) else {
-                        continue;
-                    };
+                    let ch = self.probe(ov, oracle, ledger, peer, h);
                     if best.is_none_or(|(bc, bp, _)| (ch, h) < (bc, bp)) {
                         best = Some((ch, h, bh));
                     }
@@ -1016,7 +928,7 @@ impl AceEngine {
             }
             _ => {
                 let (h, bh) = candidates[rng.gen_range(0..candidates.len())];
-                (h, self.probe_with_faults(ov, oracle, ledger, peer, h)?, bh)
+                (h, self.probe(ov, oracle, ledger, peer, h), bh)
             }
         };
 
@@ -1155,7 +1067,7 @@ impl AceEngine {
         self.process_watches(ov, oracle, peer);
         let mut scratch = self.scratch.take().unwrap_or_default();
         let mut ledger = self.ledger;
-        let proposal = self.plan_phase3(ov, oracle, peer, None, &mut scratch, &mut ledger, rng);
+        let proposal = self.plan_phase3(ov, oracle, peer, &mut scratch, &mut ledger, rng);
         self.ledger = ledger;
         self.scratch.put(scratch);
         self.commit_proposal(ov, oracle, peer, proposal)
@@ -1220,20 +1132,7 @@ impl AceEngine {
         for i in (1..due.len()).rev() {
             due.swap(i, rng.gen_range(0..=i));
         }
-        // Injected departures/rejoins strike once halfway through the
-        // optimization sweep — peers that already optimized saw the old
-        // population, the rest see the new one, like real churn would.
-        if due.is_empty() {
-            self.apply_mid_round_faults(ov, stats);
-        }
-        let fault_point = due.len() / 2;
-        for (i, p) in due.into_iter().enumerate() {
-            if i == fault_point {
-                self.apply_mid_round_faults(ov, stats);
-            }
-            if !ov.is_alive(p) {
-                continue; // departed mid-round
-            }
+        for p in due {
             let outcome = self.optimize_peer(ov, oracle, p, rng);
             stats.count_outcome(outcome);
             stats.trees_built += 1;
@@ -1288,37 +1187,27 @@ impl AceEngine {
             )
         };
         self.commit_trees(ov, oracle, &trees, stats);
-
-        // Injected departures/rejoins strike between the tree commit and
-        // the adaptation stage: stage B plans only the survivors, against
-        // the post-churn overlay — the planned analogue of the serial
-        // schedule's halfway fault point. Decisions are pure hashes of
-        // (fault seed, round, peer), so worker count stays irrelevant.
-        self.apply_mid_round_faults(ov, stats);
-        let survivors: Vec<usize> = (0..due.len()).filter(|&i| ov.is_alive(due[i])).collect();
+        drop(trees);
 
         let adapt_plans: Vec<AdaptPlan> = {
             let this = &*self;
             let ov_ref = &*ov;
             plan_parallel_scratch(
                 &this.scratch,
-                survivors.len(),
+                due.len(),
                 workers,
                 PlanScratch::default,
-                |scratch, k| {
-                    let i = survivors[k];
+                |scratch, i| {
                     let peer = due[i];
-                    let known = trees[i].known.as_ref();
                     // Per-peer stream: distinct per `(round_seed, peer)`
                     // and independent of which worker runs the plan.
                     let mut rng = StdRng::seed_from_u64(
                         round_seed ^ (peer.index() as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
                     );
-                    this.plan_adapt(ov_ref, oracle, peer, known, scratch, &mut rng)
+                    this.plan_adapt(ov_ref, oracle, peer, scratch, &mut rng)
                 },
             )
         };
-        drop(trees);
         self.commit_adaptations(ov, oracle, adapt_plans, stats);
     }
 
@@ -1326,10 +1215,7 @@ impl AceEngine {
 
     /// Stage A of the planned schedule: [`Self::plan_tree`] for one peer
     /// against the round-start snapshot, charging a fresh ledger merged
-    /// at commit. With faults configured the closure tables are
-    /// snapshotted for stage B: mid-round faults can mutate tables after
-    /// the tree commit, and stage B must read what stage A saw
-    /// (faultless rounds read live).
+    /// at commit.
     fn plan_stage_a(
         &self,
         ov: &Overlay,
@@ -1353,13 +1239,10 @@ impl AceEngine {
             std::hint::black_box(self.states[m.index()].table.as_slice().first().copied());
         }
         self.stage_core_pairs(ov, peer, scratch);
-        let snap = |w: PeerId| self.states[w.index()].table.clone();
-        let known = self.cfg.faults.map(|_| KnownSnap::capture(scratch, snap));
         let mut ledger = OverheadLedger::new();
         self.plan_tree(ov, oracle, peer, scratch, &mut ledger);
         TreePlan {
             peer,
-            known,
             new_tree: scratch.tree.clone(),
             core_probes: scratch.core_probes.clone(),
             ledger,
@@ -1393,7 +1276,6 @@ impl AceEngine {
         ov: &Overlay,
         oracle: &dyn DistancePlane,
         peer: PeerId,
-        known: Option<&KnownSnap>,
         scratch: &mut PlanScratch,
         rng: &mut StdRng,
     ) -> AdaptPlan {
@@ -1405,7 +1287,7 @@ impl AceEngine {
         let mut watch_cuts = Vec::new();
         let mut watch_keeps = Vec::new();
         for &(far, near) in &state.watches {
-            let far_table = self.known_table(ov, peer, known, far);
+            let far_table = self.known_table(ov, peer, far);
             match policy::triage_watch(ov, peer, far, near, &state.own_tree, far_table) {
                 WatchVerdict::Expire => {}
                 WatchVerdict::Keep => watch_keeps.push((far, near)),
@@ -1413,7 +1295,7 @@ impl AceEngine {
             }
         }
 
-        let proposal = self.plan_phase3(ov, oracle, peer, known, scratch, &mut ledger, rng);
+        let proposal = self.plan_phase3(ov, oracle, peer, scratch, &mut ledger, rng);
         AdaptPlan {
             peer,
             watch_cuts,
@@ -1460,50 +1342,6 @@ impl AceEngine {
 
             let outcome = self.commit_proposal(ov, oracle, peer, plan.proposal);
             stats.count_outcome(outcome);
-        }
-    }
-
-    /// Applies the configured mid-round departures and rejoins, in
-    /// peer-id order. Crashes clear only the crasher's state (no
-    /// goodbye); graceful leaves purge both sides; rejoins bootstrap from
-    /// the overlay's address cache with a per-`(round, peer)` seeded RNG,
-    /// so no shared RNG stream is consumed and the parallel pipeline's
-    /// determinism guarantee holds.
-    fn apply_mid_round_faults(&mut self, ov: &mut Overlay, stats: &mut RoundStats) {
-        let Some(f) = self.cfg.faults else { return };
-        let round = self.rounds_run;
-        let peers: Vec<PeerId> = ov.peers().collect();
-        for p in peers {
-            if ov.is_alive(p) {
-                if ov.alive_count() <= 1 {
-                    continue; // never empty the population
-                }
-                match f.departure(round, p) {
-                    Some(DepartureKind::Crash) => {
-                        let nbrs: Vec<PeerId> = ov.neighbors(p).to_vec();
-                        ov.leave(p).expect("alive peer can leave");
-                        self.on_crash(p);
-                        self.snap_neighbors(ov, &nbrs);
-                        stats.crashed += 1;
-                    }
-                    Some(DepartureKind::Graceful) => {
-                        let nbrs: Vec<PeerId> = ov.neighbors(p).to_vec();
-                        ov.leave(p).expect("alive peer can leave");
-                        self.on_leave(p);
-                        self.snap_neighbors(ov, &nbrs);
-                        stats.left += 1;
-                    }
-                    None => {}
-                }
-            } else if f.rejoins(round, p) {
-                let mut rng = StdRng::seed_from_u64(f.rejoin_seed(round, p));
-                if ov.join(p, REJOIN_ATTACH, &mut rng).is_ok() {
-                    self.on_join(p);
-                    let nbrs: Vec<PeerId> = ov.neighbors(p).to_vec();
-                    self.snap_neighbors(ov, &nbrs);
-                    stats.rejoined += 1;
-                }
-            }
         }
     }
 
@@ -1757,8 +1595,6 @@ impl AuditView for Strict<'_> {
 /// to pay for, and the overhead it incurred.
 struct TreePlan {
     peer: PeerId,
-    /// The closure tables as stage A saw them (fault configs only).
-    known: Option<KnownSnap>,
     new_tree: Vec<PeerId>,
     core_probes: Vec<(PeerId, PeerId, Delay)>,
     ledger: OverheadLedger,
@@ -2094,14 +1930,14 @@ mod tests {
 
     /// The determinism contract: a parallel round's outcome (engine state,
     /// overlay wiring, and exact ledger bits) must not depend on how many
-    /// worker threads planned it — with or without fault injection, since
-    /// every fault decision is a pure hash, never a thread-dependent draw.
+    /// worker threads planned it — with or without a lifecycle script
+    /// between rounds.
     #[test]
     fn parallel_round_is_bit_identical_across_worker_counts() {
         use ace_overlay::random_overlay;
         use ace_topology::generate::{ba, BaConfig};
 
-        let run = |workers: usize, faults: Option<FaultConfig>| {
+        let run = |workers: usize, churn: bool| {
             let mut rng = StdRng::seed_from_u64(9);
             let phys = ba(
                 &BaConfig {
@@ -2116,12 +1952,15 @@ mod tests {
             let cfg = AceConfig {
                 parallel: true,
                 workers,
-                faults,
                 ..AceConfig::paper_default()
             };
             let mut ace = AceEngine::new(ov.peer_count(), cfg);
+            let mut script = StdRng::seed_from_u64(77);
             for _ in 0..3 {
                 ace.round(&mut ov, &oracle, &mut rng);
+                if churn {
+                    churn_between_rounds(&mut ov, &mut ace, &mut script);
+                }
             }
             ace.check_invariants(&ov).unwrap();
             (
@@ -2130,10 +1969,10 @@ mod tests {
                 ace.ledger().total_cost().to_bits(),
             )
         };
-        for faults in [None, Some(faulty(77))] {
-            let one = run(1, faults);
-            let four = run(4, faults);
-            let three = run(3, faults);
+        for churn in [false, true] {
+            let one = run(1, churn);
+            let four = run(4, churn);
+            let three = run(3, churn);
             assert_eq!(one, four, "workers=4 diverged from workers=1");
             assert_eq!(one, three, "workers=3 diverged from workers=1");
         }
@@ -2219,15 +2058,36 @@ mod tests {
         assert!(probes_with(ReplacePolicy::Closest) >= probes_with(ReplacePolicy::Random));
     }
 
-    /// A moderately hostile fault mix used by the churn/fault tests.
-    fn faulty(seed: u64) -> FaultConfig {
-        FaultConfig {
-            probe_loss: 0.15,
-            crash: 0.03,
-            leave: 0.03,
-            rejoin: 0.5,
-            seed,
+    /// A seeded lifecycle script between rounds, in peer-id order: an
+    /// alive peer crashes or leaves at 3 % each and a departed one
+    /// rejoins at 50 %, drawn from `script`; the engine hears each event
+    /// through its lifecycle hooks. Returns (departures, rejoins).
+    fn churn_between_rounds(
+        ov: &mut Overlay,
+        ace: &mut AceEngine,
+        script: &mut StdRng,
+    ) -> (usize, usize) {
+        let (mut departures, mut rejoins) = (0, 0);
+        let peers: Vec<PeerId> = ov.peers().collect();
+        for p in peers {
+            let u: f64 = script.gen();
+            if !ov.is_alive(p) {
+                if u < 0.5 {
+                    ov.join(p, 3, script).unwrap();
+                    ace.on_join(p);
+                    rejoins += 1;
+                }
+            } else if u < 0.06 && ov.alive_count() > 3 {
+                ov.leave(p).unwrap();
+                if u < 0.03 {
+                    ace.on_crash(p);
+                } else {
+                    ace.on_leave(p);
+                }
+                departures += 1;
+            }
         }
+        (departures, rejoins)
     }
 
     /// A 40-peer overlay on a BA physical network, as in the parallel
@@ -2249,68 +2109,24 @@ mod tests {
         (ov, oracle, rng)
     }
 
-    #[test]
-    fn lost_probes_charge_retries_and_can_give_up() {
-        let (ov, oracle) = mismatch_env();
-        let cfg = AceConfig {
-            faults: Some(FaultConfig {
-                probe_loss: 0.9,
-                seed: 8,
-                ..FaultConfig::default()
-            }),
-            ..AceConfig::paper_default()
-        };
-        let mut ace = AceEngine::new(4, cfg);
-        for p in ov.alive_peers() {
-            ace.phase1_probe(&ov, &oracle, p);
-        }
-        assert!(
-            ace.ledger().count_of(OverheadKind::ProbeRetry) > 0,
-            "90% loss must charge wasted attempts"
-        );
-        let missing = ov
-            .alive_peers()
-            .flat_map(|p| ov.neighbors(p).iter().map(move |&n| (p, n)))
-            .filter(|&(p, n)| ace.probed_cost(p, n).is_none())
-            .count();
-        assert!(missing > 0, "at 90% loss some probes fail every retry");
-        ace.check_invariants(&ov).unwrap();
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid fault config")]
-    fn invalid_fault_config_is_rejected_at_construction() {
-        AceEngine::new(
-            2,
-            AceConfig {
-                faults: Some(FaultConfig {
-                    probe_loss: 2.0,
-                    ..FaultConfig::default()
-                }),
-                ..AceConfig::paper_default()
-            },
-        );
-    }
-
+    /// Serial rounds interleaved with crashes, leaves and rejoins
+    /// ([`churn_between_rounds`]) keep both auditors green.
     #[test]
     fn serial_rounds_with_faults_hold_invariants() {
         let (mut ov, oracle, mut rng) = ba_env(13);
-        let cfg = AceConfig {
-            faults: Some(faulty(13)),
-            ..AceConfig::paper_default()
-        };
-        let mut ace = AceEngine::new(ov.peer_count(), cfg);
+        let mut ace = AceEngine::new(ov.peer_count(), AceConfig::paper_default());
+        let mut script = StdRng::seed_from_u64(13);
         let (mut departures, mut rejoins) = (0, 0);
         for _ in 0..8 {
-            let stats = ace.round(&mut ov, &oracle, &mut rng);
-            departures += stats.crashed + stats.left;
-            rejoins += stats.rejoined;
+            ace.round(&mut ov, &oracle, &mut rng);
+            let (d, r) = churn_between_rounds(&mut ov, &mut ace, &mut script);
+            departures += d;
+            rejoins += r;
             ov.check_invariants().unwrap();
             ace.check_invariants(&ov).unwrap();
         }
-        assert!(departures > 0, "fault rates should produce departures");
-        assert!(rejoins > 0, "dead peers should rejoin at 50%/round");
-        assert!(ace.ledger().cost_of(OverheadKind::ProbeRetry) > 0.0);
+        assert!(departures > 0, "the script should produce departures");
+        assert!(rejoins > 0, "dead peers should rejoin at 50% per round");
     }
 
     #[test]
@@ -2604,7 +2420,7 @@ mod tests {
         #![proptest_config(proptest::ProptestConfig::with_cases(24))]
 
         /// Lockstep against the sweep: random rounds (either schedule,
-        /// with and without injected faults and the rate controller) and
+        /// with and without the rate controller) and
         /// lifecycle events on 40–80 peers; after every event all per-peer
         /// state, the digest and the cached pairs equal what the
         /// read-everything reference computes from the pre-event engine.
@@ -2621,7 +2437,6 @@ mod tests {
             let mut ace = AceEngine::new(peers, AceConfig {
                 parallel: seed % 2 == 0,
                 workers: 2,
-                faults: (seed % 3 == 0).then(|| faulty(seed)),
                 autorate: (seed % 5 < 2).then_some(AutoRateConfig),
                 core_cache_budget: if seed % 7 == 0 { 4096 } else { 0 },
                 ..AceConfig::paper_default()

@@ -65,7 +65,6 @@ mod core_cache;
 mod cost_table;
 mod engine;
 pub mod experiments;
-mod fault;
 mod forward_rows;
 mod forwarding;
 pub mod mst;
@@ -87,7 +86,6 @@ pub use closure::Closure;
 pub use core_cache::CoreCacheStats;
 pub use cost_table::CostTable;
 pub use engine::{AceConfig, AceEngine, AdaptOutcome, ReplacePolicy, RoundStats};
-pub use fault::FaultConfig;
 pub use forwarding::AceForward;
 pub use netem::{NetemConfig, Partition, PartitionKind};
 pub use optrate::{min_effective_depth, optimization_rate, optimization_rate_checked};

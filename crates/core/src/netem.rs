@@ -9,7 +9,7 @@
 //! island assignment until they heal.
 //!
 //! Every decision is a pure hash of `(seed, tag, link, sequence number,
-//! attempt)` in the style of [`crate::FaultConfig`] — no RNG state is
+//! attempt)` folded through [`ace_engine::digest`] — no RNG state is
 //! consumed, so a run is bit-reproducible from its seed alone and a
 //! shrinking property test replays the exact same wire while it minimizes
 //! the schedule. Loss and duplication are *per directed link and per
@@ -27,7 +27,10 @@ use ace_engine::digest::{fold, unit};
 use ace_overlay::PeerId;
 
 use crate::audit::ConfigError;
-use crate::fault::HASH_SEED;
+
+/// Seed of every wire draw, so each adversarial decision is one
+/// [`ace_engine::digest::fold`] away from its inputs.
+const HASH_SEED: u64 = 0x5151_5151_ACE0_ACE0;
 
 /// How a scheduled partition assigns peers to sides.
 #[derive(Clone, Copy, Debug)]

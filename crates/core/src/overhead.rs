@@ -18,9 +18,10 @@ pub enum OverheadKind {
     ClosureRelay,
     /// Connect / connect-ok / disconnect messages of phase 3.
     Reconnect,
-    /// Probe attempts lost to injected faults and retried (or given up
-    /// on); the wasted request traffic is charged here, the eventual
-    /// successful attempt under [`OverheadKind::Probe`].
+    /// Retransmits of probes and probe replies after a wire loss under
+    /// the netem model; the original
+    /// transmission is charged under [`OverheadKind::Probe`]. The round
+    /// engine models a perfect wire and never charges it.
     ProbeRetry,
     /// Retransmits of non-probe control messages (cost tables, probe
     /// requests, forward (un)subscriptions, disconnects) after a wire

@@ -20,7 +20,6 @@
 use ace_overlay::{Overlay, PeerId};
 use ace_topology::Delay;
 
-use crate::cost_table::CostTable;
 use crate::mst::{PrimScratch, SlotEdge};
 
 /// Sentinel parent slot for the BFS source.
@@ -145,55 +144,21 @@ impl PlanScratch {
     pub fn collect_internal_edges(
         &mut self,
         ov: &Overlay,
-        mut cost_of: impl FnMut(PeerId, PeerId) -> Option<Delay>,
+        mut cost_of: impl FnMut(PeerId, PeerId) -> Delay,
     ) {
         self.edges.clear();
         for ai in 0..self.members.len() {
             let a = self.members[ai];
             for &b in ov.neighbors(a) {
                 if a < b && self.contains(b) {
-                    if let Some(cost) = cost_of(a, b) {
-                        self.edges.push(SlotEdge {
-                            a: ai as u32,
-                            b: self.slot_of[b.index()],
-                            cost,
-                        });
-                    }
+                    self.edges.push(SlotEdge {
+                        a: ai as u32,
+                        b: self.slot_of[b.index()],
+                        cost: cost_of(a, b),
+                    });
                 }
             }
         }
-    }
-}
-
-/// A plan-time snapshot of the closure members' cost tables — the
-/// moral equivalent of the old `HashMap<PeerId, CostTable>` `known`
-/// map, kept as parallel vectors with linear lookup (closures are
-/// small). Only built when fault injection is configured: mid-round
-/// faults mutate tables between the tree commit and the adaptation
-/// stage, so stage B must read what stage A saw. Without faults the
-/// engine reads live tables instead, which are provably identical
-/// between the stages.
-#[derive(Clone, Debug, Default)]
-pub struct KnownSnap {
-    members: Vec<PeerId>,
-    tables: Vec<CostTable>,
-}
-
-impl KnownSnap {
-    /// Snapshots the tables of the current closure members.
-    pub fn capture(scratch: &PlanScratch, table_of: impl Fn(PeerId) -> CostTable) -> Self {
-        KnownSnap {
-            members: scratch.members.clone(),
-            tables: scratch.members.iter().map(|&w| table_of(w)).collect(),
-        }
-    }
-
-    /// The snapshotted table of `peer`, if it was a closure member.
-    pub fn get(&self, peer: PeerId) -> Option<&CostTable> {
-        self.members
-            .iter()
-            .position(|&m| m == peer)
-            .map(|i| &self.tables[i])
     }
 }
 
@@ -255,7 +220,7 @@ mod tests {
         let mut scratch = PlanScratch::default();
         let reference = Closure::collect(&ov, p(4), 2);
         scratch.collect_closure(&ov, p(4), 2);
-        scratch.collect_internal_edges(&ov, |_, _| Some(7));
+        scratch.collect_internal_edges(&ov, |_, _| 7);
         let got: Vec<(PeerId, PeerId)> = scratch
             .edges
             .iter()
@@ -276,18 +241,6 @@ mod tests {
         for i in 0..12u32 {
             let expect = i == 6 || ov.are_neighbors(p(6), p(i));
             assert_eq!(scratch.contains(p(i)), expect, "peer {i}");
-        }
-    }
-
-    #[test]
-    fn known_snap_lookup_matches_members() {
-        let ov = ring_with_chords(10);
-        let mut scratch = PlanScratch::default();
-        scratch.collect_closure(&ov, p(2), 1);
-        let snap = KnownSnap::capture(&scratch, CostTable::new);
-        assert!(snap.get(p(2)).is_some());
-        for i in 0..10u32 {
-            assert_eq!(snap.get(p(i)).is_some(), scratch.contains(p(i)));
         }
     }
 }

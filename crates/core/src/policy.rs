@@ -23,9 +23,8 @@ use ace_topology::Delay;
 
 use crate::autorate::{BACKOFF, CHURN_WEIGHT, HYSTERESIS, R_MAX, R_MIN, STEP, STRESS_THRESHOLD};
 use crate::cost_table::CostTable;
-use crate::fault::{FaultConfig, MAX_RETRIES, RETRY_BACKOFF};
 use crate::mst::{PrimScratch, SlotEdge};
-use crate::overhead::{OverheadKind, OverheadLedger};
+use crate::overhead::OverheadKind;
 
 /// What the paper's Figure-4 rules decided for a probed candidate `H`
 /// offered by the non-flooding neighbor `B` (the engine's `far`).
@@ -95,8 +94,8 @@ pub fn phase3_candidates_into(
 /// fewer than `min_flooding` flooding links, the cheapest non-tree
 /// neighbors fill the gap (sorted by `(cost, peer id)`, so ties break
 /// identically everywhere). `cost_of` supplies a neighbor's link cost;
-/// returning `None` (a neighbor whose probe was lost) drops it from the
-/// padding candidates.
+/// returning `None` (a neighbor the async driver has not measured yet)
+/// drops it from the padding candidates.
 ///
 /// Edges come in dense closure slots (indices into `members`) and the
 /// source peer must be slot 0 (`members[0] == peer`). Prim state lives
@@ -296,41 +295,6 @@ pub fn control_overhead_kind(msg: &Message) -> Option<OverheadKind> {
             None
         }
     }
-}
-
-/// The shared probe-loss/retry rule of [`FaultConfig`]: whether the
-/// probe exchange for the pair `(a, b)` in the given round survives the
-/// injected loss, charging every lost attempt's wasted request traffic
-/// (`true_cost × request_units`, scaled by the backoff of the retry
-/// timeout it burned) to [`OverheadKind::ProbeRetry`]. Returns `false`
-/// when every attempt up to `MAX_RETRIES` was lost — the pair gets no
-/// measurement this round. The caller charges the successful exchange
-/// itself. The round-based engine is the only driver with injected
-/// faults; the async simulator loses messages on its netem wire.
-pub fn probe_exchange_survives_faults(
-    faults: Option<&FaultConfig>,
-    round: u64,
-    a: PeerId,
-    b: PeerId,
-    true_cost: Delay,
-    request_units: f64,
-    ledger: &mut OverheadLedger,
-) -> bool {
-    let Some(f) = faults else {
-        return true;
-    };
-    let mut attempt: u8 = 0;
-    while f.probe_lost(round, a, b, attempt) {
-        ledger.charge(
-            OverheadKind::ProbeRetry,
-            f64::from(true_cost) * request_units * RETRY_BACKOFF.powi(i32::from(attempt)),
-        );
-        if attempt >= MAX_RETRIES {
-            return false;
-        }
-        attempt += 1;
-    }
-    true
 }
 
 /// One peer's smoothed observations, as seen by the optimization-rate
@@ -608,38 +572,6 @@ mod tests {
         // Non-finite observations degrade safely.
         assert_eq!(obs(f64::NAN, f64::NAN, f64::NAN, f64::NAN), R_MAX);
         assert!((R_MIN..=R_MAX).contains(&obs(f64::INFINITY, 0.0, 0.0, 0.0)));
-    }
-
-    /// `MAX_RETRIES` at the bound and one past it: an exchange whose
-    /// first `MAX_RETRIES` attempts are lost survives on its last retry,
-    /// one whose attempt `MAX_RETRIES` is lost too gives up. Every lost
-    /// attempt is charged, scaled by `RETRY_BACKOFF` per attempt.
-    #[test]
-    fn probe_exchange_retries_up_to_max_retries() {
-        let f = FaultConfig {
-            probe_loss: 0.7,
-            seed: 5,
-            ..FaultConfig::default()
-        };
-        let (a, b) = (p(0), p(1));
-        for give_up in [false, true] {
-            let round = (0..10_000)
-                .find(|&r| {
-                    (0..MAX_RETRIES).all(|k| f.probe_lost(r, a, b, k))
-                        && f.probe_lost(r, a, b, MAX_RETRIES) == give_up
-                })
-                .expect("a round with this loss pattern");
-            let mut ledger = OverheadLedger::new();
-            let survives =
-                probe_exchange_survives_faults(Some(&f), round, a, b, 10, 1.0, &mut ledger);
-            assert_eq!(survives, !give_up, "round {round}");
-            let lost = MAX_RETRIES + u8::from(give_up);
-            assert_eq!(ledger.count_of(OverheadKind::ProbeRetry), u64::from(lost));
-            let cost: f64 = (0..lost)
-                .map(|k| 10.0 * RETRY_BACKOFF.powi(i32::from(k)))
-                .sum();
-            assert_eq!(ledger.cost_of(OverheadKind::ProbeRetry), cost);
-        }
     }
 
     /// The `[R_MIN, R_MAX]` clamp at each bound and one past it: a

@@ -137,8 +137,8 @@ impl AsyncConfig {
 }
 
 /// Configuration of the asynchronous protocol. Its loss model is the
-/// adversarial wire ([`ProtoConfig::netem`]); the engine's injected
-/// [`FaultConfig`](crate::FaultConfig) does not reach this driver.
+/// adversarial wire ([`ProtoConfig::netem`]), the workspace's one fault
+/// model: the round engine models a perfect wire.
 #[derive(Clone, Debug, Default)]
 pub struct ProtoConfig {
     /// Timer tuning (cycle period).
@@ -305,8 +305,8 @@ fn reliable(msg: &Message) -> bool {
 }
 
 /// Ledger kind for a retransmission: probe-plane traffic retries under
-/// [`OverheadKind::ProbeRetry`] (the same bucket as the engine's lost
-/// probe attempts), everything else under [`OverheadKind::ControlRetry`].
+/// [`OverheadKind::ProbeRetry`], everything else under
+/// [`OverheadKind::ControlRetry`].
 fn retry_kind(msg: &Message) -> OverheadKind {
     match msg {
         Message::Probe { .. } | Message::ProbeReply { .. } => OverheadKind::ProbeRetry,

@@ -8,7 +8,10 @@
 //! the cache counters so a soak can watch it.
 
 use ace_core::experiments::{Scenario, ScenarioConfig};
-use ace_core::{AceConfig, AceEngine, FaultConfig};
+use ace_core::{AceConfig, AceEngine};
+use ace_overlay::{Overlay, PeerId};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 const BUDGET: usize = 4 * 1024; // ~85 pairs — tiny on purpose
 
@@ -41,35 +44,56 @@ fn serial_schedule_holds_budget_and_auditor_under_eviction() {
     soak(false, false);
 }
 
-fn soak(parallel: bool, churn: bool) {
+/// Between rounds, in peer-id order: an alive peer crashes or leaves at
+/// 4 % each and a departed one rejoins at 50 %, drawn from `script` and
+/// told to the engine through its lifecycle hooks. Every rejoin wires
+/// fresh neighbor pairs into the core cache.
+fn churn(ov: &mut Overlay, ace: &mut AceEngine, script: &mut StdRng) {
+    let peers: Vec<PeerId> = ov.peers().collect();
+    for p in peers {
+        let u: f64 = script.gen();
+        if !ov.is_alive(p) {
+            if u < 0.5 {
+                ov.join(p, 3, script).unwrap();
+                ace.on_join(p);
+            }
+        } else if u < 0.08 && ov.alive_count() > 3 {
+            ov.leave(p).unwrap();
+            if u < 0.04 {
+                ace.on_crash(p);
+            } else {
+                ace.on_leave(p);
+            }
+        }
+    }
+}
+
+fn soak(parallel: bool, churn_between: bool) {
     let mut w = churn_world();
     let peers = w.overlay.peer_count();
     let mut ace = AceEngine::new(
         peers,
         AceConfig {
             parallel,
-            faults: churn.then_some(FaultConfig {
-                probe_loss: 0.05,
-                crash: 0.04,
-                leave: 0.04,
-                rejoin: 0.5,
-                seed: 5,
-            }),
             core_cache_budget: BUDGET,
             ..AceConfig::paper_default()
         },
     );
+    let mut script = StdRng::seed_from_u64(5);
     let mut high_water = 0usize;
     for round in 0..40 {
+        if churn_between {
+            churn(&mut w.overlay, &mut ace, &mut script);
+        }
         let s = ace.round(&mut w.overlay, &w.oracle, &mut w.rng);
         assert!(
             s.core_cache.bytes <= BUDGET,
-            "parallel={parallel} churn={churn} round {round}: cache footprint {} exceeds budget {BUDGET}",
+            "parallel={parallel} churn={churn_between} round {round}: cache footprint {} exceeds budget {BUDGET}",
             s.core_cache.bytes
         );
         high_water = high_water.max(s.core_cache.entries);
         ace.check_invariants(&w.overlay).unwrap();
-        assert!(churn || w.overlay.is_connected(), "round {round}");
+        assert!(churn_between || w.overlay.is_connected(), "round {round}");
     }
     let end = ace.round(&mut w.overlay, &w.oracle, &mut w.rng).core_cache;
     assert!(

@@ -17,7 +17,7 @@
 //! engine.
 
 use ace_core::experiments::{Scenario, ScenarioConfig};
-use ace_core::{policy, AceConfig, AceEngine, AutoRateConfig, FaultConfig};
+use ace_core::{policy, AceConfig, AceEngine, AutoRateConfig};
 use ace_overlay::{Overlay, PeerId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -34,16 +34,6 @@ fn world(seed: u64, peers: usize) -> Scenario {
         seed,
         ..ScenarioConfig::default()
     })
-}
-
-fn faults(seed: u64) -> FaultConfig {
-    FaultConfig {
-        probe_loss: 0.15,
-        crash: 0.03,
-        leave: 0.03,
-        rejoin: 0.4,
-        seed,
-    }
 }
 
 /// The engine's answer for every peer and every sender the kernel could
@@ -101,12 +91,10 @@ proptest! {
         // re-plan next round, which the round's audit rejects: with raw
         // edits every alive peer is due (no controller).
         let raw = seed % 2 == 0;
-        let with_faults = seed % 3 == 0;
         let mut ace = AceEngine::new(peers, AceConfig {
             parallel: seed % 4 < 2,
             workers: 2,
             depth: 1 + (seed % 5 == 4) as u8,
-            faults: with_faults.then(|| faults(seed)),
             autorate: (!raw && seed % 3 == 1).then_some(AutoRateConfig),
             ..AceConfig::paper_default()
         });
@@ -136,9 +124,6 @@ proptest! {
             match op {
                 Op::Round => {
                     ace.round(ov, &w.oracle, &mut w.rng);
-                    if with_faults {
-                        clean_exit.fill(false); // injected churn moved peers
-                    }
                 }
                 Op::TreeRound => {
                     ace.tree_round(ov, &w.oracle);

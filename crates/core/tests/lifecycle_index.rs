@@ -4,8 +4,8 @@
 //! `on_leave` / `on_join` used to read every peer's state to drop one
 //! id; they now visit the departed peer's reverse references and its
 //! chain through the core cache's insertion log. This drives one engine
-//! through random rounds (either schedule, with and without injected
-//! faults and the rate controller) and lifecycle events, and after every
+//! through random rounds (either schedule, with and without the rate
+//! controller) and lifecycle events, and after every
 //! event compares what the observers show of **every** peer with what
 //! "retain over everyone" computes from the pre-event observation — a
 //! reference the indexes cannot fool, because it never consults them.
@@ -14,11 +14,11 @@
 //! observer shows) and every cached pair. The in-crate twin of this test
 //! (`engine.rs`) compares the private state and the digest as well.
 //!
-//! Runs in CI's debug `churn-faults` job, where every `round` also
-//! audits the indexes under `debug_assert`.
+//! Runs in CI's debug `churn` leg, where every `round` also audits the
+//! indexes under `debug_assert`.
 
 use ace_core::experiments::{Scenario, ScenarioConfig};
-use ace_core::{AceConfig, AceEngine, AutoRateConfig, FaultConfig};
+use ace_core::{AceConfig, AceEngine, AutoRateConfig};
 use ace_overlay::{Overlay, PeerId};
 use ace_topology::Delay;
 use proptest::prelude::*;
@@ -150,13 +150,6 @@ proptest! {
             parallel: seed % 2 == 0,
             workers: 2,
             depth: 1 + (seed % 4 == 3) as u8,
-            faults: (seed % 3 == 0).then_some(FaultConfig {
-                probe_loss: 0.1,
-                crash: 0.03,
-                leave: 0.03,
-                rejoin: 0.4,
-                seed,
-            }),
             autorate: (seed % 5 < 2).then_some(AutoRateConfig),
             // ~40 pairs: budget eviction interleaves with the purges.
             core_cache_budget: if seed % 7 == 0 { 2048 } else { 0 },

@@ -141,7 +141,7 @@ pub fn sample_distinct<R: Rng + ?Sized>(rng: &mut R, n: usize, k: usize) -> Vec<
 /// `splitmix64` finalizer — the workspace's standard deterministic hash
 /// (probe jitter and stream seeds call it; every fold chains it through
 /// [`crate::digest`]).
-/// `#[inline]` because the workspace builds without LTO and the fault
+/// `#[inline]` because the workspace builds without LTO and the probe
 /// model calls it on the probe path of every round.
 #[inline]
 pub fn splitmix64(mut x: u64) -> u64 {

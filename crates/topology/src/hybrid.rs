@@ -30,7 +30,7 @@
 //! Anchor choice, coordinate initialization, training-partner picks, the
 //! audit set and calibration pairs all derive from one
 //! [`ace_engine::digest::fold`] off [`SEED`] — the fold the
-//! fault and netem layers draw from too — so two runs (and any worker-thread interleaving)
+//! netem layer draws from too — so two runs (and any worker-thread interleaving)
 //! see identical state. `distance(a, b)` is a pure function of that state
 //! and the pair: tier counters use relaxed atomics and never influence
 //! answers, preserving the engine's bit-identical-digest guarantee.

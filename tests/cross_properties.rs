@@ -6,8 +6,8 @@ use ace_core::experiments::{
     Scenario, ScenarioConfig,
 };
 use ace_core::mst::{kruskal, prim, prim_heap, ClosureEdge};
-use ace_core::{AceConfig, AceEngine, AceForward, Closure, FaultConfig};
-use ace_overlay::{run_query, FloodAll, PeerId, QueryConfig};
+use ace_core::{AceConfig, AceEngine, AceForward, Closure};
+use ace_overlay::{run_query, FloodAll, Overlay, PeerId, QueryConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -275,16 +275,40 @@ proptest! {
     }
 }
 
+/// A seeded lifecycle script between rounds, in peer-id order: an alive
+/// peer crashes or leaves at 3 % each and a departed one rejoins at 50 %,
+/// drawn from `script` and told to the engine through its lifecycle
+/// hooks.
+fn churn_between_rounds(ov: &mut Overlay, ace: &mut AceEngine, script: &mut StdRng) {
+    let peers: Vec<PeerId> = ov.peers().collect();
+    for p in peers {
+        let u: f64 = script.gen();
+        if !ov.is_alive(p) {
+            if u < 0.5 {
+                ov.join(p, 3, script).unwrap();
+                ace.on_join(p);
+            }
+        } else if u < 0.06 && ov.alive_count() > 3 {
+            ov.leave(p).unwrap();
+            if u < 0.03 {
+                ace.on_crash(p);
+            } else {
+                ace.on_leave(p);
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// The parallel pipeline's bit-identical worker-count guarantee
-    /// survives fault injection: fault decisions are pure hashes, so any
-    /// worker count produces the same digest, stats and ledger.
+    /// survives crashes, leaves and rejoins between rounds: any worker
+    /// count produces the same digest, stats and ledger.
     #[test]
     fn faulty_parallel_rounds_are_worker_count_invariant(
         seed in any::<u64>(),
-        fault_seed in any::<u64>(),
+        script_seed in any::<u64>(),
     ) {
         let scenario = ScenarioConfig {
             as_count: 3,
@@ -296,25 +320,19 @@ proptest! {
             seed,
             ..ScenarioConfig::default()
         };
-        let faults = FaultConfig {
-            probe_loss: 0.15,
-            crash: 0.03,
-            leave: 0.03,
-            rejoin: 0.5,
-            seed: fault_seed,
-        };
         let run = |workers: usize| {
             let mut s = Scenario::build(&scenario);
             let cfg = AceConfig {
                 parallel: true,
                 workers,
-                faults: Some(faults),
                 ..AceConfig::paper_default()
             };
             let mut ace = AceEngine::new(s.overlay.peer_count(), cfg);
+            let mut script = StdRng::seed_from_u64(script_seed);
             let mut digests = Vec::new();
             for _ in 0..3 {
                 ace.round(&mut s.overlay, &s.oracle, &mut s.rng);
+                churn_between_rounds(&mut s.overlay, &mut ace, &mut script);
                 digests.push(ace.state_digest());
             }
             ace.check_invariants(&s.overlay).unwrap();
@@ -334,11 +352,12 @@ proptest! {
     /// `R` controller: its decisions derive only from observation
     /// streams every worker schedule computes identically, so digests
     /// (protocol *and* controller), stats and ledger all match — under
-    /// fault injection, which also exercises the churn snap-to-floor.
+    /// crashes, leaves and rejoins between rounds, which also exercise
+    /// the controller's lifecycle purges.
     #[test]
     fn adaptive_controller_rounds_are_worker_count_invariant(
         seed in any::<u64>(),
-        fault_seed in any::<u64>(),
+        script_seed in any::<u64>(),
     ) {
         use ace_core::AutoRateConfig;
         let scenario = ScenarioConfig {
@@ -351,24 +370,17 @@ proptest! {
             seed,
             ..ScenarioConfig::default()
         };
-        let faults = FaultConfig {
-            probe_loss: 0.15,
-            crash: 0.03,
-            leave: 0.03,
-            rejoin: 0.5,
-            seed: fault_seed,
-        };
         let run = |workers: usize| {
             let mut s = Scenario::build(&scenario);
             let cfg = AceConfig {
                 parallel: true,
                 workers,
-                faults: Some(faults),
                 autorate: Some(AutoRateConfig),
                 ..AceConfig::paper_default()
             };
             let mut ace = AceEngine::new(s.overlay.peer_count(), cfg);
             ace.note_traffic(100.0, 40.0);
+            let mut script = StdRng::seed_from_u64(script_seed);
             let mut digests = Vec::new();
             for r in 0..6 {
                 for p in s.overlay.alive_peers() {
@@ -376,6 +388,7 @@ proptest! {
                     ace.note_queries(p, f64::from((p.raw() + r) % 7));
                 }
                 ace.round(&mut s.overlay, &s.oracle, &mut s.rng);
+                churn_between_rounds(&mut s.overlay, &mut ace, &mut script);
                 digests.push(ace.state_digest());
             }
             ace.check_invariants(&s.overlay).unwrap();
